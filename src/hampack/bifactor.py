@@ -242,24 +242,39 @@ def almost_regular_bound(alpha: float, epsilon: float) -> float:
 
 
 def _perfect_matching(m: int, adj: list[set[int]]) -> Optional[list[int]]:
-    """Perfect matching on adjacency lists via augmenting paths; None if absent."""
+    """Perfect matching on adjacency lists via augmenting paths; None if absent.
+
+    Kuhn's depth-first search runs on an explicit stack, so the length of an
+    augmenting path is not bounded by the recursion limit.
+    """
     match_s = [-1] * m
     match_t = [-1] * m
-
-    def try_kuhn(s: int, seen: list[bool]) -> bool:
-        for t in adj[s]:
-            if not seen[t]:
-                seen[t] = True
-                if match_t[t] == -1 or try_kuhn(match_t[t], seen):
-                    match_t[t] = s
-                    match_s[s] = t
-                    return True
-        return False
-
-    order = sorted(range(m), key=lambda s: len(adj[s]))
-    for s in order:
-        if not try_kuhn(s, [False] * m):
+    for root in sorted(range(m), key=lambda s: len(adj[s])):
+        seen = [False] * m
+        frames = [iter(adj[root])]
+        path_t: list[int] = []      # path_t[i] leads from frame i to frame i + 1
+        while frames:
+            for t in frames[-1]:
+                if not seen[t]:
+                    seen[t] = True
+                    path_t.append(t)
+                    if match_t[t] == -1:
+                        frames.clear()      # path_t ends at a free t: augment
+                    else:
+                        frames.append(iter(adj[match_t[t]]))
+                    break
+            else:
+                frames.pop()
+                if path_t:
+                    path_t.pop()
+        if not path_t:
             return None
+        s = root
+        for t in path_t:
+            s_next = match_t[t]
+            match_t[t] = s
+            match_s[s] = t
+            s = s_next
     return match_s
 
 

@@ -5,7 +5,9 @@ hypergraph edge that fits some scheme pick one uniformly at random (making the
 per-scheme sub-hypergraphs edge-disjoint by construction), then extract a
 maximal regular subgraph of each scheme's auxiliary graph restricted to its
 assigned edges, peel it into perfect matchings, and lift each matching to a
-cycle.  `pack_min_degree` needs only a codegree lower bound; `pack_near_regular`
+cycle.  An edge fits a scheme exactly when it is realized by an edge of that
+scheme's auxiliary graph, so the candidates are read off the aux graphs.
+`pack_min_degree` needs only a codegree lower bound; `pack_near_regular`
 additionally needs the codegrees to be nearly uniform and reports coverage
 against an uncovered-edge budget.
 """
@@ -90,57 +92,37 @@ class PsiStats:
     expected_mean: float       # num_schemes * q_upper_bound
 
 
-class _SchemeIndex:
-    """Fast membership structures for one scheme's candidate test."""
-
-    def __init__(self, scheme: PartitionScheme):
-        self.scheme = scheme
-        self.set_a = frozenset(scheme.part_a)
-        m = scheme.m
-        if scheme.ell >= 1:
-            self.junctions: dict[frozenset[int], list[int]] = {}
-            for j in range(m):
-                key = frozenset(scheme.tuples_a[j] + scheme.tuples_a[(j + 1) % m])
-                self.junctions.setdefault(key, []).append(j)
-        else:
-            self.tuples = {frozenset(t): i for i, t in enumerate(scheme.tuples_a)}
-        self.blocks = {frozenset(b): j for j, b in enumerate(scheme.blocks_b)}
-
-    def is_candidate(self, edge: tuple[int, ...]) -> bool:
-        fa = frozenset(v for v in edge if v in self.set_a)
-        fb = frozenset(edge) - fa
-        if self.scheme.ell >= 1:
-            return fa in self.junctions and fb in self.blocks
-        return fa in self.tuples and fb in self.blocks
-
-    def aux_edges_of(self, edge: tuple[int, ...]) -> list[tuple[int, int]]:
-        """Aux-graph edges realized by `edge` (more than one only when m = 2)."""
-        fa = frozenset(v for v in edge if v in self.set_a)
-        fb = frozenset(edge) - fa
-        b = self.blocks[fb]
-        if self.scheme.ell >= 1:
-            return [(j, b) for j in self.junctions[fa]]
-        return [(self.tuples[fa], b)]
+def _realized_edges(aux: AuxGraph):
+    """(aux edge, hyperedge s_label ∪ t_label) for every edge of the aux graph."""
+    for a, b in aux.graph.edges:
+        yield (a, b), tuple(sorted(aux.s_labels[a] + aux.t_labels[b]))
 
 
 def candidate_partitions(edge: Sequence[int], schemes: Sequence[PartitionScheme]) -> list[int]:
     """Indices of the schemes under which `edge` splits as junction-pair ∪ block
-    (or tuple ∪ block for ell = 0)."""
-    e = tuple(sorted(edge))
-    return [i for i, s in enumerate(schemes) if _SchemeIndex(s).is_candidate(e)]
+    (or tuple ∪ block for ell = 0), i.e. realizes an edge of their aux graph."""
+    return [i for i, s in enumerate(schemes)
+            if build_aux_graph(Hypergraph(s.n, s.k, [edge]), s).graph.edges]
 
 
-def assign_edges(h: Hypergraph, schemes: Sequence[PartitionScheme], seed: int) -> Assignment:
-    """Every edge with at least one candidate scheme picks one uniformly at
-    random; the per-scheme edge lists are disjoint by construction."""
-    indices = [_SchemeIndex(s) for s in schemes]
+def assign_edges(h: Hypergraph, auxes: Sequence[AuxGraph], seed: int) -> Assignment:
+    """Every edge realized by at least one scheme's aux graph picks one of those
+    schemes uniformly at random; the per-scheme edge lists are disjoint by
+    construction.  Candidate lists are ascending and each scheme appears once,
+    although for m = 2 two aux edges realize the same hyperedge."""
+    candidates: dict[tuple[int, ...], list[int]] = {}
+    for i, aux in enumerate(auxes):
+        for _, e in _realized_edges(aux):
+            cands = candidates.setdefault(e, [])
+            if not cands or cands[-1] != i:
+                cands.append(i)
     rng = random.Random(seed)
     psi: dict[tuple[int, ...], int] = {}
     choice: dict[tuple[int, ...], Optional[int]] = {}
-    per_index: list[list[tuple[int, ...]]] = [[] for _ in schemes]
+    per_index: list[list[tuple[int, ...]]] = [[] for _ in auxes]
     unassigned: list[tuple[int, ...]] = []
     for e in h.edges:
-        cands = [i for i, idx in enumerate(indices) if idx.is_candidate(e)]
+        cands = candidates.get(e, [])
         psi[e] = len(cands)
         if cands:
             pick = cands[rng.randrange(len(cands))]
@@ -149,7 +131,7 @@ def assign_edges(h: Hypergraph, schemes: Sequence[PartitionScheme], seed: int) -
         else:
             choice[e] = None
             unassigned.append(e)
-    return Assignment(schemes=tuple(schemes), psi=psi, choice=choice,
+    return Assignment(schemes=tuple(aux.scheme for aux in auxes), psi=psi, choice=choice,
                       per_index=tuple(tuple(x) for x in per_index),
                       unassigned=tuple(unassigned))
 
@@ -191,7 +173,7 @@ def _measured_alpha(h: Hypergraph) -> tuple[float, float]:
 def _sample_accepted_schemes(h: Hypergraph, ell: int, count: int, seed: int,
                              resample_limit: int, accept) -> tuple[list, list[int], bool]:
     """Sample `count` schemes, retrying each until `accept(aux)` or the limit."""
-    schemes = []
+    auxes = []
     retries = []
     exhausted = False
     for i in range(count):
@@ -203,26 +185,25 @@ def _sample_accepted_schemes(h: Hypergraph, ell: int, count: int, seed: int,
             if ok or tries >= resample_limit:
                 if not ok:
                     exhausted = True
-                schemes.append((s, aux))
+                auxes.append(aux)
                 retries.append(tries)
                 break
             tries += 1
-    return schemes, retries, exhausted
+    return auxes, retries, exhausted
 
 
-def _extract_cycles(h: Hypergraph, aux: AuxGraph, assigned: Sequence[tuple[int, ...]],
-                    index: _SchemeIndex, mode: str, fixed_r: Optional[int]):
-    """Factor extraction, peeling, and lifting for one partition.
+def _extract_cycles(h: Hypergraph, aux: AuxGraph, index: int, assignment: Assignment,
+                    mode: str, fixed_r: Optional[int]):
+    """Factor extraction, peeling, and lifting for partition `index`, on the aux
+    edges whose hyperedge chose it.
 
     mode "max": flow-certified maximum factor; "fixed": exactly fixed_r or
     nothing; "report": maximum factor, with fixed_r recorded as the
     guaranteed target (which the maximum dominates whenever feasible).
     """
     m = aux.scheme.m
-    sub_edges = set()
-    for e in assigned:
-        sub_edges.update(index.aux_edges_of(e))
-    sub = BipartiteGraph(m, sub_edges)
+    sub = BipartiteGraph(m, (ab for ab, e in _realized_edges(aux)
+                             if assignment.choice[e] == index))
     factor_target = None
     if mode == "fixed":
         factor_target = max(0, fixed_r)
@@ -250,12 +231,12 @@ def _extract_cycles(h: Hypergraph, aux: AuxGraph, assigned: Sequence[tuple[int, 
     return sub, factor_target, r_i, len(matchings), cycles
 
 
-def _assemble(h: Hypergraph, schemes_aux, retries, assignment, extraction,
+def _assemble(h: Hypergraph, auxes, retries, assignment, extraction,
               warnings: list[str], exhausted: bool,
               uncovered_budget: Optional[float] = None) -> PackingResult:
     all_cycles: list[HamiltonCycle] = []
     stats: list[PartitionStats] = []
-    for i, (scheme, aux) in enumerate(schemes_aux):
+    for i, aux in enumerate(auxes):
         sub, target, r_i, n_matchings, cycles = extraction[i]
         all_cycles.extend(cycles)
         stats.append(PartitionStats(
@@ -278,7 +259,7 @@ def _assemble(h: Hypergraph, schemes_aux, retries, assignment, extraction,
     ratio = covered / h.num_edges() if h.num_edges() else 0.0
     goal = (h.num_edges() - covered) <= uncovered_budget if uncovered_budget is not None else None
     return PackingResult(
-        cycles=tuple(all_cycles), partitions_used=len(schemes_aux),
+        cycles=tuple(all_cycles), partitions_used=len(auxes),
         per_partition=tuple(stats),
         psi_histogram=psi_statistics(assignment).histogram,
         unassigned=len(assignment.unassigned),
@@ -287,16 +268,15 @@ def _assemble(h: Hypergraph, schemes_aux, retries, assignment, extraction,
         uncovered_budget=uncovered_budget, goal_met=goal)
 
 
-def _run_extraction(h, schemes_aux, assignment, indices, modes, threads: int):
+def _run_extraction(h, auxes, assignment, modes, threads: int):
     def work(i: int):
-        scheme, aux = schemes_aux[i]
         mode, fixed_r = modes[i]
-        return _extract_cycles(h, aux, assignment.per_index[i], indices[i], mode, fixed_r)
+        return _extract_cycles(h, auxes[i], i, assignment, mode, fixed_r)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, range(len(schemes_aux))))
-    return [work(i) for i in range(len(schemes_aux))]
+            return list(pool.map(work, range(len(auxes))))
+    return [work(i) for i in range(len(auxes))]
 
 
 def pack_min_degree(h: Hypergraph, cfg: PackingConfig) -> PackingResult:
@@ -323,19 +303,18 @@ def pack_min_degree(h: Hypergraph, cfg: PackingConfig) -> PackingResult:
     m = n // (k - ell)
     threshold = (cfg.alpha_prime + eps / 2.0) * m
     count = cfg.num_partitions if cfg.num_partitions is not None else default_num_partitions(h, ell)
-    schemes_aux, retries, exhausted = _sample_accepted_schemes(
+    auxes, retries, exhausted = _sample_accepted_schemes(
         h, ell, count, cfg.seed, cfg.resample_limit,
         accept=lambda aux: aux.graph.min_degree() >= threshold)
     if exhausted:
         warnings.append("resample limit exhausted for at least one partition; partial result")
-    assignment = assign_edges(h, [s for s, _ in schemes_aux], derive_seed(cfg.seed, "assign"))
-    indices = [_SchemeIndex(s) for s, _ in schemes_aux]
+    assignment = assign_edges(h, auxes, derive_seed(cfg.seed, "assign"))
     if cfg.factor_target == "max":
-        modes = [("max", None)] * len(schemes_aux)
+        modes = [("max", None)] * len(auxes)
     else:
-        modes = [("fixed", int(cfg.factor_target))] * len(schemes_aux)
-    extraction = _run_extraction(h, schemes_aux, assignment, indices, modes, cfg.threads)
-    return _assemble(h, schemes_aux, retries, assignment, extraction, warnings, exhausted)
+        modes = [("fixed", int(cfg.factor_target))] * len(auxes)
+    extraction = _run_extraction(h, auxes, assignment, modes, cfg.threads)
+    return _assemble(h, auxes, retries, assignment, extraction, warnings, exhausted)
 
 
 def pack_near_regular(h: Hypergraph, ell: int, delta_target: float, epsilon: float,
@@ -376,24 +355,23 @@ def pack_near_regular(h: Hypergraph, ell: int, delta_target: float, epsilon: flo
             num_partitions = 1
     band_lo = (alpha - 2.0 * epsilon) * m
     band_hi = (alpha + 2.0 * epsilon) * m
-    schemes_aux, retries, exhausted = _sample_accepted_schemes(
+    auxes, retries, exhausted = _sample_accepted_schemes(
         h, ell, num_partitions, seed, resample_limit,
         accept=lambda aux: band_lo <= aux.graph.min_degree()
         and aux.graph.max_degree() <= band_hi)
     if exhausted:
         warnings.append("resample limit exhausted for at least one partition; partial result")
-    assignment = assign_edges(h, [s for s, _ in schemes_aux], derive_seed(seed, "assign"))
-    indices = [_SchemeIndex(s) for s, _ in schemes_aux]
+    assignment = assign_edges(h, auxes, derive_seed(seed, "assign"))
     try:
         density = bifactor.almost_regular_bound(alpha, 2.0 * epsilon)
     except InvalidInputError:
         density = 0.0
     modes = []
-    for i, (scheme, aux) in enumerate(schemes_aux):
+    for i, aux in enumerate(auxes):
         full = len(aux.graph.edges)
         retention = (len(assignment.per_index[i]) / full) if full else 0.0
         modes.append(("report", int(density * m * retention)))
-    extraction = _run_extraction(h, schemes_aux, assignment, indices, modes, threads)
+    extraction = _run_extraction(h, auxes, assignment, modes, threads)
     budget = delta_target * math.comb(n, k)
-    return _assemble(h, schemes_aux, retries, assignment, extraction, warnings,
+    return _assemble(h, auxes, retries, assignment, extraction, warnings,
                      exhausted, uncovered_budget=budget)

@@ -84,6 +84,12 @@ def _check_robustness_hypotheses(g: BipartiteGraph, rho: float) -> None:
             f"host graph has no {math.floor(rho * m)}-factor; the rho hypothesis fails")
 
 
+def _factor_target(rho: float, m: int, p: float, epsilon: float) -> int:
+    """floor((1 - epsilon) * rho * m * p), with a 1e-9 tolerance so that a product
+    that is an integer in exact arithmetic is not rounded down by float error."""
+    return math.floor((1.0 - epsilon) * rho * m * p + 1e-9)
+
+
 def factor_robustness_trial(g: BipartiteGraph, rho: float, p: float, epsilon: float,
                             seed: int, skip_checks: bool = False) -> FactorTrial:
     """One trial: subsample with probability p, take the maximum factor, and
@@ -97,7 +103,7 @@ def factor_robustness_trial(g: BipartiteGraph, rho: float, p: float, epsilon: fl
         raise InvalidInputError(f"p must be in [0, 1], got {p}")
     sub = random_subgraph(g, p, seed)
     r_star, factor = bifactor.max_factor(sub)
-    target = math.floor((1.0 - epsilon) * rho * g.m * p)
+    target = _factor_target(rho, g.m, p, epsilon)
     success = r_star >= target
     if success:
         factor.check_against(sub)
@@ -120,7 +126,7 @@ def factor_robustness_sweep(g: BipartiteGraph, rho: float, p: float, epsilon: fl
             results = list(pool.map(run, seeds))
     else:
         results = [run(s) for s in seeds]
-    target = math.floor((1.0 - epsilon) * rho * g.m * p)
+    target = _factor_target(rho, g.m, p, epsilon)
     return SubgraphTrialReport(
         n=g.m, p=p, rho=rho, epsilon=epsilon, target=target, trials=trials,
         successes=sum(1 for t in results if t.success),

@@ -2,6 +2,7 @@
 import random
 
 from hampack.bifactor import BipartiteGraph
+from hampack.reduction import build_aux_graph
 
 
 def random_bipartite(m, p, seed, min_deg=None):
@@ -29,3 +30,8 @@ def brute_force_matching_count(g):
         if all((s, perm[s]) in g.edges for s in range(g.m)):
             count += 1
     return count
+
+
+def aux_graphs(h, schemes):
+    """The aux graph of each scheme, in order: the input `assign_edges` takes."""
+    return [build_aux_graph(h, s) for s in schemes]

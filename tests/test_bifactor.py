@@ -144,6 +144,15 @@ class TestPeel:
             assert union == set(factor.edges)
             done += 1
 
+    def test_long_cycle_factor_peels_without_recursion_limit(self):
+        # s_i ~ t_i, t_{i+1}: one cycle of length 2m, along which an augmenting
+        # path can run far deeper than the default recursion limit
+        m = 2000
+        g = BipartiteGraph(m, [(i, i) for i in range(m)] + [(i, (i + 1) % m) for i in range(m)])
+        ms = peel_matchings(Factor(r=2, edges=g.edges), g)
+        assert len(ms) == 2 and all(len(x) == m for x in ms)
+        assert ms[0].isdisjoint(ms[1]) and ms[0] | ms[1] == g.edges
+
     def test_corrupt_factor_detected(self):
         g = complete_bipartite(3)
         bogus = Factor(r=2, edges=frozenset([(0, 0), (1, 1), (2, 2)]))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -225,3 +226,68 @@ def test_manifest_replay_reproduces(tmp_path, capsys):
     run(capsys, "pack", "--input", hpath, "--ell", "1", "--r", str(params["r"]),
         "--seed", str(manifest["master_seed"]), "--out", o2)
     assert open(o1).read() == open(o2).read()
+
+
+# sha256 of the primary JSON and of its sidecar CSV, recorded for a fixed-seed
+# corpus before the assignment was read off the aux graphs.  Any change to a
+# digest is a change to the program's output and must be explained.
+GOLDEN_INPUTS = {
+    "complete-12-3": ["--complete", "--n", "12", "--k", "3"],
+    "complete-4-3": ["--complete", "--n", "4", "--k", "3"],
+    "complete-6-5": ["--complete", "--n", "6", "--k", "5"],
+    "random-30-3": ["--random", "--n", "30", "--k", "3", "--p", "0.9", "--seed", "5"],
+}
+
+GOLDEN_PACK = [
+    ("complete-12-3", ["--theorem", "2", "--ell", "0"],
+     "b135037dabbf9d34123a8407d221c1a391713900754d8e91c8274cebae564d14",
+     "6fdeea76e5b4b42e053270e923f9c89b73861f0cbf5a85e85c8aa8dd94aa14c8"),
+    ("complete-12-3", ["--theorem", "3", "--ell", "0", "--r", "4"],
+     "61354e615f112c4736e636158afaff4c68ab2632a54397dcf86cde8d732513cc",
+     "f2039b221e900c26a56a92ad8589a43e206a3bf3b882e64af076bd41f44dcee0"),
+    ("complete-4-3", ["--theorem", "2", "--ell", "1", "--r", "3"],
+     "2cfbc508f9c7d200f29674ef983ef64886166a2f416087650a1887764756c99d",
+     "c0b24d2c34e46d9aa5a52d654448853c448193f2d3e9e1910c0b61fe979ce22a"),
+    ("complete-4-3", ["--theorem", "3", "--ell", "1", "--r", "3"],
+     "9f93d3ca06fc046d75766e8995dd4c9ba782063991ca4311efd1553785602dbe",
+     "62b833174d454bb2ae18a6b4270e2768775e631d38119c81d7bb6f1372a76a38"),
+    ("complete-6-5", ["--theorem", "2", "--ell", "2", "--r", "3"],
+     "3ce6e940caf6c9541b6e23dee93b6a96311f01ad475d9c69b7e4a4c9806bff6b",
+     "d0feeece412b5bdc617399c2b1701087e0429a97ccd11d40a62b51e49d28140d"),
+    ("complete-6-5", ["--theorem", "3", "--ell", "2", "--r", "3"],
+     "24f0910bd2f39c85d35156e26d415f47a04494c6fb5ac8d0ad003d70a0912aa4",
+     "62b833174d454bb2ae18a6b4270e2768775e631d38119c81d7bb6f1372a76a38"),
+    ("random-30-3", ["--theorem", "2", "--ell", "1", "--r", "8"],
+     "0da8c3b60468fac35c3b1d558573b26fccaa08ab1d21cc736ec989e382c1e16a",
+     "ed87c6c7f23ae9d32eb9ce31ff2fd7c79c7c8b24c56c42a8b1f90d4c6020c40e"),
+    ("random-30-3", ["--theorem", "3", "--ell", "1", "--r", "8", "--epsilon", "0.3"],
+     "3cc599065660714c64a45da159c56eb3194ff3555722b22bc07510ee30827145",
+     "6407ab7ab64682ba8f0129560ca2d73ffc331e6063aa009cd3d63e3ea76dfa6d"),
+]
+
+
+def _sha256(path):
+    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+
+@pytest.mark.parametrize("name,argv,primary,sidecar", GOLDEN_PACK,
+                         ids=[f"{c[0]}-t{c[1][1]}" for c in GOLDEN_PACK])
+def test_pack_golden_digests(tmp_path, capsys, name, argv, primary, sidecar):
+    hpath = str(tmp_path / "h.json")
+    code, _, _ = run(capsys, "gen", *GOLDEN_INPUTS[name], "--out", hpath)
+    assert code == 0
+    opath = str(tmp_path / "pack.json")
+    code, _, _ = run(capsys, "pack", "--input", hpath, *argv, "--seed", "7", "--out", opath)
+    assert code == 0
+    assert (_sha256(opath), _sha256(opath + ".partitions.csv")) == (primary, sidecar)
+
+
+def test_mc_factor_golden_digests(tmp_path, capsys):
+    opath = str(tmp_path / "mc.json")
+    code, _, _ = run(capsys, "mc-factor", "--complete-bipartite", "12",
+                     "--rho", "0.8", "--p", "0.9", "--epsilon", "0.5",
+                     "--trials", "5", "--seed", "5", "--out", opath)
+    assert code == 0
+    assert (_sha256(opath), _sha256(opath + ".trials.csv")) == (
+        "5917ff5f7e75b8f4d35e75880c27beced47dba0d3bf75d59bcbd8f6c39aa559c",
+        "b760c6340609e369b2751dd3470f87ae12f10711d329c5ebe86de733493d38c7")

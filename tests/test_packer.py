@@ -10,6 +10,9 @@ from hampack.packer import (PackingConfig, assign_edges, candidate_partitions,
                             default_num_partitions, pack_min_degree,
                             pack_near_regular, psi_statistics)
 from hampack.reduction import sample_scheme, verify_cycle
+from hampack.util import derive_seed
+
+from helpers import aux_graphs
 
 
 def scheme_for(h, ell, seed):
@@ -52,7 +55,7 @@ class TestAssign:
     def test_psi1_always_assigned(self):
         h = complete_hypergraph(12, 3)
         s = scheme_for(h, 1, 5)
-        a = assign_edges(h, [s], seed=0)
+        a = assign_edges(h, aux_graphs(h, [s]), seed=0)
         for e, psi in a.psi.items():
             if psi >= 1:
                 assert a.choice[e] is not None
@@ -62,7 +65,7 @@ class TestAssign:
     def test_conservation(self):
         h = random_hypergraph(12, 3, 0.7, 9)
         schemes = [scheme_for(h, 1, s) for s in range(3)]
-        a = assign_edges(h, schemes, seed=1)
+        a = assign_edges(h, aux_graphs(h, schemes), seed=1)
         assert sum(len(x) for x in a.per_index) + len(a.unassigned) == h.num_edges()
 
     def test_psi_sum_equals_total_aux_edges(self):
@@ -70,14 +73,14 @@ class TestAssign:
         from hampack.reduction import build_aux_graph
         h = random_hypergraph(12, 3, 0.8, 4)
         schemes = [scheme_for(h, 1, s) for s in range(4)]
-        a = assign_edges(h, schemes, seed=2)
+        a = assign_edges(h, aux_graphs(h, schemes), seed=2)
         assert sum(a.psi.values()) == sum(
             len(build_aux_graph(h, s).graph.edges) for s in schemes)
 
     def test_complete_psi_sum_is_r_m_squared(self):
         h = complete_hypergraph(12, 3)
         schemes = [scheme_for(h, 1, s) for s in range(3)]
-        a = assign_edges(h, schemes, seed=2)
+        a = assign_edges(h, aux_graphs(h, schemes), seed=2)
         assert sum(a.psi.values()) == 3 * 6 * 6
 
     def test_uniform_choice_frequency(self):
@@ -88,7 +91,7 @@ class TestAssign:
         edge = tuple(sorted(s.tuples_a[0] + s.tuples_a[1] + s.blocks_b[0]))
         picks = Counter()
         for seed in range(200):
-            a = assign_edges(h, [s, s], seed=seed)
+            a = assign_edges(h, aux_graphs(h, [s, s]), seed=seed)
             assert a.psi[edge] == 2
             picks[a.choice[edge]] += 1
         assert abs(picks[0] / 200 - 0.5) <= 0.1
@@ -96,19 +99,70 @@ class TestAssign:
     def test_deterministic(self):
         h = random_hypergraph(12, 3, 0.8, 0)
         schemes = [scheme_for(h, 1, s) for s in range(2)]
-        assert assign_edges(h, schemes, 7) == assign_edges(h, schemes, 7)
+        assert assign_edges(h, aux_graphs(h, schemes), 7) == \
+            assign_edges(h, aux_graphs(h, schemes), 7)
+
+
+def oracle_labels(scheme):
+    """S-side labels from the scheme definition: junctions F_i ∪ F_{i+1} for
+    ell >= 1, the tuples themselves for ell = 0."""
+    m = scheme.m
+    if scheme.ell >= 1:
+        return [scheme.tuples_a[i] + scheme.tuples_a[(i + 1) % m] for i in range(m)]
+    return list(scheme.tuples_a)
+
+
+def oracle_psi(edge, schemes):
+    """Number of schemes with some label i and block j whose union is `edge`."""
+    return sum(1 for s in schemes
+               if any(tuple(sorted(lab + blk)) == edge
+                      for lab in oracle_labels(s) for blk in s.blocks_b))
+
+
+ORACLE_CASES = [
+    pytest.param(complete_hypergraph(12, 3), 0, id="ell0"),
+    pytest.param(complete_hypergraph(4, 3), 1, id="ell1-m2"),
+    pytest.param(random_hypergraph(12, 3, 0.8, 4), 1, id="ell1-m6"),
+    pytest.param(complete_hypergraph(6, 5), 2, id="ell2-m2"),
+]
+
+
+class TestAssignOracle:
+    @pytest.mark.parametrize("h,ell", ORACLE_CASES)
+    def test_psi_matches_brute_force(self, h, ell):
+        schemes = [scheme_for(h, ell, s) for s in range(4)]
+        a = assign_edges(h, aux_graphs(h, schemes), seed=3)
+        assert set(a.psi) == set(h.edges)
+        for e in h.edges:
+            assert a.psi[e] == oracle_psi(e, schemes)
+
+    @pytest.mark.parametrize("h,ell", ORACLE_CASES)
+    def test_sub_aux_edges_are_the_chosen_aux_edges(self, h, ell):
+        # rebuild the pipeline's schemes and assignment from its seed labels
+        cfg = PackingConfig(ell=ell, num_partitions=4, seed=11)
+        res = pack_min_degree(h, cfg)
+        schemes = [sample_scheme(h, ell, derive_seed(cfg.seed, f"scheme:{p.index}:{p.retries}"))
+                   for p in res.per_partition]
+        a = assign_edges(h, aux_graphs(h, schemes), derive_seed(cfg.seed, "assign"))
+        for i, (scheme, stats) in enumerate(zip(schemes, res.per_partition)):
+            labels = oracle_labels(scheme)
+            chosen = [(x, y) for x, lab in enumerate(labels)
+                      for y, blk in enumerate(scheme.blocks_b)
+                      if a.choice.get(tuple(sorted(lab + blk))) == i]
+            assert stats.sub_aux_edges == len(chosen)
+            assert stats.assigned_edges == len(a.per_index[i])
 
 
 class TestPsiStats:
     def test_no_schemes(self):
         h = random_hypergraph(12, 3, 0.5, 1)
-        stats = psi_statistics(assign_edges(h, [], seed=0))
+        stats = psi_statistics(assign_edges(h, aux_graphs(h, []), seed=0))
         assert set(stats.histogram) == {0}
         assert stats.sum_psi == 0 and stats.expected_mean == 0.0
 
     def test_histogram_totals(self):
         h = random_hypergraph(12, 3, 0.9, 2)
-        a = assign_edges(h, [scheme_for(h, 1, s) for s in range(4)], seed=3)
+        a = assign_edges(h, aux_graphs(h, [scheme_for(h, 1, s) for s in range(4)]), seed=3)
         stats = psi_statistics(a)
         assert sum(stats.histogram.values()) == h.num_edges()
         assert stats.q_upper_bound == pytest.approx(36 / h.num_edges())

@@ -83,6 +83,18 @@ class TestFactorRobustness:
         assert report.successes == 10
         assert all(r >= 17 for r in report.r_stars)
 
+    @pytest.mark.parametrize("rho,m,p,epsilon,target", [
+        (1.0, 100, 0.7, 0.1, 63),     # float product 62.99999999999999
+        (1.0, 150, 0.7, 0.4, 63),
+        (0.8, 100, 0.5, 0.3, 28),
+        (1.0, 100, 0.3, 0.5667, 12),  # exact product 12.999: 12 is right
+    ])
+    def test_target_is_the_exact_floor(self, rho, m, p, epsilon, target):
+        g = complete_bipartite(m)
+        assert factor_robustness_trial(g, rho, p, epsilon, 1).target == target
+        assert factor_robustness_sweep(g, rho, p, epsilon, trials=1,
+                                       master_seed=1).target == target
+
     def test_success_produces_verified_witness(self):
         trial = factor_robustness_trial(complete_bipartite(12), 0.9, 0.8, 0.4, 11)
         assert trial.success
