@@ -6,6 +6,7 @@ Both parts have size m and are indexed 0..m-1; edges are (s, t) pairs.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -160,12 +161,66 @@ def gale_ryser_check(g: BipartiteGraph, r: int) -> GaleRyserWitness:
     return GaleRyserWitness(holds=True, r=r, m=m)
 
 
+class _FactorNetwork:
+    """The r-factor flow network of a graph, built once for every r.
+
+    Nodes: source 0, s as 1 + s, t as 1 + m + t, sink 2m + 1.  The CSR holds
+    the source row (arcs to every s), each s row with unit arcs to its t
+    neighbours in ascending order, then the t -> sink rows.  Solving for r
+    only writes the first m and the last m capacities.
+    """
+
+    def __init__(self, g: BipartiteGraph):
+        m = self.m = g.m
+        pairs = np.fromiter(itertools.chain.from_iterable(g.edges), dtype=np.int64,
+                            count=2 * len(g.edges))
+        self.codes = np.sort(pairs[0::2] * m + pairs[1::2])    # s·m + t, ascending
+        s, t = np.divmod(self.codes, m)
+        row_len = np.concatenate(([m], np.bincount(s, minlength=m), np.ones(m, np.int64), [0]))
+        indptr = np.concatenate(([0], np.cumsum(row_len))).astype(np.int32)
+        indices = np.concatenate((np.arange(1, m + 1), 1 + m + t,
+                                  np.full(m, 2 * m + 1))).astype(np.int32)
+        data = np.ones(len(indices), dtype=np.int32)
+        self.graph = csr_matrix((data, indices, indptr), shape=(2 * m + 2, 2 * m + 2))
+
+    def witness(self, r: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """The (s, t) arrays of an r-factor, or None if there is none.
+
+        An r-factor exists iff the max flow is r·m.  The witness is checked
+        before it is returned: every pair is a host edge and every vertex has
+        degree exactly r.
+        """
+        m, data = self.m, self.graph.data
+        data[:m] = r
+        data[-m:] = r
+        result = maximum_flow(self.graph, 0, 2 * m + 1)
+        if result.flow_value < r * m:
+            return None
+        block = result.flow[1:m + 1, m + 1:2 * m + 1].tocoo()
+        positive = block.data > 0
+        s, t = block.row[positive], block.col[positive]
+        if not np.isin(s * m + t, self.codes).all():
+            raise InvariantViolation("factor uses edges not present in the host graph")
+        if ((np.bincount(s, minlength=m) != r).any()
+                or (np.bincount(t, minlength=m) != r).any()):
+            raise InvariantViolation(f"not every vertex has degree exactly {r}")
+        return s, t
+
+
+def _checked_factor(g: BipartiteGraph, r: int, witness: tuple[np.ndarray, np.ndarray]) -> Factor:
+    s, t = witness
+    factor = Factor(r=r, edges=frozenset(zip(s.tolist(), t.tolist())))
+    factor.check_against(g)
+    return factor
+
+
 def find_factor(g: BipartiteGraph, r: int) -> Optional[Factor]:
     """Constructive r-factor search via max flow.
 
     Network: source -> each s with capacity r, unit arcs across the edges,
     each t -> sink with capacity r; an r-factor exists iff max flow = r·m.
-    Output degrees are re-verified before returning.
+    One `_FactorNetwork` is built and solved once; its witness is checked
+    there and again, as a `Factor`, against the host graph.
     """
     if not (0 <= r <= g.m):
         raise InvalidInputError(f"r must be in 0..m={g.m}, got {r}")
@@ -173,54 +228,31 @@ def find_factor(g: BipartiteGraph, r: int) -> Optional[Factor]:
         return Factor(r=0, edges=frozenset())
     if g.min_degree() < r:
         return None
-    m = g.m
-    n_nodes = 2 * m + 2
-    source, sink = 0, n_nodes - 1
-    rows, cols, data = [], [], []
-    for i in range(m):
-        rows.append(source)
-        cols.append(1 + i)
-        data.append(r)
-        rows.append(1 + m + i)
-        cols.append(sink)
-        data.append(r)
-    edge_list = sorted(g.edges)
-    for s, t in edge_list:
-        rows.append(1 + s)
-        cols.append(1 + m + t)
-        data.append(1)
-    graph = csr_matrix((data, (rows, cols)), shape=(n_nodes, n_nodes), dtype=np.int32)
-    result = maximum_flow(graph, source, sink)
-    if result.flow_value < r * m:
-        return None
-    coo = result.flow.tocoo()
-    chosen = [(int(row) - 1, int(col) - 1 - m)
-              for row, col, val in zip(coo.row, coo.col, coo.data)
-              if val > 0 and 1 <= row <= m and m + 1 <= col <= 2 * m]
-    factor = Factor(r=r, edges=frozenset(chosen))
-    factor.check_against(g)
-    return factor
+    witness = _FactorNetwork(g).witness(r)
+    return None if witness is None else _checked_factor(g, r, witness)
 
 
 def max_factor(g: BipartiteGraph) -> tuple[int, Factor]:
     """Largest r with an r-factor, plus a witness.
 
     Feasibility is monotone in r (the subset inequality r(|X|+|Y|-m) <= e(X,Y)
-    only tightens as r grows), so binary search over r is valid.
+    only tightens as r grows), so binary search over r is valid.  The flow
+    network is built once; each probe changes only the source and sink
+    capacities, and each feasible probe's witness gets the degree and
+    host-edge check.  Only the witness for the final r becomes a `Factor`.
     """
-    lo, hi = 0, g.min_degree()
-    best = Factor(r=0, edges=frozenset())
+    lo, hi, best = 0, g.min_degree(), None
+    network = _FactorNetwork(g) if hi > 0 else None
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        found = find_factor(g, mid)
+        found = network.witness(mid)
         if found is not None:
-            lo = mid
-            best = found
+            lo, best = mid, found
         else:
             hi = mid - 1
-    if best.r != lo:
-        best = find_factor(g, lo)
-    return lo, best
+    if best is None:
+        return 0, Factor(r=0, edges=frozenset())
+    return lo, _checked_factor(g, lo, best)
 
 
 def csaba_rho(delta: float) -> float:

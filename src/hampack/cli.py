@@ -213,6 +213,10 @@ def cmd_pack(args) -> int:
     if args.out:
         sidecars.append((args.out + ".partitions.csv", _csv_text(header, rows)))
     _emit(_packing_doc(result), args, sidecars=sidecars)
+    if not result.cycles:
+        retained = sum(s.sub_aux_edges for s in result.per_partition)
+        print(f"warning: 0 cycles from {result.partitions_used} partitions; "
+              f"{retained} aux edges retained in total", file=sys.stderr)
     return EXIT_OK
 
 

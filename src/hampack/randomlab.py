@@ -39,9 +39,14 @@ def random_subgraph(g: BipartiteGraph, p: Probabilities, seed: int) -> Bipartite
     probability can only grow the kept edge set.
     """
     rng = random.Random(seed)
+    edges = sorted(g.edges)
+    if isinstance(p, (int, float)):
+        if not (0.0 <= p <= 1.0):
+            raise InvalidInputError(f"probability {p} not in [0, 1]")
+        return BipartiteGraph(g.m, [e for e in edges if rng.random() < p])
     kept = []
-    for e in sorted(g.edges):
-        pe = p if isinstance(p, (int, float)) else p[e]
+    for e in edges:
+        pe = p[e]
         if not (0.0 <= pe <= 1.0):
             raise InvalidInputError(f"probability {pe} for edge {e} not in [0, 1]")
         if rng.random() < pe:

@@ -1,8 +1,11 @@
 import math
 import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from hampack import bifactor
 from hampack.bifactor import (BipartiteGraph, Factor, almost_regular_bound,
                               complete_bipartite, count_perfect_matchings,
                               csaba_rho, find_factor, from_json_dict,
@@ -85,6 +88,71 @@ class TestMaxFactor:
         r_star, factor = max_factor(g)
         assert r_star >= math.floor(csaba_rho(delta) * 30)
         factor.check_against(g)
+
+    def test_r_star_is_the_gale_ryser_threshold(self):
+        below_min_degree = 0
+        for i in range(200):
+            rng = random.Random(3000 + i)
+            m = rng.randint(1, 8)
+            if i % 2:
+                g = random_bipartite(m, rng.uniform(0.3, 1.0), 3100 + i)
+            else:
+                # dense a x b and (m-a) x (m-b) blocks, sparse between: the
+                # imbalance can hold r* below the minimum degree
+                a, b = rng.randint(0, m), rng.randint(0, m)
+                g = BipartiteGraph(m, [(s, t) for s in range(m) for t in range(m)
+                                       if rng.random() < (0.9 if (s < a) == (t < b) else 0.2)])
+            r_star, factor = max_factor(g)
+            assert factor.r == r_star and gale_ryser_check(g, r_star).holds
+            if r_star < m:
+                assert not gale_ryser_check(g, r_star + 1).holds
+            below_min_degree += r_star < g.min_degree()
+        assert below_min_degree >= 10   # 12 of the 200 inputs
+
+    @pytest.mark.parametrize("g,r_star", [
+        (BipartiteGraph(0, []), 0),
+        (BipartiteGraph(3, [(s, t) for s in range(3) for t in range(2)]), 0),  # t = 2 isolated
+        (complete_bipartite(1), 1),
+    ], ids=["m0", "isolated-vertex", "k11"])
+    def test_degenerate_graphs(self, g, r_star):
+        factor = Factor(r=r_star, edges=g.edges if r_star else frozenset())
+        assert max_factor(g) == (r_star, factor)
+        assert find_factor(g, r_star) == factor
+        if r_star < g.m:
+            assert find_factor(g, r_star + 1) is None
+
+
+def _drop_one_flow_unit(monkeypatch, at_r):
+    """Make maximum_flow, when the source capacities are at_r, return a flow
+    whose first s vertex has degree at_r - 1 while the flow value is kept."""
+    real = bifactor.maximum_flow
+
+    def fake(graph, source, sink):
+        result = real(graph, source, sink)
+        if graph.data[0] != at_r:
+            return result
+        m = (graph.shape[0] - 2) // 2
+        flow = result.flow.copy()
+        lo, hi = flow.indptr[1], flow.indptr[2]
+        hit = np.flatnonzero((flow.indices[lo:hi] > m) & (flow.data[lo:hi] > 0))[0]
+        flow.data[lo + hit] = 0
+        return SimpleNamespace(flow_value=result.flow_value, flow=flow)
+
+    monkeypatch.setattr(bifactor, "maximum_flow", fake)
+
+
+class TestWitnessCheck:
+    def test_find_factor_rejects_a_wrong_degree(self, monkeypatch):
+        _drop_one_flow_unit(monkeypatch, at_r=2)
+        with pytest.raises(InvariantViolation):
+            find_factor(complete_bipartite(4), 2)
+
+    def test_max_factor_checks_every_feasible_r(self, monkeypatch):
+        # the search on K_{4,4} probes r = 2, 3, 4; only the r = 2 witness is
+        # broken, and it never becomes the returned factor
+        _drop_one_flow_unit(monkeypatch, at_r=2)
+        with pytest.raises(InvariantViolation):
+            max_factor(complete_bipartite(4))
 
 
 class TestClosedForms:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 
 import pytest
 
@@ -99,6 +100,21 @@ def test_pack_byte_identical(tmp_path, capsys):
         assert os.path.exists(opath + ".partitions.csv")
         assert os.path.exists(opath + ".manifest.json")
     assert outs[0] == outs[1]
+
+
+def test_pack_zero_cycles_warns_on_stderr(tmp_path, capsys):
+    hpath = str(tmp_path / "h.json")
+    write_hypergraph(complete_hypergraph(12, 3), hpath)
+    argv = ["pack", "--input", hpath, "--theorem", "2", "--ell", "1", "--seed", "7"]
+    code, out, err = run(capsys, *argv, "--r", "40")
+    doc = json.loads(out)
+    assert code == 0 and doc["cycles"] == [] and doc["partitions_used"] == 40
+    retained = sum(p["sub_aux_edges"] for p in doc["per_partition"])
+    assert err == (f"warning: 0 cycles from 40 partitions; "
+                   f"{retained} aux edges retained in total\n")
+    # a run that finds cycles says nothing
+    code, out, err = run(capsys, *argv, "--r", "2")
+    assert code == 0 and json.loads(out)["cycles"] and err == ""
 
 
 def test_pack_near_regular_cli(tmp_path, capsys):
@@ -291,3 +307,24 @@ def test_mc_factor_golden_digests(tmp_path, capsys):
     assert (_sha256(opath), _sha256(opath + ".trials.csv")) == (
         "5917ff5f7e75b8f4d35e75880c27beced47dba0d3bf75d59bcbd8f6c39aa559c",
         "b760c6340609e369b2751dd3470f87ae12f10711d329c5ebe86de733493d38c7")
+
+
+def test_factor_golden_digests(tmp_path, capsys):
+    # m = 40 with a dense 25 x 15 block and a dense 15 x 25 block joined by
+    # sparse edges: r* = 7 sits below the minimum degree 12, so the search
+    # meets infeasible values of r above r*.  Both digests were recorded
+    # before the flow network was built once per graph.
+    from hampack.bifactor import BipartiteGraph, write_bipartite
+    rng = random.Random(4040)
+    m = 40
+    edges = [(s, t) for s in range(m) for t in range(m)
+             if rng.random() < (0.9 if (s < 25) == (t < 15) else 0.12)]
+    gpath = str(tmp_path / "g.json")
+    write_bipartite(BipartiteGraph(m, edges), gpath)
+    opath = str(tmp_path / "f.json")
+    code, _, _ = run(capsys, "factor", "--input", gpath, "--out", opath)
+    assert code == 0 and json.loads(open(opath).read())["r_star"] == 7
+    assert _sha256(opath) == "ff4c0e8f8b094a1c71022f70ccd59def4581c6531ee457ba4acfb3e28f2ee262"
+    code, _, _ = run(capsys, "factor", "--input", gpath, "--r", "6", "--out", opath)
+    assert code == 0
+    assert _sha256(opath) == "c0b012a00e48896a9f6ee3203a90143943345540fc4eea87956ee332748fac28"

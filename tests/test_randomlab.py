@@ -45,6 +45,15 @@ class TestRandomSubgraph:
         sub = random_subgraph(g, p_map, 5)
         assert sub.edges == frozenset((0, t) for t in range(4))
 
+    def test_scalar_matches_per_edge_probabilities(self):
+        # one draw per edge in sorted order on both paths: the same seed keeps
+        # the same edges whether p is given once or edge by edge
+        g = random_bipartite(12, 0.7, 3)
+        for seed in range(5):
+            for p in (0.25, 0.5, 1):
+                assert (random_subgraph(g, p, seed)
+                        == random_subgraph(g, {e: p for e in g.edges}, seed))
+
     def test_rejects_bad_probability(self):
         g = complete_bipartite(3)
         with pytest.raises(InvalidInputError):
