@@ -6,7 +6,6 @@ Both parts have size m and are indexed 0..m-1; edges are (s, t) pairs.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -24,58 +23,90 @@ PERMANENT_MAX_M = 24
 
 
 class BipartiteGraph:
-    """Bipartite graph with parts S and T of equal size m, no parallel edges."""
+    """Bipartite graph with parts S and T of equal size m, no parallel edges.
 
-    __slots__ = ("m", "edges", "_adj_s", "_adj_t")
+    The edge store is `codes`, the sorted, read-only int64 array of s·m + t
+    with one entry per edge, fixed when the graph is built.  The degrees are
+    derived from it at once; `edges` (a frozenset of (s, t) pairs) and the
+    neighbour sets are derived from it on first use.  The constructor
+    validates its pairs; `_from_codes` takes an already sorted subset of a
+    valid graph's codes.  Both go through `_store`.
+    """
+
+    __slots__ = ("m", "codes", "_deg_s", "_deg_t", "_edges", "_adj")
 
     def __init__(self, m: int, edges: Iterable[tuple[int, int]]):
         if m < 0:
             raise InvalidInputError(f"m must be >= 0, got {m}")
-        es = set()
+        codes = []
         for s, t in edges:
             if not (0 <= s < m and 0 <= t < m):
                 raise InvalidInputError(f"edge ({s},{t}) out of range for m={m}")
-            es.add((s, t))
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "edges", frozenset(es))
-        adj_s = [set() for _ in range(m)]
-        adj_t = [set() for _ in range(m)]
-        for s, t in es:
-            adj_s[s].add(t)
-            adj_t[t].add(s)
-        object.__setattr__(self, "_adj_s", tuple(frozenset(x) for x in adj_s))
-        object.__setattr__(self, "_adj_t", tuple(frozenset(x) for x in adj_t))
+            codes.append(s * m + t)
+        self._store(m, np.unique(np.array(codes, dtype=np.int64)))
+
+    @classmethod
+    def _from_codes(cls, m: int, codes: np.ndarray) -> BipartiteGraph:
+        g = object.__new__(cls)
+        g._store(m, codes)
+        return g
+
+    def _store(self, m: int, codes: np.ndarray) -> None:
+        codes.flags.writeable = False
+        s, t = np.divmod(codes, m)
+        for name, value in (("m", m), ("codes", codes),
+                            ("_deg_s", np.bincount(s, minlength=m)),
+                            ("_deg_t", np.bincount(t, minlength=m)),
+                            ("_edges", None), ("_adj", None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("BipartiteGraph is immutable")
 
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        if self._edges is None:
+            s, t = np.divmod(self.codes, self.m)
+            object.__setattr__(self, "_edges", frozenset(zip(s.tolist(), t.tolist())))
+        return self._edges
+
+    def _adjacency(self) -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
+        if self._adj is None:
+            adj_s = [[] for _ in range(self.m)]
+            adj_t = [[] for _ in range(self.m)]
+            s, t = np.divmod(self.codes, self.m)
+            for a, b in zip(s.tolist(), t.tolist()):
+                adj_s[a].append(b)
+                adj_t[b].append(a)
+            object.__setattr__(self, "_adj", (tuple(map(frozenset, adj_s)),
+                                              tuple(map(frozenset, adj_t))))
+        return self._adj
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, BipartiteGraph)
-                and self.m == other.m and self.edges == other.edges)
+                and self.m == other.m and np.array_equal(self.codes, other.codes))
 
     def __hash__(self) -> int:
         return hash((self.m, self.edges))
 
     def __repr__(self) -> str:
-        return f"BipartiteGraph(m={self.m}, |E|={len(self.edges)})"
+        return f"BipartiteGraph(m={self.m}, |E|={len(self.codes)})"
 
     def neighbors_s(self, s: int) -> frozenset[int]:
-        return self._adj_s[s]
+        return self._adjacency()[0][s]
 
     def neighbors_t(self, t: int) -> frozenset[int]:
-        return self._adj_t[t]
+        return self._adjacency()[1][t]
 
     def min_degree(self) -> int:
         if self.m == 0:
             return 0
-        return min(min(len(a) for a in self._adj_s),
-                   min(len(a) for a in self._adj_t))
+        return int(min(self._deg_s.min(), self._deg_t.min()))
 
     def max_degree(self) -> int:
         if self.m == 0:
             return 0
-        return max(max(len(a) for a in self._adj_s),
-                   max(len(a) for a in self._adj_t))
+        return int(max(self._deg_s.max(), self._deg_t.max()))
 
 
 def complete_bipartite(m: int) -> BipartiteGraph:
@@ -172,9 +203,7 @@ class _FactorNetwork:
 
     def __init__(self, g: BipartiteGraph):
         m = self.m = g.m
-        pairs = np.fromiter(itertools.chain.from_iterable(g.edges), dtype=np.int64,
-                            count=2 * len(g.edges))
-        self.codes = np.sort(pairs[0::2] * m + pairs[1::2])    # s·m + t, ascending
+        self.codes = g.codes
         s, t = np.divmod(self.codes, m)
         row_len = np.concatenate(([m], np.bincount(s, minlength=m), np.ones(m, np.int64), [0]))
         indptr = np.concatenate(([0], np.cumsum(row_len))).astype(np.int32)
@@ -235,14 +264,18 @@ def find_factor(g: BipartiteGraph, r: int) -> Optional[Factor]:
 def max_factor(g: BipartiteGraph) -> tuple[int, Factor]:
     """Largest r with an r-factor, plus a witness.
 
-    Feasibility is monotone in r (the subset inequality r(|X|+|Y|-m) <= e(X,Y)
-    only tightens as r grows), so binary search over r is valid.  The flow
+    No r-factor exceeds the minimum degree δ, and on dense graphs r* = δ is
+    the common case, so r = δ is probed first.  If it is infeasible, binary
+    search runs over [0, δ - 1]: feasibility is monotone in r (the subset
+    inequality r(|X|+|Y|-m) <= e(X,Y) only tightens as r grows).  The flow
     network is built once; each probe changes only the source and sink
     capacities, and each feasible probe's witness gets the degree and
     host-edge check.  Only the witness for the final r becomes a `Factor`.
     """
-    lo, hi, best = 0, g.min_degree(), None
-    network = _FactorNetwork(g) if hi > 0 else None
+    delta = g.min_degree()
+    network = _FactorNetwork(g) if delta > 0 else None
+    best = network.witness(delta) if network else None
+    lo, hi = (delta, delta) if best is not None else (0, delta - 1)
     while lo < hi:
         mid = (lo + hi + 1) // 2
         found = network.witness(mid)

@@ -12,7 +12,7 @@ from typing import Optional
 
 from .errors import InvalidInputError, SizeLimitError
 from .hypercore import Hypergraph, degree_report
-from .reduction import HamiltonCycle, canonicalize
+from .reduction import HamiltonCycle, canonicalize, check_shape
 
 ENUMERATION_MAX_N = 10
 
@@ -33,17 +33,9 @@ class CountReport:
     bound_met: Optional[bool]   # ln(exact) >= log_lower_bound - n*slack; None if hypothesis unmet
 
 
-def _check_shape(n: int, k: int, ell: int) -> int:
-    if not (0 <= ell < k / 2):
-        raise InvalidInputError(f"need 0 <= ell < k/2, got ell={ell}, k={k}")
-    if n % (k - ell) != 0:
-        raise InvalidInputError(f"(k - ell) = {k - ell} does not divide n = {n}")
-    return n // (k - ell)
-
-
 def _log_guaranteed(n: int, k: int, ell: int, x: float) -> float:
     """ln(n!) + m*ln(x / (ell! (k-2*ell)!)); -inf at x = 0."""
-    m = _check_shape(n, k, ell)
+    m = check_shape(n, k, ell)
     if x <= 0.0:
         return float("-inf")
     per_edge = x / (math.factorial(ell) * math.factorial(k - 2 * ell))
@@ -64,7 +56,7 @@ def count_lower_bound(n: int, k: int, ell: int, alpha: float) -> float:
 def expected_count(n: int, k: int, ell: int, p: float) -> float:
     """Log of the expected number of Hamilton cycles with overlap ell in a
     random hypergraph with edge probability p; -inf when p = 0."""
-    m = _check_shape(n, k, ell)
+    m = check_shape(n, k, ell)
     if not (0.0 <= p <= 1.0):
         raise InvalidInputError(f"p must be in [0, 1], got {p}")
     if p == 0.0:
@@ -84,7 +76,7 @@ def enumerate_cycles(h: Hypergraph, ell: int) -> set[HamiltonCycle]:
     if n > ENUMERATION_MAX_N:
         raise SizeLimitError(
             f"n={n} > {ENUMERATION_MAX_N}: use the matching-based sampler instead")
-    m = _check_shape(n, k, ell)
+    m = check_shape(n, k, ell)
     step = k - ell
     segments = []
     for i in range(m):

@@ -25,8 +25,8 @@ from .bifactor import BipartiteGraph
 from .errors import InvalidInputError, InvariantViolation
 from .hypercore import Hypergraph, degree_report
 from .reduction import (AuxGraph, HamiltonCycle, PartitionScheme,
-                        build_aux_graph, canonicalize, lift_matching,
-                        sample_scheme, verify_cycle)
+                        build_aux_graph, canonicalize, check_shape,
+                        lift_matching, sample_scheme, verify_cycle)
 from .util import derive_seed
 
 
@@ -289,10 +289,7 @@ def pack_min_degree(h: Hypergraph, cfg: PackingConfig) -> PackingResult:
     conservation) are re-verified on the assembled result.
     """
     n, k, ell = h.n, h.k, cfg.ell
-    if not (0 <= ell < k / 2):
-        raise InvalidInputError(f"need 0 <= ell < k/2, got ell={ell}, k={k}")
-    if n % (k - ell) != 0:
-        raise InvalidInputError(f"(k - ell) = {k - ell} does not divide n = {n}")
+    m = check_shape(n, k, ell)
     warnings: list[str] = []
     alpha, _ = _measured_alpha(h)
     if not (alpha > cfg.alpha_prime > 0.5):
@@ -300,7 +297,6 @@ def pack_min_degree(h: Hypergraph, cfg: PackingConfig) -> PackingResult:
             f"degree hypothesis unmet: measured alpha={alpha:.4f}, "
             f"alpha'={cfg.alpha_prime}; running best-effort")
     eps = cfg.epsilon if cfg.epsilon is not None else max(alpha - cfg.alpha_prime, 0.0)
-    m = n // (k - ell)
     threshold = (cfg.alpha_prime + eps / 2.0) * m
     count = cfg.num_partitions if cfg.num_partitions is not None else default_num_partitions(h, ell)
     auxes, retries, exhausted = _sample_accepted_schemes(
@@ -330,10 +326,7 @@ def pack_near_regular(h: Hypergraph, ell: int, delta_target: float, epsilon: flo
     retention, with the flow maximum as fallback.
     """
     n, k = h.n, h.k
-    if not (0 <= ell < k / 2):
-        raise InvalidInputError(f"need 0 <= ell < k/2, got ell={ell}, k={k}")
-    if n % (k - ell) != 0:
-        raise InvalidInputError(f"(k - ell) = {k - ell} does not divide n = {n}")
+    m = check_shape(n, k, ell)
     lo, hi = _measured_alpha(h)
     if (hi - lo) * n > 2.0 * epsilon * n:
         raise InvalidInputError(
@@ -343,7 +336,6 @@ def pack_near_regular(h: Hypergraph, ell: int, delta_target: float, epsilon: flo
     warnings: list[str] = []
     if alpha <= 0.5:
         warnings.append(f"measured alpha={alpha:.4f} <= 1/2; running best-effort")
-    m = n // (k - ell)
     num_edges = h.num_edges()
     if num_partitions is None:
         if num_edges and alpha - epsilon > 0:

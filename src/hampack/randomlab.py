@@ -21,6 +21,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
+import numpy as np
+
 from . import bifactor
 from .bifactor import BipartiteGraph, Factor
 from .errors import InvalidInputError
@@ -34,24 +36,35 @@ Probabilities = Union[float, Mapping[tuple[int, int], float]]
 def random_subgraph(g: BipartiteGraph, p: Probabilities, seed: int) -> BipartiteGraph:
     """Keep each edge independently with its probability; deterministic per seed.
 
-    The uniform draw for an edge depends only on (seed, edge-rank), never on
-    the probabilities, so runs with the same seed are coupled: raising any
-    probability can only grow the kept edge set.
+    The edge of rank i in sorted order is kept iff the i-th `random()` of
+    `random.Random(seed)` is below its probability.  The uniform draw for an
+    edge depends only on (seed, edge-rank), never on the probabilities, so
+    runs with the same seed are coupled: raising any probability can only
+    grow the kept edge set.
+
+    All draws come from one call to numpy's `RandomState`, loaded with the
+    Mersenne Twister state of `random.Random(seed)`.  Both generators turn two
+    32-bit outputs into a double by the same formula (genrand_res53), so the
+    array equals the per-edge `random()` calls bit for bit, and NEP 19 freezes
+    the `RandomState` stream.
     """
-    rng = random.Random(seed)
-    edges = sorted(g.edges)
+    codes = g.codes
     if isinstance(p, (int, float)):
         if not (0.0 <= p <= 1.0):
             raise InvalidInputError(f"probability {p} not in [0, 1]")
-        return BipartiteGraph(g.m, [e for e in edges if rng.random() < p])
-    kept = []
-    for e in edges:
-        pe = p[e]
-        if not (0.0 <= pe <= 1.0):
-            raise InvalidInputError(f"probability {pe} for edge {e} not in [0, 1]")
-        if rng.random() < pe:
-            kept.append(e)
-    return BipartiteGraph(g.m, kept)
+        threshold = p
+    else:
+        s, t = np.divmod(codes, g.m)
+        edges = list(zip(s.tolist(), t.tolist()))
+        threshold = np.array([p[e] for e in edges], dtype=float)
+        bad = np.flatnonzero(~((threshold >= 0.0) & (threshold <= 1.0)))
+        if len(bad):
+            e = edges[bad[0]]
+            raise InvalidInputError(f"probability {p[e]} for edge {e} not in [0, 1]")
+    state = random.Random(seed).getstate()[1]      # 624 key words, then the position
+    draws = np.random.RandomState()
+    draws.set_state(("MT19937", np.array(state[:624], dtype=np.uint32), state[624]))
+    return BipartiteGraph._from_codes(g.m, codes[draws.random_sample(len(codes)) < threshold])
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,15 @@ from .errors import InvalidInputError, ParseError
 from .hypercore import Hypergraph, canon_edge
 
 
+def check_shape(n: int, k: int, ell: int) -> int:
+    """Check 0 <= ell < k/2 and (k - ell) | n; return m = n / (k - ell)."""
+    if not (0 <= ell < k / 2):
+        raise InvalidInputError(f"need 0 <= ell < k/2, got ell={ell}, k={k}")
+    if n % (k - ell) != 0:
+        raise InvalidInputError(f"(k - ell) = {k - ell} does not divide n = {n}")
+    return n // (k - ell)
+
+
 @dataclass(frozen=True)
 class PartitionScheme:
     """A sampled (A, B) split with its tuple sequence and block family."""
@@ -35,11 +44,7 @@ class PartitionScheme:
 
     def __post_init__(self):
         n, k, ell, m = self.n, self.k, self.ell, self.m
-        if not (0 <= ell < k / 2):
-            raise InvalidInputError(f"need 0 <= ell < k/2, got ell={ell}, k={k}")
-        if n % (k - ell) != 0:
-            raise InvalidInputError(f"(k - ell) = {k - ell} does not divide n = {n}")
-        if m != n // (k - ell):
+        if m != check_shape(n, k, ell):
             raise InvalidInputError(f"m must be n/(k-ell) = {n // (k - ell)}, got {m}")
         tuple_size = ell if ell >= 1 else k // 2
         block_size = (k - 2 * ell) if ell >= 1 else k - k // 2
@@ -144,11 +149,7 @@ def sample_scheme(h: Hypergraph, ell: int, seed: int) -> PartitionScheme:
     consecutive ell-tuples, random enumeration of B cut into consecutive
     blocks.  Deterministic given the seed."""
     n, k = h.n, h.k
-    if not (0 <= ell < k / 2):
-        raise InvalidInputError(f"need 0 <= ell < k/2, got ell={ell}, k={k}")
-    if n % (k - ell) != 0:
-        raise InvalidInputError(f"(k - ell) = {k - ell} does not divide n = {n}")
-    m = n // (k - ell)
+    m = check_shape(n, k, ell)
     rng = random.Random(seed)
     tuple_size = ell if ell >= 1 else k // 2
     block_size = (k - 2 * ell) if ell >= 1 else k - k // 2
@@ -268,22 +269,21 @@ def canonicalize(cycle: HamiltonCycle) -> HamiltonCycle:
     """Least representative under rotation by (k-ell), reflection, and
     within-block ascending sort; idempotent.
 
-    Works on the block decomposition of the arrangement (junction/interior
-    blocks for ell >= 1, whole segments for ell = 0) and takes the
-    lexicographic minimum over all 2m forward/backward starting points, so
-    degenerate small m (where reflections coincide with rotations) needs no
-    special casing.
+    Works on the block decomposition of the arrangement: alternating
+    junction and interior blocks for ell >= 1, whole segments for ell = 0.
+    A representative starts at a junction (a segment for ell = 0) and walks
+    the blocks cyclically in one direction.  The blocks are disjoint and
+    non-empty, so the lexicographic minimum starts at the starting block
+    with the smallest first vertex, and walks towards the neighbouring block
+    with the smaller first vertex.  When both neighbours are the same block
+    (small m), both directions give the same arrangement.
     """
     k, ell = cycle.k, cycle.ell
     arr = cycle.arrangement
     n = len(arr)
-    if not (0 <= ell < k / 2):
-        raise InvalidInputError(f"need 0 <= ell < k/2, got ell={ell}, k={k}")
-    if n % (k - ell) != 0:
-        raise InvalidInputError(f"(k - ell) = {k - ell} does not divide n = {n}")
+    m = check_shape(n, k, ell)
     if set(arr) != set(range(n)):
         raise InvalidInputError("arrangement is not a permutation of 0..n-1")
-    m = n // (k - ell)
     step = k - ell
     if ell >= 1:
         # alternating junction/interior blocks: J_0 I_0 J_1 I_1 ...
@@ -291,27 +291,14 @@ def canonicalize(cycle: HamiltonCycle) -> HamiltonCycle:
         for i in range(m):
             blocks.append(tuple(sorted(arr[i * step:i * step + ell])))
             blocks.append(tuple(sorted(arr[i * step + ell:(i + 1) * step])))
-        total = 2 * m
-
-        def candidate(start_junction: int, direction: int) -> tuple[int, ...]:
-            out: list[int] = []
-            pos = 2 * start_junction
-            for _ in range(total):
-                out.extend(blocks[pos % total])
-                pos += direction
-            return tuple(out)
-
-        best = min(candidate(i, d) for i in range(m) for d in (1, -1))
+        starts = range(0, 2 * m, 2)
     else:
         blocks = [tuple(sorted(arr[i * step:(i + 1) * step])) for i in range(m)]
-
-        def candidate(start: int, direction: int) -> tuple[int, ...]:
-            out: list[int] = []
-            for j in range(m):
-                out.extend(blocks[(start + direction * j) % m])
-            return tuple(out)
-
-        best = min(candidate(i, d) for i in range(m) for d in (1, -1))
+        starts = range(m)
+    total = len(blocks)
+    start = min(starts, key=lambda i: blocks[i][0])
+    direction = 1 if blocks[(start + 1) % total][0] <= blocks[(start - 1) % total][0] else -1
+    best = tuple(v for j in range(total) for v in blocks[(start + direction * j) % total])
     return HamiltonCycle(k=k, ell=ell, arrangement=best)
 
 

@@ -122,6 +122,52 @@ class TestMaxFactor:
             assert find_factor(g, r_star + 1) is None
 
 
+class TestCodeStore:
+    @staticmethod
+    def graphs():
+        yield BipartiteGraph(0, [])
+        yield BipartiteGraph(1, [])
+        yield BipartiteGraph(1, [(0, 0)])
+        yield BipartiteGraph(5, [])
+        for i in range(30):
+            rng = random.Random(500 + i)
+            yield random_bipartite(rng.randint(1, 12), rng.uniform(0.0, 1.0), 600 + i)
+
+    def test_codes_are_the_sorted_edge_codes(self):
+        for g in self.graphs():
+            assert g.codes.dtype == np.int64 and not g.codes.flags.writeable
+            assert g.codes.tolist() == sorted(s * g.m + t for s, t in g.edges)
+            assert len(g.edges) == len(g.codes)
+
+    def test_degrees_and_neighbours_follow_the_edges(self):
+        for g in self.graphs():
+            for v in range(g.m):
+                assert g.neighbors_s(v) == frozenset(t for s, t in g.edges if s == v)
+                assert g.neighbors_t(v) == frozenset(s for s, t in g.edges if t == v)
+            degrees = [len(g.neighbors_s(v)) for v in range(g.m)] + \
+                [len(g.neighbors_t(v)) for v in range(g.m)]
+            assert g.min_degree() == min(degrees, default=0)
+            assert g.max_degree() == max(degrees, default=0)
+            assert type(g.min_degree()) is int and type(g.max_degree()) is int
+
+    def test_equality_and_hash(self):
+        for g in self.graphs():
+            pairs = sorted(g.edges, reverse=True)
+            same = BipartiteGraph(g.m, pairs + pairs[:3])     # any order, repeats collapse
+            assert same == g and hash(same) == hash(g) == hash((g.m, g.edges))
+            assert BipartiteGraph(g.m + 1, pairs) != g
+            if pairs:
+                assert BipartiteGraph(g.m, pairs[1:]) != g
+        assert BipartiteGraph(2, [(0, 1)]) != frozenset({(0, 1)})
+
+    def test_immutable(self):
+        g = complete_bipartite(2)
+        with pytest.raises(AttributeError):
+            g.m = 3
+        with pytest.raises(ValueError):
+            g.codes[0] = 3
+
+
 def _drop_one_flow_unit(monkeypatch, at_r):
     """Make maximum_flow, when the source capacities are at_r, return a flow
     whose first s vertex has degree at_r - 1 while the flow value is kept."""
@@ -148,11 +194,23 @@ class TestWitnessCheck:
             find_factor(complete_bipartite(4), 2)
 
     def test_max_factor_checks_every_feasible_r(self, monkeypatch):
-        # the search on K_{4,4} probes r = 2, 3, 4; only the r = 2 witness is
-        # broken, and it never becomes the returned factor
-        _drop_one_flow_unit(monkeypatch, at_r=2)
-        with pytest.raises(InvariantViolation):
-            max_factor(complete_bipartite(4))
+        # K_{4,4}: the first probe, r = δ = 4, is feasible and final.  The
+        # two-block graph (input 42 of the Gale-Ryser threshold test) has
+        # m = 8, δ = 3 and r* = 2: the search probes r = 3 (infeasible), 1, 2,
+        # so only the per-r check can see the broken r = 1 witness, which never
+        # becomes the returned factor
+        rng = random.Random(3042)
+        m = rng.randint(1, 8)
+        a, b = rng.randint(0, m), rng.randint(0, m)
+        two_block = BipartiteGraph(m, [(s, t) for s in range(m) for t in range(m)
+                                       if rng.random() < (0.9 if (s < a) == (t < b) else 0.2)])
+        assert (m, two_block.min_degree(), max_factor(two_block)[0]) == (8, 3, 2)
+        assert find_factor(two_block, 1) is not None
+        for g, at_r in ((complete_bipartite(4), 4), (two_block, 1)):
+            with monkeypatch.context() as patch:
+                _drop_one_flow_unit(patch, at_r)
+                with pytest.raises(InvariantViolation):
+                    max_factor(g)
 
 
 class TestClosedForms:

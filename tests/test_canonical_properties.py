@@ -42,6 +42,44 @@ def random_orbit_image(cycle: HamiltonCycle, rng: random.Random) -> HamiltonCycl
     return HamiltonCycle(k=k, ell=ell, arrangement=tuple(out))
 
 
+def canonicalize_all_candidates(cycle: HamiltonCycle) -> HamiltonCycle:
+    """Oracle: the lexicographic minimum over all 2m starting points and
+    directions of the block walk, O(n·m)."""
+    k, ell = cycle.k, cycle.ell
+    arr = cycle.arrangement
+    step = k - ell
+    m = len(arr) // step
+    if ell >= 1:
+        blocks = []
+        for i in range(m):
+            blocks.append(tuple(sorted(arr[i * step:i * step + ell])))
+            blocks.append(tuple(sorted(arr[i * step + ell:(i + 1) * step])))
+        starts = [2 * i for i in range(m)]
+    else:
+        blocks = [tuple(sorted(arr[i * step:(i + 1) * step])) for i in range(m)]
+        starts = list(range(m))
+    total = len(blocks)
+    best = min(tuple(v for j in range(total) for v in blocks[(start + d * j) % total])
+               for start in starts for d in (1, -1))
+    return HamiltonCycle(k=k, ell=ell, arrangement=best)
+
+
+def test_canonical_form_equals_the_all_candidates_minimum():
+    rng = random.Random(2024)
+    checked = 0
+    for k in range(2, 8):
+        for ell in range(0, (k + 1) // 2):
+            for m in range(1, 9):
+                n = m * (k - ell)
+                for _ in range(20):
+                    arr = list(range(n))
+                    rng.shuffle(arr)
+                    cycle = HamiltonCycle(k=k, ell=ell, arrangement=tuple(arr))
+                    assert canonicalize(cycle) == canonicalize_all_candidates(cycle)
+                    checked += 1
+    assert checked == 15 * 8 * 20
+
+
 @pytest.mark.parametrize("n,k,ell", [(8, 3, 1), (9, 4, 1), (9, 5, 2), (12, 4, 1), (9, 3, 0), (8, 2, 0)])
 def test_canonical_form_constant_on_orbit(n, k, ell):
     rng = random.Random(1234)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -11,6 +12,7 @@ from hampack.randomlab import (aux_degree_sweep, aux_degree_trial,
                                factor_robustness_trial,
                                partition_degree_sweep, partition_degree_trial,
                                random_subgraph)
+from hampack.util import derive_seed
 
 from helpers import random_bipartite
 
@@ -58,6 +60,41 @@ class TestRandomSubgraph:
         g = complete_bipartite(3)
         with pytest.raises(InvalidInputError):
             random_subgraph(g, 1.5, 0)
+
+    @pytest.mark.parametrize("seed", [0, -5, derive_seed(1, "trial:0"),
+                                      derive_seed(2, "trial:39"), 2**64 + 12345])
+    @pytest.mark.parametrize("p", [0, 0.5, 1])
+    def test_matches_per_edge_python_draws(self, seed, p):
+        # the reference draws one random.Random(seed).random() per edge in
+        # sorted order; the 900 draws for K_{30,30} use 1800 words, more than
+        # one 624-word Mersenne Twister block
+        for g in (complete_bipartite(30), random_bipartite(15, 0.6, 8)):
+            rng = random.Random(seed)
+            reference = [e for e in sorted(g.edges) if rng.random() < p]
+            for probs in (p, {e: p for e in g.edges}):
+                sub = random_subgraph(g, probs, seed)
+                assert sorted(sub.edges) == reference
+                assert sub == BipartiteGraph(g.m, reference)
+
+    def test_mixed_probabilities_match_per_edge_python_draws(self):
+        g = random_bipartite(20, 0.8, 4)
+        probs = {(s, t): ((3 * s + t) % 5) / 4 for s, t in g.edges}
+        for seed in (7, derive_seed(7, "trial:3")):
+            rng = random.Random(seed)
+            reference = [e for e in sorted(g.edges) if rng.random() < probs[e]]
+            assert sorted(random_subgraph(g, probs, seed).edges) == reference
+
+    def test_mapping_error_names_the_first_bad_edge(self):
+        g = complete_bipartite(3)
+        probs = {e: 0.5 for e in g.edges}
+        probs[(2, 0)] = -1
+        probs[(1, 2)] = 1.5
+        with pytest.raises(InvalidInputError,
+                           match=r"^probability 1\.5 for edge \(1, 2\) not in \[0, 1\]$"):
+            random_subgraph(g, probs, 0)
+        probs[(0, 1)] = float("nan")
+        with pytest.raises(InvalidInputError, match=r"^probability nan for edge \(0, 1\) "):
+            random_subgraph(g, probs, 0)
 
 
 def test_max_factor_monotone_under_edge_addition():
