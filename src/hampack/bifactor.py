@@ -6,7 +6,6 @@ Both parts have size m and are indexed 0..m-1; edges are (s, t) pairs.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -17,6 +16,7 @@ from scipy.sparse.csgraph import maximum_flow
 
 from .errors import (InvalidInputError, InvariantViolation, ParseError,
                      SizeLimitError)
+from .util import read_json, write_json
 
 GALE_RYSER_MAX_M = 14
 PERMANENT_MAX_M = 24
@@ -236,11 +236,9 @@ class _FactorNetwork:
         return s, t
 
 
-def _checked_factor(g: BipartiteGraph, r: int, witness: tuple[np.ndarray, np.ndarray]) -> Factor:
+def _as_factor(r: int, witness: tuple[np.ndarray, np.ndarray]) -> Factor:
     s, t = witness
-    factor = Factor(r=r, edges=frozenset(zip(s.tolist(), t.tolist())))
-    factor.check_against(g)
-    return factor
+    return Factor(r=r, edges=frozenset(zip(s.tolist(), t.tolist())))
 
 
 def find_factor(g: BipartiteGraph, r: int) -> Optional[Factor]:
@@ -249,7 +247,7 @@ def find_factor(g: BipartiteGraph, r: int) -> Optional[Factor]:
     Network: source -> each s with capacity r, unit arcs across the edges,
     each t -> sink with capacity r; an r-factor exists iff max flow = r·m.
     One `_FactorNetwork` is built and solved once; its witness is checked
-    there and again, as a `Factor`, against the host graph.
+    there against the host graph.
     """
     if not (0 <= r <= g.m):
         raise InvalidInputError(f"r must be in 0..m={g.m}, got {r}")
@@ -258,7 +256,7 @@ def find_factor(g: BipartiteGraph, r: int) -> Optional[Factor]:
     if g.min_degree() < r:
         return None
     witness = _FactorNetwork(g).witness(r)
-    return None if witness is None else _checked_factor(g, r, witness)
+    return None if witness is None else _as_factor(r, witness)
 
 
 def max_factor(g: BipartiteGraph) -> tuple[int, Factor]:
@@ -285,7 +283,7 @@ def max_factor(g: BipartiteGraph) -> tuple[int, Factor]:
             hi = mid - 1
     if best is None:
         return 0, Factor(r=0, edges=frozenset())
-    return lo, _checked_factor(g, lo, best)
+    return lo, _as_factor(lo, best)
 
 
 def csaba_rho(delta: float) -> float:
@@ -432,15 +430,8 @@ def from_json_dict(obj) -> BipartiteGraph:
 
 
 def read_bipartite(path: str) -> BipartiteGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: not valid JSON ({exc})") from exc
-    return from_json_dict(obj)
+    return from_json_dict(read_json(path))
 
 
 def write_bipartite(g: BipartiteGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_dict(g), fh, sort_keys=True, separators=(",", ": "), indent=1)
-        fh.write("\n")
+    write_json(to_json_dict(g), path)

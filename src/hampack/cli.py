@@ -22,7 +22,7 @@ from . import __version__, bifactor, census, constructions, hypercore, packer, r
 from .errors import HampackError, InvariantViolation
 from .reduction import (build_aux_graph, read_cycle, sample_scheme,
                         verify_cycle)
-from .util import canonical_json, derive_seed, sha256_file
+from .util import canonical_json, derive_seed, sha256_file, write_json
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -54,14 +54,13 @@ def _jsonable(value: Any) -> Any:
 
 def _emit(doc: dict, args, sidecars: Optional[list[tuple[str, str]]] = None) -> None:
     """Print to stdout, or write the document plus sidecars and a manifest."""
-    text = canonical_json(_jsonable(doc)) + "\n"
+    doc = _jsonable(doc)
     if not getattr(args, "out", None):
-        sys.stdout.write(text)
+        sys.stdout.write(canonical_json(doc) + "\n")
         return
     out = args.out
     written = [out]
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_json(doc, out)
     for path, content in sidecars or []:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(content)
@@ -80,8 +79,7 @@ def _emit(doc: dict, args, sidecars: Optional[list[tuple[str, str]]] = None) -> 
         "input_digests": digests,
         "outputs": written,
     }
-    with open(out + ".manifest.json", "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(manifest) + "\n")
+    write_json(manifest, out + ".manifest.json")
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -196,14 +194,14 @@ def cmd_pack(args) -> int:
         cfg = packer.PackingConfig(
             ell=args.ell, alpha_prime=args.alpha_prime, epsilon=args.epsilon,
             num_partitions=args.r, resample_limit=args.resample_limit,
-            seed=derive_seed(args.seed, "pack"), threads=args.threads)
+            seed=derive_seed(args.seed, "pack"))
         result = packer.pack_min_degree(h, cfg)
     else:
         result = packer.pack_near_regular(
             h, args.ell, delta_target=args.delta_target,
             epsilon=args.epsilon if args.epsilon is not None else 0.1,
             seed=derive_seed(args.seed, "pack"), num_partitions=args.r,
-            resample_limit=args.resample_limit, threads=args.threads)
+            resample_limit=args.resample_limit)
     rows = [[s.index, s.retries, s.aux_min_degree, s.aux_edges, s.assigned_edges,
              s.sub_aux_edges, s.factor_target, s.factor_size, s.matchings, s.cycles]
             for s in result.per_partition]
@@ -229,7 +227,7 @@ def cmd_mc_factor(args) -> int:
         raise HampackError("provide --input or --complete-bipartite")
     report = randomlab.factor_robustness_sweep(
         g, rho=args.rho, p=args.p, epsilon=args.epsilon,
-        trials=args.trials, master_seed=args.seed, threads=args.threads)
+        trials=args.trials, master_seed=args.seed)
     doc = {"n": report.n, "p": report.p, "rho": report.rho, "epsilon": report.epsilon,
            "target": report.target, "trials": report.trials, "successes": report.successes}
     rows = [[seed, r_star, report.target, int(r_star >= report.target)]
@@ -251,7 +249,7 @@ def cmd_mc_partition(args) -> int:
     if args.kind == "aux-degrees":
         report = randomlab.aux_degree_sweep(
             h, args.ell, delta=args.delta, epsilon=args.epsilon,
-            trials=args.trials, master_seed=args.seed, threads=args.threads)
+            trials=args.trials, master_seed=args.seed)
         doc = {"kind": args.kind, "trials": report.trials, "successes": report.successes,
                "hypothesis_met": report.hypothesis_met}
         rows = [[t.seed, t.min_degree, t.threshold, int(t.success)]
@@ -266,7 +264,7 @@ def cmd_mc_partition(args) -> int:
             raise HampackError(f"--sizes must be comma-separated integers: {exc}") from exc
         report = randomlab.partition_degree_sweep(
             h, sizes, delta=args.delta, epsilon=args.epsilon,
-            trials=args.trials, master_seed=args.seed, threads=args.threads)
+            trials=args.trials, master_seed=args.seed)
         doc = {"kind": args.kind, "trials": report.trials, "successes": report.successes,
                "hypothesis_met": report.hypothesis_met}
         rows = [[t.seed, ";".join(map(str, t.minima)),
@@ -305,7 +303,8 @@ def build_parser() -> _Parser:
         p.set_defaults(func=func, command=name)
         p.add_argument("--out", help="write the primary JSON here plus sidecars and a manifest")
         p.add_argument("--seed", type=int, default=0, help="master seed")
-        p.add_argument("--threads", type=int, default=1, help="worker parallelism cap")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; no effect")
         return p
 
     p = add("gen", cmd_gen, "generate a hypergraph (complete, random, or parity)")

@@ -6,12 +6,12 @@ across threads.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
 from .errors import InvalidQueryError, ParseError
+from .util import read_json, write_json
 
 
 def canon_edge(edge: Iterable[int]) -> tuple[int, ...]:
@@ -160,16 +160,9 @@ def from_json_dict(obj) -> Hypergraph:
 
 def read_hypergraph(path: str) -> Hypergraph:
     """Read a hypergraph from JSON; validates the exact schema."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: not valid JSON ({exc})") from exc
-    return from_json_dict(obj)
+    return from_json_dict(read_json(path))
 
 
 def write_hypergraph(h: Hypergraph, path: str) -> None:
     """Write JSON with edges in ascending canonical order; read(write(h)) == h."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_dict(h), fh, sort_keys=True, separators=(",", ": "), indent=1)
-        fh.write("\n")
+    write_json(to_json_dict(h), path)

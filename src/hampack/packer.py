@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -40,7 +39,6 @@ class PackingConfig:
     factor_target: Union[str, int] = "max"   # "max" (flow maximum) or a fixed r
     resample_limit: int = 5
     seed: int = 0
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -96,13 +94,6 @@ def _realized_edges(aux: AuxGraph):
     """(aux edge, hyperedge s_label ∪ t_label) for every edge of the aux graph."""
     for a, b in aux.graph.edges:
         yield (a, b), tuple(sorted(aux.s_labels[a] + aux.t_labels[b]))
-
-
-def candidate_partitions(edge: Sequence[int], schemes: Sequence[PartitionScheme]) -> list[int]:
-    """Indices of the schemes under which `edge` splits as junction-pair ∪ block
-    (or tuple ∪ block for ell = 0), i.e. realizes an edge of their aux graph."""
-    return [i for i, s in enumerate(schemes)
-            if build_aux_graph(Hypergraph(s.n, s.k, [edge]), s).graph.edges]
 
 
 def assign_edges(h: Hypergraph, auxes: Sequence[AuxGraph], seed: int) -> Assignment:
@@ -162,12 +153,6 @@ def default_num_partitions(h: Hypergraph, ell: int) -> int:
     raw = num_edges * ((k - ell) * math.log(n) / n) ** 2
     upper = max(1, (num_edges * (k - ell)) // n)
     return max(1, min(round(raw), upper))
-
-
-def _measured_alpha(h: Hypergraph) -> tuple[float, float]:
-    """(min, max) codegree over n."""
-    rep = degree_report(h, h.k - 1)
-    return rep.min_degree / h.n, rep.max_degree / h.n
 
 
 def _sample_accepted_schemes(h: Hypergraph, ell: int, count: int, seed: int,
@@ -268,17 +253,6 @@ def _assemble(h: Hypergraph, auxes, retries, assignment, extraction,
         uncovered_budget=uncovered_budget, goal_met=goal)
 
 
-def _run_extraction(h, auxes, assignment, modes, threads: int):
-    def work(i: int):
-        mode, fixed_r = modes[i]
-        return _extract_cycles(h, auxes[i], i, assignment, mode, fixed_r)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, range(len(auxes))))
-    return [work(i) for i in range(len(auxes))]
-
-
 def pack_min_degree(h: Hypergraph, cfg: PackingConfig) -> PackingResult:
     """Packing pipeline under a codegree lower-bound hypothesis.
 
@@ -291,7 +265,7 @@ def pack_min_degree(h: Hypergraph, cfg: PackingConfig) -> PackingResult:
     n, k, ell = h.n, h.k, cfg.ell
     m = check_shape(n, k, ell)
     warnings: list[str] = []
-    alpha, _ = _measured_alpha(h)
+    alpha = degree_report(h, k - 1).min_degree / n
     if not (alpha > cfg.alpha_prime > 0.5):
         warnings.append(
             f"degree hypothesis unmet: measured alpha={alpha:.4f}, "
@@ -306,16 +280,17 @@ def pack_min_degree(h: Hypergraph, cfg: PackingConfig) -> PackingResult:
         warnings.append("resample limit exhausted for at least one partition; partial result")
     assignment = assign_edges(h, auxes, derive_seed(cfg.seed, "assign"))
     if cfg.factor_target == "max":
-        modes = [("max", None)] * len(auxes)
+        mode, fixed_r = "max", None
     else:
-        modes = [("fixed", int(cfg.factor_target))] * len(auxes)
-    extraction = _run_extraction(h, auxes, assignment, modes, cfg.threads)
+        mode, fixed_r = "fixed", int(cfg.factor_target)
+    extraction = [_extract_cycles(h, aux, i, assignment, mode, fixed_r)
+                  for i, aux in enumerate(auxes)]
     return _assemble(h, auxes, retries, assignment, extraction, warnings, exhausted)
 
 
 def pack_near_regular(h: Hypergraph, ell: int, delta_target: float, epsilon: float,
                       seed: int, num_partitions: Optional[int] = None,
-                      resample_limit: int = 5, threads: int = 1) -> PackingResult:
+                      resample_limit: int = 5) -> PackingResult:
     """Packing pipeline under a two-sided codegree hypothesis, aimed at
     covering all but a delta_target fraction of the possible edges.
 
@@ -327,7 +302,8 @@ def pack_near_regular(h: Hypergraph, ell: int, delta_target: float, epsilon: flo
     """
     n, k = h.n, h.k
     m = check_shape(n, k, ell)
-    lo, hi = _measured_alpha(h)
+    codegrees = degree_report(h, k - 1)
+    lo, hi = codegrees.min_degree / n, codegrees.max_degree / n
     if (hi - lo) * n > 2.0 * epsilon * n:
         raise InvalidInputError(
             f"codegree spread too wide for the near-regular hypothesis: "
@@ -358,12 +334,12 @@ def pack_near_regular(h: Hypergraph, ell: int, delta_target: float, epsilon: flo
         density = bifactor.almost_regular_bound(alpha, 2.0 * epsilon)
     except InvalidInputError:
         density = 0.0
-    modes = []
+    extraction = []
     for i, aux in enumerate(auxes):
         full = len(aux.graph.edges)
         retention = (len(assignment.per_index[i]) / full) if full else 0.0
-        modes.append(("report", int(density * m * retention)))
-    extraction = _run_extraction(h, auxes, assignment, modes, threads)
+        extraction.append(_extract_cycles(h, aux, i, assignment, "report",
+                                          int(density * m * retention)))
     budget = delta_target * math.comb(n, k)
     return _assemble(h, auxes, retries, assignment, extraction, warnings,
                      exhausted, uncovered_budget=budget)

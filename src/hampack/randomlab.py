@@ -10,27 +10,37 @@ Three harnesses:
   * auxiliary min degree: sample a partition scheme, build its auxiliary
     graph, and compare the minimum degree against (delta + eps/2) * m.
 
-Per-trial seeds are derived as hash(master_seed, trial index), so sweeps are
-order-independent and reproducible under any parallel schedule.
+Sweeps run their trials in order; trial i runs on the seed derived from
+(master_seed, trial index), so a sweep of t trials is a prefix of any longer
+one and each trial can be rerun on its own.
 """
 from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Any, Callable, Mapping, Optional, Union
 
 import numpy as np
 
 from . import bifactor
 from .bifactor import BipartiteGraph, Factor
 from .errors import InvalidInputError
-from .hypercore import Hypergraph
+from .hypercore import Hypergraph, degree_report
 from .reduction import build_aux_graph, sample_scheme
 from .util import derive_seed
 
 Probabilities = Union[float, Mapping[tuple[int, int], float]]
+
+
+def _sweep(run: Callable[[int], Any], trials: int, master_seed: int) -> list:
+    """run(seed) for i = 0..trials-1, in order, on derive_seed(master_seed, f"trial:{i}")."""
+    return [run(derive_seed(master_seed, f"trial:{i}")) for i in range(trials)]
+
+
+def _codegree_hypothesis(h: Hypergraph, delta: float, epsilon: float) -> bool:
+    """min codegree >= (delta + epsilon) * n."""
+    return degree_report(h, h.k - 1).min_degree >= (delta + epsilon) * h.n
 
 
 def random_subgraph(g: BipartiteGraph, p: Probabilities, seed: int) -> BipartiteGraph:
@@ -113,7 +123,7 @@ def factor_robustness_trial(g: BipartiteGraph, rho: float, p: float, epsilon: fl
     """One trial: subsample with probability p, take the maximum factor, and
     compare against floor((1 - epsilon) * rho * m * p).
 
-    On success the factor witness is re-verified against the subsample.
+    The factor is the witness that `max_factor` checked against the subsample.
     """
     if not skip_checks:
         _check_robustness_hypotheses(g, rho)
@@ -122,34 +132,23 @@ def factor_robustness_trial(g: BipartiteGraph, rho: float, p: float, epsilon: fl
     sub = random_subgraph(g, p, seed)
     r_star, factor = bifactor.max_factor(sub)
     target = _factor_target(rho, g.m, p, epsilon)
-    success = r_star >= target
-    if success:
-        factor.check_against(sub)
     return FactorTrial(seed=seed, r_star=r_star, target=target,
-                       success=success, factor=factor)
+                       success=r_star >= target, factor=factor)
 
 
 def factor_robustness_sweep(g: BipartiteGraph, rho: float, p: float, epsilon: float,
-                            trials: int, master_seed: int,
-                            threads: int = 1) -> SubgraphTrialReport:
+                            trials: int, master_seed: int) -> SubgraphTrialReport:
     """Run `trials` independent subsample trials; hypotheses are checked once."""
     _check_robustness_hypotheses(g, rho)
-    seeds = [derive_seed(master_seed, f"trial:{i}") for i in range(trials)]
-
-    def run(seed: int) -> FactorTrial:
-        return factor_robustness_trial(g, rho, p, epsilon, seed, skip_checks=True)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, seeds))
-    else:
-        results = [run(s) for s in seeds]
+    results = _sweep(lambda seed: factor_robustness_trial(g, rho, p, epsilon, seed,
+                                                          skip_checks=True),
+                     trials, master_seed)
     target = _factor_target(rho, g.m, p, epsilon)
     return SubgraphTrialReport(
         n=g.m, p=p, rho=rho, epsilon=epsilon, target=target, trials=trials,
         successes=sum(1 for t in results if t.success),
         r_stars=tuple(t.r_star for t in results),
-        trial_seeds=tuple(seeds))
+        trial_seeds=tuple(t.seed for t in results))
 
 
 @dataclass(frozen=True)
@@ -166,13 +165,6 @@ class PartitionTrialReport:
     successes: int
     per_trial: tuple[PartitionTrial, ...]
     hypothesis_met: bool           # min codegree >= (delta + eps) * n
-
-
-def _min_codegree(h: Hypergraph) -> int:
-    idx = h.completion_index()
-    if len(idx) < math.comb(h.n, h.k - 1):
-        return 0
-    return min(len(v) for v in idx.values())
 
 
 def partition_degree_trial(h: Hypergraph, sizes: tuple[int, ...], delta: float,
@@ -216,23 +208,14 @@ def partition_degree_trial(h: Hypergraph, sizes: tuple[int, ...], delta: float,
 
 def partition_degree_sweep(h: Hypergraph, sizes: tuple[int, ...], delta: float,
                            epsilon: float, trials: int, master_seed: int,
-                           min_part_fraction: float = 0.05,
-                           threads: int = 1) -> PartitionTrialReport:
-    seeds = [derive_seed(master_seed, f"trial:{i}") for i in range(trials)]
-
-    def run(seed: int) -> PartitionTrial:
-        return partition_degree_trial(h, sizes, delta, epsilon, seed, min_part_fraction)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, seeds))
-    else:
-        results = [run(s) for s in seeds]
-    hypothesis = _min_codegree(h) >= (delta + epsilon) * h.n
+                           min_part_fraction: float = 0.05) -> PartitionTrialReport:
+    results = _sweep(lambda seed: partition_degree_trial(h, sizes, delta, epsilon, seed,
+                                                         min_part_fraction),
+                     trials, master_seed)
     return PartitionTrialReport(trials=trials,
                                 successes=sum(1 for t in results if t.success),
                                 per_trial=tuple(results),
-                                hypothesis_met=hypothesis)
+                                hypothesis_met=_codegree_hypothesis(h, delta, epsilon))
 
 
 @dataclass(frozen=True)
@@ -264,25 +247,18 @@ def aux_degree_trial(h: Hypergraph, ell: int, delta: float, epsilon: float,
     aux = build_aux_graph(h, scheme)
     threshold = (delta + epsilon / 2.0) * scheme.m
     if hypothesis_met is None:
-        hypothesis_met = _min_codegree(h) >= (delta + epsilon) * h.n
+        hypothesis_met = _codegree_hypothesis(h, delta, epsilon)
     mindeg = aux.graph.min_degree()
     return AuxDegreeTrial(seed=seed, min_degree=mindeg, threshold=threshold,
                           success=mindeg >= threshold, hypothesis_met=hypothesis_met)
 
 
 def aux_degree_sweep(h: Hypergraph, ell: int, delta: float, epsilon: float,
-                     trials: int, master_seed: int, threads: int = 1) -> AuxDegreeReport:
-    hypothesis = _min_codegree(h) >= (delta + epsilon) * h.n
-    seeds = [derive_seed(master_seed, f"trial:{i}") for i in range(trials)]
-
-    def run(seed: int) -> AuxDegreeTrial:
-        return aux_degree_trial(h, ell, delta, epsilon, seed, hypothesis_met=hypothesis)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, seeds))
-    else:
-        results = [run(s) for s in seeds]
+                     trials: int, master_seed: int) -> AuxDegreeReport:
+    hypothesis = _codegree_hypothesis(h, delta, epsilon)
+    results = _sweep(lambda seed: aux_degree_trial(h, ell, delta, epsilon, seed,
+                                                   hypothesis_met=hypothesis),
+                     trials, master_seed)
     return AuxDegreeReport(trials=trials,
                            successes=sum(1 for t in results if t.success),
                            per_trial=tuple(results),

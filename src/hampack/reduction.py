@@ -11,7 +11,6 @@ is an edge exactly when s ∪ t is a hypergraph edge.
 """
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
@@ -19,6 +18,7 @@ from typing import Iterable, Mapping, Optional, Union
 from .bifactor import BipartiteGraph
 from .errors import InvalidInputError, ParseError
 from .hypercore import Hypergraph, canon_edge
+from .util import read_json, write_json
 
 
 def check_shape(n: int, k: int, ell: int) -> int:
@@ -317,16 +317,8 @@ def cycle_from_json_dict(obj, k: int) -> HamiltonCycle:
 
 
 def read_cycle(path: str, k: int) -> HamiltonCycle:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: not valid JSON ({exc})") from exc
-    return cycle_from_json_dict(obj, k)
+    return cycle_from_json_dict(read_json(path), k)
 
 
 def write_cycle(cycle: HamiltonCycle, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cycle_to_json_dict(cycle), fh, sort_keys=True,
-                  separators=(",", ": "), indent=1)
-        fh.write("\n")
+    write_json(cycle_to_json_dict(cycle), path)

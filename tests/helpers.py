@@ -1,7 +1,9 @@
 """Shared test generators."""
 import random
+from itertools import combinations
 
 from hampack.bifactor import BipartiteGraph
+from hampack.hypercore import Hypergraph
 from hampack.reduction import build_aux_graph
 
 
@@ -35,3 +37,18 @@ def brute_force_matching_count(g):
 def aux_graphs(h, schemes):
     """The aux graph of each scheme, in order: the input `assign_edges` takes."""
     return [build_aux_graph(h, s) for s in schemes]
+
+
+def candidate_partitions(edge, schemes):
+    """Indices of the schemes under which `edge` splits as junction-pair ∪ block
+    (or tuple ∪ block for ell = 0), i.e. realizes an edge of their aux graph.
+    Builds a one-edge hypergraph per scheme; the oracle for `assign_edges`."""
+    return [i for i, s in enumerate(schemes)
+            if build_aux_graph(Hypergraph(s.n, s.k, [edge]), s).graph.edges]
+
+
+def one_uncovered_pair(n=12):
+    """K_n^(3) without the edges through {0, 1}: the pair (0, 1) lies in no
+    edge, so the minimum codegree is 0, while every other pair has codegree
+    at least n - 3."""
+    return Hypergraph(n, 3, [e for e in combinations(range(n), 3) if e[:2] != (0, 1)])

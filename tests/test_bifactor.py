@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hampack import bifactor
+from hampack import bifactor, randomlab
 from hampack.bifactor import (BipartiteGraph, Factor, almost_regular_bound,
                               complete_bipartite, count_perfect_matchings,
                               csaba_rho, find_factor, from_json_dict,
@@ -187,7 +187,50 @@ def _drop_one_flow_unit(monkeypatch, at_r):
     monkeypatch.setattr(bifactor, "maximum_flow", fake)
 
 
+def _swap_onto_non_edges(monkeypatch, at_r):
+    """Make maximum_flow, when the source capacities are at_r, move the units
+    on (0, 1) and (1, 0) onto (0, 0) and (1, 1): every degree and the flow
+    value stay as they were, but the witness leaves the host when the
+    diagonal is not in it."""
+    real = bifactor.maximum_flow
+
+    def fake(graph, source, sink):
+        result = real(graph, source, sink)
+        if graph.data[0] != at_r:
+            return result
+        m = (graph.shape[0] - 2) // 2
+        flow = result.flow.tolil()
+        assert flow[1, m + 2] == flow[2, m + 1] == 1
+        flow[1, m + 2] = flow[2, m + 1] = 0
+        flow[1, m + 1] = flow[2, m + 2] = 1
+        return SimpleNamespace(flow_value=result.flow_value, flow=flow.tocsr())
+
+    monkeypatch.setattr(bifactor, "maximum_flow", fake)
+
+
+def k44_minus_diagonal():
+    """3-regular, so its only 3-factor is the graph itself: every edge carries flow."""
+    return BipartiteGraph(4, [(s, t) for s in range(4) for t in range(4) if s != t])
+
+
 class TestWitnessCheck:
+    def test_find_and_max_factor_reject_a_non_edge(self, monkeypatch):
+        g = k44_minus_diagonal()
+        _swap_onto_non_edges(monkeypatch, at_r=3)
+        for search in (lambda: find_factor(g, 3), lambda: max_factor(g)):
+            with pytest.raises(InvariantViolation, match="not present in the host graph"):
+                search()
+
+    def test_robustness_trial_and_sweep_reject_a_wrong_degree(self, monkeypatch):
+        # p = 1 keeps all of K_{4,4}, whose max-factor search probes r = 4
+        # first; rho = 1/2 keeps the sweep's hypothesis check at r = 2
+        _drop_one_flow_unit(monkeypatch, at_r=4)
+        g = complete_bipartite(4)
+        with pytest.raises(InvariantViolation, match="degree exactly 4"):
+            randomlab.factor_robustness_trial(g, 0.5, 1.0, 0.1, seed=0)
+        with pytest.raises(InvariantViolation, match="degree exactly 4"):
+            randomlab.factor_robustness_sweep(g, 0.5, 1.0, 0.1, trials=2, master_seed=0)
+
     def test_find_factor_rejects_a_wrong_degree(self, monkeypatch):
         _drop_one_flow_unit(monkeypatch, at_r=2)
         with pytest.raises(InvariantViolation):

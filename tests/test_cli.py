@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from hampack.cli import main
+from hampack.cli import build_parser, main
 from hampack.constructions import complete_hypergraph
 from hampack.hypercore import write_hypergraph
 from hampack.reduction import HamiltonCycle, write_cycle
@@ -298,6 +298,33 @@ def test_pack_golden_digests(tmp_path, capsys, name, argv, primary, sidecar):
     assert (_sha256(opath), _sha256(opath + ".partitions.csv")) == (primary, sidecar)
 
 
+# The `h.json` of the README's CLI section and its two mc-partition sweeps:
+# sha256 of the primary JSON and of trials.csv, recorded before the sweeps
+# were made serial and the codegree hypothesis was read off `degree_report`.
+GOLDEN_MC_PARTITION = [
+    (["--kind", "aux-degrees", "--ell", "1", "--delta", "0.4", "--epsilon", "0.2"],
+     "f41d6b03d1c8176bc23aff700be0e2b3258cd80fbdf3320d4980d02170499cde",
+     "637651807429c703a8158ca034c689961d4c9032d47a2967e92d00bf97d1cc6c"),
+    (["--kind", "part-degrees", "--sizes", "12,12", "--delta", "0.4", "--epsilon", "0.1"],
+     "63b353baefb638d10b4a855a940a160a40b4665d60912843314d32861f65b3d9",
+     "6d00984b5a3a433890a9368d2121e45258c092d8a1dcc652dce7663aa10d85e6"),
+]
+
+
+@pytest.mark.parametrize("argv,primary,sidecar", GOLDEN_MC_PARTITION,
+                         ids=[c[0][1] for c in GOLDEN_MC_PARTITION])
+def test_mc_partition_golden_digests(tmp_path, capsys, argv, primary, sidecar):
+    hpath = str(tmp_path / "h.json")
+    code, _, _ = run(capsys, "gen", "--random", "--n", "24", "--k", "3", "--p", "0.9",
+                     "--seed", "1", "--out", hpath)
+    assert code == 0
+    opath = str(tmp_path / "mc.json")
+    code, _, _ = run(capsys, "mc-partition", "--input", hpath, *argv,
+                     "--trials", "50", "--seed", "1", "--out", opath)
+    assert code == 0
+    assert (_sha256(opath), _sha256(opath + ".trials.csv")) == (primary, sidecar)
+
+
 def test_mc_factor_golden_digests(tmp_path, capsys):
     opath = str(tmp_path / "mc.json")
     code, _, _ = run(capsys, "mc-factor", "--complete-bipartite", "12",
@@ -328,3 +355,45 @@ def test_factor_golden_digests(tmp_path, capsys):
     code, _, _ = run(capsys, "factor", "--input", gpath, "--r", "6", "--out", opath)
     assert code == 0
     assert _sha256(opath) == "c0b012a00e48896a9f6ee3203a90143943345540fc4eea87956ee332748fac28"
+
+
+# `--threads` is accepted for compatibility and changes nothing.
+THREADS_CASES = [
+    (["pack", "--theorem", "2", "--ell", "1", "--r", "2", "--seed", "7"], ".partitions.csv"),
+    (["mc-factor", "--complete-bipartite", "12", "--rho", "0.8", "--p", "0.9",
+      "--epsilon", "0.5", "--trials", "5", "--seed", "5"], ".trials.csv"),
+]
+
+
+@pytest.mark.parametrize("argv,sidecar", THREADS_CASES, ids=[c[0][0] for c in THREADS_CASES])
+def test_threads_flag_changes_no_output(tmp_path, capsys, argv, sidecar):
+    hpath = str(tmp_path / "h.json")
+    write_hypergraph(complete_hypergraph(12, 3), hpath)
+    files = []
+    for threads in ("1", "4"):
+        opath = str(tmp_path / f"t{threads}.json")
+        extra = ["--input", hpath] if argv[0] == "pack" else []
+        code, _, _ = run(capsys, *argv, *extra, "--threads", threads, "--out", opath)
+        assert code == 0
+        files.append((open(opath, "rb").read(), open(opath + sidecar, "rb").read()))
+    assert files[0] == files[1]
+
+
+def test_every_subcommand_accepts_threads_1():
+    required = {
+        "gen": ["--complete", "--n", "4", "--k", "3"],
+        "degrees": ["--input", "h.json", "--d", "2"],
+        "count": ["--input", "h.json", "--ell", "1"],
+        "bound": ["--n", "6", "--k", "3", "--ell", "1"],
+        "reduce": ["--input", "h.json", "--ell", "1"],
+        "factor": ["--input", "g.json"],
+        "pack": ["--input", "h.json", "--ell", "1"],
+        "mc-factor": ["--rho", "1", "--p", "0.5", "--epsilon", "0.2"],
+        "mc-partition": ["--input", "h.json", "--delta", "0.4", "--epsilon", "0.2"],
+        "verify": ["--input", "h.json", "--cycle", "c.json"],
+    }
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    assert set(commands) == set(required)
+    for name, argv in required.items():
+        assert parser.parse_args([name, *argv, "--threads", "1"]).threads == 1

@@ -6,17 +6,21 @@ import pytest
 from hampack.constructions import complete_hypergraph, random_hypergraph
 from hampack.errors import InvalidInputError
 from hampack.hypercore import Hypergraph
-from hampack.packer import (PackingConfig, assign_edges, candidate_partitions,
-                            default_num_partitions, pack_min_degree,
-                            pack_near_regular, psi_statistics)
+from hampack.packer import (PackingConfig, assign_edges, default_num_partitions,
+                            pack_min_degree, pack_near_regular, psi_statistics)
 from hampack.reduction import sample_scheme, verify_cycle
 from hampack.util import derive_seed
 
-from helpers import aux_graphs
+from helpers import aux_graphs, candidate_partitions, one_uncovered_pair
 
 
 def scheme_for(h, ell, seed):
     return sample_scheme(h, ell, seed)
+
+
+def assigned_psi(h, s, edge):
+    """The candidate count `assign_edges` gives `edge` under the one scheme `s`."""
+    return assign_edges(h, aux_graphs(h, [s]), 0).psi[edge]
 
 
 class TestCandidates:
@@ -25,30 +29,35 @@ class TestCandidates:
         s = scheme_for(h, 1, 3)
         edge = tuple(sorted(s.tuples_a[0] + s.tuples_a[1] + s.blocks_b[2]))
         assert candidate_partitions(edge, [s]) == [0]
+        assert assigned_psi(h, s, edge) == 1
 
     def test_non_consecutive_junction_excluded(self):
         h = complete_hypergraph(12, 3)
         s = scheme_for(h, 1, 3)  # m = 6
         edge = tuple(sorted(s.tuples_a[0] + s.tuples_a[2] + s.blocks_b[0]))
         assert candidate_partitions(edge, [s]) == []
+        assert assigned_psi(h, s, edge) == 0
 
     def test_edge_missing_part_a_excluded(self):
         h = complete_hypergraph(12, 3)
         s = scheme_for(h, 1, 3)
         edge = tuple(sorted(s.blocks_b[0] + s.blocks_b[1] + s.blocks_b[2]))
         assert candidate_partitions(edge, [s]) == []
+        assert assigned_psi(h, s, edge) == 0
 
     def test_block_straddle_excluded(self):
         h = complete_hypergraph(12, 3)
         s = scheme_for(h, 0, 3)  # m = 4: 1-tuples in A, 2-blocks in B
         edge = tuple(sorted(s.tuples_a[0] + (s.blocks_b[0][0], s.blocks_b[1][0])))
         assert candidate_partitions(edge, [s]) == []
+        assert assigned_psi(h, s, edge) == 0
 
     def test_ell0_candidate(self):
         h = complete_hypergraph(12, 3)
         s = scheme_for(h, 0, 3)
         edge = tuple(sorted(s.tuples_a[1] + s.blocks_b[2]))
         assert candidate_partitions(edge, [s]) == [0]
+        assert assigned_psi(h, s, edge) == 1
 
 
 class TestAssign:
@@ -185,6 +194,11 @@ class TestPackMinDegree:
         assert not res.cycles and res.coverage_ratio == 0.0
         assert res.warnings  # degree hypothesis unmet
 
+    def test_one_uncovered_pair_measures_alpha_zero(self):
+        h = one_uncovered_pair()
+        res = pack_min_degree(h, PackingConfig(ell=1, num_partitions=2, seed=1))
+        assert res.warnings[0].startswith("degree hypothesis unmet: measured alpha=0.0000,")
+
     def test_invariants_over_seeds(self):
         h = random_hypergraph(24, 3, 0.9, 101)
         for seed in (3, 11):
@@ -205,12 +219,6 @@ class TestPackMinDegree:
         h = random_hypergraph(24, 3, 0.9, 77)
         cfg = PackingConfig(ell=1, num_partitions=3, seed=42)
         assert pack_min_degree(h, cfg) == pack_min_degree(h, cfg)
-
-    def test_threads_do_not_change_result(self):
-        h = random_hypergraph(24, 3, 0.9, 77)
-        a = pack_min_degree(h, PackingConfig(ell=1, num_partitions=3, seed=42))
-        b = pack_min_degree(h, PackingConfig(ell=1, num_partitions=3, seed=42, threads=4))
-        assert a == b
 
     def test_fixed_factor_target(self):
         h = complete_hypergraph(12, 3)

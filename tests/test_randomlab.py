@@ -14,7 +14,7 @@ from hampack.randomlab import (aux_degree_sweep, aux_degree_trial,
                                random_subgraph)
 from hampack.util import derive_seed
 
-from helpers import random_bipartite
+from helpers import one_uncovered_pair, random_bipartite
 
 
 class TestRandomSubgraph:
@@ -159,11 +159,12 @@ class TestFactorRobustness:
         b = factor_robustness_sweep(g, 0.9, 0.7, 0.3, trials=6, master_seed=1)
         assert a == b
 
-    def test_threads_do_not_change_results(self):
+    def test_sweep_runs_trial_i_on_the_seed_of_index_i(self):
         g = complete_bipartite(15)
-        a = factor_robustness_sweep(g, 0.9, 0.7, 0.3, trials=6, master_seed=1)
-        c = factor_robustness_sweep(g, 0.9, 0.7, 0.3, trials=6, master_seed=1, threads=4)
-        assert a == c
+        report = factor_robustness_sweep(g, 0.9, 0.7, 0.3, trials=6, master_seed=1)
+        for i in range(6):
+            trial = factor_robustness_trial(g, 0.9, 0.7, 0.3, derive_seed(1, f"trial:{i}"))
+            assert (report.trial_seeds[i], report.r_stars[i]) == (trial.seed, trial.r_star)
 
 
 class TestPartitionDegrees:
@@ -248,3 +249,40 @@ class TestAuxDegrees:
             aux = build_aux_graph(h, sample_scheme(h, 1, seed))
             assert aux.graph.min_degree() >= (delta - 2 * eps) * m
             assert aux.graph.max_degree() <= (delta + 2 * eps) * m
+
+
+class TestSweepOrder:
+    """Trial i depends only on (master seed, i): a shorter sweep is a prefix."""
+
+    def test_factor_sweep(self):
+        g = complete_bipartite(15)
+        short, full = (factor_robustness_sweep(g, 0.9, 0.7, 0.3, trials=t, master_seed=1)
+                       for t in (3, 6))
+        assert short.trial_seeds == full.trial_seeds[:3]
+        assert short.r_stars == full.r_stars[:3]
+        assert short.successes == sum(r >= full.target for r in full.r_stars[:3])
+
+    def test_partition_sweep(self):
+        h = random_hypergraph(12, 3, 0.9, 3)
+        short, full = (partition_degree_sweep(h, (6, 6), 0.3, 0.1, trials=t, master_seed=2)
+                       for t in (3, 6))
+        assert short.per_trial == full.per_trial[:3]
+        assert [t.seed for t in full.per_trial] == [derive_seed(2, f"trial:{i}")
+                                                    for i in range(6)]
+
+    def test_aux_degree_sweep(self):
+        h = random_hypergraph(12, 3, 0.9, 3)
+        short, full = (aux_degree_sweep(h, 1, 0.3, 0.1, trials=t, master_seed=2)
+                       for t in (3, 6))
+        assert short.per_trial == full.per_trial[:3]
+        assert [t.seed for t in full.per_trial] == [derive_seed(2, f"trial:{i}")
+                                                    for i in range(6)]
+
+
+def test_uncovered_pair_fails_the_codegree_hypothesis():
+    # every pair but (0, 1) has codegree >= 9 >= (0.1 + 0.1) * 12
+    h = one_uncovered_pair()
+    assert not aux_degree_sweep(h, 1, 0.1, 0.1, trials=2, master_seed=0).hypothesis_met
+    assert not partition_degree_sweep(h, (6, 6), 0.1, 0.1, trials=2,
+                                      master_seed=0).hypothesis_met
+    assert not aux_degree_trial(h, 1, 0.1, 0.1, seed=0).hypothesis_met
