@@ -182,7 +182,7 @@ def cmd_factor(args) -> int:
 
 
 def _packing_doc(result: packer.PackingResult) -> dict:
-    doc = dataclasses.asdict(result)
+    doc = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
     doc["cycles"] = [{"ell": c.ell, "arrangement": list(c.arrangement)}
                      for c in result.cycles]
     return doc

@@ -1,50 +1,92 @@
 """Core k-uniform hypergraph representation, degree statistics, serialization.
 
-Vertices are dense integers 0..n-1; edges are stored canonically as sorted
-tuples.  Hypergraph values are immutable after construction and safe to share
-across threads.
+Vertices are dense integers 0..n-1.  The edge store is `codes`, one sorted,
+read-only int64 array: an edge's code is its sorted vertex tuple read as k
+base-n digits, so code order is the lexicographic order of the edges and a
+position in `codes` names an edge.  Codes must fit in int64, so n^k < 2^63.
+The tuple view `edges` is decoded from the codes on first use.  Hypergraph
+values are immutable after construction.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .errors import InvalidQueryError, ParseError
+import numpy as np
+
+from .errors import InvalidQueryError, ParseError, SizeLimitError
 from .util import read_json, write_json
 
 
-def canon_edge(edge: Iterable[int]) -> tuple[int, ...]:
-    """Canonical form of an edge: strictly increasing vertex tuple."""
-    return tuple(sorted(edge))
+def _row_codes(rows: np.ndarray, n: int) -> np.ndarray:
+    """Base-n codes of the rows of a 2-d int64 array (rows sorted by the caller)."""
+    codes = np.zeros(len(rows), dtype=np.int64)
+    for j in range(rows.shape[1]):
+        codes = codes * n + rows[:, j]
+    return codes
+
+
+def _fast_codes(n: int, k: int, edges: list):
+    """Sorted codes of a valid edge list in one vectorised pass; None when
+    any check fails, so that the caller can find the offending edge."""
+    try:
+        rows = np.array(edges)
+    except ValueError:  # ragged or nested edge lists
+        return None
+    if rows.dtype.kind != "i" or rows.shape != (len(edges), k):
+        return None
+    rows.sort(axis=1)
+    if rows[:, 0].min() < 0 or rows[:, -1].max() >= n \
+            or not (rows[:, 1:] > rows[:, :-1]).all():
+        return None
+    codes = np.sort(_row_codes(rows, n))
+    return None if (codes[1:] == codes[:-1]).any() else codes
+
+
+def _walked_codes(n: int, k: int, edges: list) -> np.ndarray:
+    """Sorted codes by a per-edge walk; raises ParseError naming the first bad edge."""
+    codes = []
+    seen = set()
+    for idx, e in enumerate(edges):
+        try:
+            ce = sorted(map(operator.index, e))
+        except TypeError:
+            raise ParseError(f"edge {idx}: must be a list of integers") from None
+        if len(set(ce)) != k:
+            raise ParseError(f"edge {idx} {list(e)}: not {k} distinct vertices")
+        if ce[0] < 0 or ce[-1] >= n:
+            raise ParseError(f"edge {idx} {list(e)}: vertex out of range 0..{n - 1}")
+        code = 0
+        for v in ce:
+            code = code * n + v
+        if code in seen:
+            raise ParseError(f"edge {idx} {list(e)}: duplicate edge")
+        seen.add(code)
+        codes.append(code)
+    return np.sort(np.array(codes, dtype=np.int64))
 
 
 class Hypergraph:
     """A k-uniform hypergraph on vertices 0..n-1 with a set of k-edges."""
 
-    __slots__ = ("n", "k", "edges", "_edge_set", "_completions")
+    __slots__ = ("n", "k", "codes", "_edges", "_code_set", "_completions")
 
     def __init__(self, n: int, k: int, edges: Iterable[Iterable[int]]):
         if not (1 <= k <= n):
             raise ParseError(f"need 1 <= k <= n, got k={k}, n={n}")
-        canon = []
-        seen = set()
-        for idx, e in enumerate(edges):
-            ce = canon_edge(e)
-            if len(set(ce)) != k:
-                raise ParseError(f"edge {idx} {list(e)}: not {k} distinct vertices")
-            if ce[0] < 0 or ce[-1] >= n:
-                raise ParseError(f"edge {idx} {list(e)}: vertex out of range 0..{n - 1}")
-            if ce in seen:
-                raise ParseError(f"edge {idx} {list(e)}: duplicate edge")
-            seen.add(ce)
-            canon.append(ce)
-        canon.sort()
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "edges", tuple(canon))
-        object.__setattr__(self, "_edge_set", frozenset(canon))
-        object.__setattr__(self, "_completions", None)
+        if n ** k >= 2 ** 63:
+            raise SizeLimitError(f"n^k = {n}^{k} >= 2^63: edge codes do not fit in int64")
+        edges = edges if isinstance(edges, list) else list(edges)
+        codes = _fast_codes(n, k, edges) if edges else np.empty(0, dtype=np.int64)
+        if codes is None:
+            codes = _walked_codes(n, k, edges)
+        codes.flags.writeable = False
+        for name, value in (("n", n), ("k", k), ("codes", codes), ("_edges", None),
+                            ("_code_set", None), ("_completions", None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Hypergraph is immutable")
@@ -52,19 +94,55 @@ class Hypergraph:
     def __eq__(self, other) -> bool:
         return (isinstance(other, Hypergraph)
                 and self.n == other.n and self.k == other.k
-                and self._edge_set == other._edge_set)
+                and np.array_equal(self.codes, other.codes))
 
     def __hash__(self) -> int:
-        return hash((self.n, self.k, self._edge_set))
+        return hash((self.n, self.k, self.codes.tobytes()))
 
     def __repr__(self) -> str:
-        return f"Hypergraph(n={self.n}, k={self.k}, |E|={len(self.edges)})"
+        return f"Hypergraph(n={self.n}, k={self.k}, |E|={len(self.codes)})"
+
+    @property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        """The edges as sorted vertex tuples, in ascending (code) order."""
+        if self._edges is None:
+            object.__setattr__(self, "_edges", tuple(map(tuple, self.rows().tolist())))
+        return self._edges
+
+    def rows(self) -> np.ndarray:
+        """The edges as an |E| x k int64 array of ascending vertex rows, in code order."""
+        rows = np.empty((len(self.codes), self.k), dtype=np.int64)
+        rest = self.codes
+        for j in range(self.k - 1, -1, -1):
+            rest, rows[:, j] = np.divmod(rest, self.n)
+        return rows
+
+    def locate(self, rows) -> np.ndarray:
+        """Position in `codes` of the edge each k-vertex row names, -1 where
+        the row is not an edge.  Rows may list their vertices in any order."""
+        rows = np.sort(np.asarray(rows, dtype=np.int64).reshape(-1, self.k), axis=1)
+        codes = _row_codes(rows, self.n)
+        pos = np.searchsorted(self.codes, codes)
+        found = (rows[:, 0] >= 0) & (rows[:, -1] < self.n) & (pos < len(self.codes))
+        found[found] = self.codes[pos[found]] == codes[found]
+        return np.where(found, pos, -1)
 
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.codes)
 
     def has_edge(self, vertices: Iterable[int]) -> bool:
-        return canon_edge(vertices) in self._edge_set
+        """Membership of one vertex set.  The exhaustive enumerators call this
+        per candidate segment, so it tests a frozenset of the codes, built on
+        first use; batches go through `locate`."""
+        vs = sorted(vertices)
+        if len(vs) != self.k or vs[0] < 0 or vs[-1] >= self.n:
+            return False
+        code = 0
+        for v in vs:
+            code = code * self.n + v
+        if self._code_set is None:
+            object.__setattr__(self, "_code_set", frozenset(self.codes.tolist()))
+        return code in self._code_set
 
     def completion_index(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         """Map each (k-1)-subset of an edge to the sorted tuple of completing vertices.
@@ -104,24 +182,53 @@ def degree_of(h: Hypergraph, subset: Iterable[int]) -> int:
     return sum(1 for e in h.edges if a.issubset(e))
 
 
+def _lex_unrank(rank: int, n: int, d: int) -> tuple[int, ...]:
+    """The d-subset of 0..n-1 at position `rank` in lexicographic order."""
+    sub = []
+    v = 0
+    for i in range(d):
+        while rank >= math.comb(n - 1 - v, d - 1 - i):
+            rank -= math.comb(n - 1 - v, d - 1 - i)
+            v += 1
+        sub.append(v)
+        v += 1
+    return tuple(sub)
+
+
 def degree_report(h: Hypergraph, d: int) -> DegreeReport:
-    """Exhaustive scan over all d-subsets of the vertex set; exact extremes."""
+    """Exact extremes over all d-subsets, with the first attaining subset in
+    lexicographic order as witness.
+
+    Every edge contributes the lexicographic ranks of its C(k, d) d-subsets,
+    rank(c) = C(n, d) - 1 - sum_i C(n - 1 - c_i, d - i); the d-subsets absent
+    from all ranks have degree 0, and the first of them is the first rank
+    missing from the sorted distinct ranks.
+    """
     if not (1 <= d <= h.k - 1):
         raise InvalidQueryError(f"d must satisfy 1 <= d <= k-1 = {h.k - 1}, got {d}")
-    counts: dict[tuple[int, ...], int] = {}
-    for e in h.edges:
-        for sub in combinations(e, d):
-            counts[sub] = counts.get(sub, 0) + 1
-    w_min = w_max = None
-    d_min = d_max = None
-    for sub in combinations(range(h.n), d):
-        c = counts.get(sub, 0)
-        if d_min is None or c < d_min:
-            d_min, w_min = c, sub
-        if d_max is None or c > d_max:
-            d_max, w_max = c, sub
+    n = h.n
+    total = math.comb(n, d)
+    comb = np.array([[math.comb(x, j) for j in range(d + 1)] for x in range(n)],
+                    dtype=np.int64)
+    rows = n - 1 - h.rows()
+    ranks = np.concatenate([
+        total - 1 - sum(comb[rows[:, c], d - i] for i, c in enumerate(cols))
+        for cols in combinations(range(h.k), d)])
+    present, counts = np.unique(ranks, return_counts=True)
+    if len(present) < total:
+        gaps = np.flatnonzero(present != np.arange(len(present)))
+        d_min, r_min = 0, int(gaps[0]) if len(gaps) else len(present)
+    else:
+        i = int(np.argmin(counts))
+        d_min, r_min = int(counts[i]), int(present[i])
+    if len(present):
+        i = int(np.argmax(counts))
+        d_max, r_max = int(counts[i]), int(present[i])
+    else:
+        d_max, r_max = 0, 0
     return DegreeReport(d=d, min_degree=d_min, max_degree=d_max,
-                        witness_min=w_min, witness_max=w_max)
+                        witness_min=_lex_unrank(r_min, n, d),
+                        witness_max=_lex_unrank(r_max, n, d))
 
 
 def relative_degree(h: Hypergraph, x: Iterable[int], y: Iterable[int]) -> int:
@@ -143,7 +250,7 @@ def relative_degree(h: Hypergraph, x: Iterable[int], y: Iterable[int]) -> int:
 
 
 def to_json_dict(h: Hypergraph) -> dict:
-    return {"n": h.n, "k": h.k, "edges": [list(e) for e in h.edges]}
+    return {"n": h.n, "k": h.k, "edges": h.rows().tolist()}
 
 
 def from_json_dict(obj) -> Hypergraph:
@@ -152,9 +259,6 @@ def from_json_dict(obj) -> Hypergraph:
     n, k, edges = obj["n"], obj["k"], obj["edges"]
     if not isinstance(n, int) or not isinstance(k, int) or not isinstance(edges, list):
         raise ParseError('"n" and "k" must be integers and "edges" a list')
-    for idx, e in enumerate(edges):
-        if not isinstance(e, list) or not all(isinstance(v, int) for v in e):
-            raise ParseError(f"edge {idx}: must be a list of integers")
     return Hypergraph(n, k, edges)
 
 

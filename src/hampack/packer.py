@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from . import bifactor
 from .bifactor import BipartiteGraph
@@ -70,14 +71,18 @@ class PackingResult:
     goal_met: Optional[bool] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Assignment:
-    """Outcome of the random edge-to-scheme assignment."""
+    """Outcome of the random edge-to-scheme assignment.  Both arrays are
+    indexed by edge position, the order of `h.codes` and `h.edges`."""
     schemes: tuple[PartitionScheme, ...]
-    psi: dict[tuple[int, ...], int]
-    choice: dict[tuple[int, ...], Optional[int]]
-    per_index: tuple[tuple[tuple[int, ...], ...], ...]
-    unassigned: tuple[tuple[int, ...], ...]
+    psi: np.ndarray      # number of schemes realizing the edge
+    choice: np.ndarray   # the scheme the edge picked; -1 when psi is 0
+
+    def assigned_counts(self) -> list[int]:
+        """Number of edges that picked each scheme."""
+        picked = self.choice[self.choice >= 0]
+        return np.bincount(picked, minlength=len(self.schemes)).tolist()
 
 
 @dataclass(frozen=True)
@@ -90,55 +95,40 @@ class PsiStats:
     expected_mean: float       # num_schemes * q_upper_bound
 
 
-def _realized_edges(aux: AuxGraph):
-    """(aux edge, hyperedge s_label ∪ t_label) for every edge of the aux graph."""
-    for a, b in aux.graph.edges:
-        yield (a, b), tuple(sorted(aux.s_labels[a] + aux.t_labels[b]))
-
-
 def assign_edges(h: Hypergraph, auxes: Sequence[AuxGraph], seed: int) -> Assignment:
     """Every edge realized by at least one scheme's aux graph picks one of those
-    schemes uniformly at random; the per-scheme edge lists are disjoint by
+    schemes uniformly at random; the per-scheme edge sets are disjoint by
     construction.  Candidate lists are ascending and each scheme appears once,
-    although for m = 2 two aux edges realize the same hyperedge."""
-    candidates: dict[tuple[int, ...], list[int]] = {}
-    for i, aux in enumerate(auxes):
-        for _, e in _realized_edges(aux):
-            cands = candidates.setdefault(e, [])
-            if not cands or cands[-1] != i:
-                cands.append(i)
+    although for m = 2 two aux edges realize the same hyperedge.  One
+    `randrange(psi)` call per realized edge, in position order."""
+    pos = np.concatenate([np.empty(0, dtype=np.int64)] + [aux.edge_pos for aux in auxes])
+    scheme = np.repeat(np.arange(len(auxes)), [len(aux.edge_pos) for aux in auxes])
+    order = np.argsort(pos, kind="stable")  # schemes stay ascending within a position
+    pos, scheme = pos[order], scheme[order]
+    first = np.ones(len(pos), dtype=bool)
+    first[1:] = (pos[1:] != pos[:-1]) | (scheme[1:] != scheme[:-1])
+    pos, scheme = pos[first], scheme[first]
+    psi = np.bincount(pos, minlength=h.num_edges())
+    realized = np.flatnonzero(psi)
     rng = random.Random(seed)
-    psi: dict[tuple[int, ...], int] = {}
-    choice: dict[tuple[int, ...], Optional[int]] = {}
-    per_index: list[list[tuple[int, ...]]] = [[] for _ in auxes]
-    unassigned: list[tuple[int, ...]] = []
-    for e in h.edges:
-        cands = candidates.get(e, [])
-        psi[e] = len(cands)
-        if cands:
-            pick = cands[rng.randrange(len(cands))]
-            choice[e] = pick
-            per_index[pick].append(e)
-        else:
-            choice[e] = None
-            unassigned.append(e)
-    return Assignment(schemes=tuple(aux.scheme for aux in auxes), psi=psi, choice=choice,
-                      per_index=tuple(tuple(x) for x in per_index),
-                      unassigned=tuple(unassigned))
+    picks = np.array([rng.randrange(c) for c in psi[realized].tolist()], dtype=np.int64)
+    choice = np.full(h.num_edges(), -1, dtype=np.int64)
+    choice[realized] = scheme[(np.cumsum(psi) - psi)[realized] + picks]
+    return Assignment(schemes=tuple(aux.scheme for aux in auxes), psi=psi, choice=choice)
 
 
 def psi_statistics(assignment: Assignment) -> PsiStats:
     """Histogram of candidate counts, against the per-scheme ceiling m^2/|E|."""
-    hist = Counter(assignment.psi.values())
+    counts = np.bincount(assignment.psi).tolist()
     num_edges = len(assignment.psi)
-    total = sum(v * c for v, c in hist.items())
+    total = int(assignment.psi.sum())
     if assignment.schemes:
         m = assignment.schemes[0].m
         q_bound = (m * m / num_edges) if num_edges else 0.0
     else:
         q_bound = 0.0
     r = len(assignment.schemes)
-    return PsiStats(histogram=dict(sorted(hist.items())), num_edges=num_edges,
+    return PsiStats(histogram={v: c for v, c in enumerate(counts) if c}, num_edges=num_edges,
                     sum_psi=total, mean_psi=(total / num_edges) if num_edges else 0.0,
                     q_upper_bound=q_bound, expected_mean=r * q_bound)
 
@@ -187,8 +177,8 @@ def _extract_cycles(h: Hypergraph, aux: AuxGraph, index: int, assignment: Assign
     guaranteed target (which the maximum dominates whenever feasible).
     """
     m = aux.scheme.m
-    sub = BipartiteGraph(m, (ab for ab, e in _realized_edges(aux)
-                             if assignment.choice[e] == index))
+    sub = BipartiteGraph._from_codes(
+        m, aux.graph.codes[assignment.choice[aux.edge_pos] == index])
     factor_target = None
     if mode == "fixed":
         factor_target = max(0, fixed_r)
@@ -221,14 +211,15 @@ def _assemble(h: Hypergraph, auxes, retries, assignment, extraction,
               uncovered_budget: Optional[float] = None) -> PackingResult:
     all_cycles: list[HamiltonCycle] = []
     stats: list[PartitionStats] = []
+    assigned = assignment.assigned_counts()
     for i, aux in enumerate(auxes):
         sub, target, r_i, n_matchings, cycles = extraction[i]
         all_cycles.extend(cycles)
         stats.append(PartitionStats(
             index=i, retries=retries[i],
-            aux_min_degree=aux.graph.min_degree(), aux_edges=len(aux.graph.edges),
-            assigned_edges=len(assignment.per_index[i]),
-            sub_aux_edges=len(sub.edges), factor_target=target,
+            aux_min_degree=aux.graph.min_degree(), aux_edges=len(aux.graph.codes),
+            assigned_edges=assigned[i],
+            sub_aux_edges=len(sub.codes), factor_target=target,
             factor_size=r_i, matchings=n_matchings, cycles=len(cycles)))
     used: set[tuple[int, ...]] = set()
     for cycle in all_cycles:
@@ -237,9 +228,10 @@ def _assemble(h: Hypergraph, auxes, retries, assignment, extraction,
             if ce in used:
                 raise InvariantViolation(f"edge {ce} appears in two packed cycles")
             used.add(ce)
-    assigned_total = sum(len(x) for x in assignment.per_index)
-    if assigned_total + len(assignment.unassigned) != h.num_edges():
-        raise InvariantViolation("edge conservation failed: assigned + unassigned != |E|")
+    unassigned = assignment.choice < 0
+    if len(unassigned) != h.num_edges() or (unassigned != (assignment.psi == 0)).any():
+        raise InvariantViolation(
+            "edge conservation failed: not every edge picks a scheme exactly when one realizes it")
     covered = len(used)
     ratio = covered / h.num_edges() if h.num_edges() else 0.0
     goal = (h.num_edges() - covered) <= uncovered_budget if uncovered_budget is not None else None
@@ -247,7 +239,7 @@ def _assemble(h: Hypergraph, auxes, retries, assignment, extraction,
         cycles=tuple(all_cycles), partitions_used=len(auxes),
         per_partition=tuple(stats),
         psi_histogram=psi_statistics(assignment).histogram,
-        unassigned=len(assignment.unassigned),
+        unassigned=int(unassigned.sum()),
         covered_edges=covered, coverage_ratio=ratio,
         warnings=tuple(warnings), resample_exhausted=exhausted,
         uncovered_budget=uncovered_budget, goal_met=goal)
@@ -335,9 +327,10 @@ def pack_near_regular(h: Hypergraph, ell: int, delta_target: float, epsilon: flo
     except InvalidInputError:
         density = 0.0
     extraction = []
+    assigned = assignment.assigned_counts()
     for i, aux in enumerate(auxes):
-        full = len(aux.graph.edges)
-        retention = (len(assignment.per_index[i]) / full) if full else 0.0
+        full = len(aux.graph.codes)
+        retention = (assigned[i] / full) if full else 0.0
         extraction.append(_extract_cycles(h, aux, i, assignment, "report",
                                           int(density * m * retention)))
     budget = delta_target * math.comb(n, k)

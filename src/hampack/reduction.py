@@ -15,9 +15,11 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
+import numpy as np
+
 from .bifactor import BipartiteGraph
 from .errors import InvalidInputError, ParseError
-from .hypercore import Hypergraph, canon_edge
+from .hypercore import Hypergraph
 from .util import read_json, write_json
 
 
@@ -70,13 +72,18 @@ class PartitionScheme:
             raise InvalidInputError("A and B must partition the vertex set")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AuxGraph:
-    """The bipartite reduction graph for one partition scheme."""
+    """The bipartite reduction graph for one partition scheme.
+
+    `edge_pos[j]` is the position in `h.codes` of the hyperedge that the
+    aux edge `graph.codes[j]` realizes.
+    """
     scheme: PartitionScheme
     graph: BipartiteGraph
     s_labels: tuple[tuple[int, ...], ...]   # ell >= 1: sorted F_i ∪ F_{i+1}; ell = 0: the tuples
     t_labels: tuple[tuple[int, ...], ...]   # the blocks
+    edge_pos: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -171,27 +178,26 @@ def sample_scheme(h: Hypergraph, ell: int, seed: int) -> PartitionScheme:
 
 
 def build_aux_graph(h: Hypergraph, scheme: PartitionScheme) -> AuxGraph:
-    """Exact membership test of every junction-pair/block union against E(H)."""
+    """Exact membership test of every junction-pair/block union against E(H).
+
+    The union of S-label s and block t is row s·m + t of one m² x k array,
+    so the rows found in E(H) are, in order, the aux graph's edge codes.
+    """
     if scheme.n != h.n or scheme.k != h.k:
         raise InvalidInputError("scheme does not match the hypergraph's n and k")
     m = scheme.m
-    edges = []
     if scheme.ell >= 1:
         s_labels = tuple(tuple(sorted(scheme.tuples_a[i] + scheme.tuples_a[(i + 1) % m]))
                          for i in range(m))
-        for i in range(m):
-            junction = s_labels[i]
-            for j, block in enumerate(scheme.blocks_b):
-                if h.has_edge(junction + block):
-                    edges.append((i, j))
     else:
         s_labels = scheme.tuples_a
-        for i, half in enumerate(scheme.tuples_a):
-            for j, block in enumerate(scheme.blocks_b):
-                if h.has_edge(half + block):
-                    edges.append((i, j))
-    return AuxGraph(scheme=scheme, graph=BipartiteGraph(m, edges),
-                    s_labels=s_labels, t_labels=scheme.blocks_b)
+    left = np.array(s_labels, dtype=np.int64).reshape(m, -1)
+    right = np.array(scheme.blocks_b, dtype=np.int64).reshape(m, -1)
+    pos = h.locate(np.hstack([np.repeat(left, m, axis=0), np.tile(right, (m, 1))]))
+    realized = pos >= 0
+    return AuxGraph(scheme=scheme,
+                    graph=BipartiteGraph._from_codes(m, np.flatnonzero(realized)),
+                    s_labels=s_labels, t_labels=scheme.blocks_b, edge_pos=pos[realized])
 
 
 def lift_matching(aux: AuxGraph, matching: Matching) -> HamiltonCycle:
@@ -221,7 +227,7 @@ def lift_matching_pm(aux: AuxGraph, matching: Matching) -> frozenset[tuple[int, 
     if scheme.ell != 0:
         raise InvalidInputError(f"scheme has ell={scheme.ell}; only ell=0 lifts to a matching")
     sigma = _as_perfect_matching(matching, aux)
-    return frozenset(canon_edge(scheme.tuples_a[i] + scheme.blocks_b[sigma[i]])
+    return frozenset(tuple(sorted(scheme.tuples_a[i] + scheme.blocks_b[sigma[i]]))
                      for i in range(scheme.m))
 
 
@@ -259,9 +265,9 @@ def verify_cycle(h: Hypergraph, cycle: HamiltonCycle) -> CycleCheck:
         if shared != junction:
             return CycleCheck(False, "wrong-consecutive-overlap",
                               (segs[i], segs[(i + 1) % m]))
-    for seg in segs:
-        if not h.has_edge(seg):
-            return CycleCheck(False, "segment-not-an-edge", canon_edge(seg))
+    missing = np.flatnonzero(h.locate(segs) < 0)
+    if missing.size:
+        return CycleCheck(False, "segment-not-an-edge", tuple(sorted(segs[missing[0]])))
     return CycleCheck(True)
 
 

@@ -1,4 +1,4 @@
-"""Shared test generators."""
+"""Shared test generators and reference implementations."""
 import random
 from itertools import combinations
 
@@ -45,6 +45,58 @@ def candidate_partitions(edge, schemes):
     Builds a one-edge hypergraph per scheme; the oracle for `assign_edges`."""
     return [i for i, s in enumerate(schemes)
             if build_aux_graph(Hypergraph(s.n, s.k, [edge]), s).graph.edges]
+
+
+def degree_report_scan(h, d):
+    """Dict-based scan over every d-subset in lexicographic order, keeping the
+    first subset attaining each extreme: the oracle for `degree_report`.
+    Returns (min_degree, max_degree, witness_min, witness_max)."""
+    counts = {}
+    for e in h.edges:
+        for sub in combinations(e, d):
+            counts[sub] = counts.get(sub, 0) + 1
+    w_min = w_max = d_min = d_max = None
+    for sub in combinations(range(h.n), d):
+        c = counts.get(sub, 0)
+        if d_min is None or c < d_min:
+            d_min, w_min = c, sub
+        if d_max is None or c > d_max:
+            d_max, w_max = c, sub
+    return d_min, d_max, w_min, w_max
+
+
+def assign_edges_reference(h, auxes, seed):
+    """Tuple-keyed candidate dict walked in `h.edges` order: the oracle for
+    `assign_edges`.  Returns (psi, choice, per_scheme, unassigned) with psi
+    and choice keyed by edge tuple (choice None when no scheme realizes the
+    edge) and the per-scheme and unassigned edge lists in `h.edges` order."""
+    candidates = {}
+    for i, aux in enumerate(auxes):
+        for a, b in aux.graph.edges:
+            cands = candidates.setdefault(tuple(sorted(aux.s_labels[a] + aux.t_labels[b])), [])
+            if not cands or cands[-1] != i:
+                cands.append(i)
+    rng = random.Random(seed)
+    psi, choice = {}, {}
+    per_scheme = [[] for _ in auxes]
+    unassigned = []
+    for e in h.edges:
+        cands = candidates.get(e, [])
+        psi[e] = len(cands)
+        if cands:
+            choice[e] = cands[rng.randrange(len(cands))]
+            per_scheme[choice[e]].append(e)
+        else:
+            choice[e] = None
+            unassigned.append(e)
+    return psi, choice, per_scheme, unassigned
+
+
+def edge_position(h, edge):
+    """Position of `edge` in `h.codes` (and `h.edges`); the edge must exist."""
+    pos = int(h.locate([edge])[0])
+    assert pos >= 0, f"{edge} is not an edge"
+    return pos
 
 
 def one_uncovered_pair(n=12):

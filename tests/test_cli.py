@@ -205,6 +205,13 @@ def test_verify_wrong_overlap_exit_2(tmp_path, capsys):
     assert code == 2 and json.loads(out)["failure"] == "ell-out-of-range"
 
 
+def test_codes_past_int64_exit_1(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"n": 79, "k": 10, "edges": []}')
+    code, _, err = run(capsys, "degrees", "--input", str(path), "--d", "1")
+    assert code == 1 and "2^63" in err
+
+
 def test_missing_input_exit_1(tmp_path, capsys):
     code, _, err = run(capsys, "degrees", "--input", str(tmp_path / "nope.json"), "--d", "1")
     assert code == 1
@@ -323,6 +330,58 @@ def test_mc_partition_golden_digests(tmp_path, capsys, argv, primary, sidecar):
                      "--trials", "50", "--seed", "1", "--out", opath)
     assert code == 0
     assert (_sha256(opath), _sha256(opath + ".trials.csv")) == (primary, sidecar)
+
+
+# sha256 of `gen` on each golden input, of `degrees` on random-30-3 and of
+# `reduce` (primary JSON and scheme sidecar) on complete-12-3, recorded before
+# the hypergraph's edges were stored as one sorted code array.
+GOLDEN_GEN = {
+    "complete-12-3": "d3bf2eacbc23e33f2dd85a8940888af079266b0971bd5613508d4fdd67c431b3",
+    "complete-4-3": "7e75a0f77353747c6cc49bffde476d89a0c5ce518f5fa08d106ccfaee10ff35e",
+    "complete-6-5": "13f786f90bb11568df9347e1d7d63ac87d89ec0cfad51666ede8a5df2456e8e8",
+    "random-30-3": "02dfde9f83ffc6735fdb794091f611df8d92632f30fbfd8ee87e0275bbb6279f",
+}
+
+GOLDEN_DEGREES = {
+    "1": "78600eaa8c7396ba974bfcd1f783eb84a3a92b36f66e0fe8244f29086978c55c",
+    "2": "d9da3d51b285c7ea225fd53ae8c1e35264d1e6067a5bf27ea97ce3469e239c63",
+}
+
+GOLDEN_REDUCE = {
+    "1": ("53e4dc332f6f9d42b7747c1ac016a138e17896c7f695bc3eed93ed038f3a16eb",
+          "bd77e44e9aa5726d2dd7deeb7ba04cb51dd4d026c3308260163f6d4b7f602dac"),
+    "0": ("7a86d2db949dfc7c1f37282f2d2719ec45f0cf0d4952f10874dd0f687561388d",
+          "7c21b1e872ae76d17cf478556e6c86488a4bf481df7f4a867f25f48953a2eb0a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_GEN))
+def test_gen_golden_digests(tmp_path, capsys, name):
+    hpath = str(tmp_path / "h.json")
+    code, _, _ = run(capsys, "gen", *GOLDEN_INPUTS[name], "--out", hpath)
+    assert code == 0 and _sha256(hpath) == GOLDEN_GEN[name]
+
+
+@pytest.mark.parametrize("d", sorted(GOLDEN_DEGREES))
+def test_degrees_golden_digests(tmp_path, capsys, d):
+    hpath = str(tmp_path / "h.json")
+    code, _, _ = run(capsys, "gen", *GOLDEN_INPUTS["random-30-3"], "--out", hpath)
+    assert code == 0
+    opath = str(tmp_path / "deg.json")
+    code, _, _ = run(capsys, "degrees", "--input", hpath, "--d", d, "--out", opath)
+    assert code == 0 and _sha256(opath) == GOLDEN_DEGREES[d]
+
+
+@pytest.mark.parametrize("ell", sorted(GOLDEN_REDUCE))
+def test_reduce_golden_digests(tmp_path, capsys, ell):
+    hpath = str(tmp_path / "h.json")
+    code, _, _ = run(capsys, "gen", *GOLDEN_INPUTS["complete-12-3"], "--out", hpath)
+    assert code == 0
+    opath = str(tmp_path / "red.json")
+    code, _, _ = run(capsys, "reduce", "--input", hpath, "--ell", ell, "--seed", "7",
+                     "--out", opath)
+    assert code == 0
+    assert (_sha256(opath), _sha256(opath + ".scheme.json")) == GOLDEN_REDUCE[ell]
 
 
 def test_mc_factor_golden_digests(tmp_path, capsys):

@@ -4,10 +4,12 @@ from itertools import combinations
 import pytest
 
 from hampack.constructions import complete_hypergraph, parity_hypergraph, random_hypergraph
-from hampack.errors import InvalidQueryError, ParseError
+from hampack.errors import InvalidQueryError, ParseError, SizeLimitError
 from hampack.hypercore import (Hypergraph, degree_of, degree_report,
                                read_hypergraph, relative_degree,
                                write_hypergraph)
+
+from helpers import degree_report_scan, one_uncovered_pair
 
 
 def test_degree_of_complete():
@@ -73,6 +75,26 @@ def test_degree_report_matches_naive_scan():
             assert naive[rep.witness_max] == rep.max_degree
 
 
+@pytest.mark.parametrize("h", [
+    random_hypergraph(9, 3, 0.5, 1),
+    random_hypergraph(10, 4, 0.3, 2),
+    random_hypergraph(8, 5, 0.6, 3),
+    random_hypergraph(12, 3, 0.05, 4),
+    random_hypergraph(7, 3, 0.97, 5),
+    complete_hypergraph(7, 3),
+    parity_hypergraph(10, 4).hypergraph,
+    one_uncovered_pair(),
+    Hypergraph(6, 3, []),
+    Hypergraph(5, 3, [[0, 1, 2]]),
+], ids=["n9-k3", "n10-k4", "n8-k5", "sparse", "dense", "complete", "parity",
+        "uncovered-pair", "empty", "one-edge"])
+def test_degree_report_equals_the_dict_scan(h):
+    for d in range(1, h.k):
+        rep = degree_report(h, d)
+        assert (rep.min_degree, rep.max_degree, rep.witness_min, rep.witness_max) \
+            == degree_report_scan(h, d)
+
+
 def test_relative_degree_complete():
     h = complete_hypergraph(6, 3)
     assert relative_degree(h, [0, 1], [2, 3]) == 2
@@ -117,6 +139,18 @@ def test_read_minimal(tmp_path):
     ('{"n": 4, "k": 3, "edges": [[0,1,2],[2,1,0]]}', "duplicate"),
     ('{"n": 4, "k": 3, "edges": [[0,1,9]]}', "out of range"),
     ('{"n": 4, "k": 3, "edges": [[0,1]]}', "distinct"),
+    ('{"n": 4, "k": 3, "edges": [[0,1,3],[0,1.5,2]]}', "edge 1: must be a list of integers"),
+    ('{"n": 4, "k": 3, "edges": [[0,1,3],[0,1,2.0]]}', "edge 1: must be a list of integers"),
+    ('{"n": 4, "k": 3, "edges": [[0,1,3],[0,"1",2]]}', "edge 1: must be a list of integers"),
+    ('{"n": 4, "k": 3, "edges": [[0,1,3],[0,[1],2]]}', "edge 1: must be a list of integers"),
+    ('{"n": 4, "k": 3, "edges": [[[0],[1],[2]]]}', "edge 0: must be a list of integers"),
+    ('{"n": 4, "k": 3, "edges": [[0,1,3],5]}', "edge 1: must be a list of integers"),
+    ('{"n": 4, "k": 3, "edges": [[0,1,3],[0,1,2],[1,2]]}', "edge 2 .*distinct"),
+    ('{"n": 4, "k": 3, "edges": [[0,1,3],[1,2,1]]}', "edge 1 .*distinct"),
+    ('{"n": 4, "k": 3, "edges": [[0,1,3],[0,1,9223372036854775808]]}',
+     "edge 1 .*out of range"),
+    ('{"n": 4, "k": 3, "edges": [[0,1,2],[0,1,-1]]}', "edge 1 .*out of range"),
+    ('{"n": 5, "k": 3, "edges": [[0,1,3],[1,2,4],[3,0,1]]}', "edge 2 .*duplicate"),
     ('{"n": 4, "k": 3}', "keys"),
     ('{"n": 4, "k": 3, "edges": [[0,1,2]], "x": 1}', "keys"),
     ('not json', "JSON"),
@@ -138,3 +172,36 @@ def test_constructor_rejects_bad_k():
 def test_edges_stored_sorted():
     h = Hypergraph(5, 3, [[4, 2, 0], [3, 1, 0]])
     assert h.edges == ((0, 1, 3), (0, 2, 4))
+
+
+def test_read_empty_edge_list(tmp_path):
+    path = tmp_path / "h.json"
+    path.write_text('{"n": 5, "k": 3, "edges": []}')
+    h = read_hypergraph(str(path))
+    assert h.num_edges() == 0 and h.edges == () and h == Hypergraph(5, 3, [])
+
+
+def test_codes_must_fit_in_int64():
+    # 78^10 < 2^63 <= 79^10
+    assert Hypergraph(78, 10, [range(10)]).num_edges() == 1
+    with pytest.raises(SizeLimitError, match="2\\^63"):
+        Hypergraph(79, 10, [])
+
+
+def test_codes_are_the_lexicographic_edge_order():
+    h = random_hypergraph(9, 4, 0.5, 3)
+    assert list(h.edges) == sorted(h.edges)
+    assert h.codes.tolist() == [((a * 9 + b) * 9 + c) * 9 + d for a, b, c, d in h.edges]
+    assert not h.codes.flags.writeable
+    assert h.locate([(e[3], e[1], e[0], e[2]) for e in h.edges]).tolist() \
+        == list(range(h.num_edges()))
+    assert h.locate([(0, 1, 2, 9), (0, 0, 1, 2), (-1, 0, 1, 2)]).tolist() == [-1, -1, -1]
+
+
+def test_equality_and_hash_follow_the_edge_set():
+    a = Hypergraph(6, 3, [[0, 1, 2], [3, 4, 5]])
+    b = Hypergraph(6, 3, ((5, 3, 4), (2, 1, 0)))
+    assert a == b and hash(a) == hash(b)
+    assert a != Hypergraph(6, 3, [[0, 1, 2]]) and a != Hypergraph(7, 3, a.edges)
+    assert b.has_edge([4, 5, 3]) and not b.has_edge([0, 1, 3])
+    assert not b.has_edge([0, 1]) and not b.has_edge([0, 1, 6])

@@ -1,6 +1,6 @@
-import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from hampack.constructions import complete_hypergraph, random_hypergraph
@@ -11,7 +11,8 @@ from hampack.packer import (PackingConfig, assign_edges, default_num_partitions,
 from hampack.reduction import sample_scheme, verify_cycle
 from hampack.util import derive_seed
 
-from helpers import aux_graphs, candidate_partitions, one_uncovered_pair
+from helpers import (assign_edges_reference, aux_graphs, candidate_partitions,
+                     edge_position, one_uncovered_pair)
 
 
 def scheme_for(h, ell, seed):
@@ -20,7 +21,7 @@ def scheme_for(h, ell, seed):
 
 def assigned_psi(h, s, edge):
     """The candidate count `assign_edges` gives `edge` under the one scheme `s`."""
-    return assign_edges(h, aux_graphs(h, [s]), 0).psi[edge]
+    return assign_edges(h, aux_graphs(h, [s]), 0).psi[edge_position(h, edge)]
 
 
 class TestCandidates:
@@ -65,17 +66,18 @@ class TestAssign:
         h = complete_hypergraph(12, 3)
         s = scheme_for(h, 1, 5)
         a = assign_edges(h, aux_graphs(h, [s]), seed=0)
-        for e, psi in a.psi.items():
+        assert len(a.psi) == len(a.choice) == h.num_edges()
+        for pos, psi in enumerate(a.psi):
             if psi >= 1:
-                assert a.choice[e] is not None
+                assert a.choice[pos] >= 0
             else:
-                assert a.choice[e] is None and e in a.unassigned
+                assert a.choice[pos] == -1
 
     def test_conservation(self):
         h = random_hypergraph(12, 3, 0.7, 9)
         schemes = [scheme_for(h, 1, s) for s in range(3)]
         a = assign_edges(h, aux_graphs(h, schemes), seed=1)
-        assert sum(len(x) for x in a.per_index) + len(a.unassigned) == h.num_edges()
+        assert sum(a.assigned_counts()) + np.count_nonzero(a.choice == -1) == h.num_edges()
 
     def test_psi_sum_equals_total_aux_edges(self):
         # each aux edge of each scheme names exactly one hypergraph edge (m >= 3)
@@ -83,14 +85,14 @@ class TestAssign:
         h = random_hypergraph(12, 3, 0.8, 4)
         schemes = [scheme_for(h, 1, s) for s in range(4)]
         a = assign_edges(h, aux_graphs(h, schemes), seed=2)
-        assert sum(a.psi.values()) == sum(
+        assert a.psi.sum() == sum(
             len(build_aux_graph(h, s).graph.edges) for s in schemes)
 
     def test_complete_psi_sum_is_r_m_squared(self):
         h = complete_hypergraph(12, 3)
         schemes = [scheme_for(h, 1, s) for s in range(3)]
         a = assign_edges(h, aux_graphs(h, schemes), seed=2)
-        assert sum(a.psi.values()) == 3 * 6 * 6
+        assert a.psi.sum() == 3 * 6 * 6
 
     def test_uniform_choice_frequency(self):
         # two identical schemes give every realized edge psi = 2; each gets
@@ -98,18 +100,20 @@ class TestAssign:
         h = complete_hypergraph(12, 3)
         s = scheme_for(h, 1, 5)
         edge = tuple(sorted(s.tuples_a[0] + s.tuples_a[1] + s.blocks_b[0]))
+        pos = edge_position(h, edge)
         picks = Counter()
         for seed in range(200):
             a = assign_edges(h, aux_graphs(h, [s, s]), seed=seed)
-            assert a.psi[edge] == 2
-            picks[a.choice[edge]] += 1
+            assert a.psi[pos] == 2
+            picks[int(a.choice[pos])] += 1
         assert abs(picks[0] / 200 - 0.5) <= 0.1
 
     def test_deterministic(self):
         h = random_hypergraph(12, 3, 0.8, 0)
         schemes = [scheme_for(h, 1, s) for s in range(2)]
-        assert assign_edges(h, aux_graphs(h, schemes), 7) == \
-            assign_edges(h, aux_graphs(h, schemes), 7)
+        a, b = (assign_edges(h, aux_graphs(h, schemes), 7) for _ in range(2))
+        assert a.schemes == b.schemes
+        assert np.array_equal(a.psi, b.psi) and np.array_equal(a.choice, b.choice)
 
 
 def oracle_labels(scheme):
@@ -141,9 +145,9 @@ class TestAssignOracle:
     def test_psi_matches_brute_force(self, h, ell):
         schemes = [scheme_for(h, ell, s) for s in range(4)]
         a = assign_edges(h, aux_graphs(h, schemes), seed=3)
-        assert set(a.psi) == set(h.edges)
-        for e in h.edges:
-            assert a.psi[e] == oracle_psi(e, schemes)
+        assert len(a.psi) == h.num_edges()
+        for pos, e in enumerate(h.edges):
+            assert a.psi[pos] == oracle_psi(e, schemes)
 
     @pytest.mark.parametrize("h,ell", ORACLE_CASES)
     def test_sub_aux_edges_are_the_chosen_aux_edges(self, h, ell):
@@ -155,11 +159,40 @@ class TestAssignOracle:
         a = assign_edges(h, aux_graphs(h, schemes), derive_seed(cfg.seed, "assign"))
         for i, (scheme, stats) in enumerate(zip(schemes, res.per_partition)):
             labels = oracle_labels(scheme)
-            chosen = [(x, y) for x, lab in enumerate(labels)
-                      for y, blk in enumerate(scheme.blocks_b)
-                      if a.choice.get(tuple(sorted(lab + blk))) == i]
+            unions = [lab + blk for lab in labels for blk in scheme.blocks_b]
+            pos = h.locate(unions)
+            chosen = [p for p in pos.tolist() if p >= 0 and a.choice[p] == i]
             assert stats.sub_aux_edges == len(chosen)
-            assert stats.assigned_edges == len(a.per_index[i])
+            assert stats.assigned_edges == a.assigned_counts()[i] \
+                == np.count_nonzero(a.choice == i)
+
+
+REFERENCE_CASES = [
+    pytest.param(random_hypergraph(12, 3, 0.7, 1), 1, 5, id="n12-k3-ell1"),
+    pytest.param(random_hypergraph(15, 4, 0.5, 5), 1, 4, id="n15-k4-ell1"),
+    pytest.param(random_hypergraph(12, 3, 0.8, 2), 0, 4, id="n12-k3-ell0"),
+    pytest.param(random_hypergraph(8, 4, 0.5, 6), 0, 3, id="n8-k4-ell0-m2"),
+    pytest.param(random_hypergraph(9, 5, 0.7, 4), 2, 4, id="n9-k5-ell2"),
+    pytest.param(complete_hypergraph(6, 5), 2, 3, id="n6-k5-ell2-m2"),
+    pytest.param(Hypergraph(12, 3, []), 1, 2, id="empty"),
+]
+
+
+class TestAssignMatchesReference:
+    @pytest.mark.parametrize("h,ell,count", REFERENCE_CASES)
+    def test_arrays_equal_the_tuple_keyed_walk(self, h, ell, count):
+        for seed in (0, 7):
+            schemes = [scheme_for(h, ell, seed * 100 + s) for s in range(count)]
+            auxes = aux_graphs(h, schemes)
+            a = assign_edges(h, auxes, seed)
+            psi, choice, per_scheme, unassigned = assign_edges_reference(h, auxes, seed)
+            assert a.psi.tolist() == [psi[e] for e in h.edges]
+            assert a.choice.tolist() == [-1 if choice[e] is None else choice[e]
+                                         for e in h.edges]
+            for i in range(count):
+                assert [h.edges[p] for p in np.flatnonzero(a.choice == i)] == per_scheme[i]
+            assert [h.edges[p] for p in np.flatnonzero(a.choice == -1)] == unassigned
+            assert a.assigned_counts() == [len(x) for x in per_scheme]
 
 
 class TestPsiStats:
@@ -193,6 +226,12 @@ class TestPackMinDegree:
                                                resample_limit=1))
         assert not res.cycles and res.coverage_ratio == 0.0
         assert res.warnings  # degree hypothesis unmet
+
+    def test_leaves_the_edge_tuples_unbuilt(self):
+        # the pipeline runs on the code array; the tuple view stays lazy
+        h = random_hypergraph(24, 3, 0.9, 101)
+        res = pack_min_degree(h, PackingConfig(ell=1, num_partitions=4, seed=3))
+        assert res.cycles and h._edges is None
 
     def test_one_uncovered_pair_measures_alpha_zero(self):
         h = one_uncovered_pair()
