@@ -12,7 +12,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
+from scipy.sparse.csgraph import maximum_bipartite_matching, maximum_flow
 
 from .errors import (InvalidInputError, InvariantViolation, ParseError,
                      SizeLimitError)
@@ -115,19 +115,18 @@ def complete_bipartite(m: int) -> BipartiteGraph:
 
 @dataclass(frozen=True)
 class Factor:
-    """An r-regular spanning subgraph of a host bipartite graph."""
+    """An r-regular spanning subgraph of a host bipartite graph, held as a
+    `BipartiteGraph` on the host's m vertices."""
     r: int
-    edges: frozenset[tuple[int, int]]
+    graph: BipartiteGraph
 
     def check_against(self, host: BipartiteGraph) -> None:
-        if not self.edges <= host.edges:
+        g = self.graph
+        if g.m != host.m:
+            raise InvariantViolation(f"factor has m={g.m} but the host graph has m={host.m}")
+        if not np.isin(g.codes, host.codes).all():
             raise InvariantViolation("factor uses edges not present in the host graph")
-        deg_s = [0] * host.m
-        deg_t = [0] * host.m
-        for s, t in self.edges:
-            deg_s[s] += 1
-            deg_t[t] += 1
-        if any(d != self.r for d in deg_s) or any(d != self.r for d in deg_t):
+        if (g._deg_s != self.r).any() or (g._deg_t != self.r).any():
             raise InvariantViolation(f"not every vertex has degree exactly {self.r}")
 
 
@@ -203,8 +202,8 @@ class _FactorNetwork:
 
     def __init__(self, g: BipartiteGraph):
         m = self.m = g.m
-        self.codes = g.codes
-        s, t = np.divmod(self.codes, m)
+        self.host = g
+        s, t = np.divmod(g.codes, m)
         row_len = np.concatenate(([m], np.bincount(s, minlength=m), np.ones(m, np.int64), [0]))
         indptr = np.concatenate(([0], np.cumsum(row_len))).astype(np.int32)
         indices = np.concatenate((np.arange(1, m + 1), 1 + m + t,
@@ -212,12 +211,11 @@ class _FactorNetwork:
         data = np.ones(len(indices), dtype=np.int32)
         self.graph = csr_matrix((data, indices, indptr), shape=(2 * m + 2, 2 * m + 2))
 
-    def witness(self, r: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """The (s, t) arrays of an r-factor, or None if there is none.
+    def witness(self, r: int) -> Optional[Factor]:
+        """An r-factor, or None if there is none.
 
         An r-factor exists iff the max flow is r·m.  The witness is checked
-        before it is returned: every pair is a host edge and every vertex has
-        degree exactly r.
+        against the host graph before it is returned.
         """
         m, data = self.m, self.graph.data
         data[:m] = r
@@ -227,18 +225,10 @@ class _FactorNetwork:
             return None
         block = result.flow[1:m + 1, m + 1:2 * m + 1].tocoo()
         positive = block.data > 0
-        s, t = block.row[positive], block.col[positive]
-        if not np.isin(s * m + t, self.codes).all():
-            raise InvariantViolation("factor uses edges not present in the host graph")
-        if ((np.bincount(s, minlength=m) != r).any()
-                or (np.bincount(t, minlength=m) != r).any()):
-            raise InvariantViolation(f"not every vertex has degree exactly {r}")
-        return s, t
-
-
-def _as_factor(r: int, witness: tuple[np.ndarray, np.ndarray]) -> Factor:
-    s, t = witness
-    return Factor(r=r, edges=frozenset(zip(s.tolist(), t.tolist())))
+        codes = block.row[positive].astype(np.int64) * m + block.col[positive]
+        factor = Factor(r, BipartiteGraph._from_codes(m, np.sort(codes)))
+        factor.check_against(self.host)
+        return factor
 
 
 def find_factor(g: BipartiteGraph, r: int) -> Optional[Factor]:
@@ -252,11 +242,10 @@ def find_factor(g: BipartiteGraph, r: int) -> Optional[Factor]:
     if not (0 <= r <= g.m):
         raise InvalidInputError(f"r must be in 0..m={g.m}, got {r}")
     if r == 0:
-        return Factor(r=0, edges=frozenset())
+        return Factor(0, BipartiteGraph(g.m, ()))
     if g.min_degree() < r:
         return None
-    witness = _FactorNetwork(g).witness(r)
-    return None if witness is None else _as_factor(r, witness)
+    return _FactorNetwork(g).witness(r)
 
 
 def max_factor(g: BipartiteGraph) -> tuple[int, Factor]:
@@ -267,8 +256,7 @@ def max_factor(g: BipartiteGraph) -> tuple[int, Factor]:
     search runs over [0, δ - 1]: feasibility is monotone in r (the subset
     inequality r(|X|+|Y|-m) <= e(X,Y) only tightens as r grows).  The flow
     network is built once; each probe changes only the source and sink
-    capacities, and each feasible probe's witness gets the degree and
-    host-edge check.  Only the witness for the final r becomes a `Factor`.
+    capacities, and each feasible probe's witness is checked against g.
     """
     delta = g.min_degree()
     network = _FactorNetwork(g) if delta > 0 else None
@@ -281,9 +269,7 @@ def max_factor(g: BipartiteGraph) -> tuple[int, Factor]:
             lo, best = mid, found
         else:
             hi = mid - 1
-    if best is None:
-        return 0, Factor(r=0, edges=frozenset())
-    return lo, _as_factor(lo, best)
+    return lo, best if best is not None else Factor(0, BipartiteGraph(g.m, ()))
 
 
 def csaba_rho(delta: float) -> float:
@@ -304,65 +290,27 @@ def almost_regular_bound(alpha: float, epsilon: float) -> float:
     return max(0.0, alpha - 10.0 * math.sqrt(epsilon))
 
 
-def _perfect_matching(m: int, adj: list[set[int]]) -> Optional[list[int]]:
-    """Perfect matching on adjacency lists via augmenting paths; None if absent.
-
-    Kuhn's depth-first search runs on an explicit stack, so the length of an
-    augmenting path is not bounded by the recursion limit.
-    """
-    match_s = [-1] * m
-    match_t = [-1] * m
-    for root in sorted(range(m), key=lambda s: len(adj[s])):
-        seen = [False] * m
-        frames = [iter(adj[root])]
-        path_t: list[int] = []      # path_t[i] leads from frame i to frame i + 1
-        while frames:
-            for t in frames[-1]:
-                if not seen[t]:
-                    seen[t] = True
-                    path_t.append(t)
-                    if match_t[t] == -1:
-                        frames.clear()      # path_t ends at a free t: augment
-                    else:
-                        frames.append(iter(adj[match_t[t]]))
-                    break
-            else:
-                frames.pop()
-                if path_t:
-                    path_t.pop()
-        if not path_t:
-            return None
-        s = root
-        for t in path_t:
-            s_next = match_t[t]
-            match_t[t] = s
-            match_s[s] = t
-            s = s_next
-    return match_s
-
-
 def peel_matchings(factor: Factor, host: BipartiteGraph) -> list[frozenset[tuple[int, int]]]:
     """Decompose an r-factor into exactly r edge-disjoint perfect matchings.
 
-    Repeatedly extracts one perfect matching of the remaining regular graph
-    (always possible while it is regular) and removes it.
+    Each round runs Hopcroft-Karp (`maximum_bipartite_matching`) on the
+    remaining edge codes, which still form a regular graph and so have a
+    perfect matching, and removes the codes s·m + match[s] it picked.
     """
     factor.check_against(host)
-    m = host.m
-    adj = [set() for _ in range(m)]
-    for s, t in factor.edges:
-        adj[s].add(t)
+    m, codes = host.m, factor.graph.codes
     matchings: list[frozenset[tuple[int, int]]] = []
     for _ in range(factor.r):
-        match_s = _perfect_matching(m, adj)
-        if match_s is None:
+        s, t = np.divmod(codes, m)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(s, minlength=m))))
+        remainder = csr_matrix((np.ones(len(t), dtype=np.int8), t, indptr), shape=(m, m))
+        match = maximum_bipartite_matching(remainder, perm_type="column")
+        if (match < 0).any():
             raise InvariantViolation(
                 "no perfect matching in a supposedly regular remainder; corrupt factor")
-        pairs = frozenset((s, match_s[s]) for s in range(m))
-        matchings.append(pairs)
-        for s, t in pairs:
-            adj[s].discard(t)
-    if any(adj[s] for s in range(m)):
+        matchings.append(frozenset(enumerate(match.tolist())))
+        codes = codes[~np.isin(codes, np.arange(m) * m + match)]
+    if len(codes):
         raise InvariantViolation("matchings did not exhaust the factor")
     return matchings
 

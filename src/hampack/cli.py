@@ -171,12 +171,12 @@ def cmd_factor(args) -> int:
     if args.r is not None:
         factor = bifactor.find_factor(g, args.r)
         doc: dict[str, Any] = {"m": g.m, "r": args.r, "exists": factor is not None,
-                               "factor": sorted(factor.edges) if factor else None}
+                               "factor": sorted(factor.graph.edges) if factor else None}
         if g.m <= bifactor.GALE_RYSER_MAX_M:
             doc["gale_ryser"] = dataclasses.asdict(bifactor.gale_ryser_check(g, args.r))
     else:
         r_star, factor = bifactor.max_factor(g)
-        doc = {"m": g.m, "r_star": r_star, "factor": sorted(factor.edges)}
+        doc = {"m": g.m, "r_star": r_star, "factor": sorted(factor.graph.edges)}
     _emit(doc, args)
     return EXIT_OK
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class PackingConfig:
     alpha_prime: float = 0.6
     epsilon: Optional[float] = None          # default: measured alpha - alpha_prime
     num_partitions: Optional[int] = None     # default: asymptotic formula, clamped
-    factor_target: Union[str, int] = "max"   # "max" (flow maximum) or a fixed r
     resample_limit: int = 5
     seed: int = 0
 
@@ -168,30 +167,15 @@ def _sample_accepted_schemes(h: Hypergraph, ell: int, count: int, seed: int,
 
 
 def _extract_cycles(h: Hypergraph, aux: AuxGraph, index: int, assignment: Assignment,
-                    mode: str, fixed_r: Optional[int]):
-    """Factor extraction, peeling, and lifting for partition `index`, on the aux
-    edges whose hyperedge chose it.
-
-    mode "max": flow-certified maximum factor; "fixed": exactly fixed_r or
-    nothing; "report": maximum factor, with fixed_r recorded as the
-    guaranteed target (which the maximum dominates whenever feasible).
+                    factor_target: Optional[int] = None):
+    """Maximum factor, peeling, and lifting for partition `index`, on the aux
+    edges whose hyperedge chose it.  `factor_target`, a guaranteed factor size
+    that the maximum dominates whenever it is feasible, is only recorded.
     """
-    m = aux.scheme.m
     sub = BipartiteGraph._from_codes(
-        m, aux.graph.codes[assignment.choice[aux.edge_pos] == index])
-    factor_target = None
-    if mode == "fixed":
-        factor_target = max(0, fixed_r)
-        factor = bifactor.find_factor(sub, factor_target) if factor_target <= m else None
-        if factor is None:
-            r_i, factor = 0, bifactor.Factor(r=0, edges=frozenset())
-        else:
-            r_i = factor_target
-    else:
-        if mode == "report":
-            factor_target = max(0, fixed_r)
-        r_i, factor = bifactor.max_factor(sub)
-    matchings = bifactor.peel_matchings(factor, sub) if r_i > 0 else []
+        aux.scheme.m, aux.graph.codes[assignment.choice[aux.edge_pos] == index])
+    r_i, factor = bifactor.max_factor(sub)
+    matchings = bifactor.peel_matchings(factor, sub)
     cycles = []
     seen = set()
     for matching in matchings:
@@ -250,9 +234,9 @@ def pack_min_degree(h: Hypergraph, cfg: PackingConfig) -> PackingResult:
 
     Schemes whose auxiliary graph misses the (alpha' + eps/2)·m min-degree mark
     are resampled up to cfg.resample_limit.  The factor extracted per partition
-    is the flow-certified maximum by default, which dominates the guaranteed
-    size.  Invariants (cycle validity, pairwise edge-disjointness, edge
-    conservation) are re-verified on the assembled result.
+    is the flow-certified maximum, which dominates the guaranteed size.
+    Invariants (cycle validity, pairwise edge-disjointness, edge conservation)
+    are re-verified on the assembled result.
     """
     n, k, ell = h.n, h.k, cfg.ell
     m = check_shape(n, k, ell)
@@ -271,11 +255,7 @@ def pack_min_degree(h: Hypergraph, cfg: PackingConfig) -> PackingResult:
     if exhausted:
         warnings.append("resample limit exhausted for at least one partition; partial result")
     assignment = assign_edges(h, auxes, derive_seed(cfg.seed, "assign"))
-    if cfg.factor_target == "max":
-        mode, fixed_r = "max", None
-    else:
-        mode, fixed_r = "fixed", int(cfg.factor_target)
-    extraction = [_extract_cycles(h, aux, i, assignment, mode, fixed_r)
+    extraction = [_extract_cycles(h, aux, i, assignment)
                   for i, aux in enumerate(auxes)]
     return _assemble(h, auxes, retries, assignment, extraction, warnings, exhausted)
 
@@ -331,7 +311,7 @@ def pack_near_regular(h: Hypergraph, ell: int, delta_target: float, epsilon: flo
     for i, aux in enumerate(auxes):
         full = len(aux.graph.codes)
         retention = (assigned[i] / full) if full else 0.0
-        extraction.append(_extract_cycles(h, aux, i, assignment, "report",
+        extraction.append(_extract_cycles(h, aux, i, assignment,
                                           int(density * m * retention)))
     budget = delta_target * math.comb(n, k)
     return _assemble(h, auxes, retries, assignment, extraction, warnings,

@@ -111,7 +111,7 @@ def test_criterion_4_factor_decomposition():
             good &= len({t for _, t in matching}) == m
             good &= union.isdisjoint(matching)
             union |= matching
-        good &= union == set(factor.edges)
+        good &= union == set(factor.graph.edges)
         if not good:
             failures += 1
         done += 1

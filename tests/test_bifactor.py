@@ -50,11 +50,11 @@ class TestGaleRyser:
 class TestFindFactor:
     def test_complete_full_factor(self):
         f = find_factor(complete_bipartite(3), 3)
-        assert f is not None and len(f.edges) == 9
+        assert f is not None and len(f.graph.edges) == 9
 
     def test_r_zero(self):
         f = find_factor(BipartiteGraph(4, []), 0)
-        assert f is not None and not f.edges
+        assert f is not None and not f.graph.edges
 
     def test_no_factor_when_degree_short(self):
         assert find_factor(BipartiteGraph(3, [(0, 0), (1, 1), (2, 2)]), 2) is None
@@ -72,7 +72,7 @@ class TestMaxFactor:
     def test_complete(self):
         for m in (1, 3, 5):
             r, f = max_factor(complete_bipartite(m))
-            assert r == m and len(f.edges) == m * m
+            assert r == m and len(f.graph.edges) == m * m
 
     def test_one_regular(self):
         r, f = max_factor(BipartiteGraph(4, [(i, i) for i in range(4)]))
@@ -80,7 +80,7 @@ class TestMaxFactor:
 
     def test_empty(self):
         r, f = max_factor(BipartiteGraph(3, []))
-        assert r == 0 and not f.edges
+        assert r == 0 and not f.graph.edges
 
     def test_csaba_bound_spot_instance(self):
         g = random_bipartite(30, 0.75, 424, min_deg=21)  # delta/m = 0.7
@@ -115,7 +115,7 @@ class TestMaxFactor:
         (complete_bipartite(1), 1),
     ], ids=["m0", "isolated-vertex", "k11"])
     def test_degenerate_graphs(self, g, r_star):
-        factor = Factor(r=r_star, edges=g.edges if r_star else frozenset())
+        factor = Factor(r=r_star, graph=g if r_star else BipartiteGraph(g.m, []))
         assert max_factor(g) == (r_star, factor)
         assert find_factor(g, r_star) == factor
         if r_star < g.m:
@@ -279,14 +279,14 @@ class TestClosedForms:
 class TestPeel:
     def test_cycle6_two_matchings(self):
         g = cycle6()
-        ms = peel_matchings(Factor(r=2, edges=g.edges), g)
+        ms = peel_matchings(Factor(r=2, graph=g), g)
         assert len(ms) == 2
         assert ms[0].isdisjoint(ms[1])
         assert ms[0] | ms[1] == set(g.edges)
 
     def test_complete_three_matchings(self):
         g = complete_bipartite(3)
-        ms = peel_matchings(Factor(r=3, edges=g.edges), g)
+        ms = peel_matchings(Factor(r=3, graph=g), g)
         assert len(ms) == 3
         assert set().union(*ms) == set(g.edges)
 
@@ -310,23 +310,45 @@ class TestPeel:
                 assert len(matching) == m
                 assert union.isdisjoint(matching)
                 union |= matching
-            assert union == set(factor.edges)
+            assert union == set(factor.graph.edges)
             done += 1
 
     def test_long_cycle_factor_peels_without_recursion_limit(self):
-        # s_i ~ t_i, t_{i+1}: one cycle of length 2m, along which an augmenting
-        # path can run far deeper than the default recursion limit
+        # s_i ~ t_i, t_{i+1}: one cycle of length 2m, whose augmenting paths
+        # are far longer than the default recursion limit
         m = 2000
         g = BipartiteGraph(m, [(i, i) for i in range(m)] + [(i, (i + 1) % m) for i in range(m)])
-        ms = peel_matchings(Factor(r=2, edges=g.edges), g)
+        ms = peel_matchings(Factor(r=2, graph=g), g)
         assert len(ms) == 2 and all(len(x) == m for x in ms)
         assert ms[0].isdisjoint(ms[1]) and ms[0] | ms[1] == g.edges
 
+    def test_large_factor_peels_into_disjoint_perfect_matchings(self):
+        # m = 400 at density 0.7: r* is in the hundreds, so the peel runs
+        # hundreds of rounds on a graph with ~10^5 edges
+        m = 400
+        g = random_bipartite(m, 0.7, 400)
+        r_star, factor = max_factor(g)
+        assert r_star > 200
+        ms = peel_matchings(factor, g)
+        assert len(ms) == r_star
+        union = set()
+        for matching in ms:
+            assert sorted(s for s, _ in matching) == list(range(m))
+            assert sorted(t for _, t in matching) == list(range(m))
+            assert union.isdisjoint(matching)
+            union |= matching
+        assert union == factor.graph.edges
+
     def test_corrupt_factor_detected(self):
         g = complete_bipartite(3)
-        bogus = Factor(r=2, edges=frozenset([(0, 0), (1, 1), (2, 2)]))
-        with pytest.raises(InvariantViolation):
+        bogus = Factor(r=2, graph=BipartiteGraph(3, [(0, 0), (1, 1), (2, 2)]))
+        with pytest.raises(InvariantViolation, match="degree exactly 2"):
             peel_matchings(bogus, g)
+        with pytest.raises(InvariantViolation, match="not present in the host"):
+            peel_matchings(Factor(r=2, graph=cycle6()),
+                           BipartiteGraph(3, cycle6().edges - {(0, 0)}))
+        with pytest.raises(InvariantViolation, match="m=3 but the host graph has m=4"):
+            peel_matchings(Factor(r=3, graph=g), complete_bipartite(4))
 
 
 class TestPermanent:

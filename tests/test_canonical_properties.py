@@ -1,5 +1,6 @@
-"""Orbit-invariance properties of the canonical cycle form, and enumeration
-cross-checks at overlap/uniformity combinations with non-singleton blocks."""
+"""Orbit-invariance properties of the canonical cycle form, the overlap
+structure that `verify_cycle` relies on, and enumeration cross-checks at
+overlap/uniformity combinations with non-singleton blocks."""
 import math
 import random
 
@@ -7,7 +8,8 @@ import pytest
 
 from hampack.census import enumerate_cycles, expected_count
 from hampack.constructions import complete_hypergraph
-from hampack.reduction import HamiltonCycle, canonicalize
+from hampack.hypercore import Hypergraph
+from hampack.reduction import HamiltonCycle, canonicalize, verify_cycle
 
 
 def random_orbit_image(cycle: HamiltonCycle, rng: random.Random) -> HamiltonCycle:
@@ -78,6 +80,35 @@ def test_canonical_form_equals_the_all_candidates_minimum():
                     assert canonicalize(cycle) == canonicalize_all_candidates(cycle)
                     checked += 1
     assert checked == 15 * 8 * 20
+
+
+def test_consecutive_segments_share_exactly_their_junctions():
+    # For m >= 2, segment i ends with the ell positions that start segment
+    # i + 1; for m = 2 the two segments also meet at segment i's own start.
+    rng = random.Random(77)
+    checked = 0
+    for k in range(2, 8):
+        for ell in range(0, (k + 1) // 2):
+            for m in range(1, 9):
+                n = m * (k - ell)
+                step = k - ell
+                for _ in range(10):
+                    arr = list(range(n))
+                    rng.shuffle(arr)
+                    cycle = HamiltonCycle(k=k, ell=ell, arrangement=tuple(arr))
+                    segs = cycle.segments()
+                    if m >= 2:
+                        for i in range(m):
+                            junction = {arr[((i + 1) * step + j) % n] for j in range(ell)}
+                            if m == 2:
+                                junction |= {arr[i * step + j] for j in range(ell)}
+                            assert set(segs[i]) & set(segs[(i + 1) % m]) == junction
+                    if m == 1 and ell > 0:
+                        continue    # n < k: the one window repeats vertices
+                    h = Hypergraph(n, k, [sorted(seg) for seg in segs])
+                    assert verify_cycle(h, cycle).ok
+                    checked += 1
+    assert checked == (15 * 8 - 9) * 10
 
 
 @pytest.mark.parametrize("n,k,ell", [(8, 3, 1), (9, 4, 1), (9, 5, 2), (12, 4, 1), (9, 3, 0), (8, 2, 0)])

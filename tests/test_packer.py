@@ -259,12 +259,6 @@ class TestPackMinDegree:
         cfg = PackingConfig(ell=1, num_partitions=3, seed=42)
         assert pack_min_degree(h, cfg) == pack_min_degree(h, cfg)
 
-    def test_fixed_factor_target(self):
-        h = complete_hypergraph(12, 3)
-        res = pack_min_degree(h, PackingConfig(ell=1, num_partitions=2, seed=5,
-                                               factor_target=2))
-        assert all(s.factor_size in (0, 2) for s in res.per_partition)
-
     def test_divisibility_rejected(self):
         with pytest.raises(InvalidInputError):
             pack_min_degree(complete_hypergraph(13, 3), PackingConfig(ell=1, seed=0))
