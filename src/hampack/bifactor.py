@@ -363,12 +363,12 @@ def from_json_dict(obj) -> BipartiteGraph:
     if not isinstance(obj, dict) or set(obj.keys()) != {"m", "edges"}:
         raise ParseError('expected an object with exactly the keys "m", "edges"')
     m, edges = obj["m"], obj["edges"]
-    if not isinstance(m, int) or not isinstance(edges, list):
+    if type(m) is not int or not isinstance(edges, list):
         raise ParseError('"m" must be an integer and "edges" a list')
     pairs = []
     for idx, e in enumerate(edges):
         if (not isinstance(e, list) or len(e) != 2
-                or not all(isinstance(v, int) for v in e)):
+                or not all(type(v) is int for v in e)):
             raise ParseError(f"edge {idx}: must be a pair of integers")
         pairs.append((e[0], e[1]))
     try:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import math
 import sys
 from typing import Any, Optional
 
@@ -38,23 +37,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INVALID)
 
 
-def _jsonable(value: Any) -> Any:
-    """Recursively make a value JSON-safe; non-finite floats become None."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _jsonable(dataclasses.asdict(value))
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = sorted(value) if isinstance(value, (set, frozenset)) else value
-        return [_jsonable(v) for v in items]
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    return value
-
-
-def _emit(doc: dict, args, sidecars: Optional[list[tuple[str, str]]] = None) -> None:
+def _emit(doc: Any, args, sidecars: Optional[list[tuple[str, str]]] = None) -> None:
     """Print to stdout, or write the document plus sidecars and a manifest."""
-    doc = _jsonable(doc)
     if not getattr(args, "out", None):
         sys.stdout.write(canonical_json(doc) + "\n")
         return
@@ -73,7 +57,7 @@ def _emit(doc: dict, args, sidecars: Optional[list[tuple[str, str]]] = None) -> 
             digests[path] = sha256_file(path)
     manifest = {
         "command": args.command,
-        "parameters": _jsonable(params),
+        "parameters": params,
         "master_seed": getattr(args, "seed", None),
         "artifact_version": __version__,
         "input_digests": digests,
@@ -109,10 +93,9 @@ def cmd_gen(args) -> int:
             doc = hypercore.to_json_dict(h)
             if args.out:
                 _emit(doc, args, sidecars=[
-                    (args.out + ".certificate.json",
-                     canonical_json(_jsonable(cert)) + "\n")])
+                    (args.out + ".certificate.json", canonical_json(cert) + "\n")])
             else:
-                _emit({"hypergraph": doc, "certificate": _jsonable(cert)}, args)
+                _emit({"hypergraph": doc, "certificate": cert}, args)
             return EXIT_OK
     _emit(hypercore.to_json_dict(h), args)
     return EXIT_OK
@@ -120,8 +103,7 @@ def cmd_gen(args) -> int:
 
 def cmd_degrees(args) -> int:
     h = hypercore.read_hypergraph(args.input)
-    report = hypercore.degree_report(h, args.d)
-    _emit(dataclasses.asdict(report), args)
+    _emit(hypercore.degree_report(h, args.d), args)
     return EXIT_OK
 
 
@@ -157,12 +139,11 @@ def cmd_reduce(args) -> int:
     scheme = sample_scheme(h, args.ell, derive_seed(args.seed, "scheme"))
     aux = build_aux_graph(h, scheme)
     graph_doc = bifactor.to_json_dict(aux.graph)
-    scheme_doc = _jsonable(dataclasses.asdict(scheme))
     if args.out:
         _emit(graph_doc, args, sidecars=[
-            (args.out + ".scheme.json", canonical_json(scheme_doc) + "\n")])
+            (args.out + ".scheme.json", canonical_json(scheme) + "\n")])
     else:
-        _emit({"graph": graph_doc, "scheme": scheme_doc}, args)
+        _emit({"graph": graph_doc, "scheme": scheme}, args)
     return EXIT_OK
 
 
@@ -173,7 +154,7 @@ def cmd_factor(args) -> int:
         doc: dict[str, Any] = {"m": g.m, "r": args.r, "exists": factor is not None,
                                "factor": sorted(factor.graph.edges) if factor else None}
         if g.m <= bifactor.GALE_RYSER_MAX_M:
-            doc["gale_ryser"] = dataclasses.asdict(bifactor.gale_ryser_check(g, args.r))
+            doc["gale_ryser"] = bifactor.gale_ryser_check(g, args.r)
     else:
         r_star, factor = bifactor.max_factor(g)
         doc = {"m": g.m, "r_star": r_star, "factor": sorted(factor.graph.edges)}
@@ -286,7 +267,7 @@ def cmd_verify(args) -> int:
     h = hypercore.read_hypergraph(args.input)
     cycle = read_cycle(args.cycle, h.k)
     check = verify_cycle(h, cycle)
-    _emit(dataclasses.asdict(check), args)
+    _emit(check, args)
     return EXIT_OK if check.ok else EXIT_FAILURE
 
 

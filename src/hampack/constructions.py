@@ -2,13 +2,18 @@
 parity-based extremal construction that admits no odd-degree factor."""
 from __future__ import annotations
 
-import random
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
+import numpy as np
+
 from .errors import InvalidInputError, InvalidQueryError
-from .hypercore import Hypergraph
+from .hypercore import Hypergraph, check_dimensions, lex_unrank, row_codes
+from .util import random_stream
+
+_DRAW_CHUNK = 1 << 20   # uniforms drawn per random_sample call
 
 
 def complete_hypergraph(n: int, k: int) -> Hypergraph:
@@ -19,12 +24,21 @@ def complete_hypergraph(n: int, k: int) -> Hypergraph:
 
 
 def random_hypergraph(n: int, k: int, p: float, seed: int) -> Hypergraph:
-    """Include each k-subset independently with probability p; deterministic per seed."""
+    """Include each k-subset independently with probability p; deterministic per seed.
+
+    The k-subset of lexicographic rank i is kept iff the i-th `random()` of
+    `random.Random(seed)` is below p.  The draws come from
+    `util.random_stream(seed)` in chunks of `_DRAW_CHUNK`, and only the kept
+    ranks are turned into edge codes, so memory stays O(|E|) plus one chunk.
+    """
     if not (0.0 <= p <= 1.0):
         raise InvalidInputError(f"p must be in [0, 1], got {p}")
-    rng = random.Random(seed)
-    edges = [e for e in combinations(range(n), k) if rng.random() < p]
-    return Hypergraph(n, k, edges)
+    check_dimensions(n, k)
+    stream = random_stream(seed)
+    total = math.comb(n, k)
+    kept = [lo + np.flatnonzero(stream.random_sample(min(_DRAW_CHUNK, total - lo)) < p)
+            for lo in range(0, total, _DRAW_CHUNK)]
+    return Hypergraph._from_codes(n, k, row_codes(lex_unrank(np.concatenate(kept), n, k), n))
 
 
 @dataclass(frozen=True)

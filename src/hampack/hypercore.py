@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable
 
 import numpy as np
@@ -21,7 +21,7 @@ from .errors import InvalidQueryError, ParseError, SizeLimitError
 from .util import read_json, write_json
 
 
-def _row_codes(rows: np.ndarray, n: int) -> np.ndarray:
+def row_codes(rows: np.ndarray, n: int) -> np.ndarray:
     """Base-n codes of the rows of a 2-d int64 array (rows sorted by the caller)."""
     codes = np.zeros(len(rows), dtype=np.int64)
     for j in range(rows.shape[1]):
@@ -31,19 +31,29 @@ def _row_codes(rows: np.ndarray, n: int) -> np.ndarray:
 
 def _fast_codes(n: int, k: int, edges: list):
     """Sorted codes of a valid edge list in one vectorised pass; None when
-    any check fails, so that the caller can find the offending edge."""
+    any check fails, so that the caller can find the offending edge.  Only
+    lists and tuples of k plain ints (not bools) pass the type scan."""
+    if not set(map(type, edges)) <= {list, tuple} or set(map(len, edges)) != {k} \
+            or set(map(type, chain.from_iterable(edges))) != {int}:
+        return None
     try:
-        rows = np.array(edges)
-    except ValueError:  # ragged or nested edge lists
+        rows = np.fromiter(chain.from_iterable(edges), np.int64, count=k * len(edges))
+    except OverflowError:  # a vertex past int64
         return None
-    if rows.dtype.kind != "i" or rows.shape != (len(edges), k):
-        return None
+    rows = rows.reshape(len(edges), k)
     rows.sort(axis=1)
     if rows[:, 0].min() < 0 or rows[:, -1].max() >= n \
             or not (rows[:, 1:] > rows[:, :-1]).all():
         return None
-    codes = np.sort(_row_codes(rows, n))
+    codes = np.sort(row_codes(rows, n))
     return None if (codes[1:] == codes[:-1]).any() else codes
+
+
+def _vertex(v) -> int:
+    """operator.index that refuses bools, which JSON readers must not take as 0/1."""
+    if isinstance(v, bool):
+        raise TypeError("bool is not a vertex")
+    return operator.index(v)
 
 
 def _walked_codes(n: int, k: int, edges: list) -> np.ndarray:
@@ -52,7 +62,7 @@ def _walked_codes(n: int, k: int, edges: list) -> np.ndarray:
     seen = set()
     for idx, e in enumerate(edges):
         try:
-            ce = sorted(map(operator.index, e))
+            ce = sorted(map(_vertex, e))
         except TypeError:
             raise ParseError(f"edge {idx}: must be a list of integers") from None
         if len(set(ce)) != k:
@@ -69,20 +79,36 @@ def _walked_codes(n: int, k: int, edges: list) -> np.ndarray:
     return np.sort(np.array(codes, dtype=np.int64))
 
 
+def check_dimensions(n: int, k: int) -> None:
+    """1 <= k <= n, and every k-subset of 0..n-1 has an int64 code."""
+    if not (1 <= k <= n):
+        raise ParseError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if n ** k >= 2 ** 63:
+        raise SizeLimitError(f"n^k = {n}^{k} >= 2^63: edge codes do not fit in int64")
+
+
 class Hypergraph:
     """A k-uniform hypergraph on vertices 0..n-1 with a set of k-edges."""
 
     __slots__ = ("n", "k", "codes", "_edges", "_code_set", "_completions")
 
     def __init__(self, n: int, k: int, edges: Iterable[Iterable[int]]):
-        if not (1 <= k <= n):
-            raise ParseError(f"need 1 <= k <= n, got k={k}, n={n}")
-        if n ** k >= 2 ** 63:
-            raise SizeLimitError(f"n^k = {n}^{k} >= 2^63: edge codes do not fit in int64")
+        check_dimensions(n, k)
         edges = edges if isinstance(edges, list) else list(edges)
         codes = _fast_codes(n, k, edges) if edges else np.empty(0, dtype=np.int64)
         if codes is None:
             codes = _walked_codes(n, k, edges)
+        self._store(n, k, codes)
+
+    @classmethod
+    def _from_codes(cls, n: int, k: int, codes: np.ndarray) -> Hypergraph:
+        """A hypergraph of an already sorted, duplicate-free int64 code array
+        whose shape (n, k) passed `check_dimensions`."""
+        h = object.__new__(cls)
+        h._store(n, k, codes)
+        return h
+
+    def _store(self, n: int, k: int, codes: np.ndarray) -> None:
         codes.flags.writeable = False
         for name, value in (("n", n), ("k", k), ("codes", codes), ("_edges", None),
                             ("_code_set", None), ("_completions", None)):
@@ -121,7 +147,7 @@ class Hypergraph:
         """Position in `codes` of the edge each k-vertex row names, -1 where
         the row is not an edge.  Rows may list their vertices in any order."""
         rows = np.sort(np.asarray(rows, dtype=np.int64).reshape(-1, self.k), axis=1)
-        codes = _row_codes(rows, self.n)
+        codes = row_codes(rows, self.n)
         pos = np.searchsorted(self.codes, codes)
         found = (rows[:, 0] >= 0) & (rows[:, -1] < self.n) & (pos < len(self.codes))
         found[found] = self.codes[pos[found]] == codes[found]
@@ -182,17 +208,22 @@ def degree_of(h: Hypergraph, subset: Iterable[int]) -> int:
     return sum(1 for e in h.edges if a.issubset(e))
 
 
-def _lex_unrank(rank: int, n: int, d: int) -> tuple[int, ...]:
-    """The d-subset of 0..n-1 at position `rank` in lexicographic order."""
-    sub = []
-    v = 0
+def lex_unrank(ranks: np.ndarray, n: int, d: int) -> np.ndarray:
+    """The d-subsets of 0..n-1 at positions `ranks` in lexicographic order, as
+    a len(ranks) x d int64 array of ascending rows.
+
+    Subset c has rank C(n, d) - 1 - sum_i C(n - 1 - c_i, d - i), so C(n, d) - 1
+    - rank is written greedily in the combinatorial number system: each
+    x_i = n - 1 - c_i is the largest x with C(x, d - i) <= what remains.
+    """
+    rest = math.comb(n, d) - 1 - np.asarray(ranks, dtype=np.int64)
+    rows = np.empty((len(rest), d), dtype=np.int64)
     for i in range(d):
-        while rank >= math.comb(n - 1 - v, d - 1 - i):
-            rank -= math.comb(n - 1 - v, d - 1 - i)
-            v += 1
-        sub.append(v)
-        v += 1
-    return tuple(sub)
+        table = np.array([math.comb(x, d - i) for x in range(n)], dtype=np.int64)
+        x = np.searchsorted(table, rest, side="right") - 1
+        rest = rest - table[x]
+        rows[:, i] = n - 1 - x
+    return rows
 
 
 def degree_report(h: Hypergraph, d: int) -> DegreeReport:
@@ -226,9 +257,9 @@ def degree_report(h: Hypergraph, d: int) -> DegreeReport:
         d_max, r_max = int(counts[i]), int(present[i])
     else:
         d_max, r_max = 0, 0
+    witness_min, witness_max = map(tuple, lex_unrank([r_min, r_max], n, d).tolist())
     return DegreeReport(d=d, min_degree=d_min, max_degree=d_max,
-                        witness_min=_lex_unrank(r_min, n, d),
-                        witness_max=_lex_unrank(r_max, n, d))
+                        witness_min=witness_min, witness_max=witness_max)
 
 
 def relative_degree(h: Hypergraph, x: Iterable[int], y: Iterable[int]) -> int:
@@ -257,7 +288,7 @@ def from_json_dict(obj) -> Hypergraph:
     if not isinstance(obj, dict) or set(obj.keys()) != {"n", "k", "edges"}:
         raise ParseError('expected an object with exactly the keys "n", "k", "edges"')
     n, k, edges = obj["n"], obj["k"], obj["edges"]
-    if not isinstance(n, int) or not isinstance(k, int) or not isinstance(edges, list):
+    if type(n) is not int or type(k) is not int or not isinstance(edges, list):
         raise ParseError('"n" and "k" must be integers and "edges" a list')
     return Hypergraph(n, k, edges)
 

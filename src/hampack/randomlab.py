@@ -28,7 +28,7 @@ from .bifactor import BipartiteGraph, Factor
 from .errors import InvalidInputError
 from .hypercore import Hypergraph, degree_report
 from .reduction import build_aux_graph, sample_scheme
-from .util import derive_seed
+from .util import derive_seed, random_stream
 
 Probabilities = Union[float, Mapping[tuple[int, int], float]]
 
@@ -52,11 +52,8 @@ def random_subgraph(g: BipartiteGraph, p: Probabilities, seed: int) -> Bipartite
     runs with the same seed are coupled: raising any probability can only
     grow the kept edge set.
 
-    All draws come from one call to numpy's `RandomState`, loaded with the
-    Mersenne Twister state of `random.Random(seed)`.  Both generators turn two
-    32-bit outputs into a double by the same formula (genrand_res53), so the
-    array equals the per-edge `random()` calls bit for bit, and NEP 19 freezes
-    the `RandomState` stream.
+    All draws come from one `random_sample` call on `util.random_stream(seed)`,
+    which equals the per-edge `random()` calls bit for bit.
     """
     codes = g.codes
     if isinstance(p, (int, float)):
@@ -71,10 +68,8 @@ def random_subgraph(g: BipartiteGraph, p: Probabilities, seed: int) -> Bipartite
         if len(bad):
             e = edges[bad[0]]
             raise InvalidInputError(f"probability {p[e]} for edge {e} not in [0, 1]")
-    state = random.Random(seed).getstate()[1]      # 624 key words, then the position
-    draws = np.random.RandomState()
-    draws.set_state(("MT19937", np.array(state[:624], dtype=np.uint32), state[624]))
-    return BipartiteGraph._from_codes(g.m, codes[draws.random_sample(len(codes)) < threshold])
+    draws = random_stream(seed).random_sample(len(codes))
+    return BipartiteGraph._from_codes(g.m, codes[draws < threshold])
 
 
 @dataclass(frozen=True)

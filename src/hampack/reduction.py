@@ -306,8 +306,8 @@ def cycle_from_json_dict(obj, k: int) -> HamiltonCycle:
     if not isinstance(obj, dict) or set(obj.keys()) != {"ell", "arrangement"}:
         raise ParseError('expected an object with exactly the keys "ell", "arrangement"')
     ell, arrangement = obj["ell"], obj["arrangement"]
-    if not isinstance(ell, int) or not isinstance(arrangement, list) \
-            or not all(isinstance(v, int) for v in arrangement):
+    if type(ell) is not int or not isinstance(arrangement, list) \
+            or not all(type(v) is int for v in arrangement):
         raise ParseError('"ell" must be an integer and "arrangement" a list of integers')
     return HamiltonCycle(k=k, ell=ell, arrangement=tuple(arrangement))
 

@@ -1,9 +1,17 @@
-"""Small shared helpers: seed derivation, canonical JSON, JSON files, file digests."""
+"""Small shared helpers: seed derivation, Mersenne Twister draws in bulk,
+canonical JSON, JSON files, file digests."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
+import random
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
+
+import numpy as np
 
 from .errors import ParseError
 
@@ -20,9 +28,79 @@ def derive_seed(master: int, label: str) -> int:
     return int.from_bytes(h[:8], "big") & MASK64
 
 
+def random_stream(seed: int) -> np.random.RandomState:
+    """A numpy generator whose `random_sample` draws continue, bit for bit, the
+    `random()` draws of `random.Random(seed)`.
+
+    It is loaded with the Mersenne Twister state of `random.Random(seed)`.
+    Both generators turn two 32-bit outputs into a double by the same formula
+    (genrand_res53), and NEP 19 freezes the `RandomState` stream, so
+    successive `random_sample` calls return the same doubles as the same
+    number of `random()` calls.
+    """
+    state = random.Random(seed).getstate()[1]      # 624 key words, then the position
+    stream = np.random.RandomState()
+    stream.set_state(("MT19937", np.array(state[:624], dtype=np.uint32), state[624]))
+    return stream
+
+
 def canonical_json(obj: Any) -> str:
-    """Serialize with sorted keys and fixed separators (byte-stable output)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
+    """Serialize byte-stably: sorted keys, separators "," and ": ", indent 1.
+
+    Dataclasses are written as dicts of their fields, tuples as lists, sets
+    and frozensets as sorted lists, dict keys through `str`, and non-finite
+    floats as null; otherwise the bytes are those of `json.dumps(obj,
+    sort_keys=True, separators=(",", ": "), indent=1)`.  A list of plain ints
+    is written with one join and a list of equal-length lists of plain ints
+    with one format, which is where large documents spend their bytes.
+    """
+    return _encode(obj, "\n")
+
+
+def _encode(value: Any, newline: str) -> str:
+    """`value` written at the indent that `newline` (a newline and the
+    current indent) ends with."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    inner = newline + " "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = sorted({str(key): item for key, item in value.items()}.items())
+        return ("{" + inner + ("," + inner).join(
+            [_quote(key) + ": " + _encode(item, inner) for key, item in items])
+            + newline + "}")
+    if isinstance(value, (set, frozenset)):
+        value = sorted(value)
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not value:
+        return "[]"
+    sep = "," + inner
+    kinds = set(map(type, value))
+    width = len(value[0]) if kinds <= {list, tuple} else 0
+    if kinds == {int}:
+        body = sep.join(map(int.__repr__, value))
+    elif width and set(map(len, value)) == {width} \
+            and set(map(type, chain.from_iterable(value))) == {int}:
+        row_inner = inner + " "
+        row = "[" + row_inner + ("," + row_inner).join(["%d"] * width) + inner + "]"
+        body = sep.join([row] * len(value)) % tuple(chain.from_iterable(value))
+    else:
+        body = sep.join([_encode(item, inner) for item in value])
+    return "[" + inner + body + newline + "]"
 
 
 def read_json(path: str) -> Any:

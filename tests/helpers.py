@@ -1,4 +1,7 @@
 """Shared test generators and reference implementations."""
+import dataclasses
+import json
+import math
 import random
 from itertools import combinations
 
@@ -45,6 +48,33 @@ def candidate_partitions(edge, schemes):
     Builds a one-edge hypergraph per scheme; the oracle for `assign_edges`."""
     return [i for i, s in enumerate(schemes)
             if build_aux_graph(Hypergraph(s.n, s.k, [edge]), s).graph.edges]
+
+
+def jsonable(value):
+    """Recursively make a value JSON-safe; non-finite floats become None."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return jsonable(dataclasses.asdict(value))
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, set, frozenset)):
+        items = sorted(value) if isinstance(value, (set, frozenset)) else value
+        return [jsonable(v) for v in items]
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    return value
+
+
+def canonical_json_reference(obj):
+    """`jsonable` and then the stdlib encoder at indent 1 (its pure-Python
+    path): the oracle for `util.canonical_json`."""
+    return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ": "), indent=1)
+
+
+def random_hypergraph_reference(n, k, p, seed):
+    """One `random()` per k-subset in lexicographic order, kept below p: the
+    oracle for `random_hypergraph`."""
+    rng = random.Random(seed)
+    return Hypergraph(n, k, [e for e in combinations(range(n), k) if rng.random() < p])
 
 
 def degree_report_scan(h, d):

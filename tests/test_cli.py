@@ -196,13 +196,42 @@ def test_count_size_limit_exit_1(tmp_path, capsys):
     assert code == 1 and "n=12" in err
 
 
-def test_verify_wrong_overlap_exit_2(tmp_path, capsys):
+def test_verify_ell_out_of_range_exit_2(tmp_path, capsys):
     hpath = str(tmp_path / "h.json")
     write_hypergraph(complete_hypergraph(6, 3), hpath)
     cpath = str(tmp_path / "c.json")
     write_cycle(HamiltonCycle(k=3, ell=2, arrangement=(0, 1, 2, 3, 4, 5)), cpath)
     code, out, _ = run(capsys, "verify", "--input", hpath, "--cycle", cpath)
     assert code == 2 and json.loads(out)["failure"] == "ell-out-of-range"
+
+
+def test_hypergraph_bool_values_exit_1(tmp_path, capsys):
+    # JSON true/false are not the integers 1/0: neither as a vertex nor as k.
+    for doc in ('{"n": 4, "k": 3, "edges": [[true, 2, 3], [0, 2, 3]]}',
+                '{"n": 4, "k": true, "edges": [[1], [2]]}'):
+        path = tmp_path / "h.json"
+        path.write_text(doc)
+        code, out, err = run(capsys, "degrees", "--input", str(path), "--d", "1")
+        assert code == 1 and out == "" and "integers" in err
+
+
+def test_bipartite_bool_values_exit_1(tmp_path, capsys):
+    for doc in ('{"m": 2, "edges": [[true, 0], [0, 1]]}', '{"m": true, "edges": []}'):
+        path = tmp_path / "g.json"
+        path.write_text(doc)
+        code, out, err = run(capsys, "factor", "--input", str(path))
+        assert code == 1 and out == "" and "integer" in err
+
+
+def test_cycle_bool_values_exit_1(tmp_path, capsys):
+    hpath = str(tmp_path / "h.json")
+    write_hypergraph(complete_hypergraph(6, 3), hpath)
+    for doc in ('{"ell": true, "arrangement": [0, 1, 2, 3, 4, 5]}',
+                '{"ell": 1, "arrangement": [0, 1, 2, 3, 4, false]}'):
+        cpath = tmp_path / "c.json"
+        cpath.write_text(doc)
+        code, out, err = run(capsys, "verify", "--input", hpath, "--cycle", str(cpath))
+        assert code == 1 and out == "" and "integer" in err
 
 
 def test_codes_past_int64_exit_1(tmp_path, capsys):
@@ -263,6 +292,7 @@ GOLDEN_INPUTS = {
     "complete-4-3": ["--complete", "--n", "4", "--k", "3"],
     "complete-6-5": ["--complete", "--n", "6", "--k", "5"],
     "random-30-3": ["--random", "--n", "30", "--k", "3", "--p", "0.9", "--seed", "5"],
+    "random-90-3": ["--random", "--n", "90", "--k", "3", "--p", "0.9", "--seed", "3"],
 }
 
 GOLDEN_PACK = [
@@ -372,12 +402,15 @@ def test_mc_partition_golden_digests(tmp_path, capsys, argv, primary, sidecar):
 
 # sha256 of `gen` on each golden input, of `degrees` on random-30-3 and of
 # `reduce` (primary JSON and scheme sidecar) on complete-12-3, recorded before
-# the hypergraph's edges were stored as one sorted code array.
+# the hypergraph's edges were stored as one sorted code array.  random-90-3
+# (the benchmark's input, 105,847 edges) was recorded before `gen` drew its
+# uniforms in bulk and wrote through `canonical_json`.
 GOLDEN_GEN = {
     "complete-12-3": "d3bf2eacbc23e33f2dd85a8940888af079266b0971bd5613508d4fdd67c431b3",
     "complete-4-3": "7e75a0f77353747c6cc49bffde476d89a0c5ce518f5fa08d106ccfaee10ff35e",
     "complete-6-5": "13f786f90bb11568df9347e1d7d63ac87d89ec0cfad51666ede8a5df2456e8e8",
     "random-30-3": "02dfde9f83ffc6735fdb794091f611df8d92632f30fbfd8ee87e0275bbb6279f",
+    "random-90-3": "361a8cbe4d3ddd6e6817bf42ee1e8e319e57d6e635ae2524d390cd4dd61c8e58",
 }
 
 GOLDEN_DEGREES = {

@@ -2,10 +2,13 @@ import math
 
 import pytest
 
+from hampack import constructions
 from hampack.constructions import (complete_hypergraph, parity_hypergraph,
                                    random_hypergraph, verify_no_odd_factor)
-from hampack.errors import InvalidQueryError
+from hampack.errors import InvalidQueryError, ParseError, SizeLimitError
 from hampack.hypercore import degree_report
+
+from helpers import random_hypergraph_reference
 
 
 @pytest.mark.parametrize("n,k,expected", [(4, 3, 4), (6, 3, 20), (5, 5, 1)])
@@ -30,6 +33,31 @@ def test_random_edge_count_within_four_sigma():
     for seed in range(30):
         count = random_hypergraph(20, 3, 0.5, seed).num_edges()
         assert abs(count - mean) <= 4 * sigma
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 13])
+def test_random_matches_the_per_subset_draws(n):
+    for k in range(1, n + 1):
+        for p in (0.0, 0.3, 0.5, 1.0):
+            for seed in (0, 1, 2 ** 63 + 5):
+                assert random_hypergraph(n, k, p, seed) == \
+                    random_hypergraph_reference(n, k, p, seed), (n, k, p, seed)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100, 715, 716])
+def test_random_draws_continue_across_chunks(monkeypatch, chunk):
+    # C(13, 4) = 715 subsets: chunks of 1 and 7 end mid-way, 715 ends exactly
+    # at the last subset and 716 holds them all.
+    monkeypatch.setattr(constructions, "_DRAW_CHUNK", chunk)
+    for seed in (0, 2 ** 63 + 5):
+        assert random_hypergraph(13, 4, 0.5, seed) == random_hypergraph_reference(13, 4, 0.5, seed)
+
+
+def test_random_rejects_bad_shapes_before_drawing():
+    with pytest.raises(ParseError):
+        random_hypergraph(3, 5, 0.5, 0)
+    with pytest.raises(SizeLimitError):
+        random_hypergraph(10 ** 7, 3, 0.5, 0)
 
 
 @pytest.mark.parametrize("n,expected_a", [(12, 5), (6, 3), (10, 5), (7, 3)])

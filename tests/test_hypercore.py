@@ -1,11 +1,13 @@
 import json
+import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from hampack.constructions import complete_hypergraph, parity_hypergraph, random_hypergraph
 from hampack.errors import InvalidQueryError, ParseError, SizeLimitError
-from hampack.hypercore import (Hypergraph, degree_of, degree_report,
+from hampack.hypercore import (Hypergraph, degree_of, degree_report, lex_unrank,
                                read_hypergraph, relative_degree,
                                write_hypergraph)
 
@@ -145,6 +147,10 @@ def test_read_minimal(tmp_path):
     ('{"n": 4, "k": 3, "edges": [[0,1,3],[0,[1],2]]}', "edge 1: must be a list of integers"),
     ('{"n": 4, "k": 3, "edges": [[[0],[1],[2]]]}', "edge 0: must be a list of integers"),
     ('{"n": 4, "k": 3, "edges": [[0,1,3],5]}', "edge 1: must be a list of integers"),
+    ('{"n": 4, "k": 3, "edges": [[0,2,3],[true,2,3]]}', "edge 1: must be a list of integers"),
+    ('{"n": 4, "k": 3, "edges": [[false,2,3]]}', "edge 0: must be a list of integers"),
+    ('{"n": 4, "k": true, "edges": []}', '"k" must be integers'),
+    ('{"n": true, "k": 1, "edges": []}', '"k" must be integers'),
     ('{"n": 4, "k": 3, "edges": [[0,1,3],[0,1,2],[1,2]]}', "edge 2 .*distinct"),
     ('{"n": 4, "k": 3, "edges": [[0,1,3],[1,2,1]]}', "edge 1 .*distinct"),
     ('{"n": 4, "k": 3, "edges": [[0,1,3],[0,1,9223372036854775808]]}',
@@ -160,6 +166,13 @@ def test_parse_errors(tmp_path, payload, fragment):
     path.write_text(payload)
     with pytest.raises(ParseError, match=fragment):
         read_hypergraph(str(path))
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (5, 1), (5, 2), (6, 3), (7, 7), (9, 4)])
+def test_lex_unrank_walks_the_combinations_in_order(n, d):
+    ranks = np.arange(math.comb(n, d))
+    assert list(map(tuple, lex_unrank(ranks, n, d).tolist())) == list(combinations(range(n), d))
+    assert lex_unrank(ranks[::-2], n, d).tolist() == lex_unrank(ranks, n, d)[::-2].tolist()
 
 
 def test_constructor_rejects_bad_k():

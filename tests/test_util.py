@@ -1,10 +1,19 @@
-"""The JSON file formats: exact bytes written, and the error for a file that is not JSON."""
+"""The JSON file formats: exact bytes written, the canonical encoder against
+the stdlib one, the error for a file that is not JSON, and the bulk
+Mersenne Twister draws."""
+import random
+from dataclasses import dataclass
+
+import numpy as np
 import pytest
 
 from hampack.bifactor import BipartiteGraph, read_bipartite, write_bipartite
 from hampack.errors import ParseError
 from hampack.hypercore import Hypergraph, read_hypergraph, write_hypergraph
 from hampack.reduction import HamiltonCycle, read_cycle, write_cycle
+from hampack.util import canonical_json, random_stream
+
+from helpers import canonical_json_reference
 
 # Recorded from the per-module writers before they shared `util.write_json`.
 WRITERS = [
@@ -44,3 +53,106 @@ def test_reader_names_the_path_of_invalid_json(tmp_path, read):
     with pytest.raises(ParseError) as info:
         read(path)
     assert str(info.value).startswith(f"{path}: not valid JSON (")
+
+
+@dataclass(frozen=True)
+class _Leaf:
+    name: str
+    weights: tuple
+    tags: frozenset
+
+
+@dataclass
+class _Node:
+    leaf: _Leaf
+    children: list
+    extra: dict
+
+
+ENCODER_CASES = [
+    pytest.param([1, True], id="int-then-bool"),
+    pytest.param([True, False, None], id="bools-and-null"),
+    pytest.param([0.0, -0.0, 1e300, -1e-300, 0.1, float("nan"), float("inf"),
+                  -float("inf")], id="floats"),
+    pytest.param({"x": float("nan"), "y": [float("inf"), 2.5]}, id="non-finite-in-dict"),
+    pytest.param(["héllo", "☃\U0001F600", "tab\tnew\nline", "\x00\x1f\x7f",
+                  'quote" back\\ slash', ""], id="strings"),
+    pytest.param({"é": 1, "\n": 2}, id="unicode-keys"),
+    pytest.param([[], {}, [[]], [{}], {"a": []}, {"b": {}}], id="empties"),
+    pytest.param([], id="empty-list"),
+    pytest.param({}, id="empty-dict"),
+    pytest.param((1, 2, (3, 4)), id="tuples"),
+    pytest.param({3, 1, 2}, id="set"),
+    pytest.param([frozenset({"b", "a"}), set()], id="frozenset"),
+    pytest.param({2: "b", 10: "a", 1: [1]}, id="int-keys"),
+    pytest.param({1: "int", True: "bool", (0, 1): "tuple", 2.5: "float"}, id="mixed-keys"),
+    pytest.param({1: "int", "1": "str"}, id="colliding-keys"),
+    pytest.param(_Node(_Leaf("n", (1.5, float("nan")), frozenset({3, 1})),
+                       [_Leaf("m", (), frozenset())], {"k": (1, 2)}), id="dataclasses"),
+    pytest.param([[0, 1, 2], [3, 4, 5], [6, 7, 8]], id="equal-rows"),
+    pytest.param([[0, 1, 2], [3, 4], [5]], id="ragged-rows"),
+    pytest.param([(0, 1), [2, 3]], id="tuple-and-list-rows"),
+    pytest.param([[0, 1], [2, True]], id="rows-with-bool"),
+    pytest.param([[0, 1], [2, 3.0]], id="rows-with-float"),
+    pytest.param([[], []], id="empty-rows"),
+    pytest.param([[[1, 2], [3, 4]], [[5, 6], [7, 8]]], id="rows-of-rows"),
+    pytest.param([10 ** 30, -(10 ** 30), 0, -1], id="big-ints"),
+    pytest.param({"edges": [[7]] * 3, "n": 9, "k": 1}, id="width-1-rows"),
+    pytest.param("%d %s", id="percent-string"),
+    pytest.param([["%d", 1]], id="percent-in-rows"),
+    pytest.param(5, id="scalar"),
+]
+
+
+@pytest.mark.parametrize("doc", ENCODER_CASES)
+def test_canonical_json_matches_the_stdlib_reference(doc):
+    assert canonical_json(doc) == canonical_json_reference(doc)
+
+
+def _random_doc(rng, depth):
+    """A nested document of every kind `canonical_json` treats on its own."""
+    leaves = [lambda: rng.randrange(-5, 10 ** 6), lambda: rng.random() < 0.5,
+              lambda: None, lambda: rng.choice([0.5, -0.0, 1e300, float("nan")]),
+              lambda: rng.choice(["a", "é", "\n", ""])]
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(leaves)()
+    kind = rng.randrange(6)
+    size = rng.randrange(4)
+    if kind == 0:
+        return {rng.choice(["a", "b", 3, 4.5]): _random_doc(rng, depth - 1)
+                for _ in range(size)}
+    if kind == 1:
+        return tuple(_random_doc(rng, depth - 1) for _ in range(size))
+    if kind == 2:
+        return {rng.randrange(100) for _ in range(size)}
+    if kind == 3:
+        width = rng.randrange(1, 4)
+        return [[rng.randrange(100) for _ in range(width)] for _ in range(size + 1)]
+    if kind == 4:
+        return [rng.randrange(-100, 100) for _ in range(size)]
+    return [_random_doc(rng, depth - 1) for _ in range(size)]
+
+
+def test_canonical_json_matches_the_reference_on_generated_documents():
+    rng = random.Random(20140)
+    for _ in range(500):
+        doc = _random_doc(rng, 4)
+        assert canonical_json(doc) == canonical_json_reference(doc)
+
+
+def test_canonical_json_refuses_what_json_refuses():
+    for value in ([object()], {"a": np.int64(3)}, [np.bool_(True)]):
+        with pytest.raises(TypeError):
+            canonical_json_reference(value)
+        with pytest.raises(TypeError):
+            canonical_json(value)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 63 + 5])
+def test_random_stream_continues_the_random_draws(seed):
+    rng = random.Random(seed)
+    expected = [rng.random() for _ in range(1000)]
+    stream = random_stream(seed)
+    assert random_stream(seed).random_sample(0).tolist() == []
+    drawn = [stream.random_sample(size).tolist() for size in (0, 1, 624, 375)]
+    assert sum(drawn, []) == expected
