@@ -75,6 +75,15 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def _sweep_exit(args, successes: int) -> int:
+    """EXIT_FAILURE, with a FAIL line on stderr, when fewer trials succeeded
+    than --min-successes asks for."""
+    if args.min_successes is not None and successes < args.min_successes:
+        print(f"FAIL: {successes} successes < required {args.min_successes}", file=sys.stderr)
+        return EXIT_FAILURE
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------- commands
 
 def cmd_gen(args) -> int:
@@ -218,11 +227,7 @@ def cmd_mc_factor(args) -> int:
         sidecars.append((args.out + ".trials.csv",
                          _csv_text(["seed", "r_star", "target", "success"], rows)))
     _emit(doc, args, sidecars=sidecars)
-    if args.min_successes is not None and report.successes < args.min_successes:
-        print(f"FAIL: {report.successes} successes < required {args.min_successes}",
-              file=sys.stderr)
-        return EXIT_FAILURE
-    return EXIT_OK
+    return _sweep_exit(args, report.successes)
 
 
 def cmd_mc_partition(args) -> int:
@@ -256,11 +261,7 @@ def cmd_mc_partition(args) -> int:
     if args.out:
         sidecars.append((args.out + ".trials.csv", _csv_text(header, rows)))
     _emit(doc, args, sidecars=sidecars)
-    if args.min_successes is not None and report.successes < args.min_successes:
-        print(f"FAIL: {report.successes} successes < required {args.min_successes}",
-              file=sys.stderr)
-        return EXIT_FAILURE
-    return EXIT_OK
+    return _sweep_exit(args, report.successes)
 
 
 def cmd_verify(args) -> int:

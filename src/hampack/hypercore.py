@@ -90,7 +90,7 @@ def check_dimensions(n: int, k: int) -> None:
 class Hypergraph:
     """A k-uniform hypergraph on vertices 0..n-1 with a set of k-edges."""
 
-    __slots__ = ("n", "k", "codes", "_edges", "_code_set", "_completions")
+    __slots__ = ("n", "k", "codes", "_edges", "_code_set")
 
     def __init__(self, n: int, k: int, edges: Iterable[Iterable[int]]):
         check_dimensions(n, k)
@@ -111,7 +111,7 @@ class Hypergraph:
     def _store(self, n: int, k: int, codes: np.ndarray) -> None:
         codes.flags.writeable = False
         for name, value in (("n", n), ("k", k), ("codes", codes), ("_edges", None),
-                            ("_code_set", None), ("_completions", None)):
+                            ("_code_set", None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -170,21 +170,6 @@ class Hypergraph:
             object.__setattr__(self, "_code_set", frozenset(self.codes.tolist()))
         return code in self._code_set
 
-    def completion_index(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """Map each (k-1)-subset of an edge to the sorted tuple of completing vertices.
-
-        Built lazily once; (k-1)-subsets contained in no edge are absent (degree 0).
-        """
-        if self._completions is None:
-            idx: dict[tuple[int, ...], list[int]] = {}
-            for e in self.edges:
-                for drop in range(self.k):
-                    sub = e[:drop] + e[drop + 1:]
-                    idx.setdefault(sub, []).append(e[drop])
-            frozen = {sub: tuple(sorted(vs)) for sub, vs in idx.items()}
-            object.__setattr__(self, "_completions", frozen)
-        return self._completions
-
 
 @dataclass(frozen=True)
 class DegreeReport:
@@ -226,25 +211,35 @@ def lex_unrank(ranks: np.ndarray, n: int, d: int) -> np.ndarray:
     return rows
 
 
+def subset_ranks(h: Hypergraph, d: int) -> np.ndarray:
+    """The lexicographic ranks of every edge's d-subsets, as an |E| x C(k, d)
+    int64 array: column j holds the rank of the subset at the j-th position
+    combination of combinations(range(k), d), where
+    rank(c) = C(n, d) - 1 - sum_i C(n - 1 - c_i, d - i)."""
+    n = h.n
+    comb = np.array([[math.comb(x, j) for j in range(d + 1)] for x in range(n)],
+                    dtype=np.int64)
+    rows = n - 1 - h.rows()
+    positions = list(combinations(range(h.k), d))
+    ranks = np.full((len(rows), len(positions)), math.comb(n, d) - 1, dtype=np.int64)
+    for j, cols in enumerate(positions):
+        for i, c in enumerate(cols):
+            ranks[:, j] -= comb[rows[:, c], d - i]
+    return ranks
+
+
 def degree_report(h: Hypergraph, d: int) -> DegreeReport:
     """Exact extremes over all d-subsets, with the first attaining subset in
     lexicographic order as witness.
 
-    Every edge contributes the lexicographic ranks of its C(k, d) d-subsets,
-    rank(c) = C(n, d) - 1 - sum_i C(n - 1 - c_i, d - i); the d-subsets absent
-    from all ranks have degree 0, and the first of them is the first rank
-    missing from the sorted distinct ranks.
+    The d-subsets absent from all `subset_ranks` have degree 0, and the first
+    of them is the first rank missing from the sorted distinct ranks.
     """
     if not (1 <= d <= h.k - 1):
         raise InvalidQueryError(f"d must satisfy 1 <= d <= k-1 = {h.k - 1}, got {d}")
     n = h.n
     total = math.comb(n, d)
-    comb = np.array([[math.comb(x, j) for j in range(d + 1)] for x in range(n)],
-                    dtype=np.int64)
-    rows = n - 1 - h.rows()
-    ranks = np.concatenate([
-        total - 1 - sum(comb[rows[:, c], d - i] for i, c in enumerate(cols))
-        for cols in combinations(range(h.k), d)])
+    ranks = subset_ranks(h, d)
     present, counts = np.unique(ranks, return_counts=True)
     if len(present) < total:
         gaps = np.flatnonzero(present != np.arange(len(present)))

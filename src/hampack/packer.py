@@ -132,16 +132,18 @@ def psi_statistics(assignment: Assignment) -> PsiStats:
                     q_upper_bound=q_bound, expected_mean=r * q_bound)
 
 
+def _clamp_partitions(h: Hypergraph, ell: int, raw: float) -> int:
+    """round(raw) clamped to the desk-scale range [1, |E|·(k-ell)/n]."""
+    return max(1, min(round(raw), max(1, (h.num_edges() * (h.k - ell)) // h.n)))
+
+
 def default_num_partitions(h: Hypergraph, ell: int) -> int:
-    """Asymptotic partition count |E|·((k-ell)·ln n / n)^2, clamped to the
-    desk-scale range [1, |E|·(k-ell)/n]."""
+    """Asymptotic partition count |E|·((k-ell)·ln n / n)^2, clamped."""
     n, k = h.n, h.k
     num_edges = h.num_edges()
     if num_edges == 0:
         return 1
-    raw = num_edges * ((k - ell) * math.log(n) / n) ** 2
-    upper = max(1, (num_edges * (k - ell)) // n)
-    return max(1, min(round(raw), upper))
+    return _clamp_partitions(h, ell, num_edges * ((k - ell) * math.log(n) / n) ** 2)
 
 
 def _sample_accepted_schemes(h: Hypergraph, ell: int, count: int, seed: int,
@@ -288,9 +290,7 @@ def pack_near_regular(h: Hypergraph, ell: int, delta_target: float, epsilon: flo
     if num_partitions is None:
         if num_edges and alpha - epsilon > 0:
             q = (alpha - epsilon) * m * m / num_edges
-            raw = num_edges * ((k - ell) / n) ** 2 / q
-            upper = max(1, (num_edges * (k - ell)) // n)
-            num_partitions = max(1, min(round(raw), upper))
+            num_partitions = _clamp_partitions(h, ell, num_edges * ((k - ell) / n) ** 2 / q)
         else:
             num_partitions = 1
     band_lo = (alpha - 2.0 * epsilon) * m

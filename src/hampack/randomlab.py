@@ -26,11 +26,13 @@ import numpy as np
 from . import bifactor
 from .bifactor import BipartiteGraph, Factor
 from .errors import InvalidInputError
-from .hypercore import Hypergraph, degree_report
+from .hypercore import Hypergraph, degree_report, subset_ranks
 from .reduction import build_aux_graph, sample_scheme
 from .util import derive_seed, random_stream
 
 Probabilities = Union[float, Mapping[tuple[int, int], float]]
+
+MIN_PART_FRACTION = 0.05   # partition_degree_trial refuses parts below this share of n
 
 
 def _sweep(run: Callable[[int], Any], trials: int, master_seed: int) -> list:
@@ -122,8 +124,6 @@ def factor_robustness_trial(g: BipartiteGraph, rho: float, p: float, epsilon: fl
     """
     if not skip_checks:
         _check_robustness_hypotheses(g, rho)
-    if not (0.0 <= p <= 1.0):
-        raise InvalidInputError(f"p must be in [0, 1], got {p}")
     sub = random_subgraph(g, p, seed)
     r_star, factor = bifactor.max_factor(sub)
     target = _factor_target(rho, g.m, p, epsilon)
@@ -163,49 +163,41 @@ class PartitionTrialReport:
 
 
 def partition_degree_trial(h: Hypergraph, sizes: tuple[int, ...], delta: float,
-                           epsilon: float, seed: int,
-                           min_part_fraction: float = 0.05) -> PartitionTrial:
+                           epsilon: float, seed: int) -> PartitionTrial:
     """Uniform random partition with exact part sizes; success iff every part
-    meets its (delta + 2*eps/3) * m_i degree threshold for every (k-1)-subset."""
-    if sum(sizes) != h.n:
-        raise InvalidInputError(f"part sizes sum to {sum(sizes)}, need n = {h.n}")
-    if any(s < min_part_fraction * h.n for s in sizes):
+    meets its (delta + 2*eps/3) * m_i degree threshold for every (k-1)-subset.
+
+    Column j of `subset_ranks(h, k - 1)` leaves out the edge's vertex at
+    position k-1-j, so each (k-1)-subset's degree into a part counts the
+    columns whose left-out vertex lies in it; subsets covered by no edge get 0.
+    """
+    n, k = h.n, h.k
+    if sum(sizes) != n:
+        raise InvalidInputError(f"part sizes sum to {sum(sizes)}, need n = {n}")
+    if any(s < MIN_PART_FRACTION * n for s in sizes):
         raise InvalidInputError(
-            f"every part must have at least {min_part_fraction} * n vertices")
+            f"every part must have at least {MIN_PART_FRACTION} * n vertices")
     rng = random.Random(seed)
-    perm = list(range(h.n))
+    perm = list(range(n))
     rng.shuffle(perm)
-    parts = []
-    at = 0
-    for s in sizes:
-        parts.append(frozenset(perm[at:at + s]))
-        at += s
-    idx = h.completion_index()
-    full_cover = len(idx) == math.comb(h.n, h.k - 1)
-    minima = []
-    for part in parts:
-        if not full_cover:
-            minima.append(0)
-            continue
-        best = None
-        for completions in idx.values():
-            c = sum(1 for v in completions if v in part)
-            if best is None or c < best:
-                best = c
-                if best == 0:
-                    break
-        minima.append(best)
+    part_of = np.empty(n, dtype=np.int64)
+    part_of[perm] = np.repeat(np.arange(len(sizes)), sizes)
+    ranks = subset_ranks(h, k - 1)
+    total = math.comb(n, k - 1)
+    if total > ranks.size:  # some subset lies in no edge; also keeps bincount within |E|·k
+        minima = (0,) * len(sizes)
+    else:
+        left_out = part_of[h.rows()[:, ::-1]]
+        minima = tuple(int(np.bincount(ranks[left_out == i], minlength=total).min())
+                       for i in range(len(sizes)))
     thresholds = tuple((delta + 2.0 * epsilon / 3.0) * s for s in sizes)
     success = all(mn >= th for mn, th in zip(minima, thresholds))
-    return PartitionTrial(seed=seed, minima=tuple(minima),
-                          thresholds=thresholds, success=success)
+    return PartitionTrial(seed=seed, minima=minima, thresholds=thresholds, success=success)
 
 
 def partition_degree_sweep(h: Hypergraph, sizes: tuple[int, ...], delta: float,
-                           epsilon: float, trials: int, master_seed: int,
-                           min_part_fraction: float = 0.05) -> PartitionTrialReport:
-    results = _sweep(lambda seed: partition_degree_trial(h, sizes, delta, epsilon, seed,
-                                                         min_part_fraction),
+                           epsilon: float, trials: int, master_seed: int) -> PartitionTrialReport:
+    results = _sweep(lambda seed: partition_degree_trial(h, sizes, delta, epsilon, seed),
                      trials, master_seed)
     return PartitionTrialReport(trials=trials,
                                 successes=sum(1 for t in results if t.success),

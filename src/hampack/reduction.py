@@ -32,6 +32,12 @@ def check_shape(n: int, k: int, ell: int) -> int:
     return n // (k - ell)
 
 
+def _part_sizes(k: int, ell: int) -> tuple[int, int]:
+    """Sizes of a scheme's A-tuples and B-blocks: ell and k - 2*ell, or
+    floor(k/2) and ceil(k/2) for ell = 0."""
+    return (ell, k - 2 * ell) if ell >= 1 else (k // 2, k - k // 2)
+
+
 @dataclass(frozen=True)
 class PartitionScheme:
     """A sampled (A, B) split with its tuple sequence and block family."""
@@ -48,8 +54,7 @@ class PartitionScheme:
         n, k, ell, m = self.n, self.k, self.ell, self.m
         if m != check_shape(n, k, ell):
             raise InvalidInputError(f"m must be n/(k-ell) = {n // (k - ell)}, got {m}")
-        tuple_size = ell if ell >= 1 else k // 2
-        block_size = (k - 2 * ell) if ell >= 1 else k - k // 2
+        tuple_size, block_size = _part_sizes(k, ell)
         if len(self.tuples_a) != m or len(self.blocks_b) != m:
             raise InvalidInputError("tuple sequence and block family must both have m members")
         seen_a: set[int] = set()
@@ -158,8 +163,7 @@ def sample_scheme(h: Hypergraph, ell: int, seed: int) -> PartitionScheme:
     n, k = h.n, h.k
     m = check_shape(n, k, ell)
     rng = random.Random(seed)
-    tuple_size = ell if ell >= 1 else k // 2
-    block_size = (k - 2 * ell) if ell >= 1 else k - k // 2
+    tuple_size, block_size = _part_sizes(k, ell)
     size_a = tuple_size * m
     part_a = sorted(rng.sample(range(n), size_a))
     part_b = sorted(set(range(n)) - set(part_a))
@@ -219,16 +223,6 @@ def lift_matching(aux: AuxGraph, matching: Matching) -> HamiltonCycle:
         for i in range(scheme.m):
             arrangement.extend(sorted(scheme.tuples_a[i] + scheme.blocks_b[sigma[i]]))
     return HamiltonCycle(k=scheme.k, ell=scheme.ell, arrangement=tuple(arrangement))
-
-
-def lift_matching_pm(aux: AuxGraph, matching: Matching) -> frozenset[tuple[int, ...]]:
-    """ell = 0 only: the matched pair unions, i.e. a perfect matching of H."""
-    scheme = aux.scheme
-    if scheme.ell != 0:
-        raise InvalidInputError(f"scheme has ell={scheme.ell}; only ell=0 lifts to a matching")
-    sigma = _as_perfect_matching(matching, aux)
-    return frozenset(tuple(sorted(scheme.tuples_a[i] + scheme.blocks_b[sigma[i]]))
-                     for i in range(scheme.m))
 
 
 def verify_cycle(h: Hypergraph, cycle: HamiltonCycle) -> CycleCheck:

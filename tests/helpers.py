@@ -95,6 +95,26 @@ def degree_report_scan(h, d):
     return d_min, d_max, w_min, w_max
 
 
+def partition_minima_reference(h, sizes, seed):
+    """Per part of the `partition_degree_trial` shuffle, the least number of
+    completing vertices inside it over all (k-1)-subsets, from a dict of each
+    covered subset's completing vertices: the oracle for the trial's minima."""
+    perm = list(range(h.n))
+    random.Random(seed).shuffle(perm)
+    parts, at = [], 0
+    for s in sizes:
+        parts.append(frozenset(perm[at:at + s]))
+        at += s
+    completions = {}
+    for e in h.edges:
+        for drop in range(h.k):
+            completions.setdefault(e[:drop] + e[drop + 1:], []).append(e[drop])
+    if len(completions) < math.comb(h.n, h.k - 1):
+        return (0,) * len(sizes)
+    return tuple(min(sum(1 for v in vs if v in part) for vs in completions.values())
+                 for part in parts)
+
+
 def assign_edges_reference(h, auxes, seed):
     """Tuple-keyed candidate dict walked in `h.edges` order: the oracle for
     `assign_edges`.  Returns (psi, choice, per_scheme, unassigned) with psi

@@ -149,6 +149,26 @@ def test_mc_factor_threshold_failure(capsys):
     assert "FAIL" in err
 
 
+def test_mc_factor_probability_out_of_range_exit_1(capsys):
+    code, _, err = run(capsys, "mc-factor", "--complete-bipartite", "4", "--rho", "1",
+                       "--p", "1.5", "--epsilon", "0.1")
+    assert code == 1
+    assert "probability 1.5 not in [0, 1]" in err
+
+
+def test_mc_partition_threshold_failure(tmp_path, capsys):
+    hpath = str(tmp_path / "h.json")
+    write_hypergraph(complete_hypergraph(12, 3), hpath)
+    # every pair sees 4 of its 10 completions in a part of 6, below 0.9 * 6
+    code, out, err = run(capsys, "mc-partition", "--input", hpath,
+                         "--kind", "part-degrees", "--sizes", "6,6",
+                         "--delta", "0.9", "--epsilon", "0.0",
+                         "--trials", "3", "--seed", "3", "--min-successes", "1")
+    assert code == 2
+    assert json.loads(out)["successes"] == 0
+    assert "FAIL: 0 successes < required 1" in err
+
+
 def test_mc_partition_aux(tmp_path, capsys):
     hpath = str(tmp_path / "h.json")
     write_hypergraph(complete_hypergraph(12, 3), hpath)
@@ -373,29 +393,47 @@ def test_pack_golden_digests_without_arrangements(tmp_path, capsys, name, argv):
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_PACK_CYCLES_FREE[f"{name}-t{argv[1]}"]
 
 
-# The `h.json` of the README's CLI section and its two mc-partition sweeps:
-# sha256 of the primary JSON and of trials.csv, recorded before the sweeps
-# were made serial and the codegree hypothesis was read off `degree_report`.
-GOLDEN_MC_PARTITION = [
-    (["--kind", "aux-degrees", "--ell", "1", "--delta", "0.4", "--epsilon", "0.2"],
-     "f41d6b03d1c8176bc23aff700be0e2b3258cd80fbdf3320d4980d02170499cde",
-     "637651807429c703a8158ca034c689961d4c9032d47a2967e92d00bf97d1cc6c"),
-    (["--kind", "part-degrees", "--sizes", "12,12", "--delta", "0.4", "--epsilon", "0.1"],
-     "63b353baefb638d10b4a855a940a160a40b4665d60912843314d32861f65b3d9",
-     "6d00984b5a3a433890a9368d2121e45258c092d8a1dcc652dce7663aa10d85e6"),
-]
+# sha256 of the primary JSON and of trials.csv of mc-partition sweeps, keyed
+# by test id: (gen flags, mc-partition flags, primary, sidecar).  The first two
+# are the README's `h.json` and its sweeps, recorded before the sweeps were made
+# serial and the codegree hypothesis was read off `degree_report`.  The last
+# two were recorded before partition degrees were read off `subset_ranks`; the
+# p = 0.3 input leaves some 3-subsets in no edge.
+README_H = ["--random", "--n", "24", "--k", "3", "--p", "0.9", "--seed", "1"]
+GOLDEN_MC_PARTITION = {
+    "aux-degrees": (
+        README_H, ["--kind", "aux-degrees", "--ell", "1", "--delta", "0.4", "--epsilon", "0.2",
+                   "--trials", "50", "--seed", "1"],
+        "f41d6b03d1c8176bc23aff700be0e2b3258cd80fbdf3320d4980d02170499cde",
+        "637651807429c703a8158ca034c689961d4c9032d47a2967e92d00bf97d1cc6c"),
+    "part-degrees": (
+        README_H, ["--kind", "part-degrees", "--sizes", "12,12", "--delta", "0.4",
+                   "--epsilon", "0.1", "--trials", "50", "--seed", "1"],
+        "63b353baefb638d10b4a855a940a160a40b4665d60912843314d32861f65b3d9",
+        "6d00984b5a3a433890a9368d2121e45258c092d8a1dcc652dce7663aa10d85e6"),
+    "part-degrees-k4": (
+        ["--random", "--n", "24", "--k", "4", "--p", "0.95", "--seed", "1"],
+        ["--kind", "part-degrees", "--sizes", "8,8,8", "--delta", "0.15",
+         "--epsilon", "0.1", "--trials", "20", "--seed", "1"],
+        "90dfc66f4b39a022c5571e96af158fcfdb5b6062eed37d74b42cd5c4ddfb3852",
+        "5ae2681e0c9378f5ddcdadbd495c2fac62d2d9f15fbfae849ffa11bb98bd23fa"),
+    "part-degrees-uncovered": (
+        ["--random", "--n", "16", "--k", "4", "--p", "0.3", "--seed", "2"],
+        ["--kind", "part-degrees", "--sizes", "8,8", "--delta", "0.1",
+         "--epsilon", "0.05", "--trials", "20", "--seed", "1"],
+        "b36c739d6e709cb05b258992556d085de7a0c88014996fb2bae910947059b792",
+        "fa6bb03c097ff5b6c494fe045a40ea1fe8e3fafe8d2039e6fe5ad66fa6ea1ac5"),
+}
 
 
-@pytest.mark.parametrize("argv,primary,sidecar", GOLDEN_MC_PARTITION,
-                         ids=[c[0][1] for c in GOLDEN_MC_PARTITION])
-def test_mc_partition_golden_digests(tmp_path, capsys, argv, primary, sidecar):
+@pytest.mark.parametrize("name", sorted(GOLDEN_MC_PARTITION))
+def test_mc_partition_golden_digests(tmp_path, capsys, name):
+    gen_argv, argv, primary, sidecar = GOLDEN_MC_PARTITION[name]
     hpath = str(tmp_path / "h.json")
-    code, _, _ = run(capsys, "gen", "--random", "--n", "24", "--k", "3", "--p", "0.9",
-                     "--seed", "1", "--out", hpath)
+    code, _, _ = run(capsys, "gen", *gen_argv, "--out", hpath)
     assert code == 0
     opath = str(tmp_path / "mc.json")
-    code, _, _ = run(capsys, "mc-partition", "--input", hpath, *argv,
-                     "--trials", "50", "--seed", "1", "--out", opath)
+    code, _, _ = run(capsys, "mc-partition", "--input", hpath, *argv, "--out", opath)
     assert code == 0
     assert (_sha256(opath), _sha256(opath + ".trials.csv")) == (primary, sidecar)
 

@@ -278,6 +278,15 @@ class TestPackMinDegree:
 
 
 class TestPackNearRegular:
+    @pytest.mark.parametrize("n,k,ell,expected", [
+        (10, 2, 0, 4),    # |E|·((k-ell)/n)^2 / q rounds to 4, below the clamp of 9
+        (12, 3, 1, 36),   # the formula gives 48; the clamp |E|·(k-ell)/n = 36 wins
+    ])
+    def test_default_partition_count(self, n, k, ell, expected):
+        res = pack_near_regular(complete_hypergraph(n, k), ell=ell, delta_target=0.5,
+                                epsilon=0.05, seed=3)
+        assert res.partitions_used == expected == len(res.per_partition)
+
     def test_complete_runs(self):
         h = complete_hypergraph(12, 3)
         res = pack_near_regular(h, ell=1, delta_target=0.5, epsilon=0.05,

@@ -14,7 +14,7 @@ from hampack.randomlab import (aux_degree_sweep, aux_degree_trial,
                                random_subgraph)
 from hampack.util import derive_seed
 
-from helpers import one_uncovered_pair, random_bipartite
+from helpers import one_uncovered_pair, partition_minima_reference, random_bipartite
 
 
 class TestRandomSubgraph:
@@ -188,9 +188,27 @@ class TestPartitionDegrees:
             partition_degree_trial(complete_hypergraph(12, 3), (6, 5), 0.3, 0.1, 0)
 
     def test_tiny_parts_rejected(self):
-        with pytest.raises(InvalidInputError):
-            partition_degree_trial(complete_hypergraph(12, 3), (1, 11), 0.3, 0.1, 0,
-                                   min_part_fraction=0.25)
+        # 1 < 0.05 * 24: a part below MIN_PART_FRACTION of the vertices
+        with pytest.raises(InvalidInputError, match="at least 0.05 \\* n"):
+            partition_degree_trial(complete_hypergraph(24, 3), (1, 23), 0.3, 0.1, 0)
+        partition_degree_trial(complete_hypergraph(24, 3), (2, 22), 0.3, 0.1, 0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p", [0.3, 0.9, 1.0])
+    def test_minima_equal_the_completion_walk(self, k, p):
+        # k = 1: the one 0-subset's degree into a part is the number of edges in it
+        h = random_hypergraph(12, k, p, 17 * k)
+        for sizes in [(12,), (6, 6), (3, 4, 5)]:
+            for seed in range(3):
+                trial = partition_degree_trial(h, sizes, 0.3, 0.1, seed)
+                assert trial.minima == partition_minima_reference(h, sizes, seed)
+
+    @pytest.mark.parametrize("edges", [[], [(0, 1, 2)]])
+    def test_minima_equal_the_completion_walk_on_sparse_inputs(self, edges):
+        h = Hypergraph(8, 3, edges)
+        for sizes in [(8,), (4, 4), (2, 3, 3)]:
+            assert partition_degree_trial(h, sizes, 0.3, 0.1, 1).minima \
+                == partition_minima_reference(h, sizes, 1) == (0,) * len(sizes)
 
     def test_calibrated_sweep(self):
         # dense-minus-20% hypergraph, two equal parts

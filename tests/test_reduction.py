@@ -9,7 +9,7 @@ from hampack.hypercore import Hypergraph
 from hampack.reduction import (HamiltonCycle, PartitionScheme, build_aux_graph,
                                canonicalize, cycle_from_json_dict,
                                cycle_to_json_dict, lift_matching,
-                               lift_matching_pm, sample_scheme, verify_cycle)
+                               sample_scheme, verify_cycle)
 
 
 class TestSampleScheme:
@@ -111,21 +111,16 @@ class TestLift:
             lift_matching(aux_sparse, {0: 0, 1: 1, 2: 2, 3: 3})
 
     def test_lift_pm_both_matchings_of_k22(self):
+        # for ell = 0 the lifted segments are a perfect matching of H
         h = complete_hypergraph(6, 3)
         aux = build_aux_graph(h, sample_scheme(h, 0, 8))
-        pm1 = lift_matching_pm(aux, {0: 0, 1: 1})
-        pm2 = lift_matching_pm(aux, {0: 1, 1: 0})
+        pm1 = frozenset(lift_matching(aux, {0: 0, 1: 1}).segments())
+        pm2 = frozenset(lift_matching(aux, {0: 1, 1: 0}).segments())
         assert pm1 != pm2
         for pm in (pm1, pm2):
             assert len(pm) == 2
             assert set().union(*pm) == set(range(6))
             assert all(h.has_edge(e) for e in pm)
-
-    def test_lift_pm_requires_ell0(self):
-        h = complete_hypergraph(8, 3)
-        aux = build_aux_graph(h, sample_scheme(h, 1, 2))
-        with pytest.raises(InvalidInputError):
-            lift_matching_pm(aux, {i: i for i in range(4)})
 
 
 class TestVerify:
