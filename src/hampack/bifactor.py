@@ -272,15 +272,6 @@ def max_factor(g: BipartiteGraph) -> tuple[int, Factor]:
     return lo, best if best is not None else Factor(0, BipartiteGraph(g.m, ()))
 
 
-def csaba_rho(delta: float) -> float:
-    """Factor-density guarantee (delta + sqrt(2*delta - 1)) / 2 for delta in [1/2, 1]."""
-    if delta < 0.5:
-        raise InvalidInputError(f"delta must be >= 1/2, got {delta}")
-    if delta > 1.0:
-        raise InvalidInputError(f"delta must be <= 1, got {delta}")
-    return (delta + math.sqrt(2.0 * delta - 1.0)) / 2.0
-
-
 def almost_regular_bound(alpha: float, epsilon: float) -> float:
     """Factor-density target alpha - 10*sqrt(epsilon) for near-regular graphs, clamped at 0."""
     if alpha <= 0.5:

@@ -19,7 +19,7 @@ from typing import Any, Optional
 
 from . import __version__, bifactor, census, constructions, hypercore, packer, randomlab
 from .errors import HampackError, InvariantViolation
-from .reduction import (build_aux_graph, read_cycle, sample_scheme,
+from .reduction import (build_aux_graph, cycle_to_json_dict, read_cycle, sample_scheme,
                         verify_cycle)
 from .util import canonical_json, derive_seed, sha256_file, write_json
 
@@ -173,8 +173,7 @@ def cmd_factor(args) -> int:
 
 def _packing_doc(result: packer.PackingResult) -> dict:
     doc = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
-    doc["cycles"] = [{"ell": c.ell, "arrangement": list(c.arrangement)}
-                     for c in result.cycles]
+    doc["cycles"] = [cycle_to_json_dict(c) for c in result.cycles]
     return doc
 
 
@@ -236,8 +235,6 @@ def cmd_mc_partition(args) -> int:
         report = randomlab.aux_degree_sweep(
             h, args.ell, delta=args.delta, epsilon=args.epsilon,
             trials=args.trials, master_seed=args.seed)
-        doc = {"kind": args.kind, "trials": report.trials, "successes": report.successes,
-               "hypothesis_met": report.hypothesis_met}
         rows = [[t.seed, t.min_degree, t.threshold, int(t.success)]
                 for t in report.per_trial]
         header = ["seed", "min_degree", "threshold", "success"]
@@ -251,12 +248,12 @@ def cmd_mc_partition(args) -> int:
         report = randomlab.partition_degree_sweep(
             h, sizes, delta=args.delta, epsilon=args.epsilon,
             trials=args.trials, master_seed=args.seed)
-        doc = {"kind": args.kind, "trials": report.trials, "successes": report.successes,
-               "hypothesis_met": report.hypothesis_met}
         rows = [[t.seed, ";".join(map(str, t.minima)),
                  ";".join(f"{x:.6g}" for x in t.thresholds), int(t.success)]
                 for t in report.per_trial]
         header = ["seed", "part_minima", "part_thresholds", "success"]
+    doc = {"kind": args.kind, "trials": report.trials, "successes": report.successes,
+           "hypothesis_met": report.hypothesis_met}
     sidecars = []
     if args.out:
         sidecars.append((args.out + ".trials.csv", _csv_text(header, rows)))

@@ -181,18 +181,6 @@ class DegreeReport:
     witness_max: tuple[int, ...]
 
 
-def degree_of(h: Hypergraph, subset: Iterable[int]) -> int:
-    """Number of edges containing every vertex of `subset`."""
-    a = frozenset(subset)
-    if len(a) > h.k:
-        raise InvalidQueryError(f"subset size {len(a)} exceeds k={h.k}")
-    if not a:
-        return h.num_edges()
-    if len(a) == h.k:
-        return 1 if h.has_edge(a) else 0
-    return sum(1 for e in h.edges if a.issubset(e))
-
-
 def lex_unrank(ranks: np.ndarray, n: int, d: int) -> np.ndarray:
     """The d-subsets of 0..n-1 at positions `ranks` in lexicographic order, as
     a len(ranks) x d int64 array of ascending rows.
@@ -255,24 +243,6 @@ def degree_report(h: Hypergraph, d: int) -> DegreeReport:
     witness_min, witness_max = map(tuple, lex_unrank([r_min, r_max], n, d).tolist())
     return DegreeReport(d=d, min_degree=d_min, max_degree=d_max,
                         witness_min=witness_min, witness_max=witness_max)
-
-
-def relative_degree(h: Hypergraph, x: Iterable[int], y: Iterable[int]) -> int:
-    """Number of subsets Z of `y` with x ∪ Z an edge (|Z| = k - |x|)."""
-    xs = frozenset(x)
-    ys = frozenset(y)
-    if xs & ys:
-        raise InvalidQueryError(f"X and Y overlap: {sorted(xs & ys)}")
-    if len(xs) >= h.k:
-        raise InvalidQueryError(f"|X| = {len(xs)} must be < k = {h.k}")
-    need = h.k - len(xs)
-    count = 0
-    for e in h.edges:
-        if xs.issubset(e):
-            rest = [v for v in e if v not in xs]
-            if len(rest) == need and all(v in ys for v in rest):
-                count += 1
-    return count
 
 
 def to_json_dict(h: Hypergraph) -> dict:

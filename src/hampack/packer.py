@@ -1,15 +1,16 @@
 """Randomized edge-disjoint Hamilton cycle packing.
 
-Both pipelines share one skeleton: sample partition schemes, let every
+Both pipelines run one loop, `_pack`: sample partition schemes, let every
 hypergraph edge that fits some scheme pick one uniformly at random (making the
 per-scheme sub-hypergraphs edge-disjoint by construction), then extract a
 maximal regular subgraph of each scheme's auxiliary graph restricted to its
 assigned edges, peel it into perfect matchings, and lift each matching to a
 cycle.  An edge fits a scheme exactly when it is realized by an edge of that
 scheme's auxiliary graph, so the candidates are read off the aux graphs.
-`pack_min_degree` needs only a codegree lower bound; `pack_near_regular`
-additionally needs the codegrees to be nearly uniform and reports coverage
-against an uncovered-edge budget.
+Each pipeline sets only what differs: `pack_min_degree` needs only a codegree
+lower bound; `pack_near_regular` additionally needs the codegrees to be nearly
+uniform, records a factor target per partition and reports coverage against
+an uncovered-edge budget.
 """
 from __future__ import annotations
 
@@ -84,16 +85,6 @@ class Assignment:
         return np.bincount(picked, minlength=len(self.schemes)).tolist()
 
 
-@dataclass(frozen=True)
-class PsiStats:
-    histogram: dict[int, int]
-    num_edges: int
-    sum_psi: int
-    mean_psi: float
-    q_upper_bound: float       # m^2 / |E(H)|
-    expected_mean: float       # num_schemes * q_upper_bound
-
-
 def assign_edges(h: Hypergraph, auxes: Sequence[AuxGraph], seed: int) -> Assignment:
     """Every edge realized by at least one scheme's aux graph picks one of those
     schemes uniformly at random; the per-scheme edge sets are disjoint by
@@ -114,22 +105,6 @@ def assign_edges(h: Hypergraph, auxes: Sequence[AuxGraph], seed: int) -> Assignm
     choice = np.full(h.num_edges(), -1, dtype=np.int64)
     choice[realized] = scheme[(np.cumsum(psi) - psi)[realized] + picks]
     return Assignment(schemes=tuple(aux.scheme for aux in auxes), psi=psi, choice=choice)
-
-
-def psi_statistics(assignment: Assignment) -> PsiStats:
-    """Histogram of candidate counts, against the per-scheme ceiling m^2/|E|."""
-    counts = np.bincount(assignment.psi).tolist()
-    num_edges = len(assignment.psi)
-    total = int(assignment.psi.sum())
-    if assignment.schemes:
-        m = assignment.schemes[0].m
-        q_bound = (m * m / num_edges) if num_edges else 0.0
-    else:
-        q_bound = 0.0
-    r = len(assignment.schemes)
-    return PsiStats(histogram={v: c for v, c in enumerate(counts) if c}, num_edges=num_edges,
-                    sum_psi=total, mean_psi=(total / num_edges) if num_edges else 0.0,
-                    q_upper_bound=q_bound, expected_mean=r * q_bound)
 
 
 def _clamp_partitions(h: Hypergraph, ell: int, raw: float) -> int:
@@ -168,45 +143,49 @@ def _sample_accepted_schemes(h: Hypergraph, ell: int, count: int, seed: int,
     return auxes, retries, exhausted
 
 
-def _extract_cycles(h: Hypergraph, aux: AuxGraph, index: int, assignment: Assignment,
-                    factor_target: Optional[int] = None):
-    """Maximum factor, peeling, and lifting for partition `index`, on the aux
-    edges whose hyperedge chose it.  `factor_target`, a guaranteed factor size
-    that the maximum dominates whenever it is feasible, is only recorded.
+def _pack(h: Hypergraph, ell: int, count: int, seed: int, resample_limit: int, accept,
+          warnings: list[str], density: Optional[float] = None,
+          uncovered_budget: Optional[float] = None) -> PackingResult:
+    """The shared packing loop: sample and accept `count` schemes, assign the
+    edges, and per partition take the maximum factor of the aux edges whose
+    hyperedge chose it, peel it, and lift, canonicalize and verify each cycle.
+
+    `density`, when given, records the factor target density·m·retention
+    (retention: the share of the aux edges assigned to the partition), which
+    the flow maximum dominates whenever it is feasible.  Edge-disjointness and
+    edge conservation are re-verified on the result.
     """
-    sub = BipartiteGraph._from_codes(
-        aux.scheme.m, aux.graph.codes[assignment.choice[aux.edge_pos] == index])
-    r_i, factor = bifactor.max_factor(sub)
-    matchings = bifactor.peel_matchings(factor, sub)
-    cycles = []
-    seen = set()
-    for matching in matchings:
-        cycle = canonicalize(lift_matching(aux, matching))
-        if cycle in seen:
-            continue  # m = 2 degeneracy: reflected matchings lift to one cycle
-        seen.add(cycle)
-        check = verify_cycle(h, cycle)
-        if not check:
-            raise InvariantViolation(f"lifted cycle failed verification: {check.failure}")
-        cycles.append(cycle)
-    return sub, factor_target, r_i, len(matchings), cycles
-
-
-def _assemble(h: Hypergraph, auxes, retries, assignment, extraction,
-              warnings: list[str], exhausted: bool,
-              uncovered_budget: Optional[float] = None) -> PackingResult:
+    auxes, retries, exhausted = _sample_accepted_schemes(
+        h, ell, count, seed, resample_limit, accept)
+    if exhausted:
+        warnings.append("resample limit exhausted for at least one partition; partial result")
+    assignment = assign_edges(h, auxes, derive_seed(seed, "assign"))
+    assigned = assignment.assigned_counts()
     all_cycles: list[HamiltonCycle] = []
     stats: list[PartitionStats] = []
-    assigned = assignment.assigned_counts()
     for i, aux in enumerate(auxes):
-        sub, target, r_i, n_matchings, cycles = extraction[i]
-        all_cycles.extend(cycles)
+        m, codes = aux.scheme.m, aux.graph.codes
+        sub = BipartiteGraph._from_codes(m, codes[assignment.choice[aux.edge_pos] == i])
+        r_i, factor = bifactor.max_factor(sub)
+        matchings = bifactor.peel_matchings(factor, sub)
+        seen: set[HamiltonCycle] = set()
+        for matching in matchings:
+            cycle = canonicalize(lift_matching(aux, matching))
+            if cycle in seen:
+                continue  # m = 2 degeneracy: reflected matchings lift to one cycle
+            seen.add(cycle)
+            check = verify_cycle(h, cycle)
+            if not check:
+                raise InvariantViolation(f"lifted cycle failed verification: {check.failure}")
+            all_cycles.append(cycle)
+        target = None
+        if density is not None:
+            target = int(density * m * ((assigned[i] / len(codes)) if len(codes) else 0.0))
         stats.append(PartitionStats(
-            index=i, retries=retries[i],
-            aux_min_degree=aux.graph.min_degree(), aux_edges=len(aux.graph.codes),
-            assigned_edges=assigned[i],
-            sub_aux_edges=len(sub.codes), factor_target=target,
-            factor_size=r_i, matchings=n_matchings, cycles=len(cycles)))
+            index=i, retries=retries[i], aux_min_degree=aux.graph.min_degree(),
+            aux_edges=len(codes), assigned_edges=assigned[i], sub_aux_edges=len(sub.codes),
+            factor_target=target, factor_size=r_i, matchings=len(matchings),
+            cycles=len(seen)))
     used: set[tuple[int, ...]] = set()
     for cycle in all_cycles:
         for seg in cycle.segments():
@@ -224,7 +203,7 @@ def _assemble(h: Hypergraph, auxes, retries, assignment, extraction,
     return PackingResult(
         cycles=tuple(all_cycles), partitions_used=len(auxes),
         per_partition=tuple(stats),
-        psi_histogram=psi_statistics(assignment).histogram,
+        psi_histogram={v: c for v, c in enumerate(np.bincount(assignment.psi).tolist()) if c},
         unassigned=int(unassigned.sum()),
         covered_edges=covered, coverage_ratio=ratio,
         warnings=tuple(warnings), resample_exhausted=exhausted,
@@ -251,15 +230,8 @@ def pack_min_degree(h: Hypergraph, cfg: PackingConfig) -> PackingResult:
     eps = cfg.epsilon if cfg.epsilon is not None else max(alpha - cfg.alpha_prime, 0.0)
     threshold = (cfg.alpha_prime + eps / 2.0) * m
     count = cfg.num_partitions if cfg.num_partitions is not None else default_num_partitions(h, ell)
-    auxes, retries, exhausted = _sample_accepted_schemes(
-        h, ell, count, cfg.seed, cfg.resample_limit,
-        accept=lambda aux: aux.graph.min_degree() >= threshold)
-    if exhausted:
-        warnings.append("resample limit exhausted for at least one partition; partial result")
-    assignment = assign_edges(h, auxes, derive_seed(cfg.seed, "assign"))
-    extraction = [_extract_cycles(h, aux, i, assignment)
-                  for i, aux in enumerate(auxes)]
-    return _assemble(h, auxes, retries, assignment, extraction, warnings, exhausted)
+    return _pack(h, ell, count, cfg.seed, cfg.resample_limit,
+                 lambda aux: aux.graph.min_degree() >= threshold, warnings)
 
 
 def pack_near_regular(h: Hypergraph, ell: int, delta_target: float, epsilon: float,
@@ -295,24 +267,11 @@ def pack_near_regular(h: Hypergraph, ell: int, delta_target: float, epsilon: flo
             num_partitions = 1
     band_lo = (alpha - 2.0 * epsilon) * m
     band_hi = (alpha + 2.0 * epsilon) * m
-    auxes, retries, exhausted = _sample_accepted_schemes(
-        h, ell, num_partitions, seed, resample_limit,
-        accept=lambda aux: band_lo <= aux.graph.min_degree()
-        and aux.graph.max_degree() <= band_hi)
-    if exhausted:
-        warnings.append("resample limit exhausted for at least one partition; partial result")
-    assignment = assign_edges(h, auxes, derive_seed(seed, "assign"))
     try:
         density = bifactor.almost_regular_bound(alpha, 2.0 * epsilon)
     except InvalidInputError:
         density = 0.0
-    extraction = []
-    assigned = assignment.assigned_counts()
-    for i, aux in enumerate(auxes):
-        full = len(aux.graph.codes)
-        retention = (assigned[i] / full) if full else 0.0
-        extraction.append(_extract_cycles(h, aux, i, assignment,
-                                          int(density * m * retention)))
-    budget = delta_target * math.comb(n, k)
-    return _assemble(h, auxes, retries, assignment, extraction, warnings,
-                     exhausted, uncovered_budget=budget)
+    return _pack(h, ell, num_partitions, seed, resample_limit,
+                 lambda aux: band_lo <= aux.graph.min_degree()
+                 and aux.graph.max_degree() <= band_hi,
+                 warnings, density=density, uncovered_budget=delta_target * math.comb(n, k))

@@ -45,6 +45,11 @@ def _codegree_hypothesis(h: Hypergraph, delta: float, epsilon: float) -> bool:
     return degree_report(h, h.k - 1).min_degree >= (delta + epsilon) * h.n
 
 
+def _check_probability(p: float) -> None:
+    if not (0.0 <= p <= 1.0):
+        raise InvalidInputError(f"probability {p} not in [0, 1]")
+
+
 def random_subgraph(g: BipartiteGraph, p: Probabilities, seed: int) -> BipartiteGraph:
     """Keep each edge independently with its probability; deterministic per seed.
 
@@ -59,8 +64,7 @@ def random_subgraph(g: BipartiteGraph, p: Probabilities, seed: int) -> Bipartite
     """
     codes = g.codes
     if isinstance(p, (int, float)):
-        if not (0.0 <= p <= 1.0):
-            raise InvalidInputError(f"probability {p} not in [0, 1]")
+        _check_probability(p)
         threshold = p
     else:
         s, t = np.divmod(codes, g.m)
@@ -133,8 +137,10 @@ def factor_robustness_trial(g: BipartiteGraph, rho: float, p: float, epsilon: fl
 
 def factor_robustness_sweep(g: BipartiteGraph, rho: float, p: float, epsilon: float,
                             trials: int, master_seed: int) -> SubgraphTrialReport:
-    """Run `trials` independent subsample trials; hypotheses are checked once."""
+    """Run `trials` independent subsample trials; hypotheses and p are checked
+    once, before any trial."""
     _check_robustness_hypotheses(g, rho)
+    _check_probability(p)
     results = _sweep(lambda seed: factor_robustness_trial(g, rho, p, epsilon, seed,
                                                           skip_checks=True),
                      trials, master_seed)
@@ -166,10 +172,20 @@ def partition_degree_trial(h: Hypergraph, sizes: tuple[int, ...], delta: float,
                            epsilon: float, seed: int) -> PartitionTrial:
     """Uniform random partition with exact part sizes; success iff every part
     meets its (delta + 2*eps/3) * m_i degree threshold for every (k-1)-subset.
+    """
+    return _partition_degree_trial(h, sizes, delta, epsilon, seed,
+                                   subset_ranks(h, h.k - 1), h.rows())
 
-    Column j of `subset_ranks(h, k - 1)` leaves out the edge's vertex at
-    position k-1-j, so each (k-1)-subset's degree into a part counts the
-    columns whose left-out vertex lies in it; subsets covered by no edge get 0.
+
+def _partition_degree_trial(h: Hypergraph, sizes: tuple[int, ...], delta: float,
+                            epsilon: float, seed: int, ranks: np.ndarray,
+                            rows: np.ndarray) -> PartitionTrial:
+    """`partition_degree_trial` on `ranks = subset_ranks(h, k - 1)` and
+    `rows = h.rows()`, which do not depend on the seed.
+
+    Column j of `ranks` leaves out the edge's vertex at position k-1-j, so
+    each (k-1)-subset's degree into a part counts the columns whose left-out
+    vertex lies in it; subsets covered by no edge get 0.
     """
     n, k = h.n, h.k
     if sum(sizes) != n:
@@ -182,12 +198,11 @@ def partition_degree_trial(h: Hypergraph, sizes: tuple[int, ...], delta: float,
     rng.shuffle(perm)
     part_of = np.empty(n, dtype=np.int64)
     part_of[perm] = np.repeat(np.arange(len(sizes)), sizes)
-    ranks = subset_ranks(h, k - 1)
     total = math.comb(n, k - 1)
     if total > ranks.size:  # some subset lies in no edge; also keeps bincount within |E|·k
         minima = (0,) * len(sizes)
     else:
-        left_out = part_of[h.rows()[:, ::-1]]
+        left_out = part_of[rows[:, ::-1]]
         minima = tuple(int(np.bincount(ranks[left_out == i], minlength=total).min())
                        for i in range(len(sizes)))
     thresholds = tuple((delta + 2.0 * epsilon / 3.0) * s for s in sizes)
@@ -197,7 +212,9 @@ def partition_degree_trial(h: Hypergraph, sizes: tuple[int, ...], delta: float,
 
 def partition_degree_sweep(h: Hypergraph, sizes: tuple[int, ...], delta: float,
                            epsilon: float, trials: int, master_seed: int) -> PartitionTrialReport:
-    results = _sweep(lambda seed: partition_degree_trial(h, sizes, delta, epsilon, seed),
+    ranks, rows = subset_ranks(h, h.k - 1), h.rows()
+    results = _sweep(lambda seed: _partition_degree_trial(h, sizes, delta, epsilon, seed,
+                                                          ranks, rows),
                      trials, master_seed)
     return PartitionTrialReport(trials=trials,
                                 successes=sum(1 for t in results if t.success),

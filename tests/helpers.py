@@ -6,6 +6,7 @@ import random
 from itertools import combinations
 
 from hampack.bifactor import BipartiteGraph
+from hampack.errors import InvalidInputError, InvalidQueryError
 from hampack.hypercore import Hypergraph
 from hampack.reduction import build_aux_graph
 
@@ -75,6 +76,47 @@ def random_hypergraph_reference(n, k, p, seed):
     oracle for `random_hypergraph`."""
     rng = random.Random(seed)
     return Hypergraph(n, k, [e for e in combinations(range(n), k) if rng.random() < p])
+
+
+def degree_of(h, subset):
+    """Number of edges containing every vertex of `subset`, by a scan over
+    the edges."""
+    a = frozenset(subset)
+    if len(a) > h.k:
+        raise InvalidQueryError(f"subset size {len(a)} exceeds k={h.k}")
+    if not a:
+        return h.num_edges()
+    if len(a) == h.k:
+        return 1 if h.has_edge(a) else 0
+    return sum(1 for e in h.edges if a.issubset(e))
+
+
+def relative_degree(h, x, y):
+    """Number of subsets Z of `y` with x ∪ Z an edge (|Z| = k - |x|), by a
+    scan over the edges."""
+    xs = frozenset(x)
+    ys = frozenset(y)
+    if xs & ys:
+        raise InvalidQueryError(f"X and Y overlap: {sorted(xs & ys)}")
+    if len(xs) >= h.k:
+        raise InvalidQueryError(f"|X| = {len(xs)} must be < k = {h.k}")
+    need = h.k - len(xs)
+    count = 0
+    for e in h.edges:
+        if xs.issubset(e):
+            rest = [v for v in e if v not in xs]
+            if len(rest) == need and all(v in ys for v in rest):
+                count += 1
+    return count
+
+
+def csaba_rho(delta):
+    """Factor-density guarantee (delta + sqrt(2*delta - 1)) / 2 for delta in [1/2, 1]."""
+    if delta < 0.5:
+        raise InvalidInputError(f"delta must be >= 1/2, got {delta}")
+    if delta > 1.0:
+        raise InvalidInputError(f"delta must be <= 1, got {delta}")
+    return (delta + math.sqrt(2.0 * delta - 1.0)) / 2.0
 
 
 def degree_report_scan(h, d):

@@ -12,8 +12,8 @@ import time
 from itertools import combinations, permutations
 
 from hampack.bifactor import (complete_bipartite, count_perfect_matchings,
-                              csaba_rho, find_factor, gale_ryser_check,
-                              max_factor, peel_matchings)
+                              find_factor, gale_ryser_check, max_factor,
+                              peel_matchings)
 from hampack.census import enumerate_cycles, expected_count
 from hampack.constructions import (complete_hypergraph, parity_hypergraph,
                                    random_hypergraph, verify_no_odd_factor)
@@ -23,7 +23,7 @@ from hampack.randomlab import (aux_degree_sweep, factor_robustness_sweep,
                                random_subgraph)
 from hampack.reduction import PartitionScheme, build_aux_graph, verify_cycle
 
-from helpers import random_bipartite
+from helpers import csaba_rho, random_bipartite
 
 
 def announce(num: int, ok: bool, detail: str) -> None:

@@ -8,13 +8,13 @@ import pytest
 from hampack import bifactor, randomlab
 from hampack.bifactor import (BipartiteGraph, Factor, almost_regular_bound,
                               complete_bipartite, count_perfect_matchings,
-                              csaba_rho, find_factor, from_json_dict,
+                              find_factor, from_json_dict,
                               gale_ryser_check, max_factor, peel_matchings,
                               read_bipartite, to_json_dict, write_bipartite)
 from hampack.errors import (InvalidInputError, InvariantViolation, ParseError,
                             SizeLimitError)
 
-from helpers import brute_force_matching_count, random_bipartite
+from helpers import brute_force_matching_count, csaba_rho, random_bipartite
 
 
 def cycle6():

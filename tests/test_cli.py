@@ -156,6 +156,15 @@ def test_mc_factor_probability_out_of_range_exit_1(capsys):
     assert "probability 1.5 not in [0, 1]" in err
 
 
+def test_mc_factor_probability_checked_without_trials(tmp_path, capsys):
+    out = str(tmp_path / "mc.json")
+    code, _, err = run(capsys, "mc-factor", "--complete-bipartite", "4", "--rho", "1",
+                       "--p", "1.5", "--epsilon", "0.1", "--trials", "0", "--out", out)
+    assert code == 1
+    assert "probability 1.5 not in [0, 1]" in err
+    assert not (tmp_path / "mc.json").exists()
+
+
 def test_mc_partition_threshold_failure(tmp_path, capsys):
     hpath = str(tmp_path / "h.json")
     write_hypergraph(complete_hypergraph(12, 3), hpath)

@@ -7,11 +7,10 @@ import pytest
 
 from hampack.constructions import complete_hypergraph, parity_hypergraph, random_hypergraph
 from hampack.errors import InvalidQueryError, ParseError, SizeLimitError
-from hampack.hypercore import (Hypergraph, degree_of, degree_report, lex_unrank,
-                               read_hypergraph, relative_degree,
+from hampack.hypercore import (Hypergraph, degree_report, lex_unrank, read_hypergraph,
                                write_hypergraph)
 
-from helpers import degree_report_scan, one_uncovered_pair
+from helpers import degree_of, degree_report_scan, one_uncovered_pair, relative_degree
 
 
 def test_degree_of_complete():

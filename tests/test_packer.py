@@ -7,7 +7,7 @@ from hampack.constructions import complete_hypergraph, random_hypergraph
 from hampack.errors import InvalidInputError
 from hampack.hypercore import Hypergraph
 from hampack.packer import (PackingConfig, assign_edges, default_num_partitions,
-                            pack_min_degree, pack_near_regular, psi_statistics)
+                            pack_min_degree, pack_near_regular)
 from hampack.reduction import sample_scheme, verify_cycle
 from hampack.util import derive_seed
 
@@ -195,19 +195,37 @@ class TestAssignMatchesReference:
             assert a.assigned_counts() == [len(x) for x in per_scheme]
 
 
-class TestPsiStats:
-    def test_no_schemes(self):
-        h = random_hypergraph(12, 3, 0.5, 1)
-        stats = psi_statistics(assign_edges(h, aux_graphs(h, []), seed=0))
-        assert set(stats.histogram) == {0}
-        assert stats.sum_psi == 0 and stats.expected_mean == 0.0
+def reference_psi_histogram(h, ell, seed, res):
+    """Counts of the reference walk's psi over the pipeline's own aux graphs,
+    rebuilt from its seed labels."""
+    schemes = [sample_scheme(h, ell, derive_seed(seed, f"scheme:{p.index}:{p.retries}"))
+               for p in res.per_partition]
+    psi, _, _, _ = assign_edges_reference(h, aux_graphs(h, schemes),
+                                          derive_seed(seed, "assign"))
+    return dict(Counter(psi.values()))
 
-    def test_histogram_totals(self):
-        h = random_hypergraph(12, 3, 0.9, 2)
-        a = assign_edges(h, aux_graphs(h, [scheme_for(h, 1, s) for s in range(4)]), seed=3)
-        stats = psi_statistics(a)
-        assert sum(stats.histogram.values()) == h.num_edges()
-        assert stats.q_upper_bound == pytest.approx(36 / h.num_edges())
+
+class TestPsiHistogram:
+    def test_no_partitions(self):
+        h = complete_hypergraph(12, 3)
+        res = pack_min_degree(h, PackingConfig(ell=1, num_partitions=0, seed=0))
+        assert res.psi_histogram == {0: h.num_edges()} == {0: 220}
+
+    def test_min_degree_matches_reference(self):
+        h = random_hypergraph(24, 3, 0.9, 101)
+        cfg = PackingConfig(ell=1, num_partitions=4, seed=3)
+        res = pack_min_degree(h, cfg)
+        assert res.psi_histogram == reference_psi_histogram(h, 1, cfg.seed, res)
+        assert sum(res.psi_histogram.values()) == h.num_edges()
+        assert len(res.psi_histogram) > 1
+
+    def test_near_regular_matches_reference(self):
+        h = random_hypergraph(24, 3, 0.85, 77)
+        res = pack_near_regular(h, ell=1, delta_target=0.5, epsilon=0.25,
+                                seed=5, num_partitions=4)
+        assert res.psi_histogram == reference_psi_histogram(h, 1, 5, res)
+        assert sum(res.psi_histogram.values()) == h.num_edges()
+        assert len(res.psi_histogram) > 1
 
 
 class TestPackMinDegree:
