@@ -281,8 +281,9 @@ def almost_regular_bound(alpha: float, epsilon: float) -> float:
     return max(0.0, alpha - 10.0 * math.sqrt(epsilon))
 
 
-def peel_matchings(factor: Factor, host: BipartiteGraph) -> list[frozenset[tuple[int, int]]]:
-    """Decompose an r-factor into exactly r edge-disjoint perfect matchings.
+def peel_matchings(factor: Factor, host: BipartiteGraph) -> np.ndarray:
+    """Decompose an r-factor into exactly r edge-disjoint perfect matchings,
+    the rows of an r x m int64 array (row j maps each s to its t).
 
     Each round runs Hopcroft-Karp (`maximum_bipartite_matching`) on the
     remaining edge codes, which still form a regular graph and so have a
@@ -290,8 +291,8 @@ def peel_matchings(factor: Factor, host: BipartiteGraph) -> list[frozenset[tuple
     """
     factor.check_against(host)
     m, codes = host.m, factor.graph.codes
-    matchings: list[frozenset[tuple[int, int]]] = []
-    for _ in range(factor.r):
+    matchings = np.empty((factor.r, m), dtype=np.int64)
+    for j in range(factor.r):
         s, t = np.divmod(codes, m)
         indptr = np.concatenate(([0], np.cumsum(np.bincount(s, minlength=m))))
         remainder = csr_matrix((np.ones(len(t), dtype=np.int8), t, indptr), shape=(m, m))
@@ -299,7 +300,7 @@ def peel_matchings(factor: Factor, host: BipartiteGraph) -> list[frozenset[tuple
         if (match < 0).any():
             raise InvariantViolation(
                 "no perfect matching in a supposedly regular remainder; corrupt factor")
-        matchings.append(frozenset(enumerate(match.tolist())))
+        matchings[j] = match
         codes = codes[~np.isin(codes, np.arange(m) * m + match)]
     if len(codes):
         raise InvariantViolation("matchings did not exhaust the factor")

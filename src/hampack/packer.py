@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from .bifactor import BipartiteGraph
 from .errors import InvalidInputError, InvariantViolation
 from .hypercore import Hypergraph, degree_report
 from .reduction import (AuxGraph, HamiltonCycle, PartitionScheme,
-                        build_aux_graph, canonicalize, check_shape,
-                        lift_matching, sample_scheme, verify_cycle)
+                        build_aux_graph, canonicalize, check_shape, lift_canonical,
+                        lift_matching, sample_scheme, segment_windows, verify_cycle)
 from .util import derive_seed
 
 
@@ -143,56 +143,66 @@ def _sample_accepted_schemes(h: Hypergraph, ell: int, count: int, seed: int,
     return auxes, retries, exhausted
 
 
+def _explain_rejected(h: Hypergraph, aux: AuxGraph, matching: np.ndarray) -> NoReturn:
+    """Name the failure of a rejected row through the per-cycle reference path."""
+    check = verify_cycle(h, canonicalize(lift_matching(aux, dict(enumerate(matching.tolist())))))
+    if check:
+        raise InvariantViolation("reduction.lift_canonical rejected a cycle verify_cycle accepts")
+    raise InvariantViolation(f"lifted cycle failed verification: {check.failure}")
+
+
 def _pack(h: Hypergraph, ell: int, count: int, seed: int, resample_limit: int, accept,
           warnings: list[str], density: Optional[float] = None,
           uncovered_budget: Optional[float] = None) -> PackingResult:
-    """The shared packing loop: sample and accept `count` schemes, assign the
-    edges, and per partition take the maximum factor of the aux edges whose
-    hyperedge chose it, peel it, and lift, canonicalize and verify each cycle.
+    """The shared packing loop: sample and accept `count` >= 0 schemes, assign
+    the edges, and per partition take the maximum factor of the aux edges
+    whose hyperedge chose it, peel it, and lift, canonicalize and verify its
+    cycles in one pass, re-deriving a rejected one through the per-cycle path.
 
     `density`, when given, records the factor target density·m·retention
     (retention: the share of the aux edges assigned to the partition), which
-    the flow maximum dominates whenever it is feasible.  Edge-disjointness and
-    edge conservation are re-verified on the result.
+    the flow maximum dominates whenever it is feasible.  Edge-disjointness
+    (over all located segments at once) and edge conservation are re-verified.
     """
+    if count < 0:
+        raise InvalidInputError(f"number of partitions must be >= 0, got {count}")
     auxes, retries, exhausted = _sample_accepted_schemes(
         h, ell, count, seed, resample_limit, accept)
     if exhausted:
         warnings.append("resample limit exhausted for at least one partition; partial result")
     assignment = assign_edges(h, auxes, derive_seed(seed, "assign"))
     assigned = assignment.assigned_counts()
+    windows = segment_windows(h.n, h.k, ell)
     all_cycles: list[HamiltonCycle] = []
+    located: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
     stats: list[PartitionStats] = []
     for i, aux in enumerate(auxes):
         m, codes = aux.scheme.m, aux.graph.codes
         sub = BipartiteGraph._from_codes(m, codes[assignment.choice[aux.edge_pos] == i])
         r_i, factor = bifactor.max_factor(sub)
         matchings = bifactor.peel_matchings(factor, sub)
-        seen: set[HamiltonCycle] = set()
-        for matching in matchings:
-            cycle = canonicalize(lift_matching(aux, matching))
-            if cycle in seen:
-                continue  # m = 2 degeneracy: reflected matchings lift to one cycle
-            seen.add(cycle)
-            check = verify_cycle(h, cycle)
-            if not check:
-                raise InvariantViolation(f"lifted cycle failed verification: {check.failure}")
-            all_cycles.append(cycle)
+        rows = lift_canonical(aux, matchings)
+        # m = 2 degeneracy: reflected matchings lift to one cycle
+        keep = np.sort(np.unique(rows, axis=0, return_index=True)[1])
+        rows, matchings = rows[keep], matchings[keep]
+        pos = h.locate(rows[:, windows]).reshape(len(rows), len(windows))
+        bad = (np.sort(rows, axis=1) != np.arange(h.n)).any(axis=1) | (pos < 0).any(axis=1)
+        if bad.any():
+            _explain_rejected(h, aux, matchings[np.argmax(bad)])
+        all_cycles.extend(HamiltonCycle(k=h.k, ell=ell, arrangement=tuple(row))
+                          for row in rows.tolist())
+        located.append(pos.ravel())
         target = None
         if density is not None:
             target = int(density * m * ((assigned[i] / len(codes)) if len(codes) else 0.0))
         stats.append(PartitionStats(
             index=i, retries=retries[i], aux_min_degree=aux.graph.min_degree(),
             aux_edges=len(codes), assigned_edges=assigned[i], sub_aux_edges=len(sub.codes),
-            factor_target=target, factor_size=r_i, matchings=len(matchings),
-            cycles=len(seen)))
-    used: set[tuple[int, ...]] = set()
-    for cycle in all_cycles:
-        for seg in cycle.segments():
-            ce = tuple(sorted(seg))
-            if ce in used:
-                raise InvariantViolation(f"edge {ce} appears in two packed cycles")
-            used.add(ce)
+            factor_target=target, factor_size=r_i, matchings=r_i, cycles=len(rows)))
+    used, uses = np.unique(np.concatenate(located), return_counts=True)
+    if (uses > 1).any():
+        raise InvariantViolation(
+            f"edge {h.edges[used[uses > 1][0]]} appears in two packed cycles")
     unassigned = assignment.choice < 0
     if len(unassigned) != h.num_edges() or (unassigned != (assignment.psi == 0)).any():
         raise InvariantViolation(

@@ -168,11 +168,20 @@ class PartitionTrialReport:
     hypothesis_met: bool           # min codegree >= (delta + eps) * n
 
 
+def _check_part_sizes(n: int, sizes: tuple[int, ...]) -> None:
+    if sum(sizes) != n:
+        raise InvalidInputError(f"part sizes sum to {sum(sizes)}, need n = {n}")
+    if any(s < MIN_PART_FRACTION * n for s in sizes):
+        raise InvalidInputError(
+            f"every part must have at least {MIN_PART_FRACTION} * n vertices")
+
+
 def partition_degree_trial(h: Hypergraph, sizes: tuple[int, ...], delta: float,
                            epsilon: float, seed: int) -> PartitionTrial:
     """Uniform random partition with exact part sizes; success iff every part
     meets its (delta + 2*eps/3) * m_i degree threshold for every (k-1)-subset.
     """
+    _check_part_sizes(h.n, sizes)
     return _partition_degree_trial(h, sizes, delta, epsilon, seed,
                                    subset_ranks(h, h.k - 1), h.rows())
 
@@ -180,19 +189,15 @@ def partition_degree_trial(h: Hypergraph, sizes: tuple[int, ...], delta: float,
 def _partition_degree_trial(h: Hypergraph, sizes: tuple[int, ...], delta: float,
                             epsilon: float, seed: int, ranks: np.ndarray,
                             rows: np.ndarray) -> PartitionTrial:
-    """`partition_degree_trial` on `ranks = subset_ranks(h, k - 1)` and
-    `rows = h.rows()`, which do not depend on the seed.
+    """`partition_degree_trial` on already checked `sizes` and on
+    `ranks = subset_ranks(h, k - 1)` and `rows = h.rows()`, which do not
+    depend on the seed.
 
     Column j of `ranks` leaves out the edge's vertex at position k-1-j, so
     each (k-1)-subset's degree into a part counts the columns whose left-out
     vertex lies in it; subsets covered by no edge get 0.
     """
     n, k = h.n, h.k
-    if sum(sizes) != n:
-        raise InvalidInputError(f"part sizes sum to {sum(sizes)}, need n = {n}")
-    if any(s < MIN_PART_FRACTION * n for s in sizes):
-        raise InvalidInputError(
-            f"every part must have at least {MIN_PART_FRACTION} * n vertices")
     rng = random.Random(seed)
     perm = list(range(n))
     rng.shuffle(perm)
@@ -212,6 +217,7 @@ def _partition_degree_trial(h: Hypergraph, sizes: tuple[int, ...], delta: float,
 
 def partition_degree_sweep(h: Hypergraph, sizes: tuple[int, ...], delta: float,
                            epsilon: float, trials: int, master_seed: int) -> PartitionTrialReport:
+    _check_part_sizes(h.n, sizes)
     ranks, rows = subset_ranks(h, h.k - 1), h.rows()
     results = _sweep(lambda seed: _partition_degree_trial(h, sizes, delta, epsilon, seed,
                                                           ranks, rows),

@@ -91,6 +91,14 @@ class AuxGraph:
     edge_pos: np.ndarray
 
 
+def segment_windows(n: int, k: int, ell: int) -> np.ndarray:
+    """Positions of the m length-k windows starting at i*(k-ell), wrapping
+    cyclically, as an m x k array."""
+    if n % (k - ell) != 0:
+        raise InvalidInputError(f"(k - ell) = {k - ell} does not divide n = {n}")
+    return (np.arange(n // (k - ell))[:, None] * (k - ell) + np.arange(k)) % n
+
+
 @dataclass(frozen=True)
 class HamiltonCycle:
     """A cyclic vertex arrangement read as m segments of length k with
@@ -108,18 +116,10 @@ class HamiltonCycle:
         return self.n // (self.k - self.ell)
 
     def segments(self) -> tuple[tuple[int, ...], ...]:
-        """The m length-k windows at positions i*(k-ell), wrapping cyclically."""
-        n, k, ell = self.n, self.k, self.ell
-        if n % (k - ell) != 0:
-            raise InvalidInputError(f"(k - ell) = {k - ell} does not divide n = {n}")
+        """The m length-k windows of the arrangement, see `segment_windows`."""
         arr = self.arrangement
-        step = k - ell
-        segs = []
-        for i in range(n // step):
-            start = i * step
-            seg = tuple(arr[(start + j) % n] for j in range(k))
-            segs.append(seg)
-        return tuple(segs)
+        return tuple(tuple(arr[j] for j in window)
+                     for window in segment_windows(self.n, self.k, self.ell).tolist())
 
 
 @dataclass(frozen=True)
@@ -290,6 +290,37 @@ def canonicalize(cycle: HamiltonCycle) -> HamiltonCycle:
     direction = 1 if blocks[(start + 1) % total][0] <= blocks[(start - 1) % total][0] else -1
     best = tuple(v for j in range(total) for v in blocks[(start + direction * j) % total])
     return HamiltonCycle(k=k, ell=ell, arrangement=best)
+
+
+def lift_canonical(aux: AuxGraph, matchings: np.ndarray) -> np.ndarray:
+    """Row j of the r x n result is the arrangement of
+    `canonicalize(lift_matching(aux, dict(enumerate(matchings[j]))))`, for
+    perfect matchings given as the rows of an r x m array.  Chunk i holds
+    k - ell vertices: junction F_i and an interior block for ell >= 1, where
+    every row starts at the same junction and walking backwards pairs F_i
+    with the block matched to F_{i-1}; a sorted segment for ell = 0."""
+    scheme = aux.scheme
+    m, r = scheme.m, len(matchings)
+    if not ((np.sort(matchings, axis=1) == np.arange(m)).all()
+            and np.isin(np.arange(m) * m + matchings, aux.graph.codes).all()):
+        raise InvalidInputError("a row is not a perfect matching of the aux graph")
+    tuples = np.sort(np.array(scheme.tuples_a, dtype=np.int64).reshape(m, -1), axis=1)
+    blocks = np.sort(np.array(scheme.blocks_b, dtype=np.int64).reshape(m, -1), axis=1)
+    each, steps = np.arange(r)[:, None], np.arange(m)
+    start = np.full(r, np.argmin(tuples[:, 0]))
+    tuples = np.broadcast_to(tuples, (r,) + tuples.shape)
+    if scheme.ell >= 1:
+        first = blocks[matchings, 0]
+        back = first[each[:, 0], start] > first[each[:, 0], start - 1]
+        chunks = np.concatenate(
+            (tuples, blocks[matchings[each, (steps - back[:, None]) % m]]), axis=2)
+    else:
+        chunks = np.sort(np.concatenate((tuples, blocks[matchings]), axis=2), axis=2)
+        first = chunks[:, :, 0]
+        start = np.argmin(first, axis=1)
+        back = first[each[:, 0], (start + 1) % m] > first[each[:, 0], start - 1]
+    order = (start[:, None] + np.where(back, -1, 1)[:, None] * steps) % m
+    return chunks[each, order].reshape(r, scheme.n)
 
 
 def cycle_to_json_dict(cycle: HamiltonCycle) -> dict:

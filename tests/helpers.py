@@ -38,6 +38,23 @@ def brute_force_matching_count(g):
     return count
 
 
+def peel_decomposes(rows, factor):
+    """Whether the r x m `peel_matchings` rows split `factor` exactly: every
+    row is a permutation of 0..m-1, every (s, row[s]) is a factor edge, the
+    rows' edge codes are pairwise disjoint, and together they are the
+    factor's codes.  Checked with Python sets, not with the peel's numpy."""
+    m = factor.graph.m
+    good = rows.shape == (factor.r, m)
+    union = set()
+    for row in rows.tolist():
+        codes = {s * m + t for s, t in enumerate(row)}
+        good &= sorted(row) == list(range(m))
+        good &= set(enumerate(row)) <= factor.graph.edges
+        good &= union.isdisjoint(codes)
+        union |= codes
+    return good and sorted(union) == factor.graph.codes.tolist()
+
+
 def aux_graphs(h, schemes):
     """The aux graph of each scheme, in order: the input `assign_edges` takes."""
     return [build_aux_graph(h, s) for s in schemes]

@@ -23,7 +23,7 @@ from hampack.randomlab import (aux_degree_sweep, factor_robustness_sweep,
                                random_subgraph)
 from hampack.reduction import PartitionScheme, build_aux_graph, verify_cycle
 
-from helpers import csaba_rho, random_bipartite
+from helpers import csaba_rho, peel_decomposes, random_bipartite
 
 
 def announce(num: int, ok: bool, detail: str) -> None:
@@ -103,15 +103,7 @@ def test_criterion_4_factor_decomposition():
         r = rng.randint(1, r_star)
         factor = find_factor(g, r)
         matchings = peel_matchings(factor, g)
-        union = set()
-        good = len(matchings) == r
-        for matching in matchings:
-            good &= len(matching) == m
-            good &= len({s for s, _ in matching}) == m
-            good &= len({t for _, t in matching}) == m
-            good &= union.isdisjoint(matching)
-            union |= matching
-        good &= union == set(factor.graph.edges)
+        good = matchings.shape == (r, m) and peel_decomposes(matchings, factor)
         if not good:
             failures += 1
         done += 1

@@ -14,7 +14,8 @@ from hampack.bifactor import (BipartiteGraph, Factor, almost_regular_bound,
 from hampack.errors import (InvalidInputError, InvariantViolation, ParseError,
                             SizeLimitError)
 
-from helpers import brute_force_matching_count, csaba_rho, random_bipartite
+from helpers import (brute_force_matching_count, csaba_rho, peel_decomposes,
+                     random_bipartite)
 
 
 def cycle6():
@@ -279,16 +280,17 @@ class TestClosedForms:
 class TestPeel:
     def test_cycle6_two_matchings(self):
         g = cycle6()
-        ms = peel_matchings(Factor(r=2, graph=g), g)
-        assert len(ms) == 2
-        assert ms[0].isdisjoint(ms[1])
-        assert ms[0] | ms[1] == set(g.edges)
+        factor = Factor(r=2, graph=g)
+        ms = peel_matchings(factor, g)
+        assert ms.shape == (2, 3) and ms.dtype == np.int64
+        assert peel_decomposes(ms, factor)
 
     def test_complete_three_matchings(self):
         g = complete_bipartite(3)
-        ms = peel_matchings(Factor(r=3, graph=g), g)
-        assert len(ms) == 3
-        assert set().union(*ms) == set(g.edges)
+        factor = Factor(r=3, graph=g)
+        ms = peel_matchings(factor, g)
+        assert ms.shape == (3, 3)
+        assert peel_decomposes(ms, factor)
 
     def test_random_factors_decompose_exactly(self):
         done = 0
@@ -304,13 +306,8 @@ class TestPeel:
             r = rng.randint(1, r_star)
             factor = find_factor(g, r)
             ms = peel_matchings(factor, g)
-            assert len(ms) == r
-            union = set()
-            for matching in ms:
-                assert len(matching) == m
-                assert union.isdisjoint(matching)
-                union |= matching
-            assert union == set(factor.graph.edges)
+            assert ms.shape == (r, m)
+            assert peel_decomposes(ms, factor)
             done += 1
 
     def test_long_cycle_factor_peels_without_recursion_limit(self):
@@ -318,9 +315,10 @@ class TestPeel:
         # are far longer than the default recursion limit
         m = 2000
         g = BipartiteGraph(m, [(i, i) for i in range(m)] + [(i, (i + 1) % m) for i in range(m)])
-        ms = peel_matchings(Factor(r=2, graph=g), g)
-        assert len(ms) == 2 and all(len(x) == m for x in ms)
-        assert ms[0].isdisjoint(ms[1]) and ms[0] | ms[1] == g.edges
+        factor = Factor(r=2, graph=g)
+        ms = peel_matchings(factor, g)
+        assert ms.shape == (2, m)
+        assert peel_decomposes(ms, factor)
 
     def test_large_factor_peels_into_disjoint_perfect_matchings(self):
         # m = 400 at density 0.7: r* is in the hundreds, so the peel runs
@@ -330,14 +328,8 @@ class TestPeel:
         r_star, factor = max_factor(g)
         assert r_star > 200
         ms = peel_matchings(factor, g)
-        assert len(ms) == r_star
-        union = set()
-        for matching in ms:
-            assert sorted(s for s, _ in matching) == list(range(m))
-            assert sorted(t for _, t in matching) == list(range(m))
-            assert union.isdisjoint(matching)
-            union |= matching
-        assert union == factor.graph.edges
+        assert ms.shape == (r_star, m)
+        assert peel_decomposes(ms, factor)
 
     def test_corrupt_factor_detected(self):
         g = complete_bipartite(3)

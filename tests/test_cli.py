@@ -127,6 +127,17 @@ def test_pack_near_regular_cli(tmp_path, capsys):
     assert json.loads(out)["coverage_ratio"] > 0
 
 
+@pytest.mark.parametrize("theorem", ["2", "3"])
+def test_pack_rejects_negative_partition_count(tmp_path, capsys, theorem):
+    hpath, opath = str(tmp_path / "h.json"), tmp_path / "pack.json"
+    write_hypergraph(complete_hypergraph(12, 3), hpath)
+    code, _, err = run(capsys, "pack", "--input", hpath, "--theorem", theorem,
+                       "--ell", "1", "--r", "-3", "--epsilon", "0.05", "--out", str(opath))
+    assert code == 1
+    assert "number of partitions must be >= 0, got -3" in err
+    assert not opath.exists()
+
+
 def test_mc_factor(tmp_path, capsys):
     opath = str(tmp_path / "mc.json")
     code, _, _ = run(capsys, "mc-factor", "--complete-bipartite", "12",
@@ -198,6 +209,21 @@ def test_mc_partition_parts(tmp_path, capsys):
                        "--trials", "5", "--seed", "3")
     assert code == 0
     assert json.loads(out)["successes"] == 5
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ("15,14", "part sizes sum to 29, need n = 30"),
+    ("29,1", "every part must have at least 0.05 * n vertices"),
+])
+def test_mc_partition_sizes_checked_without_trials(tmp_path, capsys, sizes, message):
+    hpath, opath = str(tmp_path / "h.json"), tmp_path / "mc.json"
+    write_hypergraph(complete_hypergraph(30, 3), hpath)
+    code, _, err = run(capsys, "mc-partition", "--input", hpath, "--kind", "part-degrees",
+                       "--sizes", sizes, "--delta", "0.2", "--epsilon", "0.1",
+                       "--trials", "0", "--out", str(opath))
+    assert code == 1
+    assert message in err
+    assert not opath.exists()
 
 
 def test_verify_valid_and_invalid(tmp_path, capsys):

@@ -1,14 +1,17 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from hampack import bifactor, packer
+from hampack.bifactor import complete_bipartite
 from hampack.constructions import complete_hypergraph, random_hypergraph
-from hampack.errors import InvalidInputError
+from hampack.errors import InvalidInputError, InvariantViolation
 from hampack.hypercore import Hypergraph
 from hampack.packer import (PackingConfig, assign_edges, default_num_partitions,
                             pack_min_degree, pack_near_regular)
-from hampack.reduction import sample_scheme, verify_cycle
+from hampack.reduction import build_aux_graph, sample_scheme, verify_cycle
 from hampack.util import derive_seed
 
 from helpers import (assign_edges_reference, aux_graphs, candidate_partitions,
@@ -342,3 +345,54 @@ class TestPackNearRegular:
         res = pack_near_regular(h, ell=1, delta_target=0.5, epsilon=0.25,
                                 seed=1, num_partitions=2)
         assert all(s.factor_target is not None for s in res.per_partition)
+
+
+class TestBatchChecks:
+    """`_pack` lifts, canonicalizes and verifies each factor's cycles in one
+    batch; a rejected cycle is re-derived through the per-cycle reference
+    path, which names the failure."""
+
+    def test_lifted_segment_not_an_edge(self, monkeypatch):
+        def padded_aux(h, scheme):
+            # claim every (s, t) as an aux edge; the unrealized ones stand in
+            # for the first realized hyperedge
+            aux = build_aux_graph(h, scheme)
+            edge_pos = np.full(scheme.m ** 2, aux.edge_pos[0])
+            edge_pos[aux.graph.codes] = aux.edge_pos
+            return dataclasses.replace(aux, graph=complete_bipartite(scheme.m),
+                                       edge_pos=edge_pos)
+        monkeypatch.setattr(packer, "build_aux_graph", padded_aux)
+        h = random_hypergraph(12, 3, 0.7, 1)
+        with pytest.raises(InvariantViolation,
+                           match="^lifted cycle failed verification: segment-not-an-edge$"):
+            pack_min_degree(h, PackingConfig(ell=1, num_partitions=1, seed=3))
+
+    def test_edge_shared_by_two_partitions(self, monkeypatch):
+        h = complete_hypergraph(12, 3)
+        scheme = sample_scheme(h, 1, 5)
+        monkeypatch.setattr(packer, "sample_scheme", lambda h_, ell, seed: scheme)
+        peel, first = bifactor.peel_matchings, []
+
+        def peel_first(factor, host):
+            # every partition gets the first partition's matchings
+            first.append(peel(factor, host))
+            return first[0]
+        monkeypatch.setattr(bifactor, "peel_matchings", peel_first)
+        with pytest.raises(InvariantViolation,
+                           match=r"^edge \(\d+, \d+, \d+\) appears in two packed cycles$"):
+            pack_min_degree(h, PackingConfig(ell=1, num_partitions=2, seed=3))
+        assert len(first[0]) > 0
+
+    def test_kernel_named_when_the_reference_path_accepts(self, monkeypatch):
+        lift = packer.lift_canonical
+
+        def repeat_a_vertex(aux, matchings):
+            # on K_12^(3) every segment stays an edge; only the permutation
+            # check sees that vertex 6's copy replaced vertex 1
+            rows = lift(aux, matchings)
+            rows[:, 1] = rows[:, 6]
+            return rows
+        monkeypatch.setattr(packer, "lift_canonical", repeat_a_vertex)
+        with pytest.raises(InvariantViolation, match="reduction.lift_canonical"):
+            pack_min_degree(complete_hypergraph(12, 3),
+                            PackingConfig(ell=1, num_partitions=1, seed=3))

@@ -1,15 +1,17 @@
 import random
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
+from hampack.bifactor import max_factor, peel_matchings
 from hampack.constructions import complete_hypergraph, random_hypergraph
 from hampack.errors import InvalidInputError
 from hampack.hypercore import Hypergraph
 from hampack.reduction import (HamiltonCycle, PartitionScheme, build_aux_graph,
                                canonicalize, cycle_from_json_dict,
-                               cycle_to_json_dict, lift_matching,
-                               sample_scheme, verify_cycle)
+                               cycle_to_json_dict, lift_canonical,
+                               lift_matching, sample_scheme, verify_cycle)
 
 
 class TestSampleScheme:
@@ -204,3 +206,62 @@ def test_all_matchings_of_all_small_schemes_lift_and_verify():
             if all((i, perm[i]) in aux.graph.edges for i in range(m)):
                 cycle = lift_matching(aux, dict(enumerate(perm)))
                 assert verify_cycle(h, cycle)
+
+
+# (n, k, ell) for k in 2..5 and every valid ell <= 2, plus the three m = 2 shapes
+LIFT_SHAPES = [(10, 2, 0), (9, 3, 0), (10, 3, 1), (12, 4, 0), (12, 4, 1), (15, 5, 0),
+               (12, 5, 1), (12, 5, 2), (4, 3, 1), (8, 4, 0), (6, 5, 2)]
+
+
+def reference_rows(aux, matchings):
+    return [canonicalize(lift_matching(aux, dict(enumerate(row)))).arrangement
+            for row in matchings.tolist()]
+
+
+class TestLiftCanonical:
+    @pytest.mark.parametrize("n, k, ell", LIFT_SHAPES)
+    def test_peeled_rows_match_the_per_cycle_lift(self, n, k, ell):
+        rows = 0
+        for seed in range(8):
+            h = random_hypergraph(n, k, 0.85, seed) if n > 6 else complete_hypergraph(n, k)
+            aux = build_aux_graph(h, sample_scheme(h, ell, seed))
+            _, factor = max_factor(aux.graph)
+            matchings = peel_matchings(factor, aux.graph)
+            lifted = lift_canonical(aux, matchings)
+            assert lifted.shape == (len(matchings), n) and lifted.dtype == np.int64
+            assert [tuple(row) for row in lifted.tolist()] == reference_rows(aux, matchings)
+            rows += len(matchings)
+        assert rows > 0
+
+    @pytest.mark.parametrize("n, k, ell", [(10, 2, 0), (8, 3, 1), (9, 4, 1), (8, 4, 0),
+                                           (9, 5, 2), (4, 3, 1), (6, 5, 2)])
+    def test_every_matching_of_a_complete_aux_graph(self, n, k, ell):
+        # both walking directions and every start, not only the peel's rows
+        for seed in range(3):
+            h = complete_hypergraph(n, k)
+            aux = build_aux_graph(h, sample_scheme(h, ell, seed))
+            m = aux.scheme.m
+            matchings = np.array(list(permutations(range(m))), dtype=np.int64)
+            assert [tuple(row) for row in lift_canonical(aux, matchings).tolist()] \
+                == reference_rows(aux, matchings)
+
+    def test_no_rows(self):
+        h = complete_hypergraph(8, 3)
+        aux = build_aux_graph(h, sample_scheme(h, 1, 1))
+        assert lift_canonical(aux, np.empty((0, 4), dtype=np.int64)).shape == (0, 8)
+        h = complete_hypergraph(9, 3)
+        aux = build_aux_graph(h, sample_scheme(h, 0, 1))
+        assert lift_canonical(aux, np.empty((0, 3), dtype=np.int64)).shape == (0, 9)
+
+    def test_rejects_rows_that_are_not_perfect_matchings(self):
+        h = complete_hypergraph(8, 3)
+        aux = build_aux_graph(h, sample_scheme(h, 1, 1))
+        for bad in ([[0, 1, 2, 2]], [[0, 1, 2, 4]], [[-1, 0, 1, 2]]):
+            with pytest.raises(InvalidInputError, match="not a perfect matching"):
+                lift_canonical(aux, np.array(bad, dtype=np.int64))
+        h = random_hypergraph(8, 3, 0.5, 2)
+        aux = build_aux_graph(h, sample_scheme(h, 1, 2))
+        off = next(p for p in permutations(range(4))
+                   if any((s, t) not in aux.graph.edges for s, t in enumerate(p)))
+        with pytest.raises(InvalidInputError, match="not a perfect matching"):
+            lift_canonical(aux, np.array([off], dtype=np.int64))
