@@ -10,11 +10,15 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import InvalidInputError, SizeLimitError
 from .hypercore import Hypergraph, degree_report
-from .reduction import HamiltonCycle, canonicalize, check_shape
+from .reduction import HamiltonCycle, canonical_rows, check_shape, segment_windows
+from .util import check_probability
 
 ENUMERATION_MAX_N = 10
+_CANON_CHUNK = 1 << 12   # leaf arrangements canonicalized per canonical_rows call
 
 
 @dataclass(frozen=True)
@@ -57,8 +61,7 @@ def expected_count(n: int, k: int, ell: int, p: float) -> float:
     """Log of the expected number of Hamilton cycles with overlap ell in a
     random hypergraph with edge probability p; -inf when p = 0."""
     m = check_shape(n, k, ell)
-    if not (0.0 <= p <= 1.0):
-        raise InvalidInputError(f"p must be in [0, 1], got {p}")
+    check_probability(p)
     if p == 0.0:
         return float("-inf")
     per_edge = p / (math.factorial(ell) * math.factorial(k - 2 * ell))
@@ -69,29 +72,34 @@ def enumerate_cycles(h: Hypergraph, ell: int) -> set[HamiltonCycle]:
     """All Hamilton cycles with overlap ell, as canonical arrangements.
 
     Backtracks over vertex placements, testing each length-k segment as soon
-    as its last position is filled; every surviving arrangement is
-    canonicalized and deduplicated.  Exact but factorial: n <= 10 enforced.
+    as its last position is filled; the surviving arrangements are
+    canonicalized `_CANON_CHUNK` at a time and deduplicated.  Exact but
+    factorial: n <= 10 enforced.
     """
     n, k = h.n, h.k
     if n > ENUMERATION_MAX_N:
         raise SizeLimitError(
-            f"n={n} > {ENUMERATION_MAX_N}: use the matching-based sampler instead")
-    m = check_shape(n, k, ell)
-    step = k - ell
-    segments = []
-    for i in range(m):
-        segments.append(tuple((i * step + j) % n for j in range(k)))
-    by_depth: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    for seg in segments:
-        by_depth[max(seg)].append(seg)
+            f"n={n} > {ENUMERATION_MAX_N}: exhaustive enumeration stops at "
+            f"n <= {ENUMERATION_MAX_N}; `hampack bound` evaluates the formulas at any n")
+    by_depth: list[list[list[int]]] = [[] for _ in range(n)]
+    for window in segment_windows(n, k, ell).tolist():
+        by_depth[max(window)].append(window)
 
-    found: set[HamiltonCycle] = set()
+    found: set[tuple[int, ...]] = set()
+    leaves: list[int] = []   # the pending arrangements, concatenated
     arr = [-1] * n
     used = [False] * n
 
+    def flush() -> None:
+        rows = canonical_rows(np.array(leaves, dtype=np.int64).reshape(-1, n), k, ell)
+        found.update(map(tuple, rows.tolist()))
+        leaves.clear()
+
     def place(depth: int) -> None:
         if depth == n:
-            found.add(canonicalize(HamiltonCycle(k=k, ell=ell, arrangement=tuple(arr))))
+            leaves.extend(arr)
+            if len(leaves) >= _CANON_CHUNK * n:
+                flush()
             return
         for v in range(n):
             if used[v]:
@@ -109,7 +117,8 @@ def enumerate_cycles(h: Hypergraph, ell: int) -> set[HamiltonCycle]:
         arr[depth] = -1
 
     place(0)
-    return found
+    flush()
+    return {HamiltonCycle(k=k, ell=ell, arrangement=row) for row in found}
 
 
 def edge_set_count(cycles: set[HamiltonCycle]) -> int:

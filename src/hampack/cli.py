@@ -66,7 +66,7 @@ def _emit(doc: Any, args, sidecars: Optional[list[tuple[str, str]]] = None) -> N
     write_json(manifest, out + ".manifest.json")
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows: list) -> str:
     import io
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -191,13 +191,10 @@ def cmd_pack(args) -> int:
             epsilon=args.epsilon if args.epsilon is not None else 0.1,
             seed=derive_seed(args.seed, "pack"), num_partitions=args.r,
             resample_limit=args.resample_limit)
-    rows = [[s.index, s.retries, s.aux_min_degree, s.aux_edges, s.assigned_edges,
-             s.sub_aux_edges, s.factor_target, s.factor_size, s.matchings, s.cycles]
-            for s in result.per_partition]
-    header = ["index", "retries", "aux_min_degree", "aux_edges", "assigned_edges",
-              "sub_aux_edges", "factor_target", "factor_size", "matchings", "cycles"]
     sidecars = []
     if args.out:
+        header = [f.name for f in dataclasses.fields(packer.PartitionStats)]
+        rows = [dataclasses.astuple(s) for s in result.per_partition]
         sidecars.append((args.out + ".partitions.csv", _csv_text(header, rows)))
     _emit(_packing_doc(result), args, sidecars=sidecars)
     if not result.cycles:

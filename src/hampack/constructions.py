@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidQueryError
 from .hypercore import Hypergraph, check_dimensions, lex_unrank, row_codes
-from .util import random_stream
+from .util import check_probability, random_stream
 
 _DRAW_CHUNK = 1 << 20   # uniforms drawn per random_sample call
 
@@ -31,8 +31,7 @@ def random_hypergraph(n: int, k: int, p: float, seed: int) -> Hypergraph:
     `util.random_stream(seed)` in chunks of `_DRAW_CHUNK`, and only the kept
     ranks are turned into edge codes, so memory stays O(|E|) plus one chunk.
     """
-    if not (0.0 <= p <= 1.0):
-        raise InvalidInputError(f"p must be in [0, 1], got {p}")
+    check_probability(p)
     check_dimensions(n, k)
     stream = random_stream(seed)
     total = math.comb(n, k)

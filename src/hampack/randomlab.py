@@ -28,7 +28,7 @@ from .bifactor import BipartiteGraph, Factor
 from .errors import InvalidInputError
 from .hypercore import Hypergraph, degree_report, subset_ranks
 from .reduction import build_aux_graph, sample_scheme
-from .util import derive_seed, random_stream
+from .util import check_probability, derive_seed, random_stream
 
 Probabilities = Union[float, Mapping[tuple[int, int], float]]
 
@@ -45,11 +45,6 @@ def _codegree_hypothesis(h: Hypergraph, delta: float, epsilon: float) -> bool:
     return degree_report(h, h.k - 1).min_degree >= (delta + epsilon) * h.n
 
 
-def _check_probability(p: float) -> None:
-    if not (0.0 <= p <= 1.0):
-        raise InvalidInputError(f"probability {p} not in [0, 1]")
-
-
 def random_subgraph(g: BipartiteGraph, p: Probabilities, seed: int) -> BipartiteGraph:
     """Keep each edge independently with its probability; deterministic per seed.
 
@@ -64,7 +59,7 @@ def random_subgraph(g: BipartiteGraph, p: Probabilities, seed: int) -> Bipartite
     """
     codes = g.codes
     if isinstance(p, (int, float)):
-        _check_probability(p)
+        check_probability(p)
         threshold = p
     else:
         s, t = np.divmod(codes, g.m)
@@ -140,7 +135,7 @@ def factor_robustness_sweep(g: BipartiteGraph, rho: float, p: float, epsilon: fl
     """Run `trials` independent subsample trials; hypotheses and p are checked
     once, before any trial."""
     _check_robustness_hypotheses(g, rho)
-    _check_probability(p)
+    check_probability(p)
     results = _sweep(lambda seed: factor_robustness_trial(g, rho, p, epsilon, seed,
                                                           skip_checks=True),
                      trials, master_seed)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -94,9 +94,7 @@ class AuxGraph:
 def segment_windows(n: int, k: int, ell: int) -> np.ndarray:
     """Positions of the m length-k windows starting at i*(k-ell), wrapping
     cyclically, as an m x k array."""
-    if n % (k - ell) != 0:
-        raise InvalidInputError(f"(k - ell) = {k - ell} does not divide n = {n}")
-    return (np.arange(n // (k - ell))[:, None] * (k - ell) + np.arange(k)) % n
+    return (np.arange(check_shape(n, k, ell))[:, None] * (k - ell) + np.arange(k)) % n
 
 
 @dataclass(frozen=True)
@@ -133,27 +131,31 @@ class CycleCheck:
         return self.ok
 
 
-Matching = Union[Mapping[int, int], Iterable[tuple[int, int]]]
-
-
-def _as_perfect_matching(matching: Matching, aux: AuxGraph) -> list[int]:
-    """Normalize to a list mapping s-index -> t-index; validate perfectness."""
+def _check_matchings(aux: AuxGraph, matchings: np.ndarray) -> None:
+    """Every row of the r x m array must be a perfect matching of the aux
+    graph: an integer permutation of 0..m-1 whose pairs (s, row[s]) are aux edges."""
     m = aux.scheme.m
-    pairs = list(matching.items()) if isinstance(matching, Mapping) else list(matching)
-    sigma = [-1] * m
-    used_t: set[int] = set()
-    for s, t in pairs:
-        if not (0 <= s < m and 0 <= t < m):
-            raise InvalidInputError(f"matching pair ({s},{t}) out of range for m={m}")
-        if sigma[s] != -1 or t in used_t:
-            raise InvalidInputError("matching repeats a vertex; not a perfect matching")
-        if (s, t) not in aux.graph.edges:
-            raise InvalidInputError(f"matching pair ({s},{t}) is not an edge of the aux graph")
-        sigma[s] = t
-        used_t.add(t)
-    if any(t == -1 for t in sigma):
-        raise InvalidInputError("matching does not cover side S; not a perfect matching")
-    return sigma
+    if not (matchings.ndim == 2 and matchings.shape[1] == m and matchings.dtype.kind == "i"
+            and (np.sort(matchings, axis=1) == np.arange(m)).all()
+            and np.isin(np.arange(m) * m + matchings, aux.graph.codes).all()):
+        raise InvalidInputError("a row is not a perfect matching of the aux graph")
+
+
+def _lift_rows(aux: AuxGraph, matchings: np.ndarray) -> np.ndarray:
+    """The r x n arrangements that the rows of a checked r x m matching array
+    lift to.  For ell >= 1 row j interleaves the tuple sequence with the
+    matched blocks, sorted F_0, sorted B_{sigma(0)}, F_1, B_{sigma(1)}, ...;
+    every segment is then a hypergraph edge by the aux-graph edge condition.
+    For ell = 0 chunk i is the sorted union of F_i and B_{sigma(i)}."""
+    scheme = aux.scheme
+    m, r = scheme.m, len(matchings)
+    tuples = np.sort(np.array(scheme.tuples_a, dtype=np.int64).reshape(m, -1), axis=1)
+    blocks = np.sort(np.array(scheme.blocks_b, dtype=np.int64).reshape(m, -1), axis=1)
+    chunks = np.concatenate((np.broadcast_to(tuples, (r,) + tuples.shape), blocks[matchings]),
+                            axis=2)
+    if scheme.ell == 0:
+        chunks = np.sort(chunks, axis=2)
+    return chunks.reshape(r, scheme.n)
 
 
 def sample_scheme(h: Hypergraph, ell: int, seed: int) -> PartitionScheme:
@@ -204,25 +206,16 @@ def build_aux_graph(h: Hypergraph, scheme: PartitionScheme) -> AuxGraph:
                     s_labels=s_labels, t_labels=scheme.blocks_b, edge_pos=pos[realized])
 
 
-def lift_matching(aux: AuxGraph, matching: Matching) -> HamiltonCycle:
-    """Turn a perfect matching of the aux graph into a Hamilton cycle.
-
-    For ell >= 1 the arrangement interleaves the tuple sequence with the
-    matched blocks: F_0, B_{sigma(0)}, F_1, B_{sigma(1)}, ...; every segment of
-    the result is then a hypergraph edge by the aux-graph edge condition.  For
-    ell = 0 the segments are the sorted unions of the matched pairs.
-    """
+def lift_matching(aux: AuxGraph, matching: Mapping[int, int]) -> HamiltonCycle:
+    """Turn a perfect matching s -> t of the aux graph into a Hamilton cycle:
+    the one-row case of `_lift_rows`."""
+    # a missing s reads -1, a wrong size gives a wrong width and a non-integer
+    # value a non-integer dtype: each fails the check
+    row = np.array([[matching.get(s, -1) for s in range(len(matching))]])
+    _check_matchings(aux, row)
     scheme = aux.scheme
-    sigma = _as_perfect_matching(matching, aux)
-    arrangement: list[int] = []
-    if scheme.ell >= 1:
-        for i in range(scheme.m):
-            arrangement.extend(sorted(scheme.tuples_a[i]))
-            arrangement.extend(sorted(scheme.blocks_b[sigma[i]]))
-    else:
-        for i in range(scheme.m):
-            arrangement.extend(sorted(scheme.tuples_a[i] + scheme.blocks_b[sigma[i]]))
-    return HamiltonCycle(k=scheme.k, ell=scheme.ell, arrangement=tuple(arrangement))
+    return HamiltonCycle(k=scheme.k, ell=scheme.ell,
+                         arrangement=tuple(_lift_rows(aux, row)[0].tolist()))
 
 
 def verify_cycle(h: Hypergraph, cycle: HamiltonCycle) -> CycleCheck:
@@ -255,72 +248,58 @@ def verify_cycle(h: Hypergraph, cycle: HamiltonCycle) -> CycleCheck:
     return CycleCheck(True)
 
 
-def canonicalize(cycle: HamiltonCycle) -> HamiltonCycle:
-    """Least representative under rotation by (k-ell), reflection, and
-    within-block ascending sort; idempotent.
+def canonical_rows(rows: np.ndarray, k: int, ell: int) -> np.ndarray:
+    """Least representative of each row of an r x n array of arrangements
+    (permutations of 0..n-1) under rotation by (k-ell), reflection, and
+    within-block ascending sort.
 
     Works on the block decomposition of the arrangement: alternating
-    junction and interior blocks for ell >= 1, whole segments for ell = 0.
-    A representative starts at a junction (a segment for ell = 0) and walks
-    the blocks cyclically in one direction.  The blocks are disjoint and
-    non-empty, so the lexicographic minimum starts at the starting block
-    with the smallest first vertex, and walks towards the neighbouring block
-    with the smaller first vertex.  When both neighbours are the same block
-    (small m), both directions give the same arrangement.
+    junction and interior blocks J_0 I_0 J_1 I_1 ... for ell >= 1, whole
+    segments for ell = 0.  A representative starts at a junction (a segment
+    for ell = 0) and walks the blocks cyclically in one direction.  The
+    blocks are disjoint and non-empty, so the lexicographic minimum starts at
+    the starting block with the smallest first vertex, and walks towards the
+    neighbouring block with the smaller first vertex, forwards on a tie (when
+    both neighbours are the same block, both directions give the same
+    arrangement).  Walking backwards pairs J_i with I_{i-1}.
     """
-    k, ell = cycle.k, cycle.ell
-    arr = cycle.arrangement
-    n = len(arr)
+    r, n = rows.shape
     m = check_shape(n, k, ell)
-    if set(arr) != set(range(n)):
-        raise InvalidInputError("arrangement is not a permutation of 0..n-1")
-    step = k - ell
+    chunks = rows.reshape(r, m, k - ell)
+    each, steps = np.arange(r)[:, None], np.arange(m)
     if ell >= 1:
-        # alternating junction/interior blocks: J_0 I_0 J_1 I_1 ...
-        blocks = []
-        for i in range(m):
-            blocks.append(tuple(sorted(arr[i * step:i * step + ell])))
-            blocks.append(tuple(sorted(arr[i * step + ell:(i + 1) * step])))
-        starts = range(0, 2 * m, 2)
+        junctions = np.sort(chunks[:, :, :ell], axis=2)
+        interiors = np.sort(chunks[:, :, ell:], axis=2)
+        start = np.argmin(junctions[:, :, 0], axis=1)
+        back = interiors[each[:, 0], start, 0] > interiors[each[:, 0], start - 1, 0]
+        chunks = np.concatenate(
+            (junctions, interiors[each, (steps - back[:, None]) % m]), axis=2)
     else:
-        blocks = [tuple(sorted(arr[i * step:(i + 1) * step])) for i in range(m)]
-        starts = range(m)
-    total = len(blocks)
-    start = min(starts, key=lambda i: blocks[i][0])
-    direction = 1 if blocks[(start + 1) % total][0] <= blocks[(start - 1) % total][0] else -1
-    best = tuple(v for j in range(total) for v in blocks[(start + direction * j) % total])
-    return HamiltonCycle(k=k, ell=ell, arrangement=best)
+        chunks = np.sort(chunks, axis=2)
+        first = chunks[:, :, 0]
+        start = np.argmin(first, axis=1)
+        back = first[each[:, 0], (start + 1) % m] > first[each[:, 0], start - 1]
+    order = (start[:, None] + np.where(back, -1, 1)[:, None] * steps) % m
+    return chunks[each, order].reshape(r, n)
+
+
+def canonicalize(cycle: HamiltonCycle) -> HamiltonCycle:
+    """The one-row case of `canonical_rows`, for a checked arrangement;
+    idempotent."""
+    k, ell, arr = cycle.k, cycle.ell, cycle.arrangement
+    check_shape(len(arr), k, ell)
+    if set(arr) != set(range(len(arr))):
+        raise InvalidInputError("arrangement is not a permutation of 0..n-1")
+    row = canonical_rows(np.array([arr], dtype=np.int64), k, ell)[0]
+    return HamiltonCycle(k=k, ell=ell, arrangement=tuple(row.tolist()))
 
 
 def lift_canonical(aux: AuxGraph, matchings: np.ndarray) -> np.ndarray:
     """Row j of the r x n result is the arrangement of
     `canonicalize(lift_matching(aux, dict(enumerate(matchings[j]))))`, for
-    perfect matchings given as the rows of an r x m array.  Chunk i holds
-    k - ell vertices: junction F_i and an interior block for ell >= 1, where
-    every row starts at the same junction and walking backwards pairs F_i
-    with the block matched to F_{i-1}; a sorted segment for ell = 0."""
-    scheme = aux.scheme
-    m, r = scheme.m, len(matchings)
-    if not ((np.sort(matchings, axis=1) == np.arange(m)).all()
-            and np.isin(np.arange(m) * m + matchings, aux.graph.codes).all()):
-        raise InvalidInputError("a row is not a perfect matching of the aux graph")
-    tuples = np.sort(np.array(scheme.tuples_a, dtype=np.int64).reshape(m, -1), axis=1)
-    blocks = np.sort(np.array(scheme.blocks_b, dtype=np.int64).reshape(m, -1), axis=1)
-    each, steps = np.arange(r)[:, None], np.arange(m)
-    start = np.full(r, np.argmin(tuples[:, 0]))
-    tuples = np.broadcast_to(tuples, (r,) + tuples.shape)
-    if scheme.ell >= 1:
-        first = blocks[matchings, 0]
-        back = first[each[:, 0], start] > first[each[:, 0], start - 1]
-        chunks = np.concatenate(
-            (tuples, blocks[matchings[each, (steps - back[:, None]) % m]]), axis=2)
-    else:
-        chunks = np.sort(np.concatenate((tuples, blocks[matchings]), axis=2), axis=2)
-        first = chunks[:, :, 0]
-        start = np.argmin(first, axis=1)
-        back = first[each[:, 0], (start + 1) % m] > first[each[:, 0], start - 1]
-    order = (start[:, None] + np.where(back, -1, 1)[:, None] * steps) % m
-    return chunks[each, order].reshape(r, scheme.n)
+    perfect matchings given as the rows of an r x m array."""
+    _check_matchings(aux, matchings)
+    return canonical_rows(_lift_rows(aux, matchings), aux.scheme.k, aux.scheme.ell)
 
 
 def cycle_to_json_dict(cycle: HamiltonCycle) -> dict:

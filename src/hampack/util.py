@@ -1,5 +1,5 @@
 """Small shared helpers: seed derivation, Mersenne Twister draws in bulk,
-canonical JSON, JSON files, file digests."""
+the probability check, canonical JSON, JSON files, file digests."""
 from __future__ import annotations
 
 import dataclasses
@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InvalidInputError, ParseError
 
 MASK64 = (1 << 64) - 1
 
@@ -42,6 +42,12 @@ def random_stream(seed: int) -> np.random.RandomState:
     stream = np.random.RandomState()
     stream.set_state(("MT19937", np.array(state[:624], dtype=np.uint32), state[624]))
     return stream
+
+
+def check_probability(p: float) -> None:
+    """Reject a probability outside [0, 1], NaN included."""
+    if not (0.0 <= p <= 1.0):
+        raise InvalidInputError(f"probability {p} not in [0, 1]")
 
 
 def canonical_json(obj: Any) -> str:

@@ -8,7 +8,7 @@ from itertools import combinations
 from hampack.bifactor import BipartiteGraph
 from hampack.errors import InvalidInputError, InvalidQueryError
 from hampack.hypercore import Hypergraph
-from hampack.reduction import build_aux_graph
+from hampack.reduction import HamiltonCycle, build_aux_graph
 
 
 def random_bipartite(m, p, seed, min_deg=None):
@@ -213,3 +213,37 @@ def one_uncovered_pair(n=12):
     edge, so the minimum codegree is 0, while every other pair has codegree
     at least n - 3."""
     return Hypergraph(n, 3, [e for e in combinations(range(n), 3) if e[:2] != (0, 1)])
+
+
+def canonicalize_all_candidates(cycle: HamiltonCycle) -> HamiltonCycle:
+    """Oracle: the lexicographic minimum over all 2m starting points and
+    directions of the block walk, O(n·m)."""
+    k, ell = cycle.k, cycle.ell
+    arr = cycle.arrangement
+    step = k - ell
+    m = len(arr) // step
+    if ell >= 1:
+        blocks = []
+        for i in range(m):
+            blocks.append(tuple(sorted(arr[i * step:i * step + ell])))
+            blocks.append(tuple(sorted(arr[i * step + ell:(i + 1) * step])))
+        starts = [2 * i for i in range(m)]
+    else:
+        blocks = [tuple(sorted(arr[i * step:(i + 1) * step])) for i in range(m)]
+        starts = list(range(m))
+    total = len(blocks)
+    best = min(tuple(v for j in range(total) for v in blocks[(start + d * j) % total])
+               for start in starts for d in (1, -1))
+    return HamiltonCycle(k=k, ell=ell, arrangement=best)
+
+
+def lift_reference(aux, sigma):
+    """The cycle that the perfect matching i -> sigma[i] lifts to, in plain
+    Python: sorted F_i then sorted B_{sigma(i)} for ell >= 1, the sorted
+    union of F_i and B_{sigma(i)} for ell = 0."""
+    s = aux.scheme
+    arr = []
+    for i, t in enumerate(sigma):
+        f, b = sorted(s.tuples_a[i]), sorted(s.blocks_b[t])
+        arr.extend(f + b if s.ell >= 1 else sorted(f + b))
+    return HamiltonCycle(k=s.k, ell=s.ell, arrangement=tuple(arr))

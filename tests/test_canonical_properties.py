@@ -4,12 +4,15 @@ overlap/uniformity combinations with non-singleton blocks."""
 import math
 import random
 
+import numpy as np
 import pytest
 
 from hampack.census import enumerate_cycles, expected_count
 from hampack.constructions import complete_hypergraph
 from hampack.hypercore import Hypergraph
-from hampack.reduction import HamiltonCycle, canonicalize, verify_cycle
+from hampack.reduction import HamiltonCycle, canonical_rows, canonicalize, verify_cycle
+
+from helpers import canonicalize_all_candidates
 
 
 def random_orbit_image(cycle: HamiltonCycle, rng: random.Random) -> HamiltonCycle:
@@ -44,28 +47,6 @@ def random_orbit_image(cycle: HamiltonCycle, rng: random.Random) -> HamiltonCycl
     return HamiltonCycle(k=k, ell=ell, arrangement=tuple(out))
 
 
-def canonicalize_all_candidates(cycle: HamiltonCycle) -> HamiltonCycle:
-    """Oracle: the lexicographic minimum over all 2m starting points and
-    directions of the block walk, O(n·m)."""
-    k, ell = cycle.k, cycle.ell
-    arr = cycle.arrangement
-    step = k - ell
-    m = len(arr) // step
-    if ell >= 1:
-        blocks = []
-        for i in range(m):
-            blocks.append(tuple(sorted(arr[i * step:i * step + ell])))
-            blocks.append(tuple(sorted(arr[i * step + ell:(i + 1) * step])))
-        starts = [2 * i for i in range(m)]
-    else:
-        blocks = [tuple(sorted(arr[i * step:(i + 1) * step])) for i in range(m)]
-        starts = list(range(m))
-    total = len(blocks)
-    best = min(tuple(v for j in range(total) for v in blocks[(start + d * j) % total])
-               for start in starts for d in (1, -1))
-    return HamiltonCycle(k=k, ell=ell, arrangement=best)
-
-
 def test_canonical_form_equals_the_all_candidates_minimum():
     rng = random.Random(2024)
     checked = 0
@@ -73,12 +54,17 @@ def test_canonical_form_equals_the_all_candidates_minimum():
         for ell in range(0, (k + 1) // 2):
             for m in range(1, 9):
                 n = m * (k - ell)
+                cycles = []
                 for _ in range(20):
                     arr = list(range(n))
                     rng.shuffle(arr)
-                    cycle = HamiltonCycle(k=k, ell=ell, arrangement=tuple(arr))
-                    assert canonicalize(cycle) == canonicalize_all_candidates(cycle)
-                    checked += 1
+                    cycles.append(HamiltonCycle(k=k, ell=ell, arrangement=tuple(arr)))
+                expected = [canonicalize_all_candidates(c) for c in cycles]
+                assert [canonicalize(c) for c in cycles] == expected
+                batch = canonical_rows(np.array([c.arrangement for c in cycles]), k, ell)
+                assert [tuple(row) for row in batch.tolist()] == [c.arrangement for c in expected]
+                assert canonical_rows(np.empty((0, n), dtype=np.int64), k, ell).shape == (0, n)
+                checked += len(cycles)
     assert checked == 15 * 8 * 20
 
 

@@ -3,6 +3,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from hampack import census
 from hampack.bifactor import count_perfect_matchings
 from hampack.census import (count_lower_bound, edge_set_count,
                             empirical_vs_bound, enumerate_cycles,
@@ -35,6 +36,15 @@ class TestEnumerate:
     def test_divisibility(self):
         with pytest.raises(InvalidInputError):
             enumerate_cycles(complete_hypergraph(7, 3), 1)
+
+    def test_chunk_size_does_not_change_the_set(self, monkeypatch):
+        h = random_hypergraph(8, 3, 0.8, 1)
+        whole = enumerate_cycles(h, 1)
+        # singleton blocks: every cycle is reached as 2m = 8 leaf arrangements,
+        # so chunks of 7 leave a partial last chunk
+        assert 8 * len(whole) % 7 != 0
+        monkeypatch.setattr(census, "_CANON_CHUNK", 7)
+        assert enumerate_cycles(h, 1) == whole
 
     def test_every_cycle_is_canonical_and_valid(self):
         from hampack.reduction import canonicalize, verify_cycle

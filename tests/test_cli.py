@@ -176,6 +176,16 @@ def test_mc_factor_probability_checked_without_trials(tmp_path, capsys):
     assert not (tmp_path / "mc.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "--random", "--n", "6", "--k", "3", "--p", "1.5"),
+    ("bound", "--n", "6", "--k", "3", "--ell", "1", "--p", "1.5"),
+])
+def test_probability_out_of_range_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "probability 1.5 not in [0, 1]" in err
+
+
 def test_mc_partition_threshold_failure(tmp_path, capsys):
     hpath = str(tmp_path / "h.json")
     write_hypergraph(complete_hypergraph(12, 3), hpath)
@@ -249,6 +259,8 @@ def test_count_size_limit_exit_1(tmp_path, capsys):
     write_hypergraph(complete_hypergraph(12, 3), hpath)
     code, _, err = run(capsys, "count", "--input", hpath, "--ell", "1")
     assert code == 1 and "n=12" in err
+    assert "exhaustive enumeration stops at n <= 10" in err
+    assert "`hampack bound` evaluates the formulas at any n" in err
 
 
 def test_verify_ell_out_of_range_exit_2(tmp_path, capsys):

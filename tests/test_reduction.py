@@ -11,7 +11,10 @@ from hampack.hypercore import Hypergraph
 from hampack.reduction import (HamiltonCycle, PartitionScheme, build_aux_graph,
                                canonicalize, cycle_from_json_dict,
                                cycle_to_json_dict, lift_canonical,
-                               lift_matching, sample_scheme, verify_cycle)
+                               lift_matching, sample_scheme, segment_windows,
+                               verify_cycle)
+
+from helpers import canonicalize_all_candidates, lift_reference
 
 
 class TestSampleScheme:
@@ -107,6 +110,10 @@ class TestLift:
             lift_matching(aux, {0: 0, 1: 1})
         with pytest.raises(InvalidInputError):
             lift_matching(aux, {0: 0, 1: 0, 2: 1, 3: 2})
+        for bad in ({0: 0, 1: 1, 2: 2, 7: 3}, {0: 0, 1: 1.5, 2: 2, 3: 3},
+                    {0: 0, 1: 2**64, 2: 2, 3: 3}):
+            with pytest.raises(InvalidInputError):
+                lift_matching(aux, bad)
         h_sparse = Hypergraph(8, 3, [])
         aux_sparse = build_aux_graph(h_sparse, sample_scheme(h_sparse, 1, 2))
         with pytest.raises(InvalidInputError):
@@ -191,6 +198,13 @@ class TestCanonicalize:
             canonicalize(HamiltonCycle(k=3, ell=1, arrangement=(0, 0, 1, 2)))
 
 
+def test_windows_need_a_valid_shape():
+    with pytest.raises(InvalidInputError, match="need 0 <= ell < k/2"):
+        segment_windows(4, 2, 2)
+    with pytest.raises(InvalidInputError, match="need 0 <= ell < k/2"):
+        HamiltonCycle(k=3, ell=2, arrangement=(0, 1, 2, 3)).segments()
+
+
 def test_cycle_json_roundtrip():
     c = HamiltonCycle(k=3, ell=1, arrangement=(0, 1, 2, 3, 4, 5))
     assert cycle_from_json_dict(cycle_to_json_dict(c), k=3) == c
@@ -205,6 +219,7 @@ def test_all_matchings_of_all_small_schemes_lift_and_verify():
         for perm in permutations(range(m)):
             if all((i, perm[i]) in aux.graph.edges for i in range(m)):
                 cycle = lift_matching(aux, dict(enumerate(perm)))
+                assert cycle == lift_reference(aux, perm)
                 assert verify_cycle(h, cycle)
 
 
@@ -214,7 +229,9 @@ LIFT_SHAPES = [(10, 2, 0), (9, 3, 0), (10, 3, 1), (12, 4, 0), (12, 4, 1), (15, 5
 
 
 def reference_rows(aux, matchings):
-    return [canonicalize(lift_matching(aux, dict(enumerate(row)))).arrangement
+    """The canonical arrangements of the rows' lifts, by the plain-Python
+    oracles, which share no code with `lift_canonical`."""
+    return [canonicalize_all_candidates(lift_reference(aux, row)).arrangement
             for row in matchings.tolist()]
 
 
