@@ -110,7 +110,9 @@ class BipartiteGraph:
 
 
 def complete_bipartite(m: int) -> BipartiteGraph:
-    return BipartiteGraph(m, ((s, t) for s in range(m) for t in range(m)))
+    if m < 0:
+        raise InvalidInputError(f"m must be >= 0, got {m}")
+    return BipartiteGraph._from_codes(m, np.arange(m * m, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -286,23 +288,33 @@ def peel_matchings(factor: Factor, host: BipartiteGraph) -> np.ndarray:
     the rows of an r x m int64 array (row j maps each s to its t).
 
     Each round runs Hopcroft-Karp (`maximum_bipartite_matching`) on the
-    remaining edge codes, which still form a regular graph and so have a
-    perfect matching, and removes the codes s·m + match[s] it picked.
+    remaining edges, which still form a regular graph and so have a perfect
+    matching, and removes the edges (s, match[s]) it picked.  The edges are
+    held as the columns `t` of the sorted codes with their rows `s`; masking
+    keeps `s` sorted, so before round j every row is one contiguous run of
+    d = r - j columns and the round's CSR row pointer is 0, d, 2d, ..., m·d.
+    A round that removes other than exactly m edges (one per row) would
+    break that, so it raises.
     """
     factor.check_against(host)
-    m, codes = host.m, factor.graph.codes
-    matchings = np.empty((factor.r, m), dtype=np.int64)
-    for j in range(factor.r):
-        s, t = np.divmod(codes, m)
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(s, minlength=m))))
+    m, r = host.m, factor.r
+    s, t = np.divmod(factor.graph.codes, m)
+    t = t.astype(np.int32)
+    matchings = np.empty((r, m), dtype=np.int64)
+    for j in range(r):
+        d = r - j
+        indptr = np.arange(0, m * d + 1, d, dtype=np.int32)
         remainder = csr_matrix((np.ones(len(t), dtype=np.int8), t, indptr), shape=(m, m))
         match = maximum_bipartite_matching(remainder, perm_type="column")
         if (match < 0).any():
             raise InvariantViolation(
                 "no perfect matching in a supposedly regular remainder; corrupt factor")
         matchings[j] = match
-        codes = codes[~np.isin(codes, np.arange(m) * m + match)]
-    if len(codes):
+        keep = t != match[s]
+        if len(t) - np.count_nonzero(keep) != m:
+            raise InvariantViolation("a matching is not a set of m edges of the remainder")
+        s, t = s[keep], t[keep]
+    if len(t):
         raise InvariantViolation("matchings did not exhaust the factor")
     return matchings
 

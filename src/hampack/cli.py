@@ -205,12 +205,10 @@ def cmd_pack(args) -> int:
 
 
 def cmd_mc_factor(args) -> int:
-    if args.input:
+    if args.input is not None:
         g = bifactor.read_bipartite(args.input)
-    elif args.complete_bipartite:
-        g = bifactor.complete_bipartite(args.complete_bipartite)
     else:
-        raise HampackError("provide --input or --complete-bipartite")
+        g = bifactor.complete_bipartite(args.complete_bipartite)
     report = randomlab.factor_robustness_sweep(
         g, rho=args.rho, p=args.p, epsilon=args.epsilon,
         trials=args.trials, master_seed=args.seed)
@@ -331,9 +329,10 @@ def build_parser() -> _Parser:
                    help="near-regular pipeline: uncovered-edge budget as a fraction of C(n,k)")
 
     p = add("mc-factor", cmd_mc_factor, "random-subgraph factor robustness sweep")
-    p.add_argument("--input", help="bipartite graph JSON")
-    p.add_argument("--complete-bipartite", type=int, dest="complete_bipartite",
-                   help="use the complete bipartite graph with this part size")
+    graph = p.add_mutually_exclusive_group(required=True)
+    graph.add_argument("--input", help="bipartite graph JSON")
+    graph.add_argument("--complete-bipartite", type=int, dest="complete_bipartite",
+                       help="use the complete bipartite graph with this part size")
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--epsilon", type=float, required=True)

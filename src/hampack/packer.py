@@ -166,6 +166,8 @@ def _pack(h: Hypergraph, ell: int, count: int, seed: int, resample_limit: int, a
     """
     if count < 0:
         raise InvalidInputError(f"number of partitions must be >= 0, got {count}")
+    if resample_limit < 0:
+        raise InvalidInputError(f"resample limit must be >= 0, got {resample_limit}")
     auxes, retries, exhausted = _sample_accepted_schemes(
         h, ell, count, seed, resample_limit, accept)
     if exhausted:

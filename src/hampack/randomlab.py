@@ -37,6 +37,8 @@ MIN_PART_FRACTION = 0.05   # partition_degree_trial refuses parts below this sha
 
 def _sweep(run: Callable[[int], Any], trials: int, master_seed: int) -> list:
     """run(seed) for i = 0..trials-1, in order, on derive_seed(master_seed, f"trial:{i}")."""
+    if trials < 0:
+        raise InvalidInputError(f"number of trials must be >= 0, got {trials}")
     return [run(derive_seed(master_seed, f"trial:{i}")) for i in range(trials)]
 
 

@@ -5,8 +5,12 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
+
 from hampack.bifactor import BipartiteGraph
-from hampack.errors import InvalidInputError, InvalidQueryError
+from hampack.errors import InvalidInputError, InvalidQueryError, InvariantViolation
 from hampack.hypercore import Hypergraph
 from hampack.reduction import HamiltonCycle, build_aux_graph
 
@@ -53,6 +57,28 @@ def peel_decomposes(rows, factor):
         good &= union.isdisjoint(codes)
         union |= codes
     return good and sorted(union) == factor.graph.codes.tolist()
+
+
+def peel_reference(factor, host):
+    """The peel that rebuilds each round's CSR from the remaining edge codes
+    and drops the matched codes with `np.isin`: the oracle for
+    `peel_matchings`, which must return the same r x m rows."""
+    factor.check_against(host)
+    m, codes = host.m, factor.graph.codes
+    matchings = np.empty((factor.r, m), dtype=np.int64)
+    for j in range(factor.r):
+        s, t = np.divmod(codes, m)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(s, minlength=m))))
+        remainder = csr_matrix((np.ones(len(t), dtype=np.int8), t, indptr), shape=(m, m))
+        match = maximum_bipartite_matching(remainder, perm_type="column")
+        if (match < 0).any():
+            raise InvariantViolation(
+                "no perfect matching in a supposedly regular remainder; corrupt factor")
+        matchings[j] = match
+        codes = codes[~np.isin(codes, np.arange(m) * m + match)]
+    if len(codes):
+        raise InvariantViolation("matchings did not exhaust the factor")
+    return matchings
 
 
 def aux_graphs(h, schemes):

@@ -15,7 +15,7 @@ from hampack.errors import (InvalidInputError, InvariantViolation, ParseError,
                             SizeLimitError)
 
 from helpers import (brute_force_matching_count, csaba_rho, peel_decomposes,
-                     random_bipartite)
+                     peel_reference, random_bipartite)
 
 
 def cycle6():
@@ -160,6 +160,14 @@ class TestCodeStore:
             if pairs:
                 assert BipartiteGraph(g.m, pairs[1:]) != g
         assert BipartiteGraph(2, [(0, 1)]) != frozenset({(0, 1)})
+
+    def test_complete_bipartite_matches_the_validating_constructor(self):
+        for m in range(6):
+            g = complete_bipartite(m)
+            assert g == BipartiteGraph(m, [(s, t) for s in range(m) for t in range(m)])
+            assert g.min_degree() == g.max_degree() == m
+        with pytest.raises(InvalidInputError, match="m must be >= 0, got -1"):
+            complete_bipartite(-1)
 
     def test_immutable(self):
         g = complete_bipartite(2)
@@ -308,6 +316,7 @@ class TestPeel:
             ms = peel_matchings(factor, g)
             assert ms.shape == (r, m)
             assert peel_decomposes(ms, factor)
+            assert np.array_equal(ms, peel_reference(factor, g))
             done += 1
 
     def test_long_cycle_factor_peels_without_recursion_limit(self):
@@ -319,6 +328,7 @@ class TestPeel:
         ms = peel_matchings(factor, g)
         assert ms.shape == (2, m)
         assert peel_decomposes(ms, factor)
+        assert np.array_equal(ms, peel_reference(factor, g))
 
     def test_large_factor_peels_into_disjoint_perfect_matchings(self):
         # m = 400 at density 0.7: r* is in the hundreds, so the peel runs
@@ -330,6 +340,7 @@ class TestPeel:
         ms = peel_matchings(factor, g)
         assert ms.shape == (r_star, m)
         assert peel_decomposes(ms, factor)
+        assert np.array_equal(ms, peel_reference(factor, g))
 
     def test_corrupt_factor_detected(self):
         g = complete_bipartite(3)
@@ -341,6 +352,15 @@ class TestPeel:
                            BipartiteGraph(3, cycle6().edges - {(0, 0)}))
         with pytest.raises(InvariantViolation, match="m=3 but the host graph has m=4"):
             peel_matchings(Factor(r=3, graph=g), complete_bipartite(4))
+
+    def test_matching_off_the_remainder_detected(self, monkeypatch):
+        # 0 -> 2, 1 -> 0, 2 -> 1 is a permutation, but none of its pairs is
+        # an edge of the 6-cycle, so masking it off removes nothing
+        monkeypatch.setattr(bifactor, "maximum_bipartite_matching",
+                            lambda graph, perm_type: np.array([2, 0, 1], dtype=np.int32))
+        g = cycle6()
+        with pytest.raises(InvariantViolation, match="not a set of m edges of the remainder"):
+            peel_matchings(Factor(r=2, graph=g), g)
 
 
 class TestPermanent:

@@ -176,6 +176,50 @@ def test_mc_factor_probability_checked_without_trials(tmp_path, capsys):
     assert not (tmp_path / "mc.json").exists()
 
 
+def test_mc_factor_graph_flags_exclusive_and_required(tmp_path, capsys):
+    gpath = str(tmp_path / "g.json")
+    from hampack.bifactor import complete_bipartite, write_bipartite
+    write_bipartite(complete_bipartite(4), gpath)
+    sweep = ("--rho", "1", "--p", "0.5", "--epsilon", "0.1", "--trials", "1")
+    code, out, err = run(capsys, "mc-factor", "--input", gpath,
+                         "--complete-bipartite", "4", *sweep)
+    assert code == 1 and out == ""
+    assert "not allowed with argument" in err
+    code, out, err = run(capsys, "mc-factor", *sweep)
+    assert code == 1 and out == ""
+    assert "one of the arguments --input --complete-bipartite is required" in err
+
+
+def test_mc_factor_empty_complete_graph_fails_density_hypothesis(capsys):
+    code, out, err = run(capsys, "mc-factor", "--complete-bipartite", "0",
+                         "--rho", "1", "--p", "0.5", "--epsilon", "0.1")
+    assert code == 1 and out == ""
+    assert "min degree 0 is not above m/2 = 0.0; the density hypothesis fails" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("mc-factor", "--complete-bipartite", "4", "--rho", "1", "--p", "0.5",
+      "--epsilon", "0.1", "--trials", "-2"), "number of trials must be >= 0, got -2"),
+    (("mc-partition", "--kind", "aux-degrees", "--delta", "0.6", "--epsilon", "0.2",
+      "--trials", "-3"), "number of trials must be >= 0, got -3"),
+    (("mc-partition", "--kind", "part-degrees", "--sizes", "6,6", "--delta", "0.5",
+      "--epsilon", "0.2", "--trials", "-3"), "number of trials must be >= 0, got -3"),
+    (("pack", "--theorem", "2", "--ell", "1", "--r", "2", "--resample-limit", "-1"),
+     "resample limit must be >= 0, got -1"),
+    (("pack", "--theorem", "3", "--ell", "1", "--r", "2", "--epsilon", "0.05",
+      "--resample-limit", "-1"), "resample limit must be >= 0, got -1"),
+])
+def test_negative_counts_exit_1(tmp_path, capsys, argv, message):
+    hpath, opath = str(tmp_path / "h.json"), tmp_path / "out.json"
+    write_hypergraph(complete_hypergraph(12, 3), hpath)
+    if argv[0] != "mc-factor":
+        argv = argv[:1] + ("--input", hpath) + argv[1:]
+    code, _, err = run(capsys, *argv, "--out", str(opath))
+    assert code == 1
+    assert message in err
+    assert not opath.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("gen", "--random", "--n", "6", "--k", "3", "--p", "1.5"),
     ("bound", "--n", "6", "--k", "3", "--ell", "1", "--p", "1.5"),
@@ -603,7 +647,8 @@ def test_every_subcommand_accepts_threads_1():
         "reduce": ["--input", "h.json", "--ell", "1"],
         "factor": ["--input", "g.json"],
         "pack": ["--input", "h.json", "--ell", "1"],
-        "mc-factor": ["--rho", "1", "--p", "0.5", "--epsilon", "0.2"],
+        "mc-factor": ["--complete-bipartite", "4", "--rho", "1", "--p", "0.5",
+                      "--epsilon", "0.2"],
         "mc-partition": ["--input", "h.json", "--delta", "0.4", "--epsilon", "0.2"],
         "verify": ["--input", "h.json", "--cycle", "c.json"],
     }
