@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching, maximum_flow
 
 from .errors import (InvalidInputError, InvariantViolation, ParseError,
                      SizeLimitError)
@@ -69,6 +67,10 @@ class BipartiteGraph:
             s, t = np.divmod(self.codes, self.m)
             object.__setattr__(self, "_edges", frozenset(zip(s.tolist(), t.tolist())))
         return self._edges
+
+    def pairs(self) -> np.ndarray:
+        """The edges as an |E| x 2 int64 array of (s, t) rows, in code order."""
+        return np.column_stack(np.divmod(self.codes, self.m))
 
     def _adjacency(self) -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
         if self._adj is None:
@@ -200,9 +202,13 @@ class _FactorNetwork:
     the source row (arcs to every s), each s row with unit arcs to its t
     neighbours in ascending order, then the t -> sink rows.  Solving for r
     only writes the first m and the last m capacities.
+
+    scipy is imported here and in `peel_matchings`, on first use, so that the
+    commands that never solve a flow or a matching do not load it.
     """
 
     def __init__(self, g: BipartiteGraph):
+        from scipy.sparse import csr_matrix
         m = self.m = g.m
         self.host = g
         s, t = np.divmod(g.codes, m)
@@ -219,6 +225,7 @@ class _FactorNetwork:
         An r-factor exists iff the max flow is r·m.  The witness is checked
         against the host graph before it is returned.
         """
+        from scipy.sparse.csgraph import maximum_flow
         m, data = self.m, self.graph.data
         data[:m] = r
         data[-m:] = r
@@ -296,6 +303,8 @@ def peel_matchings(factor: Factor, host: BipartiteGraph) -> np.ndarray:
     A round that removes other than exactly m edges (one per row) would
     break that, so it raises.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
     factor.check_against(host)
     m, r = host.m, factor.r
     s, t = np.divmod(factor.graph.codes, m)
@@ -360,7 +369,8 @@ def count_perfect_matchings(g: BipartiteGraph) -> int:
 
 
 def to_json_dict(g: BipartiteGraph) -> dict:
-    return {"m": g.m, "edges": [list(e) for e in sorted(g.edges)]}
+    """The file document; `edges` is the `pairs()` array, which `canonical_json` writes."""
+    return {"m": g.m, "edges": g.pairs()}
 
 
 def from_json_dict(obj) -> BipartiteGraph:

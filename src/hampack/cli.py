@@ -161,12 +161,12 @@ def cmd_factor(args) -> int:
     if args.r is not None:
         factor = bifactor.find_factor(g, args.r)
         doc: dict[str, Any] = {"m": g.m, "r": args.r, "exists": factor is not None,
-                               "factor": sorted(factor.graph.edges) if factor else None}
+                               "factor": factor.graph.pairs() if factor else None}
         if g.m <= bifactor.GALE_RYSER_MAX_M:
             doc["gale_ryser"] = bifactor.gale_ryser_check(g, args.r)
     else:
         r_star, factor = bifactor.max_factor(g)
-        doc = {"m": g.m, "r_star": r_star, "factor": sorted(factor.graph.edges)}
+        doc = {"m": g.m, "r_star": r_star, "factor": factor.graph.pairs()}
     _emit(doc, args)
     return EXIT_OK
 
@@ -364,6 +364,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INVALID
     try:
+        if (getattr(args, "min_successes", None) or 0) < 0:
+            raise HampackError(f"--min-successes must be >= 0, got {args.min_successes}")
         return args.func(args)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -246,7 +246,8 @@ def degree_report(h: Hypergraph, d: int) -> DegreeReport:
 
 
 def to_json_dict(h: Hypergraph) -> dict:
-    return {"n": h.n, "k": h.k, "edges": h.rows().tolist()}
+    """The file document; `edges` is the `rows()` array, which `canonical_json` writes."""
+    return {"n": h.n, "k": h.k, "edges": h.rows()}
 
 
 def from_json_dict(obj) -> Hypergraph:

@@ -28,7 +28,7 @@ from .hypercore import Hypergraph, degree_report
 from .reduction import (AuxGraph, HamiltonCycle, PartitionScheme,
                         build_aux_graph, canonicalize, check_shape, lift_canonical,
                         lift_matching, sample_scheme, segment_windows, verify_cycle)
-from .util import derive_seed
+from .util import check_probability, derive_seed
 
 
 @dataclass(frozen=True)
@@ -256,8 +256,12 @@ def pack_near_regular(h: Hypergraph, ell: int, delta_target: float, epsilon: flo
     follows |E|·((k-ell)/n)^2 / q with q = (alpha-epsilon)·m^2/|E| (clamped to
     the desk-scale range, overridable); the per-partition factor target comes
     from the near-regular density guarantee scaled by each partition's edge
-    retention, with the flow maximum as fallback.
+    retention, with the flow maximum as fallback.  epsilon must be >= 0 and
+    delta_target in [0, 1].
     """
+    if not epsilon >= 0.0:
+        raise InvalidInputError(f"epsilon must be >= 0, got {epsilon}")
+    check_probability(delta_target, "delta_target")
     n, k = h.n, h.k
     m = check_shape(n, k, ell)
     codegrees = degree_report(h, k - 1)

@@ -42,8 +42,16 @@ def _sweep(run: Callable[[int], Any], trials: int, master_seed: int) -> list:
     return [run(derive_seed(master_seed, f"trial:{i}")) for i in range(trials)]
 
 
+def _check_degree_thresholds(delta: float, epsilon: float) -> None:
+    """Reject a delta outside [0, 1] or a negative epsilon, NaN included."""
+    check_probability(delta, "delta")
+    if not epsilon >= 0.0:
+        raise InvalidInputError(f"epsilon must be >= 0, got {epsilon}")
+
+
 def _codegree_hypothesis(h: Hypergraph, delta: float, epsilon: float) -> bool:
-    """min codegree >= (delta + epsilon) * n."""
+    """min codegree >= (delta + epsilon) * n, after `_check_degree_thresholds`."""
+    _check_degree_thresholds(delta, epsilon)
     return degree_report(h, h.k - 1).min_degree >= (delta + epsilon) * h.n
 
 
@@ -112,7 +120,10 @@ def _check_robustness_hypotheses(g: BipartiteGraph, rho: float) -> None:
 
 def _factor_target(rho: float, m: int, p: float, epsilon: float) -> int:
     """floor((1 - epsilon) * rho * m * p), with a 1e-9 tolerance so that a product
-    that is an integer in exact arithmetic is not rounded down by float error."""
+    that is an integer in exact arithmetic is not rounded down by float error.
+    epsilon must lie in [0, 1): outside it the target is negative or above m·p."""
+    if not (0.0 <= epsilon < 1.0):
+        raise InvalidInputError(f"epsilon must be in [0, 1), got {epsilon}")
     return math.floor((1.0 - epsilon) * rho * m * p + 1e-9)
 
 
@@ -125,23 +136,23 @@ def factor_robustness_trial(g: BipartiteGraph, rho: float, p: float, epsilon: fl
     """
     if not skip_checks:
         _check_robustness_hypotheses(g, rho)
+    target = _factor_target(rho, g.m, p, epsilon)
     sub = random_subgraph(g, p, seed)
     r_star, factor = bifactor.max_factor(sub)
-    target = _factor_target(rho, g.m, p, epsilon)
     return FactorTrial(seed=seed, r_star=r_star, target=target,
                        success=r_star >= target, factor=factor)
 
 
 def factor_robustness_sweep(g: BipartiteGraph, rho: float, p: float, epsilon: float,
                             trials: int, master_seed: int) -> SubgraphTrialReport:
-    """Run `trials` independent subsample trials; hypotheses and p are checked
-    once, before any trial."""
+    """Run `trials` independent subsample trials; hypotheses, p and epsilon
+    are checked once, before any trial."""
     _check_robustness_hypotheses(g, rho)
     check_probability(p)
+    target = _factor_target(rho, g.m, p, epsilon)
     results = _sweep(lambda seed: factor_robustness_trial(g, rho, p, epsilon, seed,
                                                           skip_checks=True),
                      trials, master_seed)
-    target = _factor_target(rho, g.m, p, epsilon)
     return SubgraphTrialReport(
         n=g.m, p=p, rho=rho, epsilon=epsilon, target=target, trials=trials,
         successes=sum(1 for t in results if t.success),
@@ -179,6 +190,7 @@ def partition_degree_trial(h: Hypergraph, sizes: tuple[int, ...], delta: float,
     meets its (delta + 2*eps/3) * m_i degree threshold for every (k-1)-subset.
     """
     _check_part_sizes(h.n, sizes)
+    _check_degree_thresholds(delta, epsilon)
     return _partition_degree_trial(h, sizes, delta, epsilon, seed,
                                    subset_ranks(h, h.k - 1), h.rows())
 
@@ -215,6 +227,7 @@ def _partition_degree_trial(h: Hypergraph, sizes: tuple[int, ...], delta: float,
 def partition_degree_sweep(h: Hypergraph, sizes: tuple[int, ...], delta: float,
                            epsilon: float, trials: int, master_seed: int) -> PartitionTrialReport:
     _check_part_sizes(h.n, sizes)
+    hypothesis = _codegree_hypothesis(h, delta, epsilon)
     ranks, rows = subset_ranks(h, h.k - 1), h.rows()
     results = _sweep(lambda seed: _partition_degree_trial(h, sizes, delta, epsilon, seed,
                                                           ranks, rows),
@@ -222,7 +235,7 @@ def partition_degree_sweep(h: Hypergraph, sizes: tuple[int, ...], delta: float,
     return PartitionTrialReport(trials=trials,
                                 successes=sum(1 for t in results if t.success),
                                 per_trial=tuple(results),
-                                hypothesis_met=_codegree_hypothesis(h, delta, epsilon))
+                                hypothesis_met=hypothesis)
 
 
 @dataclass(frozen=True)

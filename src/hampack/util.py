@@ -7,7 +7,6 @@ import hashlib
 import json
 import math
 import random
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
@@ -44,10 +43,11 @@ def random_stream(seed: int) -> np.random.RandomState:
     return stream
 
 
-def check_probability(p: float) -> None:
-    """Reject a probability outside [0, 1], NaN included."""
+def check_probability(p: float, name: str = "probability") -> None:
+    """Reject a probability, or another fraction called `name`, outside
+    [0, 1], NaN included."""
     if not (0.0 <= p <= 1.0):
-        raise InvalidInputError(f"probability {p} not in [0, 1]")
+        raise InvalidInputError(f"{name} {p} not in [0, 1]")
 
 
 def canonical_json(obj: Any) -> str:
@@ -55,10 +55,12 @@ def canonical_json(obj: Any) -> str:
 
     Dataclasses are written as dicts of their fields, tuples as lists, sets
     and frozensets as sorted lists, dict keys through `str`, and non-finite
-    floats as null; otherwise the bytes are those of `json.dumps(obj,
-    sort_keys=True, separators=(",", ": "), indent=1)`.  A list of plain ints
-    is written with one join and a list of equal-length lists of plain ints
-    with one format, which is where large documents spend their bytes.
+    floats as null, and a 2-d integer numpy array as its `.tolist()`;
+    otherwise the bytes are those of `json.dumps(obj, sort_keys=True,
+    separators=(",", ": "), indent=1)`.  A list of plain ints is written with
+    one join and a 2-d integer array with one format, which is where large
+    documents spend their bytes.  Other numpy values raise TypeError, as they
+    do in `json.dumps`.
     """
     return _encode(obj, "\n")
 
@@ -81,11 +83,19 @@ def _encode(value: Any, newline: str) -> str:
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
     inner = newline + " "
+    sep = "," + inner
+    if isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype.kind in "iu":
+        if value.size:
+            row_inner = inner + " "
+            row = "[" + row_inner + ("," + row_inner).join(["%d"] * value.shape[1]) + inner + "]"
+            body = sep.join([row] * len(value)) % tuple(value.ravel().tolist())
+            return "[" + inner + body + newline + "]"
+        value = value.tolist()
     if isinstance(value, dict):
         if not value:
             return "{}"
         items = sorted({str(key): item for key, item in value.items()}.items())
-        return ("{" + inner + ("," + inner).join(
+        return ("{" + inner + sep.join(
             [_quote(key) + ": " + _encode(item, inner) for key, item in items])
             + newline + "}")
     if isinstance(value, (set, frozenset)):
@@ -94,16 +104,8 @@ def _encode(value: Any, newline: str) -> str:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     if not value:
         return "[]"
-    sep = "," + inner
-    kinds = set(map(type, value))
-    width = len(value[0]) if kinds <= {list, tuple} else 0
-    if kinds == {int}:
+    if set(map(type, value)) == {int}:
         body = sep.join(map(int.__repr__, value))
-    elif width and set(map(len, value)) == {width} \
-            and set(map(type, chain.from_iterable(value))) == {int}:
-        row_inner = inner + " "
-        row = "[" + row_inner + ("," + row_inner).join(["%d"] * width) + inner + "]"
-        body = sep.join([row] * len(value)) % tuple(chain.from_iterable(value))
     else:
         body = sep.join([_encode(item, inner) for item in value])
     return "[" + inner + body + newline + "]"

@@ -3,7 +3,10 @@ import dataclasses
 import json
 import math
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -273,3 +276,29 @@ def lift_reference(aux, sigma):
         f, b = sorted(s.tuples_a[i]), sorted(s.blocks_b[t])
         arr.extend(f + b if s.ell >= 1 else sorted(f + b))
     return HamiltonCycle(k=s.k, ell=s.ell, arrangement=tuple(arr))
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs in a fresh interpreter: import hampack.cli from the source tree, run
+# main(argv) when argv is given, and print the top-level packages loaded.
+_PACKAGES_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import hampack.cli
+code = hampack.cli.main(sys.argv[2:]) if len(sys.argv) > 2 else 0
+print(json.dumps(sorted({name.split(".")[0] for name in sys.modules})))
+sys.exit(code)
+"""
+
+
+def packages_loaded_by(argv):
+    """The top-level packages a fresh interpreter has loaded after importing
+    `hampack.cli` and, if `argv` is not empty, running `main(argv)`, which
+    must exit 0.  Give `--out` in `argv`, so that standard output holds only
+    the package list."""
+    proc = subprocess.run([sys.executable, "-c", _PACKAGES_CHILD, str(SRC), *argv],
+                          capture_output=True, text=True, timeout=120)
+    if proc.returncode != 0:
+        raise AssertionError(f"{argv} exited {proc.returncode}: {proc.stderr}")
+    return set(json.loads(proc.stdout.splitlines()[-1]))

@@ -4,8 +4,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph as csgraph
 
-from hampack import bifactor, randomlab
+from hampack import randomlab
 from hampack.bifactor import (BipartiteGraph, Factor, almost_regular_bound,
                               complete_bipartite, count_perfect_matchings,
                               find_factor, from_json_dict,
@@ -179,8 +180,11 @@ class TestCodeStore:
 
 def _drop_one_flow_unit(monkeypatch, at_r):
     """Make maximum_flow, when the source capacities are at_r, return a flow
-    whose first s vertex has degree at_r - 1 while the flow value is kept."""
-    real = bifactor.maximum_flow
+    whose first s vertex has degree at_r - 1 while the flow value is kept.
+
+    bifactor imports its scipy solvers inside the functions that call them,
+    so patching the scipy module itself reaches every call."""
+    real = csgraph.maximum_flow
 
     def fake(graph, source, sink):
         result = real(graph, source, sink)
@@ -193,7 +197,7 @@ def _drop_one_flow_unit(monkeypatch, at_r):
         flow.data[lo + hit] = 0
         return SimpleNamespace(flow_value=result.flow_value, flow=flow)
 
-    monkeypatch.setattr(bifactor, "maximum_flow", fake)
+    monkeypatch.setattr(csgraph, "maximum_flow", fake)
 
 
 def _swap_onto_non_edges(monkeypatch, at_r):
@@ -201,7 +205,7 @@ def _swap_onto_non_edges(monkeypatch, at_r):
     on (0, 1) and (1, 0) onto (0, 0) and (1, 1): every degree and the flow
     value stay as they were, but the witness leaves the host when the
     diagonal is not in it."""
-    real = bifactor.maximum_flow
+    real = csgraph.maximum_flow
 
     def fake(graph, source, sink):
         result = real(graph, source, sink)
@@ -214,7 +218,7 @@ def _swap_onto_non_edges(monkeypatch, at_r):
         flow[1, m + 1] = flow[2, m + 2] = 1
         return SimpleNamespace(flow_value=result.flow_value, flow=flow.tocsr())
 
-    monkeypatch.setattr(bifactor, "maximum_flow", fake)
+    monkeypatch.setattr(csgraph, "maximum_flow", fake)
 
 
 def k44_minus_diagonal():
@@ -356,7 +360,7 @@ class TestPeel:
     def test_matching_off_the_remainder_detected(self, monkeypatch):
         # 0 -> 2, 1 -> 0, 2 -> 1 is a permutation, but none of its pairs is
         # an edge of the 6-cycle, so masking it off removes nothing
-        monkeypatch.setattr(bifactor, "maximum_bipartite_matching",
+        monkeypatch.setattr(csgraph, "maximum_bipartite_matching",
                             lambda graph, perm_type: np.array([2, 0, 1], dtype=np.int32))
         g = cycle6()
         with pytest.raises(InvariantViolation, match="not a set of m edges of the remainder"):

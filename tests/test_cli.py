@@ -10,6 +10,8 @@ from hampack.constructions import complete_hypergraph
 from hampack.hypercore import write_hypergraph
 from hampack.reduction import HamiltonCycle, write_cycle
 
+from helpers import packages_loaded_by
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -197,6 +199,9 @@ def test_mc_factor_empty_complete_graph_fails_density_hypothesis(capsys):
     assert "min degree 0 is not above m/2 = 0.0; the density hypothesis fails" in err
 
 
+MC_FACTOR_K4 = ("mc-factor", "--complete-bipartite", "4", "--rho", "1", "--p", "0.5")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("mc-factor", "--complete-bipartite", "4", "--rho", "1", "--p", "0.5",
       "--epsilon", "0.1", "--trials", "-2"), "number of trials must be >= 0, got -2"),
@@ -208,6 +213,28 @@ def test_mc_factor_empty_complete_graph_fails_density_hypothesis(capsys):
      "resample limit must be >= 0, got -1"),
     (("pack", "--theorem", "3", "--ell", "1", "--r", "2", "--epsilon", "0.05",
       "--resample-limit", "-1"), "resample limit must be >= 0, got -1"),
+    # parameters outside their range, checked before any trial or partition
+    (MC_FACTOR_K4 + ("--epsilon", "1.5", "--trials", "2"), "epsilon must be in [0, 1), got 1.5"),
+    (MC_FACTOR_K4 + ("--epsilon", "-3", "--trials", "2"), "epsilon must be in [0, 1), got -3.0"),
+    (MC_FACTOR_K4 + ("--epsilon", "1", "--trials", "0"), "epsilon must be in [0, 1), got 1.0"),
+    (MC_FACTOR_K4 + ("--epsilon", "0.2", "--min-successes", "-1"),
+     "--min-successes must be >= 0, got -1"),
+    (("mc-partition", "--delta", "0.2", "--epsilon", "0.1", "--min-successes", "-3"),
+     "--min-successes must be >= 0, got -3"),
+    (("mc-partition", "--delta", "-2", "--epsilon", "0.1", "--trials", "2"),
+     "delta -2.0 not in [0, 1]"),
+    (("mc-partition", "--delta", "0.2", "--epsilon", "-1", "--trials", "2"),
+     "epsilon must be >= 0, got -1.0"),
+    (("mc-partition", "--kind", "part-degrees", "--sizes", "6,6", "--delta", "1.5",
+      "--epsilon", "0.1", "--trials", "2"), "delta 1.5 not in [0, 1]"),
+    (("mc-partition", "--kind", "part-degrees", "--sizes", "6,6", "--delta", "0.5",
+      "--epsilon", "-0.5", "--trials", "0"), "epsilon must be >= 0, got -0.5"),
+    (("pack", "--theorem", "3", "--ell", "1", "--epsilon", "-0.1"),
+     "epsilon must be >= 0, got -0.1"),
+    (("pack", "--theorem", "3", "--ell", "1", "--delta-target", "-1"),
+     "delta_target -1.0 not in [0, 1]"),
+    (("pack", "--theorem", "3", "--ell", "1", "--delta-target", "7"),
+     "delta_target 7.0 not in [0, 1]"),
 ])
 def test_negative_counts_exit_1(tmp_path, capsys, argv, message):
     hpath, opath = str(tmp_path / "h.json"), tmp_path / "out.json"
@@ -404,6 +431,7 @@ GOLDEN_INPUTS = {
     "complete-6-5": ["--complete", "--n", "6", "--k", "5"],
     "random-30-3": ["--random", "--n", "30", "--k", "3", "--p", "0.9", "--seed", "5"],
     "random-90-3": ["--random", "--n", "90", "--k", "3", "--p", "0.9", "--seed", "3"],
+    "random-10-3-empty": ["--random", "--n", "10", "--k", "3", "--p", "0"],
 }
 
 GOLDEN_PACK = [
@@ -533,13 +561,16 @@ def test_mc_partition_golden_digests(tmp_path, capsys, name):
 # `reduce` (primary JSON and scheme sidecar) on complete-12-3, recorded before
 # the hypergraph's edges were stored as one sorted code array.  random-90-3
 # (the benchmark's input, 105,847 edges) was recorded before `gen` drew its
-# uniforms in bulk and wrote through `canonical_json`.
+# uniforms in bulk and wrote through `canonical_json`.  random-10-3-empty (no
+# edges) was recorded before `canonical_json` wrote the edge table from the
+# numpy array.
 GOLDEN_GEN = {
     "complete-12-3": "d3bf2eacbc23e33f2dd85a8940888af079266b0971bd5613508d4fdd67c431b3",
     "complete-4-3": "7e75a0f77353747c6cc49bffde476d89a0c5ce518f5fa08d106ccfaee10ff35e",
     "complete-6-5": "13f786f90bb11568df9347e1d7d63ac87d89ec0cfad51666ede8a5df2456e8e8",
     "random-30-3": "02dfde9f83ffc6735fdb794091f611df8d92632f30fbfd8ee87e0275bbb6279f",
     "random-90-3": "361a8cbe4d3ddd6e6817bf42ee1e8e319e57d6e635ae2524d390cd4dd61c8e58",
+    "random-10-3-empty": "b7fe829f0f1df246b4796c6e631d17d169ed1081bbcc6778bde5f25a7da4b8a9",
 }
 
 GOLDEN_DEGREES = {
@@ -657,3 +688,57 @@ def test_every_subcommand_accepts_threads_1():
     assert set(commands) == set(required)
     for name, argv in required.items():
         assert parser.parse_args([name, *argv, "--threads", "1"]).threads == 1
+
+
+# Only the flow and matching solvers need scipy, and bifactor imports them on
+# first use, so every other command runs without loading it.  {h} is a
+# complete 6-vertex 3-graph, {g} its aux graph and {c} a valid cycle of it.
+SCIPY_FREE = {
+    "import": [],
+    "gen": ["gen", "--random", "--n", "10", "--k", "3", "--p", "0.5"],
+    "degrees": ["degrees", "--input", "{h}", "--d", "2"],
+    "count": ["count", "--input", "{h}", "--ell", "1"],
+    "bound": ["bound", "--n", "6", "--k", "3", "--ell", "1", "--alpha", "0.75"],
+    "reduce": ["reduce", "--input", "{h}", "--ell", "1"],
+    "verify": ["verify", "--input", "{h}", "--cycle", "{c}"],
+    "mc-partition-aux": ["mc-partition", "--input", "{h}", "--kind", "aux-degrees",
+                         "--delta", "0.2", "--epsilon", "0.1", "--trials", "2"],
+    "mc-partition-parts": ["mc-partition", "--input", "{h}", "--kind", "part-degrees",
+                           "--sizes", "3,3", "--delta", "0.2", "--epsilon", "0.1",
+                           "--trials", "2"],
+}
+SCIPY_USERS = {
+    "factor": ["factor", "--input", "{g}"],
+    "pack": ["pack", "--input", "{h}", "--ell", "1", "--r", "2"],
+    "mc-factor": ["mc-factor", "--complete-bipartite", "4", "--rho", "1", "--p", "0.5",
+                  "--epsilon", "0.2", "--trials", "2"],
+}
+
+
+@pytest.fixture
+def scipy_gate_files(tmp_path, capsys):
+    files = {name: str(tmp_path / f"{name}.json") for name in "hgc"}
+    write_hypergraph(complete_hypergraph(6, 3), files["h"])
+    write_cycle(HamiltonCycle(k=3, ell=1, arrangement=(0, 1, 2, 3, 4, 5)), files["c"])
+    assert run(capsys, "reduce", "--input", files["h"], "--ell", "1", "--out", files["g"])[0] == 0
+    return files
+
+
+def _gate_argv(argv, files, out):
+    return [a.format(**files) for a in argv] + (["--out", out] if argv else [])
+
+
+@pytest.mark.parametrize("name", sorted(SCIPY_FREE))
+def test_scipy_free_commands_do_not_load_scipy(tmp_path, scipy_gate_files, name):
+    argv = _gate_argv(SCIPY_FREE[name], scipy_gate_files, str(tmp_path / "out.json"))
+    loaded = packages_loaded_by(argv)
+    assert "hampack" in loaded and "numpy" in loaded
+    assert "scipy" not in loaded
+
+
+@pytest.mark.parametrize("name", sorted(SCIPY_USERS))
+def test_flow_and_matching_commands_load_scipy_on_use(tmp_path, scipy_gate_files, name):
+    out = tmp_path / "out.json"
+    assert "scipy" in packages_loaded_by(_gate_argv(SCIPY_USERS[name], scipy_gate_files,
+                                                    str(out)))
+    assert out.exists()

@@ -153,6 +153,16 @@ class TestFactorRobustness:
         with pytest.raises(InvalidInputError, match="rho"):
             factor_robustness_trial(complete_bipartite(4), 0.0, 0.5, 0.1, 0)
 
+    @pytest.mark.parametrize("epsilon", [-3.0, 1.0, 1.5, float("nan")])
+    def test_epsilon_outside_the_unit_interval_rejected(self, epsilon):
+        # outside [0, 1) the target is negative or above m·p: every trial
+        # would succeed, or none could
+        g = complete_bipartite(4)
+        with pytest.raises(InvalidInputError, match=r"epsilon must be in \[0, 1\)"):
+            factor_robustness_trial(g, 1.0, 0.5, epsilon, 0)
+        with pytest.raises(InvalidInputError, match=r"epsilon must be in \[0, 1\)"):
+            factor_robustness_sweep(g, 1.0, 0.5, epsilon, trials=0, master_seed=0)
+
     def test_sweep_deterministic(self):
         g = complete_bipartite(15)
         a = factor_robustness_sweep(g, 0.9, 0.7, 0.3, trials=6, master_seed=1)
@@ -304,3 +314,19 @@ def test_uncovered_pair_fails_the_codegree_hypothesis():
     assert not partition_degree_sweep(h, (6, 6), 0.1, 0.1, trials=2,
                                       master_seed=0).hypothesis_met
     assert not aux_degree_trial(h, 1, 0.1, 0.1, seed=0).hypothesis_met
+
+
+@pytest.mark.parametrize("delta,epsilon,message", [
+    (-2.0, 0.1, r"delta -2.0 not in \[0, 1\]"),
+    (1.5, 0.1, r"delta 1.5 not in \[0, 1\]"),
+    (0.2, -1.0, "epsilon must be >= 0, got -1.0"),
+])
+def test_degree_thresholds_checked_before_any_trial(delta, epsilon, message):
+    h = complete_hypergraph(12, 3)
+    runs = [lambda: partition_degree_trial(h, (6, 6), delta, epsilon, seed=1),
+            lambda: partition_degree_sweep(h, (6, 6), delta, epsilon, trials=0, master_seed=1),
+            lambda: aux_degree_trial(h, 1, delta, epsilon, seed=1),
+            lambda: aux_degree_sweep(h, 1, delta, epsilon, trials=0, master_seed=1)]
+    for run in runs:
+        with pytest.raises(InvalidInputError, match=message):
+            run()

@@ -140,8 +140,32 @@ def test_canonical_json_matches_the_reference_on_generated_documents():
         assert canonical_json(doc) == canonical_json_reference(doc)
 
 
+INT_TABLES = [
+    pytest.param(np.zeros((0, 3), dtype=np.int64), id="no-rows"),
+    pytest.param(np.zeros((2, 0), dtype=np.int64), id="no-columns"),
+    pytest.param(np.arange(5, dtype=np.int64).reshape(5, 1), id="width-1"),
+    pytest.param(np.array([[-3, 0, 7], [-1, -2, -9]], dtype=np.int64), id="negative"),
+    pytest.param(np.array([[2 ** 62, -(2 ** 62)], [2 ** 62 - 1, 2 ** 63 - 1]], dtype=np.int64),
+                 id="near-2-62"),
+    pytest.param(np.array([[0, 1], [2, 3]], dtype=np.int32), id="int32"),
+    pytest.param(np.array([[0, 2 ** 64 - 1]], dtype=np.uint64), id="uint64"),
+    pytest.param(Hypergraph(7, 3, [(0, 1, 2), (4, 5, 6), (1, 3, 5)]).rows(), id="hypergraph-rows"),
+]
+
+
+@pytest.mark.parametrize("table", INT_TABLES)
+def test_integer_table_is_written_as_its_list(table):
+    assert canonical_json(table) == canonical_json(table.tolist())
+    assert canonical_json(table.tolist()) == canonical_json_reference(table.tolist())
+    doc = {"edges": table, "n": [table, {"inner": table}]}
+    listed = {"edges": table.tolist(), "n": [table.tolist(), {"inner": table.tolist()}]}
+    assert canonical_json(doc) == canonical_json(listed)
+
+
 def test_canonical_json_refuses_what_json_refuses():
-    for value in ([object()], {"a": np.int64(3)}, [np.bool_(True)]):
+    for value in ([object()], {"a": np.int64(3)}, [np.bool_(True)], np.int64(3),
+                  np.zeros((2, 2)), np.zeros((2, 2), dtype=bool),
+                  np.arange(3), np.zeros((1, 1, 1), dtype=np.int64)):
         with pytest.raises(TypeError):
             canonical_json_reference(value)
         with pytest.raises(TypeError):
