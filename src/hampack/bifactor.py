@@ -24,14 +24,14 @@ class BipartiteGraph:
     """Bipartite graph with parts S and T of equal size m, no parallel edges.
 
     The edge store is `codes`, the sorted, read-only int64 array of s·m + t
-    with one entry per edge, fixed when the graph is built.  The degrees are
-    derived from it at once; `edges` (a frozenset of (s, t) pairs) and the
-    neighbour sets are derived from it on first use.  The constructor
-    validates its pairs; `_from_codes` takes an already sorted subset of a
-    valid graph's codes.  Both go through `_store`.
+    with one entry per edge, fixed when the graph is built; it is the only
+    edge store.  The degrees are derived from it at once and `edges` (a
+    frozenset of (s, t) pairs) on first use.  The constructor validates its
+    pairs; `_from_codes` takes an already sorted subset of a valid graph's
+    codes.  Both go through `_store`.
     """
 
-    __slots__ = ("m", "codes", "_deg_s", "_deg_t", "_edges", "_adj")
+    __slots__ = ("m", "codes", "_deg_s", "_deg_t", "_edges")
 
     def __init__(self, m: int, edges: Iterable[tuple[int, int]]):
         if m < 0:
@@ -55,7 +55,7 @@ class BipartiteGraph:
         for name, value in (("m", m), ("codes", codes),
                             ("_deg_s", np.bincount(s, minlength=m)),
                             ("_deg_t", np.bincount(t, minlength=m)),
-                            ("_edges", None), ("_adj", None)):
+                            ("_edges", None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -72,18 +72,6 @@ class BipartiteGraph:
         """The edges as an |E| x 2 int64 array of (s, t) rows, in code order."""
         return np.column_stack(np.divmod(self.codes, self.m))
 
-    def _adjacency(self) -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
-        if self._adj is None:
-            adj_s = [[] for _ in range(self.m)]
-            adj_t = [[] for _ in range(self.m)]
-            s, t = np.divmod(self.codes, self.m)
-            for a, b in zip(s.tolist(), t.tolist()):
-                adj_s[a].append(b)
-                adj_t[b].append(a)
-            object.__setattr__(self, "_adj", (tuple(map(frozenset, adj_s)),
-                                              tuple(map(frozenset, adj_t))))
-        return self._adj
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, BipartiteGraph)
                 and self.m == other.m and np.array_equal(self.codes, other.codes))
@@ -93,12 +81,6 @@ class BipartiteGraph:
 
     def __repr__(self) -> str:
         return f"BipartiteGraph(m={self.m}, |E|={len(self.codes)})"
-
-    def neighbors_s(self, s: int) -> frozenset[int]:
-        return self._adjacency()[0][s]
-
-    def neighbors_t(self, t: int) -> frozenset[int]:
-        return self._adjacency()[1][t]
 
     def min_degree(self) -> int:
         if self.m == 0:
@@ -158,6 +140,10 @@ def gale_ryser_check(g: BipartiteGraph, r: int) -> GaleRyserWitness:
     at Y* = {t : deg_X(t) < r} with value Σ_t min(deg_X(t), r).  Checking X
     against Y* is therefore equivalent to checking all 2^m × 2^m pairs, and a
     violation yields the concrete pair (X, Y*).
+
+    The subsets X are the rows of one 2^m x m 0/1 `members` array in Gray-code
+    order, and `members` times the biadjacency matrix gives every deg_X at
+    once; the witness is the first violated row in that order.
     """
     if g.m > GALE_RYSER_MAX_M:
         raise SizeLimitError(
@@ -165,34 +151,20 @@ def gale_ryser_check(g: BipartiteGraph, r: int) -> GaleRyserWitness:
     if r < 0:
         raise InvalidInputError(f"r must be >= 0, got {r}")
     m = g.m
-    deg_x = [0] * m
-    members: list[int] = []
-
-    # Gray-code walk over subsets X so deg_x updates are O(m) per step.
-    prev = 0
-    for code in range(1 << m):
-        gray = code ^ (code >> 1)
-        diff = gray ^ prev
-        if diff:
-            bit = diff.bit_length() - 1
-            if gray & diff:
-                members.append(bit)
-                for t in g.neighbors_s(bit):
-                    deg_x[t] += 1
-            else:
-                members.remove(bit)
-                for t in g.neighbors_s(bit):
-                    deg_x[t] -= 1
-            prev = gray
-        lhs = r * len(members)
-        rhs = sum(d if d < r else r for d in deg_x)
-        if lhs > rhs:
-            y_star = tuple(t for t in range(m) if deg_x[t] < r)
-            return GaleRyserWitness(holds=False, r=r, m=m,
-                                    subset_s=tuple(sorted(members)),
-                                    subset_t=y_star, lhs=lhs,
-                                    rhs=sum(deg_x[t] for t in y_star) + r * (m - len(y_star)))
-    return GaleRyserWitness(holds=True, r=r, m=m)
+    index = np.arange(1 << m)
+    members = ((index ^ (index >> 1))[:, None] >> np.arange(m)) & 1
+    biadjacency = np.zeros(m * m, dtype=np.int64)
+    biadjacency[g.codes] = 1
+    deg_x = members @ biadjacency.reshape(m, m)
+    rhs = np.minimum(deg_x, r).sum(axis=1)
+    violated = np.flatnonzero(r * members.sum(axis=1) > rhs)
+    if not len(violated):
+        return GaleRyserWitness(holds=True, r=r, m=m)
+    x = violated[0]
+    subset_s = tuple(np.flatnonzero(members[x]).tolist())
+    return GaleRyserWitness(holds=False, r=r, m=m, subset_s=subset_s,
+                            subset_t=tuple(np.flatnonzero(deg_x[x] < r).tolist()),
+                            lhs=r * len(subset_s), rhs=int(rhs[x]))
 
 
 class _FactorNetwork:
@@ -341,7 +313,8 @@ def count_perfect_matchings(g: BipartiteGraph) -> int:
         return 1
     if g.min_degree() == 0:
         return 0
-    cols = [g.neighbors_t(t) for t in range(m)]
+    s, t = np.divmod(g.codes, m)
+    cols = [s[t == c].tolist() for c in range(m)]
     row_sums = [0] * m
     total = 0
     prev = 0

@@ -179,18 +179,15 @@ def _packing_doc(result: packer.PackingResult) -> dict:
 
 def cmd_pack(args) -> int:
     h = hypercore.read_hypergraph(args.input)
+    shared = dict(num_partitions=args.r, resample_limit=args.resample_limit,
+                  seed=derive_seed(args.seed, "pack"))
     if args.theorem == 2:
-        cfg = packer.PackingConfig(
-            ell=args.ell, alpha_prime=args.alpha_prime, epsilon=args.epsilon,
-            num_partitions=args.r, resample_limit=args.resample_limit,
-            seed=derive_seed(args.seed, "pack"))
-        result = packer.pack_min_degree(h, cfg)
+        result = packer.pack_min_degree(h, args.ell, alpha_prime=args.alpha_prime,
+                                        epsilon=args.epsilon, **shared)
     else:
         result = packer.pack_near_regular(
             h, args.ell, delta_target=args.delta_target,
-            epsilon=args.epsilon if args.epsilon is not None else 0.1,
-            seed=derive_seed(args.seed, "pack"), num_partitions=args.r,
-            resample_limit=args.resample_limit)
+            epsilon=args.epsilon if args.epsilon is not None else 0.1, **shared)
     sidecars = []
     if args.out:
         header = [f.name for f in dataclasses.fields(packer.PartitionStats)]

@@ -81,11 +81,9 @@ def parity_hypergraph(n: int, k: int) -> ParityConstruction:
     return ParityConstruction(hypergraph=Hypergraph(n, k, edges), part_a=part_a)
 
 
-def _count_matchings_exact_cover(h: Hypergraph, limit: Optional[int] = None) -> int:
-    """Count perfect matchings of a hypergraph by exact-cover backtracking.
-
-    Branches on the lowest uncovered vertex; optional early stop at `limit`.
-    """
+def _count_matchings_exact_cover(h: Hypergraph) -> int:
+    """Count perfect matchings of a hypergraph by exact-cover backtracking,
+    branching on the lowest uncovered vertex."""
     by_vertex: dict[int, list[frozenset[int]]] = {v: [] for v in range(h.n)}
     for e in h.edges:
         fe = frozenset(e)
@@ -95,20 +93,17 @@ def _count_matchings_exact_cover(h: Hypergraph, limit: Optional[int] = None) -> 
     count = 0
     covered: set[int] = set()
 
-    def recurse() -> bool:
+    def recurse() -> None:
         nonlocal count
         if len(covered) == h.n:
             count += 1
-            return limit is not None and count >= limit
+            return
         v = min(x for x in range(h.n) if x not in covered)
         for fe in by_vertex[v]:
             if covered.isdisjoint(fe):
                 covered.update(fe)
-                stop = recurse()
+                recurse()
                 covered.difference_update(fe)
-                if stop:
-                    return True
-        return False
 
     recurse()
     return count

@@ -32,17 +32,6 @@ from .util import check_probability, derive_seed
 
 
 @dataclass(frozen=True)
-class PackingConfig:
-    """Knobs for the min-degree packing pipeline."""
-    ell: int
-    alpha_prime: float = 0.6
-    epsilon: Optional[float] = None          # default: measured alpha - alpha_prime
-    num_partitions: Optional[int] = None     # default: asymptotic formula, clamped
-    resample_limit: int = 5
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class PartitionStats:
     index: int
     retries: int
@@ -222,27 +211,33 @@ def _pack(h: Hypergraph, ell: int, count: int, seed: int, resample_limit: int, a
         uncovered_budget=uncovered_budget, goal_met=goal)
 
 
-def pack_min_degree(h: Hypergraph, cfg: PackingConfig) -> PackingResult:
+def pack_min_degree(h: Hypergraph, ell: int, *, alpha_prime: float = 0.6,
+                    epsilon: Optional[float] = None, num_partitions: Optional[int] = None,
+                    resample_limit: int = 5, seed: int = 0) -> PackingResult:
     """Packing pipeline under a codegree lower-bound hypothesis.
 
     Schemes whose auxiliary graph misses the (alpha' + eps/2)·m min-degree mark
-    are resampled up to cfg.resample_limit.  The factor extracted per partition
-    is the flow-certified maximum, which dominates the guaranteed size.
-    Invariants (cycle validity, pairwise edge-disjointness, edge conservation)
-    are re-verified on the assembled result.
+    are resampled up to `resample_limit` times.  epsilon must be >= 0 and
+    defaults to the measured alpha - alpha'; the partition count defaults to
+    `default_num_partitions`.  The factor extracted per partition is the
+    flow-certified maximum, which dominates the guaranteed size.  Invariants
+    (cycle validity, pairwise edge-disjointness, edge conservation) are
+    re-verified on the assembled result.
     """
-    n, k, ell = h.n, h.k, cfg.ell
+    if epsilon is not None and not epsilon >= 0.0:
+        raise InvalidInputError(f"epsilon must be >= 0, got {epsilon}")
+    n, k = h.n, h.k
     m = check_shape(n, k, ell)
     warnings: list[str] = []
     alpha = degree_report(h, k - 1).min_degree / n
-    if not (alpha > cfg.alpha_prime > 0.5):
+    if not (alpha > alpha_prime > 0.5):
         warnings.append(
             f"degree hypothesis unmet: measured alpha={alpha:.4f}, "
-            f"alpha'={cfg.alpha_prime}; running best-effort")
-    eps = cfg.epsilon if cfg.epsilon is not None else max(alpha - cfg.alpha_prime, 0.0)
-    threshold = (cfg.alpha_prime + eps / 2.0) * m
-    count = cfg.num_partitions if cfg.num_partitions is not None else default_num_partitions(h, ell)
-    return _pack(h, ell, count, cfg.seed, cfg.resample_limit,
+            f"alpha'={alpha_prime}; running best-effort")
+    eps = epsilon if epsilon is not None else max(alpha - alpha_prime, 0.0)
+    threshold = (alpha_prime + eps / 2.0) * m
+    count = num_partitions if num_partitions is not None else default_num_partitions(h, ell)
+    return _pack(h, ell, count, seed, resample_limit,
                  lambda aux: aux.graph.min_degree() >= threshold, warnings)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Optional, Union
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -29,8 +29,6 @@ from .errors import InvalidInputError
 from .hypercore import Hypergraph, degree_report, subset_ranks
 from .reduction import build_aux_graph, sample_scheme
 from .util import check_probability, derive_seed, random_stream
-
-Probabilities = Union[float, Mapping[tuple[int, int], float]]
 
 MIN_PART_FRACTION = 0.05   # partition_degree_trial refuses parts below this share of n
 
@@ -55,32 +53,20 @@ def _codegree_hypothesis(h: Hypergraph, delta: float, epsilon: float) -> bool:
     return degree_report(h, h.k - 1).min_degree >= (delta + epsilon) * h.n
 
 
-def random_subgraph(g: BipartiteGraph, p: Probabilities, seed: int) -> BipartiteGraph:
-    """Keep each edge independently with its probability; deterministic per seed.
+def random_subgraph(g: BipartiteGraph, p: float, seed: int) -> BipartiteGraph:
+    """Keep each edge independently with probability p; deterministic per seed.
 
     The edge of rank i in sorted order is kept iff the i-th `random()` of
-    `random.Random(seed)` is below its probability.  The uniform draw for an
-    edge depends only on (seed, edge-rank), never on the probabilities, so
-    runs with the same seed are coupled: raising any probability can only
-    grow the kept edge set.
+    `random.Random(seed)` is below p.  The uniform draw for an edge depends
+    only on (seed, edge-rank), never on p, so runs with the same seed are
+    coupled: raising p can only grow the kept edge set.
 
     All draws come from one `random_sample` call on `util.random_stream(seed)`,
     which equals the per-edge `random()` calls bit for bit.
     """
-    codes = g.codes
-    if isinstance(p, (int, float)):
-        check_probability(p)
-        threshold = p
-    else:
-        s, t = np.divmod(codes, g.m)
-        edges = list(zip(s.tolist(), t.tolist()))
-        threshold = np.array([p[e] for e in edges], dtype=float)
-        bad = np.flatnonzero(~((threshold >= 0.0) & (threshold <= 1.0)))
-        if len(bad):
-            e = edges[bad[0]]
-            raise InvalidInputError(f"probability {p[e]} for edge {e} not in [0, 1]")
-    draws = random_stream(seed).random_sample(len(codes))
-    return BipartiteGraph._from_codes(g.m, codes[draws < threshold])
+    check_probability(p)
+    draws = random_stream(seed).random_sample(len(g.codes))
+    return BipartiteGraph._from_codes(g.m, g.codes[draws < p])
 
 
 @dataclass(frozen=True)

@@ -86,8 +86,6 @@ class AuxGraph:
     """
     scheme: PartitionScheme
     graph: BipartiteGraph
-    s_labels: tuple[tuple[int, ...], ...]   # ell >= 1: sorted F_i ∪ F_{i+1}; ell = 0: the tuples
-    t_labels: tuple[tuple[int, ...], ...]   # the blocks
     edge_pos: np.ndarray
 
 
@@ -186,24 +184,22 @@ def sample_scheme(h: Hypergraph, ell: int, seed: int) -> PartitionScheme:
 def build_aux_graph(h: Hypergraph, scheme: PartitionScheme) -> AuxGraph:
     """Exact membership test of every junction-pair/block union against E(H).
 
-    The union of S-label s and block t is row s·m + t of one m² x k array,
+    The S side stands for F_i ∪ F_{i+1} (ell >= 1) or the tuple F_i (ell = 0);
+    the union of S vertex s and block t is row s·m + t of one m² x k array,
     so the rows found in E(H) are, in order, the aux graph's edge codes.
     """
     if scheme.n != h.n or scheme.k != h.k:
         raise InvalidInputError("scheme does not match the hypergraph's n and k")
     m = scheme.m
+    left = np.array(scheme.tuples_a, dtype=np.int64).reshape(m, -1)
     if scheme.ell >= 1:
-        s_labels = tuple(tuple(sorted(scheme.tuples_a[i] + scheme.tuples_a[(i + 1) % m]))
-                         for i in range(m))
-    else:
-        s_labels = scheme.tuples_a
-    left = np.array(s_labels, dtype=np.int64).reshape(m, -1)
+        left = np.hstack([left, np.roll(left, -1, axis=0)])
     right = np.array(scheme.blocks_b, dtype=np.int64).reshape(m, -1)
     pos = h.locate(np.hstack([np.repeat(left, m, axis=0), np.tile(right, (m, 1))]))
     realized = pos >= 0
     return AuxGraph(scheme=scheme,
                     graph=BipartiteGraph._from_codes(m, np.flatnonzero(realized)),
-                    s_labels=s_labels, t_labels=scheme.blocks_b, edge_pos=pos[realized])
+                    edge_pos=pos[realized])
 
 
 def lift_matching(aux: AuxGraph, matching: Mapping[int, int]) -> HamiltonCycle:

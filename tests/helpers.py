@@ -12,10 +12,12 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from hampack.bifactor import BipartiteGraph
+from hampack.bifactor import BipartiteGraph, GaleRyserWitness
 from hampack.errors import InvalidInputError, InvalidQueryError, InvariantViolation
 from hampack.hypercore import Hypergraph
-from hampack.reduction import HamiltonCycle, build_aux_graph
+from hampack.census import enumerate_cycles
+from hampack.reduction import (HamiltonCycle, PartitionScheme, build_aux_graph,
+                               check_shape, segment_windows)
 
 
 def random_bipartite(m, p, seed, min_deg=None):
@@ -43,6 +45,44 @@ def brute_force_matching_count(g):
         if all((s, perm[s]) in g.edges for s in range(g.m)):
             count += 1
     return count
+
+
+def gale_ryser_walk(g, r):
+    """The subset-pair scan as a Gray-code walk over X ⊆ S that updates
+    deg_X(t) one vertex at a time from neighbour lists read off `g.edges`,
+    returning the first violated (X, Y*) it meets: the oracle for
+    `gale_ryser_check`, which must return the same witness."""
+    m = g.m
+    neighbours = [[] for _ in range(m)]
+    for s, t in g.edges:
+        neighbours[s].append(t)
+    deg_x = [0] * m
+    members = []
+    rhs = 0     # Σ_t min(deg_X(t), r), kept up to date edge by edge
+    prev = 0
+    for code in range(1 << m):
+        gray = code ^ (code >> 1)
+        diff = gray ^ prev
+        if diff:
+            bit = diff.bit_length() - 1
+            if gray & diff:
+                members.append(bit)
+                for t in neighbours[bit]:
+                    rhs += deg_x[t] < r
+                    deg_x[t] += 1
+            else:
+                members.remove(bit)
+                for t in neighbours[bit]:
+                    deg_x[t] -= 1
+                    rhs -= deg_x[t] < r
+            prev = gray
+        lhs = r * len(members)
+        if lhs > rhs:
+            y_star = tuple(t for t in range(m) if deg_x[t] < r)
+            return GaleRyserWitness(holds=False, r=r, m=m, subset_s=tuple(sorted(members)),
+                                    subset_t=y_star, lhs=lhs,
+                                    rhs=sum(deg_x[t] for t in y_star) + r * (m - len(y_star)))
+    return GaleRyserWitness(holds=True, r=r, m=m)
 
 
 def peel_decomposes(rows, factor):
@@ -89,12 +129,77 @@ def aux_graphs(h, schemes):
     return [build_aux_graph(h, s) for s in schemes]
 
 
+def scheme_labels(scheme):
+    """S-side labels from the scheme definition: junctions F_i ∪ F_{i+1} for
+    ell >= 1, the tuples themselves for ell = 0."""
+    m = scheme.m
+    if scheme.ell >= 1:
+        return [scheme.tuples_a[i] + scheme.tuples_a[(i + 1) % m] for i in range(m)]
+    return list(scheme.tuples_a)
+
+
 def candidate_partitions(edge, schemes):
     """Indices of the schemes under which `edge` splits as junction-pair ∪ block
     (or tuple ∪ block for ell = 0), i.e. realizes an edge of their aux graph.
     Builds a one-edge hypergraph per scheme; the oracle for `assign_edges`."""
     return [i for i, s in enumerate(schemes)
             if build_aux_graph(Hypergraph(s.n, s.k, [edge]), s).graph.edges]
+
+
+def all_schemes(n, k, ell):
+    """Every partition scheme of shape (n, k, ell) for ell >= 1: each A of
+    size ell·m, each ordered sequence of m disjoint ell-tuples covering A, and
+    each family of m disjoint (k - 2·ell)-blocks covering B, stored sorted."""
+    if ell < 1:
+        raise InvalidInputError(f"all_schemes needs ell >= 1, got {ell}")
+    m = check_shape(n, k, ell)
+    block = k - 2 * ell
+
+    def sequences(rest):
+        if not rest:
+            yield ()
+            return
+        for f in combinations(rest, ell):
+            for tail in sequences(tuple(v for v in rest if v not in f)):
+                yield (f,) + tail
+
+    def families(rest):
+        # the block holding the smallest remaining vertex comes first
+        if not rest:
+            yield ()
+            return
+        for others in combinations(rest[1:], block - 1):
+            b = rest[:1] + others
+            for tail in families(tuple(v for v in rest if v not in b)):
+                yield (b,) + tail
+
+    for part_a in combinations(range(n), ell * m):
+        part_b = tuple(v for v in range(n) if v not in part_a)
+        for blocks in families(part_b):
+            for tuples in sequences(part_a):
+                yield PartitionScheme(n=n, k=k, ell=ell, part_a=part_a, part_b=part_b,
+                                      tuples_a=tuples, blocks_b=blocks, m=m)
+
+
+def optimal_packing(h, ell):
+    """The largest number of edge-disjoint Hamilton ell-cycles of `h`: a
+    set-packing MILP over `enumerate_cycles`, one binary per cycle and one
+    <= 1 row per edge, solved exactly by `scipy.optimize.milp`."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    cycles = sorted(enumerate_cycles(h, ell), key=lambda c: c.arrangement)
+    if not cycles:
+        return 0
+    windows = segment_windows(h.n, h.k, ell)
+    rows = np.array([c.arrangement for c in cycles], dtype=np.int64)
+    pos = h.locate(rows[:, windows]).reshape(len(cycles), len(windows))
+    uses = csr_matrix((np.ones(pos.size), (pos.ravel(), np.repeat(np.arange(len(cycles)),
+                                                                  len(windows)))),
+                      shape=(h.num_edges(), len(cycles)))
+    result = milp(-np.ones(len(cycles)), integrality=np.ones(len(cycles)),
+                  bounds=Bounds(0, 1), constraints=LinearConstraint(uses, ub=1))
+    if not result.success:
+        raise AssertionError(f"milp did not solve the packing: {result.message}")
+    return int(round(-result.fun))
 
 
 def jsonable(value):
@@ -210,8 +315,9 @@ def assign_edges_reference(h, auxes, seed):
     edge) and the per-scheme and unassigned edge lists in `h.edges` order."""
     candidates = {}
     for i, aux in enumerate(auxes):
+        labels = scheme_labels(aux.scheme)
         for a, b in aux.graph.edges:
-            cands = candidates.setdefault(tuple(sorted(aux.s_labels[a] + aux.t_labels[b])), [])
+            cands = candidates.setdefault(tuple(sorted(labels[a] + aux.scheme.blocks_b[b])), [])
             if not cands or cands[-1] != i:
                 cands.append(i)
     rng = random.Random(seed)

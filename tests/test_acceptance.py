@@ -18,12 +18,12 @@ from hampack.census import enumerate_cycles, expected_count
 from hampack.constructions import (complete_hypergraph, parity_hypergraph,
                                    random_hypergraph, verify_no_odd_factor)
 from hampack.hypercore import Hypergraph, degree_report
-from hampack.packer import PackingConfig, pack_min_degree
+from hampack.packer import pack_min_degree
 from hampack.randomlab import (aux_degree_sweep, factor_robustness_sweep,
                                random_subgraph)
 from hampack.reduction import PartitionScheme, build_aux_graph, verify_cycle
 
-from helpers import csaba_rho, peel_decomposes, random_bipartite
+from helpers import all_schemes, csaba_rho, peel_decomposes, random_bipartite
 
 
 def announce(num: int, ok: bool, detail: str) -> None:
@@ -67,8 +67,21 @@ def test_criterion_2_reduction_summation_identity():
         exact = len(enumerate_cycles(h, 1))
         assert total == 4 * exact, f"sum {total} != 2m * {exact}"
         checked += 1
-    announce(2, True, f"sum over {len(schemes)} schemes / 2m equals the exact "
-                      f"count on {checked} hypergraphs (integer equality)")
+    # the same identity over every scheme of every ell >= 1 shape with
+    # n <= 8 and k <= 5, on a random and on the complete hypergraph
+    for n, k, ell in [(4, 3, 1), (6, 3, 1), (8, 3, 1), (6, 4, 1), (6, 5, 2)]:
+        m, b = n // (k - ell), k - 2 * ell
+        every = list(all_schemes(n, k, ell))
+        assert len(every) == (math.comb(n, ell * m) * math.factorial(ell * m)
+                              // math.factorial(ell) ** m * math.factorial(b * m)
+                              // (math.factorial(b) ** m * math.factorial(m)))
+        for h in (random_hypergraph(n, k, 0.8, 1), complete_hypergraph(n, k)):
+            total = sum(count_perfect_matchings(build_aux_graph(h, s).graph) for s in every)
+            exact = len(enumerate_cycles(h, ell))
+            assert total == 2 * m * exact, f"({n}, {k}, {ell}): sum {total} != 2m * {exact}"
+            checked += 1
+    announce(2, True, f"sum over every scheme / 2m equals the exact count on "
+                      f"{checked} hypergraphs over 5 shapes (integer equality)")
 
 
 def test_criterion_3_gale_ryser_iff_flow():
@@ -203,8 +216,7 @@ def test_criterion_8_packing_invariants():
     violations = 0
     for run in range(20):
         h = random_hypergraph(24, 3, 0.9, 9000 + run)
-        res = pack_min_degree(h, PackingConfig(ell=1, alpha_prime=0.6,
-                                               num_partitions=4, seed=100 + run))
+        res = pack_min_degree(h, 1, alpha_prime=0.6, num_partitions=4, seed=100 + run)
         used = set()
         for cycle in res.cycles:
             if not verify_cycle(h, cycle):

@@ -15,8 +15,8 @@ from hampack.bifactor import (BipartiteGraph, Factor, almost_regular_bound,
 from hampack.errors import (InvalidInputError, InvariantViolation, ParseError,
                             SizeLimitError)
 
-from helpers import (brute_force_matching_count, csaba_rho, peel_decomposes,
-                     peel_reference, random_bipartite)
+from helpers import (brute_force_matching_count, csaba_rho, gale_ryser_walk,
+                     peel_decomposes, peel_reference, random_bipartite)
 
 
 def cycle6():
@@ -47,6 +47,20 @@ class TestGaleRyser:
 
     def test_r_zero_always_holds(self):
         assert gale_ryser_check(BipartiteGraph(3, []), 0).holds
+
+    def test_matches_the_gray_walk_reference(self):
+        # every r in 0..m+1, so each graph meets both verdicts; the witness
+        # (first violated X in Gray order, its Y*, lhs and rhs) must agree
+        violated = 0
+        for i in range(200):
+            rng = random.Random(8000 + i)
+            m = rng.randint(0, 12)
+            g = random_bipartite(m, rng.uniform(0.1, 1.0), 8200 + i)
+            for r in range(m + 2):
+                w = gale_ryser_check(g, r)
+                assert w == gale_ryser_walk(g, r)
+                violated += not w.holds
+        assert 500 <= violated <= 1100   # 993 of the 1596 pairs
 
 
 class TestFindFactor:
@@ -142,12 +156,11 @@ class TestCodeStore:
             assert len(g.edges) == len(g.codes)
 
     def test_degrees_and_neighbours_follow_the_edges(self):
+        # each vertex's degree is its number of neighbours among the pairs
         for g in self.graphs():
-            for v in range(g.m):
-                assert g.neighbors_s(v) == frozenset(t for s, t in g.edges if s == v)
-                assert g.neighbors_t(v) == frozenset(s for s, t in g.edges if t == v)
-            degrees = [len(g.neighbors_s(v)) for v in range(g.m)] + \
-                [len(g.neighbors_t(v)) for v in range(g.m)]
+            pairs = g.pairs().tolist()
+            degrees = [sum(1 for e in pairs if e[side] == v)
+                       for side in (0, 1) for v in range(g.m)]
             assert g.min_degree() == min(degrees, default=0)
             assert g.max_degree() == max(degrees, default=0)
             assert type(g.min_degree()) is int and type(g.max_degree()) is int

@@ -235,6 +235,10 @@ MC_FACTOR_K4 = ("mc-factor", "--complete-bipartite", "4", "--rho", "1", "--p", "
      "delta_target -1.0 not in [0, 1]"),
     (("pack", "--theorem", "3", "--ell", "1", "--delta-target", "7"),
      "delta_target 7.0 not in [0, 1]"),
+    (("pack", "--theorem", "2", "--ell", "1", "--r", "2", "--epsilon", "-1"),
+     "epsilon must be >= 0, got -1.0"),
+    (("pack", "--theorem", "2", "--ell", "1", "--r", "2", "--epsilon", "nan"),
+     "epsilon must be >= 0, got nan"),
 ])
 def test_negative_counts_exit_1(tmp_path, capsys, argv, message):
     hpath, opath = str(tmp_path / "h.json"), tmp_path / "out.json"
@@ -646,6 +650,28 @@ def test_factor_golden_digests(tmp_path, capsys):
     assert code == 0
     assert _sha256(opath) == "c0b012a00e48896a9f6ee3203a90143943345540fc4eea87956ee332748fac28"
 
+
+
+def test_factor_fixed_r_gale_ryser_golden_digests(tmp_path, capsys):
+    # m = 14, the largest size the subset scan takes, with a dense 8 x 6 and
+    # a dense 6 x 8 block: the minimum degree is 5 but r* = 4, so r = 5 fails
+    # the inequality at a non-trivial (X, Y*) and r = 4 holds after scanning
+    # every subset.  Both digests were recorded on the pure-Python Gray walk.
+    from hampack.bifactor import BipartiteGraph, write_bipartite
+    rng = random.Random(1417)
+    m = 14
+    edges = [(s, t) for s in range(m) for t in range(m)
+             if rng.random() < (0.9 if (s < 8) == (t < 6) else 0.15)]
+    gpath = str(tmp_path / "g.json")
+    write_bipartite(BipartiteGraph(m, edges), gpath)
+    opath = str(tmp_path / "f.json")
+    code, _, _ = run(capsys, "factor", "--input", gpath, "--r", "5", "--out", opath)
+    witness = json.loads(open(opath).read())["gale_ryser"]
+    assert code == 0 and witness["subset_s"] == list(range(8)) and witness["lhs"] == 40
+    assert _sha256(opath) == "286a1798ef473c57ee754930629517bb04446d7a67b0cb9663952dbc4f41afe0"
+    code, _, _ = run(capsys, "factor", "--input", gpath, "--r", "4", "--out", opath)
+    assert code == 0 and json.loads(open(opath).read())["gale_ryser"]["holds"]
+    assert _sha256(opath) == "4ccc5cb01890b294a3f6e5397ed2682c47a4c082f5b84e429ff3d409f320a2ac"
 
 # `--threads` is accepted for compatibility and changes nothing.
 THREADS_CASES = [

@@ -41,21 +41,6 @@ class TestRandomSubgraph:
             high = random_subgraph(g, 0.6, seed)
             assert low.edges <= high.edges
 
-    def test_per_edge_probabilities(self):
-        g = complete_bipartite(4)
-        p_map = {e: (1.0 if e[0] == 0 else 0.0) for e in g.edges}
-        sub = random_subgraph(g, p_map, 5)
-        assert sub.edges == frozenset((0, t) for t in range(4))
-
-    def test_scalar_matches_per_edge_probabilities(self):
-        # one draw per edge in sorted order on both paths: the same seed keeps
-        # the same edges whether p is given once or edge by edge
-        g = random_bipartite(12, 0.7, 3)
-        for seed in range(5):
-            for p in (0.25, 0.5, 1):
-                assert (random_subgraph(g, p, seed)
-                        == random_subgraph(g, {e: p for e in g.edges}, seed))
-
     def test_rejects_bad_probability(self):
         g = complete_bipartite(3)
         with pytest.raises(InvalidInputError):
@@ -71,30 +56,9 @@ class TestRandomSubgraph:
         for g in (complete_bipartite(30), random_bipartite(15, 0.6, 8)):
             rng = random.Random(seed)
             reference = [e for e in sorted(g.edges) if rng.random() < p]
-            for probs in (p, {e: p for e in g.edges}):
-                sub = random_subgraph(g, probs, seed)
-                assert sorted(sub.edges) == reference
-                assert sub == BipartiteGraph(g.m, reference)
-
-    def test_mixed_probabilities_match_per_edge_python_draws(self):
-        g = random_bipartite(20, 0.8, 4)
-        probs = {(s, t): ((3 * s + t) % 5) / 4 for s, t in g.edges}
-        for seed in (7, derive_seed(7, "trial:3")):
-            rng = random.Random(seed)
-            reference = [e for e in sorted(g.edges) if rng.random() < probs[e]]
-            assert sorted(random_subgraph(g, probs, seed).edges) == reference
-
-    def test_mapping_error_names_the_first_bad_edge(self):
-        g = complete_bipartite(3)
-        probs = {e: 0.5 for e in g.edges}
-        probs[(2, 0)] = -1
-        probs[(1, 2)] = 1.5
-        with pytest.raises(InvalidInputError,
-                           match=r"^probability 1\.5 for edge \(1, 2\) not in \[0, 1\]$"):
-            random_subgraph(g, probs, 0)
-        probs[(0, 1)] = float("nan")
-        with pytest.raises(InvalidInputError, match=r"^probability nan for edge \(0, 1\) "):
-            random_subgraph(g, probs, 0)
+            sub = random_subgraph(g, p, seed)
+            assert sorted(sub.edges) == reference
+            assert sub == BipartiteGraph(g.m, reference)
 
 
 def test_max_factor_monotone_under_edge_addition():
