@@ -1,6 +1,6 @@
 """Bipartite graph algorithms: Gale-Ryser r-factor certification, flow-based
-constructive factor finding, decomposition of regular subgraphs into perfect
-matchings, and exact perfect-matching counting.
+constructive factor finding, and decomposition of regular subgraphs into
+perfect matchings.
 
 Both parts have size m and are indexed 0..m-1; edges are (s, t) pairs.
 """
@@ -17,7 +17,6 @@ from .errors import (InvalidInputError, InvariantViolation, ParseError,
 from .util import read_json, write_json
 
 GALE_RYSER_MAX_M = 14
-PERMANENT_MAX_M = 24
 
 
 class BipartiteGraph:
@@ -300,47 +299,6 @@ def peel_matchings(factor: Factor, host: BipartiteGraph) -> np.ndarray:
     return matchings
 
 
-def count_perfect_matchings(g: BipartiteGraph) -> int:
-    """Exact number of perfect matchings (the permanent of the biadjacency
-    matrix) by inclusion-exclusion over column subsets with a Gray-code walk.
-
-    Exact integer arithmetic throughout; cost O(2^m · m).
-    """
-    m = g.m
-    if m > PERMANENT_MAX_M:
-        raise SizeLimitError(f"m={m} > {PERMANENT_MAX_M}: permanent computation infeasible")
-    if m == 0:
-        return 1
-    if g.min_degree() == 0:
-        return 0
-    s, t = np.divmod(g.codes, m)
-    cols = [s[t == c].tolist() for c in range(m)]
-    row_sums = [0] * m
-    total = 0
-    prev = 0
-    for code in range(1, 1 << m):
-        gray = code ^ (code >> 1)
-        diff = gray ^ prev
-        bit = diff.bit_length() - 1
-        if gray & diff:
-            for s in cols[bit]:
-                row_sums[s] += 1
-        else:
-            for s in cols[bit]:
-                row_sums[s] -= 1
-        prev = gray
-        prod = 1
-        for v in row_sums:
-            if v == 0:
-                prod = 0
-                break
-            prod *= v
-        if prod:
-            bits = gray.bit_count()
-            total += prod if (m - bits) % 2 == 0 else -prod
-    return total
-
-
 def to_json_dict(g: BipartiteGraph) -> dict:
     """The file document; `edges` is the `pairs()` array, which `canonical_json` writes."""
     return {"m": g.m, "edges": g.pairs()}
@@ -365,7 +323,7 @@ def from_json_dict(obj) -> BipartiteGraph:
 
 
 def read_bipartite(path: str) -> BipartiteGraph:
-    return from_json_dict(read_json(path))
+    return read_json(path, from_json_dict)
 
 
 def write_bipartite(g: BipartiteGraph, path: str) -> None:

@@ -261,7 +261,7 @@ def from_json_dict(obj) -> Hypergraph:
 
 def read_hypergraph(path: str) -> Hypergraph:
     """Read a hypergraph from JSON; validates the exact schema."""
-    return from_json_dict(read_json(path))
+    return read_json(path, from_json_dict)
 
 
 def write_hypergraph(h: Hypergraph, path: str) -> None:

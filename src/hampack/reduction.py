@@ -313,7 +313,7 @@ def cycle_from_json_dict(obj, k: int) -> HamiltonCycle:
 
 
 def read_cycle(path: str, k: int) -> HamiltonCycle:
-    return cycle_from_json_dict(read_json(path), k)
+    return read_json(path, lambda obj: cycle_from_json_dict(obj, k))
 
 
 def write_cycle(cycle: HamiltonCycle, path: str) -> None:

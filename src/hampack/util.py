@@ -1,20 +1,23 @@
 """Small shared helpers: seed derivation, Mersenne Twister draws in bulk,
-the probability check, canonical JSON, JSON files, file digests."""
+the probability check, canonical JSON, JSON files read with the cyclic
+collector paused, file digests."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import math
 import random
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any
+from typing import Any, Callable, TextIO, TypeVar
 
 import numpy as np
 
 from .errors import InvalidInputError, ParseError
 
 MASK64 = (1 << 64) - 1
+T = TypeVar("T")
 
 
 def derive_seed(master: int, label: str) -> int:
@@ -111,13 +114,33 @@ def _encode(value: Any, newline: str) -> str:
     return "[" + inner + body + newline + "]"
 
 
-def read_json(path: str) -> Any:
-    """Load a JSON file; invalid JSON raises ParseError naming the path."""
+def read_json(path: str, build: Callable[[Any], T]) -> T:
+    """Return `build(document)` for the JSON document in the file at `path`.
+
+    The text is decoded, and `build` run, with the cyclic garbage collector
+    paused if it was running: a document is mostly small acyclic lists, which
+    the collector would otherwise scan again and again while `json` creates
+    them.  The document is released when `build` returns, before the
+    collector resumes, so its next pass does not scan it either; `build` must
+    not keep it.  Bytes that are not UTF-8, invalid JSON and nesting too deep
+    to decode raise ParseError naming the path.
+    """
     with open(path, "r", encoding="utf-8") as fh:
+        enabled = gc.isenabled()
+        gc.disable()
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: not valid JSON ({exc})") from exc
+            # the document is only `build`'s argument: it is freed when `build` returns
+            return build(_decode(path, fh))
+        finally:
+            if enabled:
+                gc.enable()
+
+
+def _decode(path: str, fh: TextIO) -> Any:
+    try:
+        return json.loads(fh.read())
+    except (ValueError, RecursionError) as exc:    # JSONDecodeError, UnicodeDecodeError
+        raise ParseError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def write_json(obj: Any, path: str) -> None:

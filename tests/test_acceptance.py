@@ -11,9 +11,8 @@ import random
 import time
 from itertools import combinations, permutations
 
-from hampack.bifactor import (complete_bipartite, count_perfect_matchings,
-                              find_factor, gale_ryser_check, max_factor,
-                              peel_matchings)
+from hampack.bifactor import (complete_bipartite, find_factor, gale_ryser_check,
+                              max_factor, peel_matchings)
 from hampack.census import enumerate_cycles, expected_count
 from hampack.constructions import (complete_hypergraph, parity_hypergraph,
                                    random_hypergraph, verify_no_odd_factor)
@@ -23,7 +22,8 @@ from hampack.randomlab import (aux_degree_sweep, factor_robustness_sweep,
                                random_subgraph)
 from hampack.reduction import PartitionScheme, build_aux_graph, verify_cycle
 
-from helpers import all_schemes, csaba_rho, peel_decomposes, random_bipartite
+from helpers import (all_schemes, count_perfect_matchings, csaba_rho, peel_decomposes,
+                     random_bipartite)
 
 
 def announce(num: int, ok: bool, detail: str) -> None:

@@ -8,15 +8,15 @@ import scipy.sparse.csgraph as csgraph
 
 from hampack import randomlab
 from hampack.bifactor import (BipartiteGraph, Factor, almost_regular_bound,
-                              complete_bipartite, count_perfect_matchings,
-                              find_factor, from_json_dict,
+                              complete_bipartite, find_factor, from_json_dict,
                               gale_ryser_check, max_factor, peel_matchings,
                               read_bipartite, to_json_dict, write_bipartite)
 from hampack.errors import (InvalidInputError, InvariantViolation, ParseError,
                             SizeLimitError)
 
-from helpers import (brute_force_matching_count, csaba_rho, gale_ryser_walk,
-                     peel_decomposes, peel_reference, random_bipartite)
+from helpers import (brute_force_matching_count, count_perfect_matchings, csaba_rho,
+                     gale_ryser_walk, peel_decomposes, peel_reference,
+                     random_bipartite)
 
 
 def cycle6():

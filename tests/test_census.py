@@ -4,7 +4,6 @@ from itertools import combinations, permutations
 import pytest
 
 from hampack import census
-from hampack.bifactor import count_perfect_matchings
 from hampack.census import (count_lower_bound, edge_set_count,
                             empirical_vs_bound, enumerate_cycles,
                             expected_count)
@@ -12,6 +11,8 @@ from hampack.constructions import complete_hypergraph, random_hypergraph
 from hampack.errors import InvalidInputError, SizeLimitError
 from hampack.hypercore import Hypergraph
 from hampack.reduction import PartitionScheme, build_aux_graph
+
+from helpers import count_perfect_matchings
 
 
 class TestEnumerate:

@@ -388,6 +388,18 @@ def test_missing_input_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("content", [
+    pytest.param(b"\xff\xfe{}", id="not-utf-8"),
+    pytest.param(b"[" * 200000, id="too-deep"),
+])
+def test_undecodable_input_exit_1(tmp_path, capsys, content):
+    path = tmp_path / "h.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "degrees", "--input", str(path), "--d", "1")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: not valid JSON (")
+
+
 def test_invalid_file_no_partial_output(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")

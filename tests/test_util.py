@@ -1,6 +1,7 @@
 """The JSON file formats: exact bytes written, the canonical encoder against
-the stdlib one, the error for a file that is not JSON, and the bulk
-Mersenne Twister draws."""
+the stdlib one, the error for a file that is not JSON, the collector paused
+while a file is read, and the bulk Mersenne Twister draws."""
+import gc
 import random
 from dataclasses import dataclass
 
@@ -8,10 +9,11 @@ import numpy as np
 import pytest
 
 from hampack.bifactor import BipartiteGraph, read_bipartite, write_bipartite
+from hampack.constructions import random_hypergraph
 from hampack.errors import ParseError
 from hampack.hypercore import Hypergraph, read_hypergraph, write_hypergraph
 from hampack.reduction import HamiltonCycle, read_cycle, write_cycle
-from hampack.util import canonical_json, random_stream
+from hampack.util import canonical_json, random_stream, read_json
 
 from helpers import canonical_json_reference
 
@@ -53,6 +55,79 @@ def test_reader_names_the_path_of_invalid_json(tmp_path, read):
     with pytest.raises(ParseError) as info:
         read(path)
     assert str(info.value).startswith(f"{path}: not valid JSON (")
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(b"\xff\xfe{}", id="not-utf-8"),
+    pytest.param(b"[" * 200000, id="too-deep"),
+])
+@pytest.mark.parametrize("read", READERS)
+def test_reader_names_the_path_of_undecodable_json(tmp_path, read, content):
+    path = str(tmp_path / "bad.json")
+    with open(path, "wb") as fh:
+        fh.write(content)
+    with pytest.raises(ParseError) as info:
+        read(path)
+    assert str(info.value).startswith(f"{path}: not valid JSON (")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("doc,error", [
+    pytest.param('{"n": 4, "k": 3, "edges": [[0, 1, 2]]}', None, id="good"),
+    pytest.param('{"n": 4, "k": 3, ', ParseError, id="invalid-json"),
+    pytest.param('{"n": 4, "k": 3, "edges": [[true, 1, 2]]}', ParseError, id="error-in-build"),
+])
+def test_reader_leaves_the_collector_as_it_found_it(tmp_path, doc, error, enabled):
+    path = str(tmp_path / "h.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(doc)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            read_hypergraph(path)
+        else:
+            with pytest.raises(error):
+                read_hypergraph(path)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert after is enabled
+
+
+def test_build_runs_with_the_collector_paused(tmp_path):
+    path = str(tmp_path / "doc.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("[]")
+    assert gc.isenabled()
+    assert read_json(path, lambda doc: gc.isenabled()) is False
+    assert gc.isenabled()
+
+
+def test_reading_a_large_hypergraph_runs_no_collection_and_keeps_no_document(tmp_path):
+    h = random_hypergraph(52, 3, 0.9, 5)
+    assert h.num_edges() > 19000
+    path = str(tmp_path / "h.json")
+    write_hypergraph(h, path)
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    before = len(gc.get_objects())
+    gc.callbacks.append(record)
+    try:
+        read = read_hypergraph(path)
+    finally:
+        gc.callbacks.remove(record)
+    grown = len(gc.get_objects()) - before
+    assert read == h
+    assert starts == []
+    # each decoded edge is a list the collector tracks: had the document
+    # outlived the read, tens of thousands of objects would remain
+    assert grown < h.num_edges() // 100
 
 
 @dataclass(frozen=True)
