@@ -37,9 +37,17 @@ class CountReport:
     bound_met: Optional[bool]   # ln(exact) >= log_lower_bound - n*slack; None if hypothesis unmet
 
 
+def _formula_shape(n: int, k: int, ell: int) -> int:
+    """`check_shape`, also refusing n < k, where no Hamilton cycle exists."""
+    m = check_shape(n, k, ell)
+    if n < k:
+        raise InvalidInputError(f"the counting formulas need n >= k, got n={n}, k={k}")
+    return m
+
+
 def _log_guaranteed(n: int, k: int, ell: int, x: float) -> float:
     """ln(n!) + m*ln(x / (ell! (k-2*ell)!)); -inf at x = 0."""
-    m = check_shape(n, k, ell)
+    m = _formula_shape(n, k, ell)
     if x <= 0.0:
         return float("-inf")
     per_edge = x / (math.factorial(ell) * math.factorial(k - 2 * ell))
@@ -60,12 +68,15 @@ def count_lower_bound(n: int, k: int, ell: int, alpha: float) -> float:
 def expected_count(n: int, k: int, ell: int, p: float) -> float:
     """Log of the expected number of Hamilton cycles with overlap ell in a
     random hypergraph with edge probability p; -inf when p = 0."""
-    m = check_shape(n, k, ell)
+    m = _formula_shape(n, k, ell)
     check_probability(p)
     if p == 0.0:
         return float("-inf")
     per_edge = p / (math.factorial(ell) * math.factorial(k - 2 * ell))
-    return math.lgamma(n) + math.log((k - ell) / 2.0) + m * math.log(per_edge)
+    log_count = math.lgamma(n) + math.log((k - ell) / 2.0) + m * math.log(per_edge)
+    # for ell = 0 and m <= 2 reversing the block order is also a rotation, so
+    # the cycles' symmetry group has m elements, not the 2m divided out above
+    return log_count + math.log(2.0) if ell == 0 and m <= 2 else log_count
 
 
 def enumerate_cycles(h: Hypergraph, ell: int) -> set[HamiltonCycle]:
@@ -129,6 +140,8 @@ def edge_set_count(cycles: set[HamiltonCycle]) -> int:
 
 def empirical_vs_bound(h: Hypergraph, ell: int, slack_per_vertex: float = 0.1) -> CountReport:
     """Exact count against both formulas evaluated at the measured codegree density."""
+    if not slack_per_vertex >= 0.0:
+        raise InvalidInputError(f"slack per vertex must be >= 0, got {slack_per_vertex}")
     cycles = enumerate_cycles(h, ell)
     exact = len(cycles)
     distinct_edge_sets = edge_set_count(cycles)

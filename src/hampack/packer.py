@@ -25,9 +25,9 @@ from . import bifactor
 from .bifactor import BipartiteGraph
 from .errors import InvalidInputError, InvariantViolation
 from .hypercore import Hypergraph, degree_report
-from .reduction import (AuxGraph, HamiltonCycle, PartitionScheme,
-                        build_aux_graph, canonicalize, check_shape, lift_canonical,
-                        lift_matching, sample_scheme, segment_windows, verify_cycle)
+from .reduction import (AuxGraph, HamiltonCycle, build_aux_graph, canonicalize, check_shape,
+                        lift_canonical, lift_matching, sample_scheme, segment_windows,
+                        verify_cycle)
 from .util import check_probability, derive_seed
 
 
@@ -64,14 +64,12 @@ class PackingResult:
 class Assignment:
     """Outcome of the random edge-to-scheme assignment.  Both arrays are
     indexed by edge position, the order of `h.codes` and `h.edges`."""
-    schemes: tuple[PartitionScheme, ...]
     psi: np.ndarray      # number of schemes realizing the edge
     choice: np.ndarray   # the scheme the edge picked; -1 when psi is 0
 
-    def assigned_counts(self) -> list[int]:
-        """Number of edges that picked each scheme."""
-        picked = self.choice[self.choice >= 0]
-        return np.bincount(picked, minlength=len(self.schemes)).tolist()
+    def assigned_counts(self, num_schemes: int) -> list[int]:
+        """Number of edges that picked each of the `num_schemes` schemes."""
+        return np.bincount(self.choice[self.choice >= 0], minlength=num_schemes).tolist()
 
 
 def assign_edges(h: Hypergraph, auxes: Sequence[AuxGraph], seed: int) -> Assignment:
@@ -93,7 +91,7 @@ def assign_edges(h: Hypergraph, auxes: Sequence[AuxGraph], seed: int) -> Assignm
     picks = np.array([rng.randrange(c) for c in psi[realized].tolist()], dtype=np.int64)
     choice = np.full(h.num_edges(), -1, dtype=np.int64)
     choice[realized] = scheme[(np.cumsum(psi) - psi)[realized] + picks]
-    return Assignment(schemes=tuple(aux.scheme for aux in auxes), psi=psi, choice=choice)
+    return Assignment(psi=psi, choice=choice)
 
 
 def _clamp_partitions(h: Hypergraph, ell: int, raw: float) -> int:
@@ -162,7 +160,7 @@ def _pack(h: Hypergraph, ell: int, count: int, seed: int, resample_limit: int, a
     if exhausted:
         warnings.append("resample limit exhausted for at least one partition; partial result")
     assignment = assign_edges(h, auxes, derive_seed(seed, "assign"))
-    assigned = assignment.assigned_counts()
+    assigned = assignment.assigned_counts(len(auxes))
     windows = segment_windows(h.n, h.k, ell)
     all_cycles: list[HamiltonCycle] = []
     located: list[np.ndarray] = [np.empty(0, dtype=np.int64)]

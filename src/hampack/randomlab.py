@@ -155,11 +155,21 @@ class PartitionTrial:
 
 
 @dataclass(frozen=True)
-class PartitionTrialReport:
+class SweepReport:
+    """A partition-degree or aux-degree sweep.  Whether the codegree
+    hypothesis holds depends on (h, delta, eps) only, so it is the sweep's,
+    not a trial's."""
     trials: int
     successes: int
-    per_trial: tuple[PartitionTrial, ...]
-    hypothesis_met: bool           # min codegree >= (delta + eps) * n
+    per_trial: tuple           # PartitionTrial or AuxDegreeTrial, in trial order
+    hypothesis_met: bool       # min codegree >= (delta + eps) * n
+
+
+def _sweep_report(run: Callable[[int], Any], trials: int, master_seed: int,
+                  hypothesis_met: bool) -> SweepReport:
+    results = _sweep(run, trials, master_seed)
+    return SweepReport(trials=trials, successes=sum(1 for t in results if t.success),
+                       per_trial=tuple(results), hypothesis_met=hypothesis_met)
 
 
 def _check_part_sizes(n: int, sizes: tuple[int, ...]) -> None:
@@ -211,17 +221,13 @@ def _partition_degree_trial(h: Hypergraph, sizes: tuple[int, ...], delta: float,
 
 
 def partition_degree_sweep(h: Hypergraph, sizes: tuple[int, ...], delta: float,
-                           epsilon: float, trials: int, master_seed: int) -> PartitionTrialReport:
+                           epsilon: float, trials: int, master_seed: int) -> SweepReport:
     _check_part_sizes(h.n, sizes)
     hypothesis = _codegree_hypothesis(h, delta, epsilon)
     ranks, rows = subset_ranks(h, h.k - 1), h.rows()
-    results = _sweep(lambda seed: _partition_degree_trial(h, sizes, delta, epsilon, seed,
-                                                          ranks, rows),
-                     trials, master_seed)
-    return PartitionTrialReport(trials=trials,
-                                successes=sum(1 for t in results if t.success),
-                                per_trial=tuple(results),
-                                hypothesis_met=hypothesis)
+    return _sweep_report(lambda seed: _partition_degree_trial(h, sizes, delta, epsilon, seed,
+                                                              ranks, rows),
+                         trials, master_seed, hypothesis)
 
 
 @dataclass(frozen=True)
@@ -230,42 +236,26 @@ class AuxDegreeTrial:
     min_degree: int
     threshold: float               # (delta + eps/2) * m
     success: bool
-    hypothesis_met: bool           # min codegree >= (delta + eps) * n
-
-
-@dataclass(frozen=True)
-class AuxDegreeReport:
-    trials: int
-    successes: int
-    per_trial: tuple[AuxDegreeTrial, ...]
-    hypothesis_met: bool
 
 
 def aux_degree_trial(h: Hypergraph, ell: int, delta: float, epsilon: float,
-                     seed: int, hypothesis_met: Optional[bool] = None) -> AuxDegreeTrial:
+                     seed: int) -> AuxDegreeTrial:
     """Sample a scheme, build the auxiliary graph, report its minimum degree
     against (delta + eps/2) * m.
 
-    Divisibility violations raise; a codegree-hypothesis shortfall is reported
-    in the result instead of refusing to run.
+    Divisibility violations raise; whether the codegree hypothesis holds is
+    reported by `aux_degree_sweep`, which needs no trial to tell.
     """
+    _check_degree_thresholds(delta, epsilon)
     scheme = sample_scheme(h, ell, seed)
-    aux = build_aux_graph(h, scheme)
+    mindeg = build_aux_graph(h, scheme).graph.min_degree()
     threshold = (delta + epsilon / 2.0) * scheme.m
-    if hypothesis_met is None:
-        hypothesis_met = _codegree_hypothesis(h, delta, epsilon)
-    mindeg = aux.graph.min_degree()
     return AuxDegreeTrial(seed=seed, min_degree=mindeg, threshold=threshold,
-                          success=mindeg >= threshold, hypothesis_met=hypothesis_met)
+                          success=mindeg >= threshold)
 
 
 def aux_degree_sweep(h: Hypergraph, ell: int, delta: float, epsilon: float,
-                     trials: int, master_seed: int) -> AuxDegreeReport:
+                     trials: int, master_seed: int) -> SweepReport:
     hypothesis = _codegree_hypothesis(h, delta, epsilon)
-    results = _sweep(lambda seed: aux_degree_trial(h, ell, delta, epsilon, seed,
-                                                   hypothesis_met=hypothesis),
-                     trials, master_seed)
-    return AuxDegreeReport(trials=trials,
-                           successes=sum(1 for t in results if t.success),
-                           per_trial=tuple(results),
-                           hypothesis_met=hypothesis)
+    return _sweep_report(lambda seed: aux_degree_trial(h, ell, delta, epsilon, seed),
+                         trials, master_seed, hypothesis)

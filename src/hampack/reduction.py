@@ -12,7 +12,7 @@ is an edge exactly when s ∪ t is a hypergraph edge.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 import numpy as np
@@ -40,41 +40,32 @@ def _part_sizes(k: int, ell: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class PartitionScheme:
-    """A sampled (A, B) split with its tuple sequence and block family."""
-    n: int
+    """A scheme is its tuple sequence on A and its block family on B; n, the
+    sorted parts A and B, and m are derived from them."""
     k: int
     ell: int
-    part_a: tuple[int, ...]
-    part_b: tuple[int, ...]
     tuples_a: tuple[tuple[int, ...], ...]   # ordered sequence for ell >= 1; sorted family for ell = 0
     blocks_b: tuple[tuple[int, ...], ...]   # unordered family, stored sorted
-    m: int
+    n: int = field(init=False)
+    part_a: tuple[int, ...] = field(init=False)
+    part_b: tuple[int, ...] = field(init=False)
+    m: int = field(init=False)
 
     def __post_init__(self):
-        n, k, ell, m = self.n, self.k, self.ell, self.m
-        if m != check_shape(n, k, ell):
-            raise InvalidInputError(f"m must be n/(k-ell) = {n // (k - ell)}, got {m}")
+        k, ell, tuples_a, blocks_b = self.k, self.ell, self.tuples_a, self.blocks_b
+        part_a = tuple(sorted(v for f in tuples_a for v in f))
+        part_b = tuple(sorted(v for b in blocks_b for v in b))
+        n, m = len(part_a) + len(part_b), len(tuples_a)
         tuple_size, block_size = _part_sizes(k, ell)
-        if len(self.tuples_a) != m or len(self.blocks_b) != m:
-            raise InvalidInputError("tuple sequence and block family must both have m members")
-        seen_a: set[int] = set()
-        for f in self.tuples_a:
-            if len(f) != tuple_size or seen_a.intersection(f):
-                raise InvalidInputError("tuples must be disjoint subsets of A of the right size")
-            seen_a.update(f)
-        if seen_a != set(self.part_a):
-            raise InvalidInputError("tuples must partition A")
-        seen_b: set[int] = set()
-        for b in self.blocks_b:
-            if len(b) != block_size or seen_b.intersection(b):
-                raise InvalidInputError("blocks must be disjoint subsets of B of the right size")
-            seen_b.update(b)
-        if seen_b != set(self.part_b):
-            raise InvalidInputError("blocks must partition B")
-        if set(self.part_a) & set(self.part_b):
-            raise InvalidInputError("A and B overlap")
-        if set(self.part_a) | set(self.part_b) != set(range(n)):
-            raise InvalidInputError("A and B must partition the vertex set")
+        if not (0 <= ell < k / 2 and len(blocks_b) == m
+                and all(len(f) == tuple_size for f in tuples_a)
+                and all(len(b) == block_size for b in blocks_b)
+                and sorted(part_a + part_b) == list(range(n))):
+            raise InvalidInputError(
+                f"a (k={k}, ell={ell}) scheme needs m tuples of size {tuple_size} and "
+                f"m blocks of size {block_size} whose vertices are exactly 0..n-1")
+        for name, value in (("n", n), ("part_a", part_a), ("part_b", part_b), ("m", m)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,21 +155,16 @@ def sample_scheme(h: Hypergraph, ell: int, seed: int) -> PartitionScheme:
     m = check_shape(n, k, ell)
     rng = random.Random(seed)
     tuple_size, block_size = _part_sizes(k, ell)
-    size_a = tuple_size * m
-    part_a = sorted(rng.sample(range(n), size_a))
-    part_b = sorted(set(range(n)) - set(part_a))
-    enum_a = list(part_a)
+    enum_a = sorted(rng.sample(range(n), tuple_size * m))
+    enum_b = sorted(set(range(n)) - set(enum_a))
     rng.shuffle(enum_a)
     tuples_a = tuple(tuple(sorted(enum_a[i * tuple_size:(i + 1) * tuple_size]))
                      for i in range(m))
     if ell == 0:
         tuples_a = tuple(sorted(tuples_a))
-    enum_b = list(part_b)
     rng.shuffle(enum_b)
     blocks = [tuple(sorted(enum_b[i * block_size:(i + 1) * block_size])) for i in range(m)]
-    return PartitionScheme(n=n, k=k, ell=ell,
-                           part_a=tuple(part_a), part_b=tuple(part_b),
-                           tuples_a=tuples_a, blocks_b=tuple(sorted(blocks)), m=m)
+    return PartitionScheme(k=k, ell=ell, tuples_a=tuples_a, blocks_b=tuple(sorted(blocks)))
 
 
 def build_aux_graph(h: Hypergraph, scheme: PartitionScheme) -> AuxGraph:

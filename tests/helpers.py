@@ -223,8 +223,7 @@ def all_schemes(n, k, ell):
         part_b = tuple(v for v in range(n) if v not in part_a)
         for blocks in families(part_b):
             for tuples in sequences(part_a):
-                yield PartitionScheme(n=n, k=k, ell=ell, part_a=part_a, part_b=part_b,
-                                      tuples_a=tuples, blocks_b=blocks, m=m)
+                yield PartitionScheme(k=k, ell=ell, tuples_a=tuples, blocks_b=blocks)
 
 
 def optimal_packing(h, ell):

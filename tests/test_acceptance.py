@@ -54,9 +54,8 @@ def test_criterion_2_reduction_summation_identity():
         b = tuple(v for v in range(4) if v not in a)
         for seq in permutations(a):
             schemes.append(PartitionScheme(
-                n=4, k=3, ell=1, part_a=a, part_b=b,
-                tuples_a=((seq[0],), (seq[1],)),
-                blocks_b=tuple(sorted(((b[0],), (b[1],)))), m=2))
+                k=3, ell=1, tuples_a=((seq[0],), (seq[1],)),
+                blocks_b=tuple(sorted(((b[0],), (b[1],))))))
     subjects = [complete_hypergraph(4, 3)]
     subjects += [random_hypergraph(4, 3, p, seed)
                  for p, seed in [(0.5, 1), (0.7, 2), (0.9, 3), (0.4, 4)]]

@@ -118,6 +118,12 @@ def test_canonical_form_constant_on_orbit(n, k, ell):
 @pytest.mark.parametrize("n,k,ell,expected", [
     (6, 4, 1, 45),    # junction size 1, interior size 2, m = 2
     (6, 5, 2, 45),    # junction size 2, interior size 1, m = 2
+    # ell = 0 with m <= 2: reversing the block order is a rotation
+    (3, 3, 0, 1),
+    (4, 2, 0, 3),
+    (6, 3, 0, 10),
+    (8, 4, 0, 35),
+    (10, 5, 0, 126),
 ])
 def test_enumeration_matches_formula_other_shapes(n, k, ell, expected):
     got = len(enumerate_cycles(complete_hypergraph(n, k), ell))

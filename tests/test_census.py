@@ -1,5 +1,5 @@
 import math
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 
@@ -10,9 +10,9 @@ from hampack.census import (count_lower_bound, edge_set_count,
 from hampack.constructions import complete_hypergraph, random_hypergraph
 from hampack.errors import InvalidInputError, SizeLimitError
 from hampack.hypercore import Hypergraph
-from hampack.reduction import PartitionScheme, build_aux_graph
+from hampack.reduction import build_aux_graph
 
-from helpers import count_perfect_matchings
+from helpers import all_schemes, count_perfect_matchings
 
 
 class TestEnumerate:
@@ -99,20 +99,8 @@ class TestFormulas:
 class TestSummationIdentity:
     """Sum of perfect-matching counts over all schemes = 2m * cycle count."""
 
-    @staticmethod
-    def all_schemes_n4():
-        out = []
-        for a in combinations(range(4), 2):
-            b = tuple(v for v in range(4) if v not in a)
-            for seq in permutations(a):
-                out.append(PartitionScheme(
-                    n=4, k=3, ell=1, part_a=a, part_b=b,
-                    tuples_a=((seq[0],), (seq[1],)),
-                    blocks_b=tuple(sorted(((b[0],), (b[1],)))), m=2))
-        return out
-
     def test_identity_exact(self):
-        schemes = self.all_schemes_n4()
+        schemes = list(all_schemes(4, 3, 1))
         assert len(schemes) == 12
         for h in [complete_hypergraph(4, 3),
                   Hypergraph(4, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3)]),

@@ -67,6 +67,18 @@ def test_bound(capsys):
     assert doc["log_lower_bound"] == pytest.approx(5.7162, abs=1e-3)
 
 
+@pytest.mark.parametrize("argv", [
+    ("--n", "0", "--k", "3", "--ell", "1", "--alpha", "0.8"),
+    ("--n", "2", "--k", "3", "--ell", "1", "--alpha", "0.8", "--p", "0.5"),
+    ("--n", "-4", "--k", "3", "--ell", "1", "--alpha", "0.8"),
+    ("--n", "0", "--k", "3", "--ell", "0", "--p", "0.5"),
+])
+def test_bound_below_k_vertices_exit_1(capsys, argv):
+    code, out, err = run(capsys, "bound", *argv)
+    assert code == 1 and out == ""
+    assert "the counting formulas need n >= k" in err
+
+
 def test_reduce_then_factor(tmp_path, capsys):
     hpath = str(tmp_path / "h.json")
     write_hypergraph(complete_hypergraph(8, 3), hpath)
@@ -239,6 +251,9 @@ MC_FACTOR_K4 = ("mc-factor", "--complete-bipartite", "4", "--rho", "1", "--p", "
      "epsilon must be >= 0, got -1.0"),
     (("pack", "--theorem", "2", "--ell", "1", "--r", "2", "--epsilon", "nan"),
      "epsilon must be >= 0, got nan"),
+    # checked before the enumeration, which refuses n = 12
+    (("count", "--ell", "1", "--slack", "-0.5"), "slack per vertex must be >= 0, got -0.5"),
+    (("count", "--ell", "1", "--slack", "nan"), "slack per vertex must be >= 0, got nan"),
 ])
 def test_negative_counts_exit_1(tmp_path, capsys, argv, message):
     hpath, opath = str(tmp_path / "h.json"), tmp_path / "out.json"
@@ -629,6 +644,18 @@ def test_reduce_golden_digests(tmp_path, capsys, ell):
                      "--out", opath)
     assert code == 0
     assert (_sha256(opath), _sha256(opath + ".scheme.json")) == GOLDEN_REDUCE[ell]
+
+
+def test_count_golden_digest(tmp_path, capsys):
+    # (n, k, ell) = (8, 3, 1): m = 4, so the m <= 2 correction of the
+    # expected-count formula does not apply; recorded before that correction
+    hpath, opath = str(tmp_path / "h.json"), str(tmp_path / "count.json")
+    code, _, _ = run(capsys, "gen", "--random", "--n", "8", "--k", "3", "--p", "0.95",
+                     "--seed", "1", "--out", hpath)
+    assert code == 0
+    code, _, _ = run(capsys, "count", "--input", hpath, "--ell", "1", "--out", opath)
+    assert code == 0 and json.loads(open(opath).read())["bound_met"] is True
+    assert _sha256(opath) == "4d1d2ec78783284a883d5c323907df161ba4daf8b599c54e228ec2748f6966e3"
 
 
 def test_mc_factor_golden_digests(tmp_path, capsys):

@@ -81,7 +81,7 @@ class TestAssign:
         h = random_hypergraph(12, 3, 0.7, 9)
         schemes = [scheme_for(h, 1, s) for s in range(3)]
         a = assign_edges(h, aux_graphs(h, schemes), seed=1)
-        assert sum(a.assigned_counts()) + np.count_nonzero(a.choice == -1) == h.num_edges()
+        assert sum(a.assigned_counts(len(schemes))) + np.count_nonzero(a.choice == -1) == h.num_edges()
 
     def test_psi_sum_equals_total_aux_edges(self):
         # each aux edge of each scheme names exactly one hypergraph edge (m >= 3)
@@ -116,7 +116,6 @@ class TestAssign:
         h = random_hypergraph(12, 3, 0.8, 0)
         schemes = [scheme_for(h, 1, s) for s in range(2)]
         a, b = (assign_edges(h, aux_graphs(h, schemes), 7) for _ in range(2))
-        assert a.schemes == b.schemes
         assert np.array_equal(a.psi, b.psi) and np.array_equal(a.choice, b.choice)
 
 
@@ -158,7 +157,7 @@ class TestAssignOracle:
             pos = h.locate(unions)
             chosen = [p for p in pos.tolist() if p >= 0 and a.choice[p] == i]
             assert stats.sub_aux_edges == len(chosen)
-            assert stats.assigned_edges == a.assigned_counts()[i] \
+            assert stats.assigned_edges == a.assigned_counts(len(schemes))[i] \
                 == np.count_nonzero(a.choice == i)
 
 
@@ -187,7 +186,7 @@ class TestAssignMatchesReference:
             for i in range(count):
                 assert [h.edges[p] for p in np.flatnonzero(a.choice == i)] == per_scheme[i]
             assert [h.edges[p] for p in np.flatnonzero(a.choice == -1)] == unassigned
-            assert a.assigned_counts() == [len(x) for x in per_scheme]
+            assert a.assigned_counts(count) == [len(x) for x in per_scheme]
 
 
 def reference_psi_histogram(h, ell, seed, res):

@@ -202,12 +202,16 @@ class TestAuxDegrees:
     def test_complete_hits_full_degree(self):
         h = complete_hypergraph(12, 3)  # codegree 10 = (0.6 + 0.2) * 12 + 0.4
         trial = aux_degree_trial(h, 1, delta=0.6, epsilon=0.2, seed=4)
-        assert trial.min_degree == 6 and trial.success and trial.hypothesis_met
+        assert trial.min_degree == 6 and trial.success
+        assert aux_degree_sweep(h, 1, delta=0.6, epsilon=0.2, trials=0,
+                                master_seed=4).hypothesis_met
 
     def test_empty_fails(self):
         h = Hypergraph(12, 3, [])
         trial = aux_degree_trial(h, 1, delta=0.5, epsilon=0.1, seed=4)
-        assert trial.min_degree == 0 and not trial.success and not trial.hypothesis_met
+        assert trial.min_degree == 0 and not trial.success
+        assert not aux_degree_sweep(h, 1, delta=0.5, epsilon=0.1, trials=0,
+                                    master_seed=4).hypothesis_met
 
     def test_divisibility_error(self):
         with pytest.raises(InvalidInputError):
@@ -277,7 +281,7 @@ def test_uncovered_pair_fails_the_codegree_hypothesis():
     assert not aux_degree_sweep(h, 1, 0.1, 0.1, trials=2, master_seed=0).hypothesis_met
     assert not partition_degree_sweep(h, (6, 6), 0.1, 0.1, trials=2,
                                       master_seed=0).hypothesis_met
-    assert not aux_degree_trial(h, 1, 0.1, 0.1, seed=0).hypothesis_met
+    assert not aux_degree_sweep(h, 1, 0.1, 0.1, trials=0, master_seed=0).hypothesis_met
 
 
 @pytest.mark.parametrize("delta,epsilon,message", [

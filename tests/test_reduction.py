@@ -51,6 +51,27 @@ class TestSampleScheme:
             covered_b = [v for b in s.blocks_b for v in b]
             assert sorted(covered_b) == list(s.part_b)
 
+    @pytest.mark.parametrize("n, k, ell", [(12, 4, 1), (12, 3, 0), (12, 5, 2)])
+    def test_derived_fields_are_the_unions(self, n, k, ell):
+        for seed in range(5):
+            s = sample_scheme(Hypergraph(n, k, []), ell, seed)
+            assert s.part_a == tuple(sorted(v for f in s.tuples_a for v in f))
+            assert s.part_b == tuple(sorted(v for b in s.blocks_b for v in b))
+            assert (s.n, s.m) == (n, n // (k - ell))
+            assert PartitionScheme(k, ell, s.tuples_a, s.blocks_b) == s
+
+
+@pytest.mark.parametrize("k, ell, tuples_a, blocks_b", [
+    (3, 1, ((0,), (1,)), ((1,), (2,))),            # vertex 1 in a tuple and a block
+    (3, 1, ((0,), (1,)), ((2,), (4,))),            # vertex 3 missing
+    (3, 1, ((0, 1), (2,)), ((3,), (4,))),          # a 2-tuple where ell = 1
+    (3, 1, ((0,), (1,)), ((2,), (3,), (4,))),      # m + 1 blocks
+    (3, 0, ((0, 1), (2, 3)), ((4, 5), (6, 7))),    # ell = 0, k = 3 takes 1-tuples
+], ids=["shared", "missing", "tuple-size", "extra-block", "ell0-tuple-size"])
+def test_malformed_scheme_rejected(k, ell, tuples_a, blocks_b):
+    with pytest.raises(InvalidInputError, match="scheme needs m tuples"):
+        PartitionScheme(k, ell, tuples_a, blocks_b)
+
 
 class TestAuxGraph:
     def test_complete_gives_complete(self):
