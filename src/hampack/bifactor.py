@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -167,48 +167,80 @@ def gale_ryser_check(g: BipartiteGraph, r: int) -> GaleRyserWitness:
 
 
 class _FactorNetwork:
-    """The r-factor flow network of a graph, built once for every r.
+    """The r-factor flow network of the disjoint union of graphs, built once
+    for every choice of r per graph.
 
-    Nodes: source 0, s as 1 + s, t as 1 + m + t, sink 2m + 1.  The CSR holds
-    the source row (arcs to every s), each s row with unit arcs to its t
-    neighbours in ascending order, then the t -> sink rows.  Solving for r
-    only writes the first m and the last m capacities.
+    Graph i's vertices are offset by off[i] (`_disjoint_union`), and
+    M = off[-1].  Nodes: source 0, s of graph i as
+    1 + off[i] + s, t as 1 + M + off[i] + t, sink 2M + 1.  The CSR holds the
+    source row (arcs to every s), each s row with unit arcs to its t
+    neighbours in ascending order, then the t -> sink rows.  Solving for
+    r_0, r_1, ... only writes the first M and the last M capacities; a graph
+    at r = 0 carries no flow.
 
-    scipy is imported here and in `peel_matchings`, on first use, so that the
+    scipy is imported here and in `peel_all`, on first use, so that the
     commands that never solve a flow or a matching do not load it.
     """
 
-    def __init__(self, g: BipartiteGraph):
+    def __init__(self, graphs: Sequence[BipartiteGraph]):
         from scipy.sparse import csr_matrix
-        m = self.m = g.m
-        self.host = g
-        s, t = np.divmod(g.codes, m)
-        row_len = np.concatenate(([m], np.bincount(s, minlength=m), np.ones(m, np.int64), [0]))
+        self.hosts = graphs
+        self.off, s, t = _disjoint_union(graphs)
+        self.ms = np.diff(self.off)
+        size = self.size = int(self.off[-1])
+        row_len = np.concatenate(([size], np.bincount(s, minlength=size),
+                                  np.ones(size, np.int64), [0]))
         indptr = np.concatenate(([0], np.cumsum(row_len))).astype(np.int32)
-        indices = np.concatenate((np.arange(1, m + 1), 1 + m + t,
-                                  np.full(m, 2 * m + 1))).astype(np.int32)
+        indices = np.concatenate((np.arange(1, size + 1), 1 + size + t,
+                                  np.full(size, 2 * size + 1))).astype(np.int32)
         data = np.ones(len(indices), dtype=np.int32)
-        self.graph = csr_matrix((data, indices, indptr), shape=(2 * m + 2, 2 * m + 2))
+        self.graph = csr_matrix((data, indices, indptr), shape=(2 * size + 2, 2 * size + 2))
 
-    def witness(self, r: int) -> Optional[Factor]:
-        """An r-factor, or None if there is none.
+    def witnesses(self, rs: np.ndarray) -> list[Optional[Factor]]:
+        """Entry i is an rs[i]-factor of graph i, or None if there is none or
+        rs[i] = 0, all from one flow.
 
-        An r-factor exists iff the max flow is r·m.  The witness is checked
-        against the host graph before it is returned.
+        Graph i has an rs[i]-factor iff its own source arcs carry rs[i]·m_i.
+        Its witness is the s -> t arcs with flow in its s rows, read from the
+        flow's CSR (which keeps the network's row and column order, with a
+        non-positive reverse arc added beside each arc), and is checked
+        against graph i before it is returned.
         """
         from scipy.sparse.csgraph import maximum_flow
-        m, data = self.m, self.graph.data
-        data[:m] = r
-        data[-m:] = r
-        result = maximum_flow(self.graph, 0, 2 * m + 1)
-        if result.flow_value < r * m:
-            return None
-        block = result.flow[1:m + 1, m + 1:2 * m + 1].tocoo()
-        positive = block.data > 0
-        codes = block.row[positive].astype(np.int64) * m + block.col[positive]
-        factor = Factor(r, BipartiteGraph._from_codes(m, np.sort(codes)))
-        factor.check_against(self.host)
-        return factor
+        size, off, data = self.size, self.off, self.graph.data
+        caps = np.repeat(rs, self.ms)
+        data[:size] = caps
+        data[-size:] = caps
+        flow = maximum_flow(self.graph, 0, 2 * size + 1).flow
+        sent = np.zeros(size + 1, dtype=np.int64)
+        sent[flow.indices[:flow.indptr[1]]] = flow.data[:flow.indptr[1]]
+        sent = np.cumsum(sent)
+        feasible = (rs > 0) & (sent[off[1:]] - sent[off[:-1]] == rs * self.ms)
+        lo, hi = flow.indptr[1], flow.indptr[size + 1]
+        s = np.repeat(np.arange(size), np.diff(flow.indptr[1:size + 2]))
+        positive = flow.data[lo:hi] > 0
+        s, t = s[positive], flow.indices[lo:hi][positive].astype(np.int64) - 1 - size
+        bounds = np.searchsorted(s, off)
+        found: list[Optional[Factor]] = [None] * len(rs)
+        for i in np.flatnonzero(feasible).tolist():
+            m, a, b = int(self.ms[i]), bounds[i], bounds[i + 1]
+            codes = (s[a:b] - off[i]) * m + (t[a:b] - off[i])
+            found[i] = Factor(int(rs[i]), BipartiteGraph._from_codes(m, codes))
+            found[i].check_against(self.hosts[i])
+        return found
+
+
+def _disjoint_union(graphs: Sequence[BipartiteGraph]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The offsets off (off[i] is the sum of the m of the graphs before graph
+    i, off[-1] the total) and the (s, t) columns of every graph's edges, in
+    code order, with graph i's vertices offset by off[i]."""
+    off = np.concatenate(([0], np.cumsum([g.m for g in graphs], dtype=np.int64)))
+    s, t = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for g, o in zip(graphs, off.tolist()):
+        gs, gt = np.divmod(g.codes, g.m)
+        s.append(gs + o)
+        t.append(gt + o)
+    return off, np.concatenate(s), np.concatenate(t)
 
 
 def find_factor(g: BipartiteGraph, r: int) -> Optional[Factor]:
@@ -225,31 +257,40 @@ def find_factor(g: BipartiteGraph, r: int) -> Optional[Factor]:
         return Factor(0, BipartiteGraph(g.m, ()))
     if g.min_degree() < r:
         return None
-    return _FactorNetwork(g).witness(r)
+    return _FactorNetwork([g]).witnesses(np.array([r]))[0]
 
 
 def max_factor(g: BipartiteGraph) -> tuple[int, Factor]:
-    """Largest r with an r-factor, plus a witness.
+    """Largest r with an r-factor, plus a witness: `max_factors` of one graph."""
+    return max_factors([g])[0]
+
+
+def max_factors(graphs: Sequence[BipartiteGraph]) -> list[tuple[int, Factor]]:
+    """Largest r with an r-factor of each graph, plus a witness.
 
     No r-factor exceeds the minimum degree δ, and on dense graphs r* = δ is
     the common case, so r = δ is probed first.  If it is infeasible, binary
     search runs over [0, δ - 1]: feasibility is monotone in r (the subset
-    inequality r(|X|+|Y|-m) <= e(X,Y) only tightens as r grows).  The flow
-    network is built once; each probe changes only the source and sink
-    capacities, and each feasible probe's witness is checked against g.
+    inequality r(|X|+|Y|-m) <= e(X,Y) only tightens as r grows).  Every
+    graph's searches share one flow network over the disjoint union of the
+    graphs: the first flow probes each graph at its δ, and each further flow
+    probes each graph whose search is still open at its midpoint, the others
+    at capacity 0.  Each feasible probe's witness is checked against its
+    graph.
     """
-    delta = g.min_degree()
-    network = _FactorNetwork(g) if delta > 0 else None
-    best = network.witness(delta) if network else None
-    lo, hi = (delta, delta) if best is not None else (0, delta - 1)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        found = network.witness(mid)
-        if found is not None:
-            lo, best = mid, found
-        else:
-            hi = mid - 1
-    return lo, best if best is not None else Factor(0, BipartiteGraph(g.m, ()))
+    delta = np.array([g.min_degree() for g in graphs], dtype=np.int64)
+    best: list[Optional[Factor]] = [None] * len(graphs)
+    lo, hi, probe = np.zeros_like(delta), delta.copy(), delta
+    network = _FactorNetwork(graphs) if probe.any() else None
+    while probe.any():
+        for i, found in enumerate(network.witnesses(probe)):
+            if found is not None:
+                lo[i], best[i] = probe[i], found
+            elif probe[i]:
+                hi[i] = probe[i] - 1
+        probe = np.where(lo < hi, (lo + hi + 1) // 2, 0)
+    return [(int(r), f if f is not None else Factor(0, BipartiteGraph(g.m, ())))
+            for r, f, g in zip(lo.tolist(), best, graphs)]
 
 
 def almost_regular_bound(alpha: float, epsilon: float) -> float:
@@ -263,40 +304,54 @@ def almost_regular_bound(alpha: float, epsilon: float) -> float:
 
 def peel_matchings(factor: Factor, host: BipartiteGraph) -> np.ndarray:
     """Decompose an r-factor into exactly r edge-disjoint perfect matchings,
-    the rows of an r x m int64 array (row j maps each s to its t).
+    the rows of an r x m int64 array (row j maps each s to its t):
+    `peel_all` of one factor."""
+    return peel_all([factor], [host])[0]
 
-    Each round runs Hopcroft-Karp (`maximum_bipartite_matching`) on the
-    remaining edges, which still form a regular graph and so have a perfect
-    matching, and removes the edges (s, match[s]) it picked.  The edges are
-    held as the columns `t` of the sorted codes with their rows `s`; masking
-    keeps `s` sorted, so before round j every row is one contiguous run of
-    d = r - j columns and the round's CSR row pointer is 0, d, 2d, ..., m·d.
-    A round that removes other than exactly m edges (one per row) would
-    break that, so it raises.
+
+def peel_all(factors: Sequence[Factor], hosts: Sequence[BipartiteGraph]) -> list[np.ndarray]:
+    """Decompose each factor, checked against its host, into exactly r
+    edge-disjoint perfect matchings: entry i is an r_i x m_i int64 array whose
+    row j maps each s to its t.
+
+    Round j runs Hopcroft-Karp (`maximum_bipartite_matching`) once on the
+    disjoint union of the remaining edges of every factor
+    (`_disjoint_union`).  Factor i's remainder is still
+    (r_i - j)-regular and so has a perfect matching, and the round removes
+    the edges (s, match[s]) it picked.  The edges are held as the columns `t`
+    of the sorted codes with their rows `s`; masking keeps `s` sorted, so
+    before round j every row of factor i is one contiguous run of
+    max(r_i - j, 0) columns.  A round that leaves an active row (one with
+    edges left) unmatched, or removes other than one edge per active row,
+    would break that, so it raises.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_bipartite_matching
-    factor.check_against(host)
-    m, r = host.m, factor.r
-    s, t = np.divmod(factor.graph.codes, m)
-    t = t.astype(np.int32)
-    matchings = np.empty((r, m), dtype=np.int64)
-    for j in range(r):
-        d = r - j
-        indptr = np.arange(0, m * d + 1, d, dtype=np.int32)
-        remainder = csr_matrix((np.ones(len(t), dtype=np.int8), t, indptr), shape=(m, m))
+    for factor, host in zip(factors, hosts, strict=True):
+        factor.check_against(host)
+    rs = np.array([f.r for f in factors], dtype=np.int64)
+    off, s, t = _disjoint_union([f.graph for f in factors])
+    ms, size, t = np.diff(off), int(off[-1]), t.astype(np.int32)
+    row_r = np.repeat(rs, ms)
+    matchings = np.empty((int(rs.max(initial=0)), size), dtype=np.int64)
+    for j in range(len(matchings)):
+        run = np.maximum(row_r - j, 0)
+        indptr = np.concatenate(([0], np.cumsum(run))).astype(np.int32)
+        remainder = csr_matrix((np.ones(len(t), dtype=np.int8), t, indptr), shape=(size, size))
         match = maximum_bipartite_matching(remainder, perm_type="column")
-        if (match < 0).any():
+        active = run > 0
+        if (match[active] < 0).any():
             raise InvariantViolation(
                 "no perfect matching in a supposedly regular remainder; corrupt factor")
         matchings[j] = match
         keep = t != match[s]
-        if len(t) - np.count_nonzero(keep) != m:
+        if len(t) - np.count_nonzero(keep) != np.count_nonzero(active):
             raise InvariantViolation("a matching is not a set of m edges of the remainder")
         s, t = s[keep], t[keep]
     if len(t):
         raise InvariantViolation("matchings did not exhaust the factor")
-    return matchings
+    return [matchings[:r, o:o + m] - o
+            for r, o, m in zip(rs.tolist(), off.tolist(), ms.tolist())]
 
 
 def to_json_dict(g: BipartiteGraph) -> dict:

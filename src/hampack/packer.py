@@ -138,13 +138,50 @@ def _explain_rejected(h: Hypergraph, aux: AuxGraph, matching: np.ndarray) -> NoR
     raise InvariantViolation(f"lifted cycle failed verification: {check.failure}")
 
 
+def _extract_cycles(h: Hypergraph, auxes: Sequence[AuxGraph], subs: Sequence[BipartiteGraph],
+                    windows: np.ndarray) -> tuple[list[int], list[int], np.ndarray, np.ndarray]:
+    """Partition i's cycles are the lifts of the perfect matchings peeled from
+    the maximum factor of `subs[i]`, a subgraph of `auxes[i].graph`.
+
+    Every partition's factor search and peel run together (`max_factors`,
+    `peel_all`); each partition's matchings are lifted and canonicalized in
+    one `lift_canonical` call, and all cycles are verified together: one
+    permutation check and one `locate` of every segment.  A rejected cycle is
+    re-derived through the per-cycle path with its own partition's aux graph.
+    Returns the factor sizes, the cycle counts, the cycle rows and the
+    located segment positions (one row of len(windows) per cycle).
+    """
+    factors = bifactor.max_factors(subs)
+    peeled = bifactor.peel_all([f for _, f in factors], subs)
+    blocks, kept = [np.empty((0, h.n), dtype=np.int64)], []
+    for aux, matchings in zip(auxes, peeled):
+        rows = lift_canonical(aux, matchings)
+        if aux.scheme.m == 2:
+            # reflected matchings lift to one cycle; for m >= 3 distinct
+            # matchings lift to distinct cycles, and the shared-edge check
+            # in `_pack` would still catch a repeated one
+            keep = np.sort(np.unique(rows, axis=0, return_index=True)[1])
+            rows, matchings = rows[keep], matchings[keep]
+        blocks.append(rows)
+        kept.append(matchings)
+    rows = np.concatenate(blocks)
+    pos = h.locate(rows[:, windows]).reshape(len(rows), len(windows))
+    bad = (np.sort(rows, axis=1) != np.arange(h.n)).any(axis=1) | (pos < 0).any(axis=1)
+    counts = [len(matchings) for matchings in kept]
+    if bad.any():
+        first = np.cumsum([0] + counts)
+        j = int(np.argmax(bad))
+        i = int(np.searchsorted(first, j, side="right")) - 1
+        _explain_rejected(h, auxes[i], kept[i][j - first[i]])
+    return [r for r, _ in factors], counts, rows, pos
+
+
 def _pack(h: Hypergraph, ell: int, count: int, seed: int, resample_limit: int, accept,
           warnings: list[str], density: Optional[float] = None,
           uncovered_budget: Optional[float] = None) -> PackingResult:
     """The shared packing loop: sample and accept `count` >= 0 schemes, assign
-    the edges, and per partition take the maximum factor of the aux edges
-    whose hyperedge chose it, peel it, and lift, canonicalize and verify its
-    cycles in one pass, re-deriving a rejected one through the per-cycle path.
+    the edges, and extract the cycles of every partition from the aux edges
+    whose hyperedge chose it (`_extract_cycles`).
 
     `density`, when given, records the factor target density·m·retention
     (retention: the share of the aux edges assigned to the partition), which
@@ -161,34 +198,21 @@ def _pack(h: Hypergraph, ell: int, count: int, seed: int, resample_limit: int, a
         warnings.append("resample limit exhausted for at least one partition; partial result")
     assignment = assign_edges(h, auxes, derive_seed(seed, "assign"))
     assigned = assignment.assigned_counts(len(auxes))
-    windows = segment_windows(h.n, h.k, ell)
-    all_cycles: list[HamiltonCycle] = []
-    located: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    subs = [BipartiteGraph._from_codes(aux.scheme.m,
+                                       aux.graph.codes[assignment.choice[aux.edge_pos] == i])
+            for i, aux in enumerate(auxes)]
+    sizes, cycles, rows, pos = _extract_cycles(h, auxes, subs, segment_windows(h.n, h.k, ell))
     stats: list[PartitionStats] = []
     for i, aux in enumerate(auxes):
-        m, codes = aux.scheme.m, aux.graph.codes
-        sub = BipartiteGraph._from_codes(m, codes[assignment.choice[aux.edge_pos] == i])
-        r_i, factor = bifactor.max_factor(sub)
-        matchings = bifactor.peel_matchings(factor, sub)
-        rows = lift_canonical(aux, matchings)
-        # m = 2 degeneracy: reflected matchings lift to one cycle
-        keep = np.sort(np.unique(rows, axis=0, return_index=True)[1])
-        rows, matchings = rows[keep], matchings[keep]
-        pos = h.locate(rows[:, windows]).reshape(len(rows), len(windows))
-        bad = (np.sort(rows, axis=1) != np.arange(h.n)).any(axis=1) | (pos < 0).any(axis=1)
-        if bad.any():
-            _explain_rejected(h, aux, matchings[np.argmax(bad)])
-        all_cycles.extend(HamiltonCycle(k=h.k, ell=ell, arrangement=tuple(row))
-                          for row in rows.tolist())
-        located.append(pos.ravel())
+        m, aux_edges = aux.scheme.m, len(aux.graph.codes)
         target = None
         if density is not None:
-            target = int(density * m * ((assigned[i] / len(codes)) if len(codes) else 0.0))
+            target = int(density * m * ((assigned[i] / aux_edges) if aux_edges else 0.0))
         stats.append(PartitionStats(
             index=i, retries=retries[i], aux_min_degree=aux.graph.min_degree(),
-            aux_edges=len(codes), assigned_edges=assigned[i], sub_aux_edges=len(sub.codes),
-            factor_target=target, factor_size=r_i, matchings=r_i, cycles=len(rows)))
-    used, uses = np.unique(np.concatenate(located), return_counts=True)
+            aux_edges=aux_edges, assigned_edges=assigned[i], sub_aux_edges=len(subs[i].codes),
+            factor_target=target, factor_size=sizes[i], matchings=sizes[i], cycles=cycles[i]))
+    used, uses = np.unique(pos, return_counts=True)
     if (uses > 1).any():
         raise InvariantViolation(
             f"edge {h.edges[used[uses > 1][0]]} appears in two packed cycles")
@@ -200,7 +224,9 @@ def _pack(h: Hypergraph, ell: int, count: int, seed: int, resample_limit: int, a
     ratio = covered / h.num_edges() if h.num_edges() else 0.0
     goal = (h.num_edges() - covered) <= uncovered_budget if uncovered_budget is not None else None
     return PackingResult(
-        cycles=tuple(all_cycles), partitions_used=len(auxes),
+        cycles=tuple(HamiltonCycle(k=h.k, ell=ell, arrangement=tuple(row))
+                     for row in rows.tolist()),
+        partitions_used=len(auxes),
         per_partition=tuple(stats),
         psi_histogram={v: c for v, c in enumerate(np.bincount(assignment.psi).tolist()) if c},
         unassigned=int(unassigned.sum()),

@@ -7,10 +7,11 @@ import pytest
 import scipy.sparse.csgraph as csgraph
 
 from hampack import randomlab
-from hampack.bifactor import (BipartiteGraph, Factor, almost_regular_bound,
-                              complete_bipartite, find_factor, from_json_dict,
-                              gale_ryser_check, max_factor, peel_matchings,
-                              read_bipartite, to_json_dict, write_bipartite)
+from hampack.bifactor import (GALE_RYSER_MAX_M, BipartiteGraph, Factor,
+                              almost_regular_bound, complete_bipartite, find_factor,
+                              from_json_dict, gale_ryser_check, max_factor, max_factors,
+                              peel_all, peel_matchings, read_bipartite, to_json_dict,
+                              write_bipartite)
 from hampack.errors import (InvalidInputError, InvariantViolation, ParseError,
                             SizeLimitError)
 
@@ -191,9 +192,11 @@ class TestCodeStore:
             g.codes[0] = 3
 
 
-def _drop_one_flow_unit(monkeypatch, at_r):
-    """Make maximum_flow, when the source capacities are at_r, return a flow
-    whose first s vertex has degree at_r - 1 while the flow value is kept.
+def _drop_one_flow_unit(monkeypatch, at_r, node=1):
+    """Make maximum_flow, when the source arc to s node `node` (1 + the
+    vertex's offset in the network) has capacity at_r, return a flow in
+    which that vertex has degree at_r - 1 while the flow value and every
+    source arc are kept.
 
     bifactor imports its scipy solvers inside the functions that call them,
     so patching the scipy module itself reaches every call."""
@@ -201,11 +204,11 @@ def _drop_one_flow_unit(monkeypatch, at_r):
 
     def fake(graph, source, sink):
         result = real(graph, source, sink)
-        if graph.data[0] != at_r:
+        if graph.data[node - 1] != at_r:
             return result
         m = (graph.shape[0] - 2) // 2
         flow = result.flow.copy()
-        lo, hi = flow.indptr[1], flow.indptr[2]
+        lo, hi = flow.indptr[node], flow.indptr[node + 1]
         hit = np.flatnonzero((flow.indices[lo:hi] > m) & (flow.data[lo:hi] > 0))[0]
         flow.data[lo + hit] = 0
         return SimpleNamespace(flow_value=result.flow_value, flow=flow)
@@ -232,6 +235,15 @@ def _swap_onto_non_edges(monkeypatch, at_r):
         return SimpleNamespace(flow_value=result.flow_value, flow=flow.tocsr())
 
     monkeypatch.setattr(csgraph, "maximum_flow", fake)
+
+
+def two_block_graph():
+    """Input 42 of the Gale-Ryser threshold test: m = 8, δ = 3, r* = 2."""
+    rng = random.Random(3042)
+    m = rng.randint(1, 8)
+    a, b = rng.randint(0, m), rng.randint(0, m)
+    return BipartiteGraph(m, [(s, t) for s in range(m) for t in range(m)
+                              if rng.random() < (0.9 if (s < a) == (t < b) else 0.2)])
 
 
 def k44_minus_diagonal():
@@ -264,22 +276,45 @@ class TestWitnessCheck:
 
     def test_max_factor_checks_every_feasible_r(self, monkeypatch):
         # K_{4,4}: the first probe, r = δ = 4, is feasible and final.  The
-        # two-block graph (input 42 of the Gale-Ryser threshold test) has
-        # m = 8, δ = 3 and r* = 2: the search probes r = 3 (infeasible), 1, 2,
-        # so only the per-r check can see the broken r = 1 witness, which never
-        # becomes the returned factor
-        rng = random.Random(3042)
-        m = rng.randint(1, 8)
-        a, b = rng.randint(0, m), rng.randint(0, m)
-        two_block = BipartiteGraph(m, [(s, t) for s in range(m) for t in range(m)
-                                       if rng.random() < (0.9 if (s < a) == (t < b) else 0.2)])
-        assert (m, two_block.min_degree(), max_factor(two_block)[0]) == (8, 3, 2)
+        # two-block graph has m = 8, δ = 3 and r* = 2: the search probes
+        # r = 3 (infeasible), 1, 2, so only the per-r check can see the broken
+        # r = 1 witness, which never becomes the returned factor
+        two_block = two_block_graph()
+        assert (two_block.m, two_block.min_degree(), max_factor(two_block)[0]) == (8, 3, 2)
         assert find_factor(two_block, 1) is not None
         for g, at_r in ((complete_bipartite(4), 4), (two_block, 1)):
             with monkeypatch.context() as patch:
                 _drop_one_flow_unit(patch, at_r)
                 with pytest.raises(InvariantViolation):
                     max_factor(g)
+
+    def test_max_factors_checks_each_graph_of_the_union(self, monkeypatch):
+        # the first s vertex of the second graph is network node 1 + 3; only
+        # its source arc has capacity 4, so the first two graphs' witnesses
+        # are sound and the third graph's search is never reached broken
+        graphs = [complete_bipartite(3), complete_bipartite(4), complete_bipartite(5)]
+        _drop_one_flow_unit(monkeypatch, at_r=4, node=1 + 3)
+        with pytest.raises(InvariantViolation, match="degree exactly 4"):
+            max_factors(graphs)
+        assert max_factors(graphs[::2]) == [max_factor(graphs[0]), max_factor(graphs[2])]
+
+
+class TestMaxFactors:
+    def test_each_graph_gets_its_own_max_factor(self):
+        graphs = [complete_bipartite(4), two_block_graph(), BipartiteGraph(5, []),
+                  random_bipartite(3, 0.6, 7), random_bipartite(14, 0.5, 8),
+                  random_bipartite(6, 0.7, 9, min_deg=3), random_bipartite(20, 0.4, 10)]
+        results = max_factors(graphs)
+        assert [r for r, _ in results] == [4, 2, 0] + [max_factor(g)[0] for g in graphs[3:]]
+        for g, (r_star, factor) in zip(graphs, results):
+            assert factor.r == r_star
+            factor.check_against(g)
+            assert (r_star, factor) == max_factor(g)
+            if g.m <= GALE_RYSER_MAX_M:
+                assert gale_ryser_check(g, r_star).holds
+                if r_star < g.m:
+                    assert not gale_ryser_check(g, r_star + 1).holds
+        assert max_factors([]) == []
 
 
 class TestClosedForms:
@@ -369,6 +404,19 @@ class TestPeel:
                            BipartiteGraph(3, cycle6().edges - {(0, 0)}))
         with pytest.raises(InvariantViolation, match="m=3 but the host graph has m=4"):
             peel_matchings(Factor(r=3, graph=g), complete_bipartite(4))
+
+    def test_peel_all_decomposes_factors_of_different_r_and_m(self):
+        hosts = [complete_bipartite(3), cycle6(), random_bipartite(9, 0.7, 11),
+                 BipartiteGraph(4, []), random_bipartite(12, 0.6, 12), BipartiteGraph(0, [])]
+        factors = [Factor(3, hosts[0]), Factor(2, hosts[1]), max_factor(hosts[2])[1],
+                   Factor(0, hosts[3]), find_factor(hosts[4], 2), Factor(0, hosts[5])]
+        assert [f.r for f in factors] == [3, 2, max_factor(hosts[2])[0], 0, 2, 0]
+        peeled = peel_all(factors, hosts)
+        assert len(peeled) == len(factors)
+        for rows, factor in zip(peeled, factors):
+            assert rows.shape == (factor.r, factor.graph.m) and rows.dtype == np.int64
+            assert peel_decomposes(rows, factor)
+        assert peel_all([], []) == []
 
     def test_matching_off_the_remainder_detected(self, monkeypatch):
         # 0 -> 2, 1 -> 0, 2 -> 1 is a permutation, but none of its pairs is

@@ -371,17 +371,17 @@ class TestBatchChecks:
         h = complete_hypergraph(12, 3)
         scheme = sample_scheme(h, 1, 5)
         monkeypatch.setattr(packer, "sample_scheme", lambda h_, ell, seed: scheme)
-        peel, first = bifactor.peel_matchings, []
+        peel, first = bifactor.peel_all, []
 
-        def peel_first(factor, host):
+        def peel_first(factors, hosts):
             # every partition gets the first partition's matchings
-            first.append(peel(factor, host))
-            return first[0]
-        monkeypatch.setattr(bifactor, "peel_matchings", peel_first)
+            first.extend(peel(factors, hosts))
+            return [first[0]] * len(first)
+        monkeypatch.setattr(bifactor, "peel_all", peel_first)
         with pytest.raises(InvariantViolation,
                            match=r"^edge \(\d+, \d+, \d+\) appears in two packed cycles$"):
             pack_min_degree(h, 1, num_partitions=2, seed=3)
-        assert len(first[0]) > 0
+        assert len(first) == 2 and len(first[0]) > 0
 
     def test_kernel_named_when_the_reference_path_accepts(self, monkeypatch):
         lift = packer.lift_canonical

@@ -283,6 +283,26 @@ class TestLiftCanonical:
             assert [tuple(row) for row in lift_canonical(aux, matchings).tolist()] \
                 == reference_rows(aux, matchings)
 
+    @pytest.mark.parametrize("n, k, ell", [(8, 3, 1), (9, 3, 0), (9, 4, 1), (9, 5, 2),
+                                           (10, 2, 0), (12, 3, 1)])
+    def test_a_full_peel_lifts_to_distinct_cycles_when_m_is_at_least_3(self, n, k, ell):
+        # why the packer drops duplicate lifts only at m = 2 (next test)
+        for seed in range(4):
+            h = random_hypergraph(n, k, 0.85, seed) if seed else complete_hypergraph(n, k)
+            aux = build_aux_graph(h, sample_scheme(h, ell, seed))
+            r_star, factor = max_factor(aux.graph)
+            rows = lift_canonical(aux, peel_matchings(factor, aux.graph))
+            assert aux.scheme.m >= 3 and len(rows) == r_star > 0
+            assert len(np.unique(rows, axis=0)) == len(rows)
+
+    def test_at_m_2_a_matching_and_its_reflection_lift_to_one_cycle(self):
+        h = complete_hypergraph(4, 3)
+        aux = build_aux_graph(h, sample_scheme(h, 1, 0))
+        _, factor = max_factor(aux.graph)
+        rows = lift_canonical(aux, peel_matchings(factor, aux.graph))
+        assert aux.scheme.m == 2 and len(rows) == 2
+        assert len(np.unique(rows, axis=0)) == 1
+
     def test_no_rows(self):
         h = complete_hypergraph(8, 3)
         aux = build_aux_graph(h, sample_scheme(h, 1, 1))
