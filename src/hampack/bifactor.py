@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (InvalidInputError, InvariantViolation, ParseError,
                      SizeLimitError)
-from .util import read_json, write_json
+from .util import check_nonnegative, integer, read_json, write_json
 
 GALE_RYSER_MAX_M = 14
 
@@ -25,18 +25,22 @@ class BipartiteGraph:
     The edge store is `codes`, the sorted, read-only int64 array of s·m + t
     with one entry per edge, fixed when the graph is built; it is the only
     edge store.  The degrees are derived from it at once and `edges` (a
-    frozenset of (s, t) pairs) on first use.  The constructor validates its
-    pairs; `_from_codes` takes an already sorted subset of a valid graph's
-    codes.  Both go through `_store`.
+    frozenset of (s, t) pairs) on first use.  The constructor checks its
+    pairs in one pass, in input order: each must be two integers (bools
+    refused, see `util.integer`) in 0..m-1.  `_from_codes` takes an already
+    sorted subset of a valid graph's codes.  Both go through `_store`.
     """
 
     __slots__ = ("m", "codes", "_deg_s", "_deg_t", "_edges")
 
     def __init__(self, m: int, edges: Iterable[tuple[int, int]]):
-        if m < 0:
-            raise InvalidInputError(f"m must be >= 0, got {m}")
+        check_nonnegative(m, "m")
         codes = []
-        for s, t in edges:
+        for idx, e in enumerate(edges):
+            try:
+                s, t = map(integer, e)
+            except (TypeError, ValueError):  # not iterable, not integers, not two of them
+                raise InvalidInputError(f"edge {idx}: must be a pair of integers") from None
             if not (0 <= s < m and 0 <= t < m):
                 raise InvalidInputError(f"edge ({s},{t}) out of range for m={m}")
             codes.append(s * m + t)
@@ -93,8 +97,7 @@ class BipartiteGraph:
 
 
 def complete_bipartite(m: int) -> BipartiteGraph:
-    if m < 0:
-        raise InvalidInputError(f"m must be >= 0, got {m}")
+    check_nonnegative(m, "m")
     return BipartiteGraph._from_codes(m, np.arange(m * m, dtype=np.int64))
 
 
@@ -147,8 +150,7 @@ def gale_ryser_check(g: BipartiteGraph, r: int) -> GaleRyserWitness:
     if g.m > GALE_RYSER_MAX_M:
         raise SizeLimitError(
             f"m={g.m} > {GALE_RYSER_MAX_M}: subset scan infeasible; use find_factor")
-    if r < 0:
-        raise InvalidInputError(f"r must be >= 0, got {r}")
+    check_nonnegative(r, "r")
     m = g.m
     index = np.arange(1 << m)
     members = ((index ^ (index >> 1))[:, None] >> np.arange(m)) & 1
@@ -295,10 +297,9 @@ def max_factors(graphs: Sequence[BipartiteGraph]) -> list[tuple[int, Factor]]:
 
 def almost_regular_bound(alpha: float, epsilon: float) -> float:
     """Factor-density target alpha - 10*sqrt(epsilon) for near-regular graphs, clamped at 0."""
-    if alpha <= 0.5:
+    if not alpha > 0.5:
         raise InvalidInputError(f"alpha must be > 1/2, got {alpha}")
-    if epsilon < 0:
-        raise InvalidInputError(f"epsilon must be >= 0, got {epsilon}")
+    check_nonnegative(epsilon, "epsilon")
     return max(0.0, alpha - 10.0 * math.sqrt(epsilon))
 
 
@@ -365,14 +366,8 @@ def from_json_dict(obj) -> BipartiteGraph:
     m, edges = obj["m"], obj["edges"]
     if type(m) is not int or not isinstance(edges, list):
         raise ParseError('"m" must be an integer and "edges" a list')
-    pairs = []
-    for idx, e in enumerate(edges):
-        if (not isinstance(e, list) or len(e) != 2
-                or not all(type(v) is int for v in e)):
-            raise ParseError(f"edge {idx}: must be a pair of integers")
-        pairs.append((e[0], e[1]))
     try:
-        return BipartiteGraph(m, pairs)
+        return BipartiteGraph(m, edges)
     except InvalidInputError as exc:
         raise ParseError(str(exc)) from exc
 

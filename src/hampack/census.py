@@ -15,7 +15,7 @@ import numpy as np
 from .errors import InvalidInputError, SizeLimitError
 from .hypercore import Hypergraph, degree_report
 from .reduction import HamiltonCycle, canonical_rows, check_shape, segment_windows
-from .util import check_probability
+from .util import check_nonnegative, check_probability
 
 ENUMERATION_MAX_N = 10
 _CANON_CHUNK = 1 << 12   # leaf arrangements canonicalized per canonical_rows call
@@ -140,8 +140,7 @@ def edge_set_count(cycles: set[HamiltonCycle]) -> int:
 
 def empirical_vs_bound(h: Hypergraph, ell: int, slack_per_vertex: float = 0.1) -> CountReport:
     """Exact count against both formulas evaluated at the measured codegree density."""
-    if not slack_per_vertex >= 0.0:
-        raise InvalidInputError(f"slack per vertex must be >= 0, got {slack_per_vertex}")
+    check_nonnegative(slack_per_vertex, "slack per vertex")
     cycles = enumerate_cycles(h, ell)
     exact = len(cycles)
     distinct_edge_sets = edge_set_count(cycles)

@@ -21,7 +21,7 @@ from . import __version__, bifactor, census, constructions, hypercore, packer, r
 from .errors import HampackError, InvariantViolation
 from .reduction import (build_aux_graph, cycle_to_json_dict, read_cycle, sample_scheme,
                         verify_cycle)
-from .util import canonical_json, derive_seed, sha256_file, write_json
+from .util import canonical_json, check_nonnegative, derive_seed, sha256_file, write_json
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -89,6 +89,10 @@ def _sweep_exit(args, successes: int) -> int:
 def cmd_gen(args) -> int:
     if args.random and args.p is None:
         raise HampackError("--random requires --p")
+    if args.p is not None and not args.random:
+        raise HampackError("--p requires --random")
+    if args.certify is not None and not args.parity:
+        raise HampackError("--certify requires --parity")
     if args.complete:
         h = constructions.complete_hypergraph(args.n, args.k)
     elif args.random:
@@ -361,8 +365,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INVALID
     try:
-        if (getattr(args, "min_successes", None) or 0) < 0:
-            raise HampackError(f"--min-successes must be >= 0, got {args.min_successes}")
+        check_nonnegative(getattr(args, "min_successes", None) or 0, "--min-successes")
         return args.func(args)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

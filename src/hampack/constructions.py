@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidQueryError
+from .errors import InvalidQueryError
 from .hypercore import Hypergraph, check_dimensions, lex_unrank, row_codes
 from .util import check_probability, random_stream
 
@@ -18,8 +18,7 @@ _DRAW_CHUNK = 1 << 20   # uniforms drawn per random_sample call
 
 def complete_hypergraph(n: int, k: int) -> Hypergraph:
     """All C(n, k) edges."""
-    if not (1 <= k <= n):
-        raise InvalidInputError(f"need 1 <= k <= n, got k={k}, n={n}")
+    check_dimensions(n, k)
     return Hypergraph(n, k, combinations(range(n), k))
 
 
@@ -68,8 +67,7 @@ class ParityCertificate:
 def parity_hypergraph(n: int, k: int) -> ParityConstruction:
     """Take part A = {0..a-1} with a the smallest odd integer >= n/2 - 1; the
     edge set is every k-subset with an even intersection with A."""
-    if not (1 <= k <= n):
-        raise InvalidInputError(f"need 1 <= k <= n, got k={k}, n={n}")
+    check_dimensions(n, k)
     a = -((-(n - 2)) // 2)  # ceil(n/2 - 1)
     if a < 1:
         a = 1

@@ -10,7 +10,6 @@ values are immutable after construction.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterable
@@ -18,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InvalidQueryError, ParseError, SizeLimitError
-from .util import read_json, write_json
+from .util import integer, read_json, write_json
 
 
 def row_codes(rows: np.ndarray, n: int) -> np.ndarray:
@@ -49,23 +48,16 @@ def _fast_codes(n: int, k: int, edges: list):
     return None if (codes[1:] == codes[:-1]).any() else codes
 
 
-def _vertex(v) -> int:
-    """operator.index that refuses bools, which JSON readers must not take as 0/1."""
-    if isinstance(v, bool):
-        raise TypeError("bool is not a vertex")
-    return operator.index(v)
-
-
 def _walked_codes(n: int, k: int, edges: list) -> np.ndarray:
     """Sorted codes by a per-edge walk; raises ParseError naming the first bad edge."""
     codes = []
     seen = set()
     for idx, e in enumerate(edges):
         try:
-            ce = sorted(map(_vertex, e))
+            ce = sorted(map(integer, e))
         except TypeError:
             raise ParseError(f"edge {idx}: must be a list of integers") from None
-        if len(set(ce)) != k:
+        if len(ce) != k or len(set(ce)) != k:
             raise ParseError(f"edge {idx} {list(e)}: not {k} distinct vertices")
         if ce[0] < 0 or ce[-1] >= n:
             raise ParseError(f"edge {idx} {list(e)}: vertex out of range 0..{n - 1}")

@@ -28,7 +28,7 @@ from .hypercore import Hypergraph, degree_report
 from .reduction import (AuxGraph, HamiltonCycle, build_aux_graph, canonicalize, check_shape,
                         lift_canonical, lift_matching, sample_scheme, segment_windows,
                         verify_cycle)
-from .util import check_probability, derive_seed
+from .util import check_nonnegative, check_probability, derive_seed
 
 
 @dataclass(frozen=True)
@@ -188,10 +188,8 @@ def _pack(h: Hypergraph, ell: int, count: int, seed: int, resample_limit: int, a
     the flow maximum dominates whenever it is feasible.  Edge-disjointness
     (over all located segments at once) and edge conservation are re-verified.
     """
-    if count < 0:
-        raise InvalidInputError(f"number of partitions must be >= 0, got {count}")
-    if resample_limit < 0:
-        raise InvalidInputError(f"resample limit must be >= 0, got {resample_limit}")
+    check_nonnegative(count, "number of partitions")
+    check_nonnegative(resample_limit, "resample limit")
     auxes, retries, exhausted = _sample_accepted_schemes(
         h, ell, count, seed, resample_limit, accept)
     if exhausted:
@@ -248,8 +246,8 @@ def pack_min_degree(h: Hypergraph, ell: int, *, alpha_prime: float = 0.6,
     (cycle validity, pairwise edge-disjointness, edge conservation) are
     re-verified on the assembled result.
     """
-    if epsilon is not None and not epsilon >= 0.0:
-        raise InvalidInputError(f"epsilon must be >= 0, got {epsilon}")
+    if epsilon is not None:
+        check_nonnegative(epsilon, "epsilon")
     n, k = h.n, h.k
     m = check_shape(n, k, ell)
     warnings: list[str] = []
@@ -278,8 +276,7 @@ def pack_near_regular(h: Hypergraph, ell: int, delta_target: float, epsilon: flo
     retention, with the flow maximum as fallback.  epsilon must be >= 0 and
     delta_target in [0, 1].
     """
-    if not epsilon >= 0.0:
-        raise InvalidInputError(f"epsilon must be >= 0, got {epsilon}")
+    check_nonnegative(epsilon, "epsilon")
     check_probability(delta_target, "delta_target")
     n, k = h.n, h.k
     m = check_shape(n, k, ell)

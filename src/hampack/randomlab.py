@@ -28,23 +28,21 @@ from .bifactor import BipartiteGraph, Factor
 from .errors import InvalidInputError
 from .hypercore import Hypergraph, degree_report, subset_ranks
 from .reduction import build_aux_graph, sample_scheme
-from .util import check_probability, derive_seed, random_stream
+from .util import check_nonnegative, check_probability, derive_seed, random_stream
 
 MIN_PART_FRACTION = 0.05   # partition_degree_trial refuses parts below this share of n
 
 
 def _sweep(run: Callable[[int], Any], trials: int, master_seed: int) -> list:
     """run(seed) for i = 0..trials-1, in order, on derive_seed(master_seed, f"trial:{i}")."""
-    if trials < 0:
-        raise InvalidInputError(f"number of trials must be >= 0, got {trials}")
+    check_nonnegative(trials, "number of trials")
     return [run(derive_seed(master_seed, f"trial:{i}")) for i in range(trials)]
 
 
 def _check_degree_thresholds(delta: float, epsilon: float) -> None:
     """Reject a delta outside [0, 1] or a negative epsilon, NaN included."""
     check_probability(delta, "delta")
-    if not epsilon >= 0.0:
-        raise InvalidInputError(f"epsilon must be >= 0, got {epsilon}")
+    check_nonnegative(epsilon, "epsilon")
 
 
 def _codegree_hypothesis(h: Hypergraph, delta: float, epsilon: float) -> bool:

@@ -98,10 +98,6 @@ class HamiltonCycle:
     def n(self) -> int:
         return len(self.arrangement)
 
-    @property
-    def m(self) -> int:
-        return self.n // (self.k - self.ell)
-
     def segments(self) -> tuple[tuple[int, ...], ...]:
         """The m length-k windows of the arrangement, see `segment_windows`."""
         arr = self.arrangement

@@ -1,6 +1,7 @@
 """Small shared helpers: seed derivation, Mersenne Twister draws in bulk,
-the probability check, canonical JSON, JSON files read with the cyclic
-collector paused, file digests."""
+the input checks shared by every module (probabilities, non-negative values,
+integers), canonical JSON, JSON files read with the cyclic collector paused,
+file digests."""
 from __future__ import annotations
 
 import dataclasses
@@ -8,6 +9,7 @@ import gc
 import hashlib
 import json
 import math
+import operator
 import random
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, TextIO, TypeVar
@@ -51,6 +53,19 @@ def check_probability(p: float, name: str = "probability") -> None:
     [0, 1], NaN included."""
     if not (0.0 <= p <= 1.0):
         raise InvalidInputError(f"{name} {p} not in [0, 1]")
+
+
+def check_nonnegative(x: float, name: str) -> None:
+    """Reject a count or a tolerance called `name` below 0, NaN included."""
+    if not x >= 0:
+        raise InvalidInputError(f"{name} must be >= 0, got {x}")
+
+
+def integer(v) -> int:
+    """operator.index that refuses bools, which input readers must not take as 0/1."""
+    if isinstance(v, bool):
+        raise TypeError("bool is not an integer")
+    return operator.index(v)
 
 
 def canonical_json(obj: Any) -> str:

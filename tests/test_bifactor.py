@@ -335,6 +335,10 @@ class TestClosedForms:
         assert almost_regular_bound(0.55, 0.01) == 0.0
         with pytest.raises(InvalidInputError):
             almost_regular_bound(0.5, 0.01)
+        with pytest.raises(InvalidInputError, match="alpha must be > 1/2, got nan"):
+            almost_regular_bound(math.nan, 0.1)
+        with pytest.raises(InvalidInputError, match="epsilon must be >= 0, got nan"):
+            almost_regular_bound(0.8, math.nan)
 
 
 class TestPeel:
@@ -459,6 +463,13 @@ def test_json_roundtrip(tmp_path):
     assert read_bipartite(path) == g
 
 
+@pytest.mark.parametrize("bad", [(0.5, 1), (1.9, 0), (True, 1), (0, False), (0, 1, 2), 5],
+                         ids=["float", "float-above", "bool", "bool-second", "3-tuple", "int"])
+def test_constructor_refuses_a_pair_that_is_not_two_integers(bad):
+    with pytest.raises(InvalidInputError, match=r"^edge 1: must be a pair of integers$"):
+        BipartiteGraph(3, [(0, 1), bad])
+
+
 def test_json_schema_errors():
     with pytest.raises(ParseError):
         from_json_dict({"m": 2})
@@ -466,3 +477,8 @@ def test_json_schema_errors():
         from_json_dict({"m": 2, "edges": [[0, 5]]})
     with pytest.raises(ParseError):
         from_json_dict({"m": 2, "edges": [[0]]})
+    # the first bad pair in input order is named, whatever its fault
+    with pytest.raises(ParseError, match=r"^edge \(0,9\) out of range for m=2$"):
+        from_json_dict({"m": 2, "edges": [[0, 9], [0, 1.5]]})
+    with pytest.raises(ParseError, match=r"^edge 1: must be a pair of integers$"):
+        from_json_dict({"m": 2, "edges": [[0, 1], [0, 1.5], [0, 9]]})

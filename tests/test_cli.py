@@ -36,6 +36,26 @@ def test_gen_random_deterministic(capsys):
     assert code1 == code2 == 0 and out1 == out2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--complete", "--certify", "3"), "--certify requires --parity"),
+    (("--random", "--p", "0.5", "--certify", "3"), "--certify requires --parity"),
+    (("--complete", "--p", "0.5"), "--p requires --random"),
+    (("--parity", "--p", "0.5"), "--p requires --random"),
+])
+def test_gen_refuses_a_flag_its_kind_ignores(capsys, argv, message):
+    code, out, err = run(capsys, "gen", "--n", "6", "--k", "3", *argv)
+    assert code == 1 and out == ""
+    assert message in err
+
+
+def test_edge_with_a_repeated_vertex_exits_1(tmp_path, capsys):
+    path = tmp_path / "h.json"
+    path.write_text('{"n": 4, "k": 3, "edges": [[0,1,2,2],[0,1,3]]}')
+    code, out, err = run(capsys, "degrees", "--input", str(path), "--d", "2")
+    assert code == 1 and out == ""
+    assert "edge 0 [0, 1, 2, 2]: not 3 distinct vertices" in err
+
+
 def test_gen_parity_certify(tmp_path, capsys):
     path = str(tmp_path / "parity.json")
     code, _, _ = run(capsys, "gen", "--parity", "--n", "12", "--k", "3",

@@ -60,6 +60,16 @@ def test_random_rejects_bad_shapes_before_drawing():
         random_hypergraph(10 ** 7, 3, 0.5, 0)
 
 
+@pytest.mark.parametrize("generate", [complete_hypergraph, parity_hypergraph],
+                         ids=["complete", "parity"])
+def test_generators_reject_bad_shapes_before_enumerating(generate):
+    """The same errors as `random_hypergraph` above, raised by `check_dimensions`."""
+    with pytest.raises(ParseError):
+        generate(3, 5)
+    with pytest.raises(SizeLimitError):
+        generate(10 ** 7, 3)
+
+
 @pytest.mark.parametrize("n,expected_a", [(12, 5), (6, 3), (10, 5), (7, 3)])
 def test_parity_part_size(n, expected_a):
     cons = parity_hypergraph(n, 3)

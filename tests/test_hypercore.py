@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from itertools import combinations
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 
 from hampack.constructions import complete_hypergraph, parity_hypergraph, random_hypergraph
 from hampack.errors import InvalidQueryError, ParseError, SizeLimitError
-from hampack.hypercore import (Hypergraph, degree_report, lex_unrank, read_hypergraph,
-                               write_hypergraph)
+from hampack.hypercore import (Hypergraph, _fast_codes, _walked_codes, degree_report,
+                               lex_unrank, read_hypergraph, write_hypergraph)
 
 from helpers import degree_of, degree_report_scan, one_uncovered_pair, relative_degree
 
@@ -152,6 +153,8 @@ def test_read_minimal(tmp_path):
     ('{"n": true, "k": 1, "edges": []}', '"k" must be integers'),
     ('{"n": 4, "k": 3, "edges": [[0,1,3],[0,1,2],[1,2]]}', "edge 2 .*distinct"),
     ('{"n": 4, "k": 3, "edges": [[0,1,3],[1,2,1]]}', "edge 1 .*distinct"),
+    ('{"n": 4, "k": 3, "edges": [[0,1,2,2]]}', "distinct"),
+    ('{"n": 4, "k": 3, "edges": [[0,1,3],[1,2,3,3]]}', "distinct"),
     ('{"n": 4, "k": 3, "edges": [[0,1,3],[0,1,9223372036854775808]]}',
      "edge 1 .*out of range"),
     ('{"n": 4, "k": 3, "edges": [[0,1,2],[0,1,-1]]}', "edge 1 .*out of range"),
@@ -165,6 +168,43 @@ def test_parse_errors(tmp_path, payload, fragment):
     path.write_text(payload)
     with pytest.raises(ParseError, match=fragment):
         read_hypergraph(str(path))
+
+
+def test_fast_scan_accepts_exactly_what_the_walk_accepts():
+    """Plain edge lists, each valid or with one injected fault: the
+    vectorised scan and the per-edge walk accept the same lists, with equal
+    codes, and every fault is refused."""
+    rng = random.Random(20)
+    faults = [None, "length", "repeat", "range", "duplicate", "bool", "huge"]
+    for _ in range(400):
+        k = rng.randint(2, 4)
+        n = rng.randint(k + 1, 9)
+        subsets = rng.sample(list(combinations(range(n), k)),
+                             rng.randint(1, min(10, math.comb(n, k))))
+        edges = [rng.sample(e, k) if rng.random() < 0.5 else tuple(rng.sample(e, k))
+                 for e in subsets]
+        fault, i = rng.choice(faults), rng.randrange(len(edges))
+        e, j = list(edges[i]), rng.randrange(k)
+        if fault == "length":    # one vertex repeated, so still k distinct
+            e.append(e[j])
+        elif fault == "repeat":
+            e[j] = e[j - 1]
+        elif fault == "range":
+            e[j] = rng.choice([-1, n, n + 7])
+        elif fault == "duplicate":
+            edges.append(e[::-1])
+        elif fault == "bool":
+            e[j] = rng.random() < 0.5
+        elif fault == "huge":
+            e[j] = rng.choice([2 ** 63, 2 ** 64 + 1, 10 ** 30])
+        edges[i] = e
+        fast = _fast_codes(n, k, edges)
+        try:
+            walked = _walked_codes(n, k, edges).tolist()
+        except ParseError:
+            walked = None
+        assert (None if fast is None else fast.tolist()) == walked, (n, k, edges)
+        assert (walked is None) == (fault is not None), (fault, edges)
 
 
 @pytest.mark.parametrize("n,d", [(1, 1), (5, 1), (5, 2), (6, 3), (7, 7), (9, 4)])

@@ -1,6 +1,7 @@
 """The JSON file formats: exact bytes written, the canonical encoder against
 the stdlib one, the error for a file that is not JSON, the collector paused
-while a file is read, and the bulk Mersenne Twister draws."""
+while a file is read, the bulk Mersenne Twister draws, and the shared input
+checks."""
 import gc
 import random
 from dataclasses import dataclass
@@ -10,10 +11,11 @@ import pytest
 
 from hampack.bifactor import BipartiteGraph, read_bipartite, write_bipartite
 from hampack.constructions import random_hypergraph
-from hampack.errors import ParseError
+from hampack.errors import InvalidInputError, ParseError
 from hampack.hypercore import Hypergraph, read_hypergraph, write_hypergraph
 from hampack.reduction import HamiltonCycle, read_cycle, write_cycle
-from hampack.util import canonical_json, random_stream, read_json
+from hampack.util import (canonical_json, check_nonnegative, integer, random_stream,
+                          read_json)
 
 from helpers import canonical_json_reference
 
@@ -255,3 +257,21 @@ def test_random_stream_continues_the_random_draws(seed):
     assert random_stream(seed).random_sample(0).tolist() == []
     drawn = [stream.random_sample(size).tolist() for size in (0, 1, 624, 375)]
     assert sum(drawn, []) == expected
+
+
+@pytest.mark.parametrize("x", [-1, -0.5, float("-inf"), float("nan")])
+def test_check_nonnegative_refuses_negatives_and_nan(x):
+    with pytest.raises(InvalidInputError, match=rf"^count must be >= 0, got {x}$"):
+        check_nonnegative(x, "count")
+
+
+@pytest.mark.parametrize("x", [0, 0.0, 3, float("inf")])
+def test_check_nonnegative_accepts_zero_and_above(x):
+    check_nonnegative(x, "count")
+
+
+def test_integer_is_index_without_bools():
+    assert integer(3) == 3 and integer(np.int64(-2)) == -2 and type(integer(np.int64(5))) is int
+    for bad in (True, False, 1.0, "1", None, [1]):
+        with pytest.raises(TypeError):
+            integer(bad)
