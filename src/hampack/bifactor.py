@@ -19,6 +19,13 @@ from .util import check_nonnegative, integer, read_json, write_json
 GALE_RYSER_MAX_M = 14
 
 
+def _check_size(m: int) -> None:
+    """m >= 0, and every pair code s·m + t over 0..m-1 fits in int64."""
+    check_nonnegative(m, "m")
+    if m * m >= 2 ** 63:
+        raise SizeLimitError(f"m^2 = {m}^2 >= 2^63: pair codes do not fit in int64")
+
+
 class BipartiteGraph:
     """Bipartite graph with parts S and T of equal size m, no parallel edges.
 
@@ -34,7 +41,7 @@ class BipartiteGraph:
     __slots__ = ("m", "codes", "_deg_s", "_deg_t", "_edges")
 
     def __init__(self, m: int, edges: Iterable[tuple[int, int]]):
-        check_nonnegative(m, "m")
+        _check_size(m)
         codes = []
         for idx, e in enumerate(edges):
             try:
@@ -97,7 +104,7 @@ class BipartiteGraph:
 
 
 def complete_bipartite(m: int) -> BipartiteGraph:
-    check_nonnegative(m, "m")
+    _check_size(m)
     return BipartiteGraph._from_codes(m, np.arange(m * m, dtype=np.int64))
 
 

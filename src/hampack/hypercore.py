@@ -130,10 +130,22 @@ class Hypergraph:
     def rows(self) -> np.ndarray:
         """The edges as an |E| x k int64 array of ascending vertex rows, in code order."""
         rows = np.empty((len(self.codes), self.k), dtype=np.int64)
+        self._decode(rows.T)
+        return rows
+
+    def columns(self) -> np.ndarray:
+        """`rows()` transposed, as a k x |E| C-ordered array: row j is the
+        contiguous column of every edge's j-th vertex."""
+        columns = np.empty((self.k, len(self.codes)), dtype=np.int64)
+        self._decode(columns)
+        return columns
+
+    def _decode(self, out: np.ndarray) -> None:
+        """Write every edge's j-th vertex, the j-th most significant base-n
+        digit of its code, into out[j] for j = 0..k-1."""
         rest = self.codes
         for j in range(self.k - 1, -1, -1):
-            rest, rows[:, j] = np.divmod(rest, self.n)
-        return rows
+            rest, out[j] = np.divmod(rest, self.n)
 
     def locate(self, rows) -> np.ndarray:
         """Position in `codes` of the edge each k-vertex row names, -1 where
@@ -195,16 +207,19 @@ def subset_ranks(h: Hypergraph, d: int) -> np.ndarray:
     """The lexicographic ranks of every edge's d-subsets, as an |E| x C(k, d)
     int64 array: column j holds the rank of the subset at the j-th position
     combination of combinations(range(k), d), where
-    rank(c) = C(n, d) - 1 - sum_i C(n - 1 - c_i, d - i)."""
+    rank(c) = C(n, d) - 1 - sum_i C(n - 1 - c_i, d - i).
+
+    Each term is a gather from the 1-D table v -> C(n - 1 - v, d - i) over one
+    contiguous vertex column."""
     n = h.n
-    comb = np.array([[math.comb(x, j) for j in range(d + 1)] for x in range(n)],
-                    dtype=np.int64)
-    rows = n - 1 - h.rows()
+    tables = [np.array([math.comb(n - 1 - v, j) for v in range(n)], dtype=np.int64)
+              for j in range(d + 1)]
+    columns = h.columns()
     positions = list(combinations(range(h.k), d))
-    ranks = np.full((len(rows), len(positions)), math.comb(n, d) - 1, dtype=np.int64)
+    ranks = np.empty((len(h.codes), len(positions)), dtype=np.int64)
     for j, cols in enumerate(positions):
-        for i, c in enumerate(cols):
-            ranks[:, j] -= comb[rows[:, c], d - i]
+        ranks[:, j] = math.comb(n, d) - 1 - sum(tables[d - i][columns[c]]
+                                                for i, c in enumerate(cols))
     return ranks
 
 
@@ -212,26 +227,31 @@ def degree_report(h: Hypergraph, d: int) -> DegreeReport:
     """Exact extremes over all d-subsets, with the first attaining subset in
     lexicographic order as witness.
 
-    The d-subsets absent from all `subset_ranks` have degree 0, and the first
-    of them is the first rank missing from the sorted distinct ranks.
+    When C(n, d) <= |E|·C(k, d), the count array is no larger than the rank
+    array, so every d-subset's degree is counted with `np.bincount` and the
+    first extremes are its argmin and argmax.  Otherwise some d-subset lies in
+    no edge, so the minimum is 0; the distinct ranks are then sorted with
+    `np.unique`, which keeps the memory at O(|E|·C(k, d)), and the first
+    subset of degree 0 is the first rank missing from them.
     """
     if not (1 <= d <= h.k - 1):
         raise InvalidQueryError(f"d must satisfy 1 <= d <= k-1 = {h.k - 1}, got {d}")
     n = h.n
     total = math.comb(n, d)
     ranks = subset_ranks(h, d)
-    present, counts = np.unique(ranks, return_counts=True)
-    if len(present) < total:
+    if total <= ranks.size:
+        counts = np.bincount(ranks.ravel(), minlength=total)
+        r_min, r_max = int(np.argmin(counts)), int(np.argmax(counts))
+        d_min, d_max = int(counts[r_min]), int(counts[r_max])
+    else:
+        present, counts = np.unique(ranks, return_counts=True)
         gaps = np.flatnonzero(present != np.arange(len(present)))
         d_min, r_min = 0, int(gaps[0]) if len(gaps) else len(present)
-    else:
-        i = int(np.argmin(counts))
-        d_min, r_min = int(counts[i]), int(present[i])
-    if len(present):
-        i = int(np.argmax(counts))
-        d_max, r_max = int(counts[i]), int(present[i])
-    else:
-        d_max, r_max = 0, 0
+        if len(present):
+            i = int(np.argmax(counts))
+            d_max, r_max = int(counts[i]), int(present[i])
+        else:
+            d_max, r_max = 0, 0
     witness_min, witness_max = map(tuple, lex_unrank([r_min, r_max], n, d).tolist())
     return DegreeReport(d=d, min_degree=d_min, max_degree=d_max,
                         witness_min=witness_min, witness_max=witness_max)

@@ -76,8 +76,12 @@ def assign_edges(h: Hypergraph, auxes: Sequence[AuxGraph], seed: int) -> Assignm
     """Every edge realized by at least one scheme's aux graph picks one of those
     schemes uniformly at random; the per-scheme edge sets are disjoint by
     construction.  Candidate lists are ascending and each scheme appears once,
-    although for m = 2 two aux edges realize the same hyperedge.  One
-    `randrange(psi)` call per realized edge, in position order."""
+    although for m = 2 two aux edges realize the same hyperedge.
+
+    The picks are the draws of `random.Random(seed).randrange(psi)` for the
+    realized edges in position order, draw for draw: each draws
+    r = getrandbits(psi.bit_length()) until r < psi, which is what
+    `randrange` does for an int psi > 0, without its per-call checks."""
     pos = np.concatenate([np.empty(0, dtype=np.int64)] + [aux.edge_pos for aux in auxes])
     scheme = np.repeat(np.arange(len(auxes)), [len(aux.edge_pos) for aux in auxes])
     order = np.argsort(pos, kind="stable")  # schemes stay ascending within a position
@@ -87,10 +91,17 @@ def assign_edges(h: Hypergraph, auxes: Sequence[AuxGraph], seed: int) -> Assignm
     pos, scheme = pos[first], scheme[first]
     psi = np.bincount(pos, minlength=h.num_edges())
     realized = np.flatnonzero(psi)
-    rng = random.Random(seed)
-    picks = np.array([rng.randrange(c) for c in psi[realized].tolist()], dtype=np.int64)
+    getrandbits = random.Random(seed).getrandbits
+    picks = []
+    append = picks.append
+    for c in psi[realized].tolist():
+        bits = c.bit_length()
+        r = getrandbits(bits)
+        while r >= c:
+            r = getrandbits(bits)
+        append(r)
     choice = np.full(h.num_edges(), -1, dtype=np.int64)
-    choice[realized] = scheme[(np.cumsum(psi) - psi)[realized] + picks]
+    choice[realized] = scheme[(np.cumsum(psi) - psi)[realized] + np.array(picks, dtype=np.int64)]
     return Assignment(psi=psi, choice=choice)
 
 

@@ -184,6 +184,14 @@ class TestCodeStore:
         with pytest.raises(InvalidInputError, match="m must be >= 0, got -1"):
             complete_bipartite(-1)
 
+    def test_pair_codes_must_fit_in_int64(self):
+        # 3037000500^2 > 2^63 > 3037000499^2; the check comes before any array is built
+        m = 3037000500
+        for build in (lambda: BipartiteGraph(m, [(0, m - 1)]), lambda: complete_bipartite(m)):
+            with pytest.raises(SizeLimitError, match=rf"^m\^2 = {m}\^2 >= 2\^63"):
+                build()
+        assert (m - 1) ** 2 < 2 ** 63 <= m ** 2
+
     def test_immutable(self):
         g = complete_bipartite(2)
         with pytest.raises(AttributeError):

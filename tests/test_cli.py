@@ -418,6 +418,23 @@ def test_codes_past_int64_exit_1(tmp_path, capsys):
     assert code == 1 and "2^63" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("factor", "--input"),
+    ("mc-factor", "--complete-bipartite", "4294967296", "--rho", "1", "--p", "0.5",
+     "--epsilon", "0.2", "--trials", "2"),
+])
+def test_bipartite_codes_past_int64_exit_1(tmp_path, capsys, argv):
+    # m = 2^32: the pair codes s·m + t reach 2^64 - 1, past int64.
+    if argv[0] == "factor":
+        path = tmp_path / "g.json"
+        path.write_text('{"m": 4294967296, "edges": [[0, 4294967295], [4294967295, 1]]}')
+        argv += (str(path),)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "error: m^2 = 4294967296^2 >= 2^63: pair codes do not fit in int64"]
+
+
 def test_missing_input_exit_1(tmp_path, capsys):
     code, _, err = run(capsys, "degrees", "--input", str(tmp_path / "nope.json"), "--d", "1")
     assert code == 1

@@ -88,8 +88,11 @@ def test_degree_report_matches_naive_scan():
     one_uncovered_pair(),
     Hypergraph(6, 3, []),
     Hypergraph(5, 3, [[0, 1, 2]]),
+    # the Fano plane: C(7, 2) = 21 = |E|·C(3, 2), the last size counted with bincount
+    Hypergraph(7, 3, [[0, 1, 2], [0, 3, 4], [0, 5, 6], [1, 3, 5], [1, 4, 6], [2, 3, 6],
+                      [2, 4, 5]]),
 ], ids=["n9-k3", "n10-k4", "n8-k5", "sparse", "dense", "complete", "parity",
-        "uncovered-pair", "empty", "one-edge"])
+        "uncovered-pair", "empty", "one-edge", "fano"])
 def test_degree_report_equals_the_dict_scan(h):
     for d in range(1, h.k):
         rep = degree_report(h, d)

@@ -168,6 +168,8 @@ REFERENCE_CASES = [
     pytest.param(random_hypergraph(8, 4, 0.5, 6), 0, 3, id="n8-k4-ell0-m2"),
     pytest.param(random_hypergraph(9, 5, 0.7, 4), 2, 4, id="n9-k5-ell2"),
     pytest.param(complete_hypergraph(6, 5), 2, 3, id="n6-k5-ell2-m2"),
+    # psi reaches 13, past the other cases' 5: bit length 4 and bounds off powers of two
+    pytest.param(complete_hypergraph(8, 3), 1, 24, id="n8-k3-ell1-psi13"),
     pytest.param(Hypergraph(12, 3, []), 1, 2, id="empty"),
 ]
 
