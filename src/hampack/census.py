@@ -10,15 +10,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import InvalidInputError, SizeLimitError
 from .hypercore import Hypergraph, degree_report
-from .reduction import HamiltonCycle, canonical_rows, check_shape, segment_windows
+from .reduction import HamiltonCycle, canonical_above, check_shape, segment_windows
 from .util import check_nonnegative, check_probability
 
 ENUMERATION_MAX_N = 10
-_CANON_CHUNK = 1 << 12   # leaf arrangements canonicalized per canonical_rows call
 
 
 @dataclass(frozen=True)
@@ -82,10 +79,10 @@ def expected_count(n: int, k: int, ell: int, p: float) -> float:
 def enumerate_cycles(h: Hypergraph, ell: int) -> set[HamiltonCycle]:
     """All Hamilton cycles with overlap ell, as canonical arrangements.
 
-    Backtracks over vertex placements, testing each length-k segment as soon
-    as its last position is filled; the surviving arrangements are
-    canonicalized `_CANON_CHUNK` at a time and deduplicated.  Exact but
-    factorial: n <= 10 enforced.
+    Backtracks over vertex placements, placing at each position only vertices
+    above the one at position `canonical_above(n, k, ell)[depth]`, so that
+    each leaf is a distinct cycle, and testing each length-k segment as soon
+    as its last position is filled.  Exact but factorial: n <= 10 enforced.
     """
     n, k = h.n, h.k
     if n > ENUMERATION_MAX_N:
@@ -95,24 +92,18 @@ def enumerate_cycles(h: Hypergraph, ell: int) -> set[HamiltonCycle]:
     by_depth: list[list[list[int]]] = [[] for _ in range(n)]
     for window in segment_windows(n, k, ell).tolist():
         by_depth[max(window)].append(window)
+    above = canonical_above(n, k, ell)
 
-    found: set[tuple[int, ...]] = set()
-    leaves: list[int] = []   # the pending arrangements, concatenated
+    found: set[HamiltonCycle] = set()
     arr = [-1] * n
     used = [False] * n
 
-    def flush() -> None:
-        rows = canonical_rows(np.array(leaves, dtype=np.int64).reshape(-1, n), k, ell)
-        found.update(map(tuple, rows.tolist()))
-        leaves.clear()
-
     def place(depth: int) -> None:
         if depth == n:
-            leaves.extend(arr)
-            if len(leaves) >= _CANON_CHUNK * n:
-                flush()
+            found.add(HamiltonCycle(k=k, ell=ell, arrangement=tuple(arr)))
             return
-        for v in range(n):
+        q = above[depth]
+        for v in range(arr[q] + 1 if q >= 0 else 0, n):
             if used[v]:
                 continue
             arr[depth] = v
@@ -128,8 +119,7 @@ def enumerate_cycles(h: Hypergraph, ell: int) -> set[HamiltonCycle]:
         arr[depth] = -1
 
     place(0)
-    flush()
-    return {HamiltonCycle(k=k, ell=ell, arrangement=row) for row in found}
+    return found
 
 
 def edge_set_count(cycles: set[HamiltonCycle]) -> int:

@@ -250,13 +250,14 @@ def pack_min_degree(h: Hypergraph, ell: int, *, alpha_prime: float = 0.6,
     """Packing pipeline under a codegree lower-bound hypothesis.
 
     Schemes whose auxiliary graph misses the (alpha' + eps/2)·m min-degree mark
-    are resampled up to `resample_limit` times.  epsilon must be >= 0 and
-    defaults to the measured alpha - alpha'; the partition count defaults to
-    `default_num_partitions`.  The factor extracted per partition is the
-    flow-certified maximum, which dominates the guaranteed size.  Invariants
-    (cycle validity, pairwise edge-disjointness, edge conservation) are
-    re-verified on the assembled result.
+    are resampled up to `resample_limit` times.  alpha' must be in [0, 1];
+    epsilon must be >= 0 and defaults to the measured alpha - alpha'; the
+    partition count defaults to `default_num_partitions`.  The factor
+    extracted per partition is the flow-certified maximum, which dominates the
+    guaranteed size.  Invariants (cycle validity, pairwise edge-disjointness,
+    edge conservation) are re-verified on the assembled result.
     """
+    check_probability(alpha_prime, "alpha_prime")
     if epsilon is not None:
         check_nonnegative(epsilon, "epsilon")
     n, k = h.n, h.k

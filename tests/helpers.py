@@ -16,9 +16,9 @@ from hampack.bifactor import BipartiteGraph, GaleRyserWitness
 from hampack.errors import (InvalidInputError, InvalidQueryError, InvariantViolation,
                             SizeLimitError)
 from hampack.hypercore import Hypergraph
-from hampack.census import enumerate_cycles
+from hampack.census import ENUMERATION_MAX_N, enumerate_cycles
 from hampack.reduction import (HamiltonCycle, PartitionScheme, build_aux_graph,
-                               check_shape, segment_windows)
+                               canonical_rows, check_shape, segment_windows)
 
 
 def random_bipartite(m, p, seed, min_deg=None):
@@ -224,6 +224,63 @@ def all_schemes(n, k, ell):
         for blocks in families(part_b):
             for tuples in sequences(part_a):
                 yield PartitionScheme(k=k, ell=ell, tuples_a=tuples, blocks_b=blocks)
+
+
+CANON_CHUNK = 1 << 12   # leaf arrangements canonicalized per canonical_rows call
+
+
+def enumerate_cycles_reference(h: Hypergraph, ell: int) -> set[HamiltonCycle]:
+    """All Hamilton cycles with overlap ell, as canonical arrangements: the
+    oracle for `enumerate_cycles`, which must return the same set.
+
+    Backtracks over vertex placements, testing each length-k segment as soon
+    as its last position is filled; the surviving arrangements are
+    canonicalized `CANON_CHUNK` at a time and deduplicated.  Exact but
+    factorial: n <= 10 enforced.
+    """
+    n, k = h.n, h.k
+    if n > ENUMERATION_MAX_N:
+        raise SizeLimitError(
+            f"n={n} > {ENUMERATION_MAX_N}: exhaustive enumeration stops at "
+            f"n <= {ENUMERATION_MAX_N}; `hampack bound` evaluates the formulas at any n")
+    by_depth: list[list[list[int]]] = [[] for _ in range(n)]
+    for window in segment_windows(n, k, ell).tolist():
+        by_depth[max(window)].append(window)
+
+    found: set[tuple[int, ...]] = set()
+    leaves: list[int] = []   # the pending arrangements, concatenated
+    arr = [-1] * n
+    used = [False] * n
+
+    def flush() -> None:
+        rows = canonical_rows(np.array(leaves, dtype=np.int64).reshape(-1, n), k, ell)
+        found.update(map(tuple, rows.tolist()))
+        leaves.clear()
+
+    def place(depth: int) -> None:
+        if depth == n:
+            leaves.extend(arr)
+            if len(leaves) >= CANON_CHUNK * n:
+                flush()
+            return
+        for v in range(n):
+            if used[v]:
+                continue
+            arr[depth] = v
+            ok = True
+            for seg in by_depth[depth]:
+                if not h.has_edge(arr[p] for p in seg):
+                    ok = False
+                    break
+            if ok:
+                used[v] = True
+                place(depth + 1)
+                used[v] = False
+        arr[depth] = -1
+
+    place(0)
+    flush()
+    return {HamiltonCycle(k=k, ell=ell, arrangement=row) for row in found}
 
 
 def optimal_packing(h, ell):

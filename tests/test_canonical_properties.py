@@ -10,7 +10,8 @@ import pytest
 from hampack.census import enumerate_cycles, expected_count
 from hampack.constructions import complete_hypergraph
 from hampack.hypercore import Hypergraph
-from hampack.reduction import HamiltonCycle, canonical_rows, canonicalize, verify_cycle
+from hampack.reduction import (HamiltonCycle, canonical_above, canonical_rows, canonicalize,
+                               verify_cycle)
 
 from helpers import canonicalize_all_candidates
 
@@ -115,6 +116,24 @@ def test_canonical_form_constant_on_orbit(n, k, ell):
             assert canonicalize(image) == canon
 
 
+@pytest.mark.parametrize("n,k,ell", [
+    (8, 3, 1), (9, 4, 1), (9, 5, 2), (12, 4, 1), (6, 4, 1), (4, 3, 1), (2, 3, 1),
+    (9, 3, 0), (8, 2, 0), (8, 4, 0), (6, 3, 0), (5, 1, 0), (4, 4, 0),
+])
+def test_canonical_above_holds_exactly_on_representatives(n, k, ell):
+    rng = np.random.default_rng(n * 100 + k * 10 + ell)
+    rows = np.array([rng.permutation(n) for _ in range(400)], dtype=np.int64)
+    rows = np.concatenate((rows, canonical_rows(rows, k, ell)))
+    above = canonical_above(n, k, ell)
+    is_rep = (canonical_rows(rows, k, ell) == rows).all(axis=1)
+    meets = np.ones(len(rows), dtype=bool)
+    for d, q in enumerate(above):
+        if q >= 0:
+            meets &= rows[:, d] > rows[:, q]
+    assert is_rep[400:].all()
+    assert (is_rep == meets).all()
+
+
 @pytest.mark.parametrize("n,k,ell,expected", [
     (6, 4, 1, 45),    # junction size 1, interior size 2, m = 2
     (6, 5, 2, 45),    # junction size 2, interior size 1, m = 2
@@ -124,6 +143,9 @@ def test_canonical_form_constant_on_orbit(n, k, ell):
     (6, 3, 0, 10),
     (8, 4, 0, 35),
     (10, 5, 0, 126),
+    # m = 3 with two-vertex junctions; m = 5 matchings of K_10
+    (9, 5, 2, 7560),
+    (10, 2, 0, 11340),
 ])
 def test_enumeration_matches_formula_other_shapes(n, k, ell, expected):
     got = len(enumerate_cycles(complete_hypergraph(n, k), ell))

@@ -3,7 +3,6 @@ from itertools import combinations
 
 import pytest
 
-from hampack import census
 from hampack.census import (count_lower_bound, edge_set_count,
                             empirical_vs_bound, enumerate_cycles,
                             expected_count)
@@ -12,7 +11,8 @@ from hampack.errors import InvalidInputError, SizeLimitError
 from hampack.hypercore import Hypergraph
 from hampack.reduction import build_aux_graph
 
-from helpers import all_schemes, count_perfect_matchings
+import helpers
+from helpers import all_schemes, count_perfect_matchings, enumerate_cycles_reference
 
 
 class TestEnumerate:
@@ -40,12 +40,23 @@ class TestEnumerate:
 
     def test_chunk_size_does_not_change_the_set(self, monkeypatch):
         h = random_hypergraph(8, 3, 0.8, 1)
-        whole = enumerate_cycles(h, 1)
+        whole = enumerate_cycles_reference(h, 1)
         # singleton blocks: every cycle is reached as 2m = 8 leaf arrangements,
         # so chunks of 7 leave a partial last chunk
         assert 8 * len(whole) % 7 != 0
-        monkeypatch.setattr(census, "_CANON_CHUNK", 7)
-        assert enumerate_cycles(h, 1) == whole
+        monkeypatch.setattr(helpers, "CANON_CHUNK", 7)
+        assert enumerate_cycles_reference(h, 1) == whole
+
+    @pytest.mark.parametrize("n,k,ell,p", [
+        (8, 3, 1, 0.8), (6, 4, 1, 0.8), (6, 5, 2, 0.6), (9, 4, 1, 0.6), (9, 5, 2, 0.6),
+        (9, 3, 0, 0.6), (8, 4, 0, 0.8), (8, 2, 0, 0.8), (5, 1, 0, 0.8),
+        # 3468 cycles; p stays low because the reference takes ~1.5 s here
+        # and over 15 s at p = 0.8
+        (10, 3, 1, 0.4),
+    ])
+    def test_matches_the_all_arrangements_reference(self, n, k, ell, p):
+        h = random_hypergraph(n, k, p, 7)
+        assert enumerate_cycles(h, ell) == enumerate_cycles_reference(h, ell)
 
     def test_every_cycle_is_canonical_and_valid(self):
         from hampack.reduction import canonicalize, verify_cycle

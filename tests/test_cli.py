@@ -274,6 +274,11 @@ MC_FACTOR_K4 = ("mc-factor", "--complete-bipartite", "4", "--rho", "1", "--p", "
     # checked before the enumeration, which refuses n = 12
     (("count", "--ell", "1", "--slack", "-0.5"), "slack per vertex must be >= 0, got -0.5"),
     (("count", "--ell", "1", "--slack", "nan"), "slack per vertex must be >= 0, got nan"),
+    # checked before the codegree measurement and the partitions
+    (("pack", "--theorem", "2", "--ell", "1", "--alpha-prime", "nan"),
+     "alpha_prime nan not in [0, 1]"),
+    (("pack", "--theorem", "2", "--ell", "1", "--alpha-prime", "1.5"),
+     "alpha_prime 1.5 not in [0, 1]"),
 ])
 def test_negative_counts_exit_1(tmp_path, capsys, argv, message):
     hpath, opath = str(tmp_path / "h.json"), tmp_path / "out.json"
@@ -683,16 +688,39 @@ def test_reduce_golden_digests(tmp_path, capsys, ell):
     assert (_sha256(opath), _sha256(opath + ".scheme.json")) == GOLDEN_REDUCE[ell]
 
 
+def _golden_count(tmp_path, capsys, n, k, ell, p):
+    """`count` on `gen --random --seed 1`; return (its JSON, its sha256)."""
+    hpath, opath = str(tmp_path / "h.json"), str(tmp_path / "count.json")
+    code, _, _ = run(capsys, "gen", "--random", "--n", n, "--k", k, "--p", p,
+                     "--seed", "1", "--out", hpath)
+    assert code == 0
+    code, _, _ = run(capsys, "count", "--input", hpath, "--ell", ell, "--out", opath)
+    assert code == 0
+    return json.loads(open(opath).read()), _sha256(opath)
+
+
 def test_count_golden_digest(tmp_path, capsys):
     # (n, k, ell) = (8, 3, 1): m = 4, so the m <= 2 correction of the
     # expected-count formula does not apply; recorded before that correction
-    hpath, opath = str(tmp_path / "h.json"), str(tmp_path / "count.json")
-    code, _, _ = run(capsys, "gen", "--random", "--n", "8", "--k", "3", "--p", "0.95",
-                     "--seed", "1", "--out", hpath)
-    assert code == 0
-    code, _, _ = run(capsys, "count", "--input", hpath, "--ell", "1", "--out", opath)
-    assert code == 0 and json.loads(open(opath).read())["bound_met"] is True
-    assert _sha256(opath) == "4d1d2ec78783284a883d5c323907df161ba4daf8b599c54e228ec2748f6966e3"
+    doc, digest = _golden_count(tmp_path, capsys, "8", "3", "1", "0.95")
+    assert doc["bound_met"] is True
+    assert digest == "4d1d2ec78783284a883d5c323907df161ba4daf8b599c54e228ec2748f6966e3"
+
+
+# sha256 of `count` at p = 0.8, recorded on the enumerator that canonicalized
+# every valid arrangement and deduplicated: (9, 3, 0) walks m = 3 segments in
+# one direction, (9, 4, 1) has two-vertex interiors and (10, 5, 0) has m = 2.
+GOLDEN_COUNT = {
+    ("9", "3", "0"): "9809b3003a84b41d7c4359ae03752925a662532fb4cd3087f72d8a40d6bed8bc",
+    ("9", "4", "1"): "a1f23289491173b0844cdcc41a08523734b81698f294ee2fa800b2b37073095d",
+    ("10", "5", "0"): "7ba2ff11ad8ba0453443ff9691f38a1cf24a26a07ebc183a7c1249aa671920d9",
+}
+
+
+@pytest.mark.parametrize("n,k,ell", sorted(GOLDEN_COUNT))
+def test_count_golden_digests_across_shapes(tmp_path, capsys, n, k, ell):
+    _, digest = _golden_count(tmp_path, capsys, n, k, ell, "0.8")
+    assert digest == GOLDEN_COUNT[n, k, ell]
 
 
 def test_mc_factor_golden_digests(tmp_path, capsys):
