@@ -17,13 +17,17 @@ from .errors import (InvalidInputError, InvariantViolation, ParseError,
 from .util import check_nonnegative, integer, read_json, write_json
 
 GALE_RYSER_MAX_M = 14
+DENSE_MAX_ENTRIES = 2 ** 27  # one int64 array of this many entries is 1 GiB
 
 
 def _check_size(m: int) -> None:
-    """m >= 0, and every pair code s·m + t over 0..m-1 fits in int64."""
+    """m >= 0, every pair code s·m + t over 0..m-1 fits in int64, and each
+    per-vertex degree array of m int64 entries stays within 1 GiB."""
     check_nonnegative(m, "m")
     if m * m >= 2 ** 63:
         raise SizeLimitError(f"m^2 = {m}^2 >= 2^63: pair codes do not fit in int64")
+    if m > DENSE_MAX_ENTRIES:
+        raise SizeLimitError(f"m = {m} > 2^27: each degree array would exceed 1 GiB")
 
 
 class BipartiteGraph:
@@ -105,6 +109,8 @@ class BipartiteGraph:
 
 def complete_bipartite(m: int) -> BipartiteGraph:
     _check_size(m)
+    if m * m > DENSE_MAX_ENTRIES:
+        raise SizeLimitError(f"m^2 = {m}^2 > 2^27: the edge codes would exceed 1 GiB")
     return BipartiteGraph._from_codes(m, np.arange(m * m, dtype=np.int64))
 
 

@@ -4,7 +4,9 @@ Output goes to stdout as JSON by default; --out writes the primary document to
 a file, sidecar files (CSV, schemes, certificates) next to it, and a run
 manifest at <out>.manifest.json.  One master seed drives everything; module
 seeds are derived by labeled hashing, so a manifest's parameters reproduce a
-run bit for bit.
+run bit for bit.  A `pack` manifest records both alpha_prime and delta_target;
+only the chosen pipeline's one is passed back as a flag, since `pack` refuses
+the other and the recorded value is its default.
 
 Exit codes: 0 success, 1 invalid input or usage, 2 invariant or acceptance
 failure.
@@ -182,6 +184,13 @@ def _packing_doc(result: packer.PackingResult) -> dict:
 
 
 def cmd_pack(args) -> int:
+    if args.alpha_prime is not None and args.theorem != 2:
+        raise HampackError("--alpha-prime requires --theorem 2")
+    if args.delta_target is not None and args.theorem != 3:
+        raise HampackError("--delta-target requires --theorem 3")
+    # the defaults are filled in here, so that the manifest records both
+    args.alpha_prime = 0.6 if args.alpha_prime is None else args.alpha_prime
+    args.delta_target = 0.1 if args.delta_target is None else args.delta_target
     h = hypercore.read_hypergraph(args.input)
     shared = dict(num_partitions=args.r, resample_limit=args.resample_limit,
                   seed=derive_seed(args.seed, "pack"))
@@ -322,12 +331,14 @@ def build_parser() -> _Parser:
     p.add_argument("--theorem", type=int, choices=(2, 3), default=2,
                    help="pipeline: 2 = min-degree hypothesis, 3 = near-regular coverage")
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--alpha-prime", type=float, default=0.6, dest="alpha_prime")
+    p.add_argument("--alpha-prime", type=float, dest="alpha_prime",
+                   help="min-degree pipeline: the hypothesis' alpha' (default 0.6)")
     p.add_argument("--epsilon", type=float)
     p.add_argument("--r", type=int, help="number of partitions (default: formula, clamped)")
     p.add_argument("--resample-limit", type=int, default=5, dest="resample_limit")
-    p.add_argument("--delta-target", type=float, default=0.1, dest="delta_target",
-                   help="near-regular pipeline: uncovered-edge budget as a fraction of C(n,k)")
+    p.add_argument("--delta-target", type=float, dest="delta_target",
+                   help="near-regular pipeline: uncovered-edge budget as a fraction of "
+                        "C(n,k) (default 0.1)")
 
     p = add("mc-factor", cmd_mc_factor, "random-subgraph factor robustness sweep")
     graph = p.add_mutually_exclusive_group(required=True)

@@ -6,6 +6,10 @@ base-n digits, so code order is the lexicographic order of the edges and a
 position in `codes` names an edge.  Codes must fit in int64, so n^k < 2^63.
 The tuple view `edges` is decoded from the codes on first use.  Hypergraph
 values are immutable after construction.
+
+When n^k <= 2^24, `locate` gathers from a dense position table over the code
+space (`Hypergraph.position_table`), and so does the codegree report when the
+edges fill enough of that space.
 """
 from __future__ import annotations
 
@@ -71,6 +75,13 @@ def _walked_codes(n: int, k: int, edges: list) -> np.ndarray:
     return np.sort(np.array(codes, dtype=np.int64))
 
 
+POSITION_TABLE_MAX_CODES = 2 ** 24  # int32 holds every position; at most 64 MB
+# degree_report's table path reads about (k + 1)·n^k table entries, and one
+# subset rank of the rank path costs about as much as this many entry reads
+# (numpy 2.4, n^k <= 2^24: 13-21 ns a rank against 0.5-1.1 ns an entry)
+TABLE_READS_PER_RANK = 16
+
+
 def check_dimensions(n: int, k: int) -> None:
     """1 <= k <= n, and every k-subset of 0..n-1 has an int64 code."""
     if not (1 <= k <= n):
@@ -82,7 +93,7 @@ def check_dimensions(n: int, k: int) -> None:
 class Hypergraph:
     """A k-uniform hypergraph on vertices 0..n-1 with a set of k-edges."""
 
-    __slots__ = ("n", "k", "codes", "_edges", "_code_set")
+    __slots__ = ("n", "k", "codes", "_edges", "_code_set", "_table")
 
     def __init__(self, n: int, k: int, edges: Iterable[Iterable[int]]):
         check_dimensions(n, k)
@@ -103,7 +114,7 @@ class Hypergraph:
     def _store(self, n: int, k: int, codes: np.ndarray) -> None:
         codes.flags.writeable = False
         for name, value in (("n", n), ("k", k), ("codes", codes), ("_edges", None),
-                            ("_code_set", None)):
+                            ("_code_set", None), ("_table", None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -147,13 +158,40 @@ class Hypergraph:
         for j in range(self.k - 1, -1, -1):
             rest, out[j] = np.divmod(rest, self.n)
 
+    def position_table(self) -> np.ndarray | None:
+        """The read-only int32 array over the n^k codes holding each edge's
+        position + 1 at its code and 0 elsewhere, built on first use; None
+        when n^k > POSITION_TABLE_MAX_CODES.  `np.zeros` leaves the pages
+        that hold no edge code unmapped."""
+        if self._table is None and self.n ** self.k <= POSITION_TABLE_MAX_CODES:
+            table = np.zeros(self.n ** self.k, dtype=np.int32)
+            table[self.codes] = np.arange(1, len(self.codes) + 1, dtype=np.int32)
+            table.flags.writeable = False
+            object.__setattr__(self, "_table", table)
+        return self._table
+
     def locate(self, rows) -> np.ndarray:
         """Position in `codes` of the edge each k-vertex row names, -1 where
-        the row is not an edge.  Rows may list their vertices in any order."""
-        rows = np.sort(np.asarray(rows, dtype=np.int64).reshape(-1, self.k), axis=1)
+        the row is not an edge.  Rows may list their vertices in any order;
+        the last axis of `rows` must have length k.  With a position table
+        the codes are one gather, where a repeated vertex reads 0 and rows
+        outside 0..n-1 are masked; otherwise a binary search of `codes`."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.size == 0:
+            return np.empty(0, dtype=np.int64)
+        if rows.shape[-1:] != (self.k,):
+            raise InvalidQueryError(f"rows of shape {rows.shape} do not end in k = {self.k} "
+                                    "vertices")
+        rows = np.sort(rows.reshape(-1, self.k), axis=1)
         codes = row_codes(rows, self.n)
+        inside = (rows[:, 0] >= 0) & (rows[:, -1] < self.n)
+        table = self.position_table()
+        if table is not None:
+            pos = table[np.where(inside, codes, 0)].astype(np.int64) - 1
+            pos[~inside] = -1
+            return pos
         pos = np.searchsorted(self.codes, codes)
-        found = (rows[:, 0] >= 0) & (rows[:, -1] < self.n) & (pos < len(self.codes))
+        found = inside & (pos < len(self.codes))
         found[found] = self.codes[pos[found]] == codes[found]
         return np.where(found, pos, -1)
 
@@ -223,28 +261,52 @@ def subset_ranks(h: Hypergraph, d: int) -> np.ndarray:
     return ranks
 
 
+def _codegrees(table: np.ndarray, n: int, d: int) -> np.ndarray:
+    """The degree of every d-subset, d = k - 1, in lexicographic order, read
+    from a position table.  Viewed as an n x ... x n array, the table is
+    nonzero only at edges' increasing vertex tuples, so summing its edge
+    indicator over axis i counts, for each d-tuple, the vertices that complete
+    it as the edge's i-th smallest; the sum over the k axes is the codegree.
+    The strictly increasing d-tuples in C order are the d-subsets in
+    lexicographic order.  A codegree is below n <= 2^24, so int32 holds it."""
+    edges = (table > 0).reshape((n,) * (d + 1))
+    counts = sum(edges.sum(axis=i, dtype=np.int32) for i in range(d + 1))
+    increasing = np.ones((n,) * d, dtype=bool)
+    axes = np.indices((n,) * d, sparse=True)
+    for below, above in zip(axes, axes[1:]):
+        increasing &= below < above
+    return counts[increasing]
+
+
 def degree_report(h: Hypergraph, d: int) -> DegreeReport:
     """Exact extremes over all d-subsets, with the first attaining subset in
     lexicographic order as witness.
 
-    When C(n, d) <= |E|·C(k, d), the count array is no larger than the rank
-    array, so every d-subset's degree is counted with `np.bincount` and the
-    first extremes are its argmin and argmax.  Otherwise some d-subset lies in
-    no edge, so the minimum is 0; the distinct ranks are then sorted with
-    `np.unique`, which keeps the memory at O(|E|·C(k, d)), and the first
-    subset of degree 0 is the first rank missing from them.
+    Every d-subset's degree is counted, and the first extremes are the argmin
+    and argmax of the counts, in two cases.  For d = k - 1, when the position
+    table exists and its (k + 1)·n^k reads cost less than ranking the |E|·k
+    (k-1)-subsets (TABLE_READS_PER_RANK), the counts are read from the table
+    (`_codegrees`): the edges must fill a large share of the n^k codes, as
+    they do for k <= 3 and high density.  When C(n, d) <= |E|·C(k, d), the
+    count array is no larger than the rank array, and `np.bincount` counts
+    the ranks.  Otherwise some d-subset lies in no edge, so the minimum is 0;
+    the distinct ranks are then sorted with `np.unique`, which keeps the
+    memory at O(|E|·C(k, d)), and the first subset of degree 0 is the first
+    rank missing from them.
     """
     if not (1 <= d <= h.k - 1):
         raise InvalidQueryError(f"d must satisfy 1 <= d <= k-1 = {h.k - 1}, got {d}")
-    n = h.n
+    n, k = h.n, h.k
     total = math.comb(n, d)
-    ranks = subset_ranks(h, d)
-    if total <= ranks.size:
-        counts = np.bincount(ranks.ravel(), minlength=total)
+    cheaper = d == k - 1 and (k + 1) * n ** k <= TABLE_READS_PER_RANK * k * len(h.codes)
+    table = h.position_table() if cheaper else None
+    if table is not None or total <= len(h.codes) * math.comb(k, d):
+        counts = (_codegrees(table, n, d) if table is not None
+                  else np.bincount(subset_ranks(h, d).ravel(), minlength=total))
         r_min, r_max = int(np.argmin(counts)), int(np.argmax(counts))
         d_min, d_max = int(counts[r_min]), int(counts[r_max])
     else:
-        present, counts = np.unique(ranks, return_counts=True)
+        present, counts = np.unique(subset_ranks(h, d), return_counts=True)
         gaps = np.flatnonzero(present != np.arange(len(present)))
         d_min, r_min = 0, int(gaps[0]) if len(gaps) else len(present)
         if len(present):

@@ -15,7 +15,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 from hampack.bifactor import BipartiteGraph, GaleRyserWitness
 from hampack.errors import (InvalidInputError, InvalidQueryError, InvariantViolation,
                             SizeLimitError)
-from hampack.hypercore import Hypergraph
+from hampack.hypercore import Hypergraph, row_codes
 from hampack.census import ENUMERATION_MAX_N, enumerate_cycles
 from hampack.reduction import (HamiltonCycle, PartitionScheme, build_aux_graph,
                                canonical_rows, check_shape, segment_windows)
@@ -436,6 +436,17 @@ def assign_edges_reference(h, auxes, seed):
             choice[e] = None
             unassigned.append(e)
     return psi, choice, per_scheme, unassigned
+
+
+def locate_reference(h, rows):
+    """`Hypergraph.locate` by a binary search of the sorted codes, without the
+    position table: the oracle for both of its paths."""
+    rows = np.sort(np.asarray(rows, dtype=np.int64).reshape(-1, h.k), axis=1)
+    codes = row_codes(rows, h.n)
+    pos = np.searchsorted(h.codes, codes)
+    found = (rows[:, 0] >= 0) & (rows[:, -1] < h.n) & (pos < len(h.codes))
+    found[found] = h.codes[pos[found]] == codes[found]
+    return np.where(found, pos, -1)
 
 
 def edge_position(h, edge):

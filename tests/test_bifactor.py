@@ -192,6 +192,15 @@ class TestCodeStore:
                 build()
         assert (m - 1) ** 2 < 2 ** 63 <= m ** 2
 
+    def test_dense_arrays_stay_within_1_gib(self):
+        # each degree array has m int64 entries and complete_bipartite's codes m^2;
+        # both refusals come before any array is built
+        with pytest.raises(SizeLimitError, match=r"^m = 134217729 > 2\^27"):
+            BipartiteGraph(2 ** 27 + 1, [])
+        with pytest.raises(SizeLimitError, match=r"^m\^2 = 11586\^2 > 2\^27"):
+            complete_bipartite(11586)
+        assert 11585 ** 2 <= 2 ** 27 < 11586 ** 2
+
     def test_immutable(self):
         g = complete_bipartite(2)
         with pytest.raises(AttributeError):

@@ -231,6 +231,13 @@ def test_mc_factor_empty_complete_graph_fails_density_hypothesis(capsys):
     assert "min degree 0 is not above m/2 = 0.0; the density hypothesis fails" in err
 
 
+def test_mc_factor_refuses_a_complete_graph_past_1_gib_of_codes(capsys):
+    code, out, err = run(capsys, "mc-factor", "--complete-bipartite", "11586",
+                         "--rho", "1", "--p", "0.5", "--epsilon", "0.1")
+    assert code == 1 and out == ""
+    assert "m^2 = 11586^2 > 2^27" in err
+
+
 MC_FACTOR_K4 = ("mc-factor", "--complete-bipartite", "4", "--rho", "1", "--p", "0.5")
 
 
@@ -279,6 +286,11 @@ MC_FACTOR_K4 = ("mc-factor", "--complete-bipartite", "4", "--rho", "1", "--p", "
      "alpha_prime nan not in [0, 1]"),
     (("pack", "--theorem", "2", "--ell", "1", "--alpha-prime", "1.5"),
      "alpha_prime 1.5 not in [0, 1]"),
+    # each pipeline refuses the other's flag instead of ignoring it
+    (("pack", "--theorem", "3", "--ell", "1", "--alpha-prime", "nan"),
+     "--alpha-prime requires --theorem 2"),
+    (("pack", "--theorem", "2", "--ell", "1", "--delta-target", "7"),
+     "--delta-target requires --theorem 3"),
 ])
 def test_negative_counts_exit_1(tmp_path, capsys, argv, message):
     hpath, opath = str(tmp_path / "h.json"), tmp_path / "out.json"

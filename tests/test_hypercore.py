@@ -6,12 +6,15 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from hampack import hypercore
 from hampack.constructions import complete_hypergraph, parity_hypergraph, random_hypergraph
 from hampack.errors import InvalidQueryError, ParseError, SizeLimitError
-from hampack.hypercore import (Hypergraph, _fast_codes, _walked_codes, degree_report,
-                               lex_unrank, read_hypergraph, write_hypergraph)
+from hampack.hypercore import (POSITION_TABLE_MAX_CODES, Hypergraph, _fast_codes,
+                               _walked_codes, degree_report, lex_unrank, read_hypergraph,
+                               write_hypergraph)
 
-from helpers import degree_of, degree_report_scan, one_uncovered_pair, relative_degree
+from helpers import (degree_of, degree_report_scan, locate_reference, one_uncovered_pair,
+                     relative_degree)
 
 
 def test_degree_of_complete():
@@ -77,6 +80,16 @@ def test_degree_report_matches_naive_scan():
             assert naive[rep.witness_max] == rep.max_degree
 
 
+# a shape past the position table's bound, n^k = 260^3 > 2^24, takes the binary search
+TABLE_SHAPES = [complete_hypergraph(n, k) for n, k in ((9, 2), (8, 3), (7, 4))] \
+    + [random_hypergraph(n, k, p, seed) for n, k in ((10, 2), (9, 3), (8, 4))
+       for p, seed in ((0.1, 1), (0.9, 2))] \
+    + [Hypergraph(n, k, []) for n, k in ((6, 2), (6, 3), (6, 4))] \
+    + [Hypergraph(260, 3, [(0, 1, 2), (5, 100, 259), (7, 8, 9), (0, 1, 259)])]
+K7_MINUS_TWO = Hypergraph(7, 3, [e for e in combinations(range(7), 3)
+                                 if e not in {(0, 1, 2), (4, 5, 6)}])
+
+
 @pytest.mark.parametrize("h", [
     random_hypergraph(9, 3, 0.5, 1),
     random_hypergraph(10, 4, 0.3, 2),
@@ -91,8 +104,14 @@ def test_degree_report_matches_naive_scan():
     # the Fano plane: C(7, 2) = 21 = |E|·C(3, 2), the last size counted with bincount
     Hypergraph(7, 3, [[0, 1, 2], [0, 3, 4], [0, 5, 6], [1, 3, 5], [1, 4, 6], [2, 3, 6],
                       [2, 4, 5]]),
+    *TABLE_SHAPES[:-1],
+    # ties at both extremes: every pair of K_7^(3) has codegree 5, so the first
+    # pair (0, 1) witnesses both; removing {0, 1, 2} and {4, 5, 6} leaves the
+    # first minimum at (0, 1) and the first maximum at (0, 3)
+    K7_MINUS_TWO,
 ], ids=["n9-k3", "n10-k4", "n8-k5", "sparse", "dense", "complete", "parity",
-        "uncovered-pair", "empty", "one-edge", "fano"])
+        "uncovered-pair", "empty", "one-edge", "fano"]
+    + [f"table-{h!r}" for h in TABLE_SHAPES[:-1]] + ["k7-minus-two"])
 def test_degree_report_equals_the_dict_scan(h):
     for d in range(1, h.k):
         rep = degree_report(h, d)
@@ -251,6 +270,95 @@ def test_codes_are_the_lexicographic_edge_order():
     assert h.locate([(e[3], e[1], e[0], e[2]) for e in h.edges]).tolist() \
         == list(range(h.num_edges()))
     assert h.locate([(0, 1, 2, 9), (0, 0, 1, 2), (-1, 0, 1, 2)]).tolist() == [-1, -1, -1]
+
+
+def test_locate_refuses_rows_of_another_width():
+    h = complete_hypergraph(6, 3)
+    # three 2-vertex rows, not the edges {0, 1, 2} and {3, 4, 5}
+    with pytest.raises(InvalidQueryError, match=r"rows of shape \(3, 2\) do not end in k = 3"):
+        h.locate([(0, 1), (2, 3), (4, 5)])
+    with pytest.raises(InvalidQueryError):
+        h.locate(np.arange(12).reshape(3, 4))
+    with pytest.raises(InvalidQueryError):
+        h.locate(0)
+    assert h.locate((2, 0, 1)).tolist() == [0]
+    assert h.locate(np.zeros((2, 2, 3), dtype=np.int64) + [0, 1, 2]).tolist() == [0] * 4
+    for empty in ([], np.empty((0, 3)), np.empty((4, 0, 3))):
+        got = h.locate(empty)
+        assert got.dtype == np.int64 and got.shape == (0,)
+
+
+# for k = 1 every code in 0..n-1 is an edge's, so rows outside it must be masked
+@pytest.mark.parametrize("h", TABLE_SHAPES + [complete_hypergraph(5, 1)], ids=repr)
+def test_locate_equals_the_binary_search(h):
+    assert (h.position_table() is None) == (h.n ** h.k > POSITION_TABLE_MAX_CODES)
+    rng = np.random.default_rng(h.n * 10 + h.k)
+    n, k = h.n, h.k
+    queries = [
+        rng.integers(0, n, (300, k)),                           # in range, any order, repeats
+        rng.integers(-n, 2 * n, (300, k)),                      # out of range on both sides
+        np.sort(rng.integers(-3, 0, (20, k)), axis=1),          # all negative
+        np.repeat(rng.integers(0, n, (20, 1)), k, axis=1),      # one vertex repeated
+        rng.permuted(h.rows(), axis=1) if len(h.codes) else np.empty((0, k), np.int64),
+    ]
+    for rows in queries:
+        got = h.locate(rows)
+        assert got.dtype == np.int64
+        assert got.tolist() == locate_reference(h, rows).tolist()
+    if len(h.codes):
+        assert h.locate(h.rows()[::-1]).tolist() == list(range(len(h.codes)))[::-1]
+
+
+@pytest.mark.parametrize("h, reads_table", [
+    # (k + 1)·n^k <= 16·k·|E|: 4·8^3 = 2048 <= 2688 and 4·7^3 = 1372 <= 1584
+    (complete_hypergraph(8, 3), True),
+    (K7_MINUS_TWO, True),
+    (random_hypergraph(90, 3, 0.9, 3), True),
+    # 5·7^4 = 12005 > 2240: k = 4 never fills enough of the n^k codes
+    (complete_hypergraph(7, 4), False),
+    (random_hypergraph(9, 3, 0.1, 1), False),
+    (Hypergraph(6, 3, []), False),
+], ids=repr)
+def test_codegree_report_reads_the_table_only_when_cheaper(h, reads_table):
+    h = Hypergraph(h.n, h.k, h.rows())  # a copy that has not built its table
+    report = degree_report(h, h.k - 1)
+    assert (h._table is not None) == reads_table
+    assert (report.min_degree, report.max_degree, report.witness_min, report.witness_max) \
+        == degree_report_scan(h, h.k - 1)
+    degree_report(h, 1)
+    assert (h._table is not None) == reads_table  # other d never build it
+
+
+def test_codegree_report_without_a_table(monkeypatch):
+    # dense enough for the table, but one code past its bound: the rank path answers
+    monkeypatch.setattr(hypercore, "POSITION_TABLE_MAX_CODES", 8 ** 3 - 1)
+    h = complete_hypergraph(8, 3)
+    rep = degree_report(h, 2)
+    assert h.position_table() is None
+    assert (rep.min_degree, rep.max_degree, rep.witness_min, rep.witness_max) \
+        == (6, 6, (0, 1), (0, 1))
+
+
+def test_codegree_report_past_the_table_bound():
+    h = TABLE_SHAPES[-1]
+    assert h.position_table() is None
+    rep = degree_report(h, 2)
+    # (0, 1) lies in {0, 1, 2} and {0, 1, 259}; (0, 3) is the first uncovered pair
+    assert (rep.min_degree, rep.max_degree, rep.witness_min, rep.witness_max) \
+        == (0, 2, (0, 3), (0, 1))
+
+
+def test_position_table_is_built_once():
+    h = random_hypergraph(9, 3, 0.5, 4)
+    table = h.position_table()
+    assert table.dtype == np.int32 and table.shape == (9 ** 3,) and not table.flags.writeable
+    assert np.flatnonzero(table).tolist() == h.codes.tolist()
+    assert table[h.codes].tolist() == list(range(1, len(h.codes) + 1))
+    h.locate(h.rows())
+    degree_report(h, 2)
+    assert h.position_table() is table
+    # a hypergraph that was only constructed has not built one
+    assert random_hypergraph(9, 3, 0.5, 4)._table is None
 
 
 def test_equality_and_hash_follow_the_edge_set():
