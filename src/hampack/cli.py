@@ -4,9 +4,7 @@ Output goes to stdout as JSON by default; --out writes the primary document to
 a file, sidecar files (CSV, schemes, certificates) next to it, and a run
 manifest at <out>.manifest.json.  One master seed drives everything; module
 seeds are derived by labeled hashing, so a manifest's parameters reproduce a
-run bit for bit.  A `pack` manifest records both alpha_prime and delta_target;
-only the chosen pipeline's one is passed back as a flag, since `pack` refuses
-the other and the recorded value is its default.
+run bit for bit.
 
 Exit codes: 0 success, 1 invalid input or usage, 2 invariant or acceptance
 failure.
@@ -86,15 +84,22 @@ def _sweep_exit(args, successes: int) -> int:
     return EXIT_OK
 
 
+def _mode_flag(args, flag: str, used: bool, mode: str, default: Any) -> None:
+    """Refuse `flag` when the chosen mode ignores it, else fill in its default,
+    so that a manifest records null exactly for the flags its mode ignores."""
+    if getattr(args, flag) is not None and not used:
+        raise HampackError(f"--{flag.replace('_', '-')} requires {mode}")
+    if used and getattr(args, flag) is None:
+        setattr(args, flag, default)
+
+
 # ---------------------------------------------------------------- commands
 
 def cmd_gen(args) -> int:
     if args.random and args.p is None:
         raise HampackError("--random requires --p")
-    if args.p is not None and not args.random:
-        raise HampackError("--p requires --random")
-    if args.certify is not None and not args.parity:
-        raise HampackError("--certify requires --parity")
+    _mode_flag(args, "p", args.random, "--random", None)
+    _mode_flag(args, "certify", args.parity, "--parity", None)
     if args.complete:
         h = constructions.complete_hypergraph(args.n, args.k)
     elif args.random:
@@ -184,13 +189,8 @@ def _packing_doc(result: packer.PackingResult) -> dict:
 
 
 def cmd_pack(args) -> int:
-    if args.alpha_prime is not None and args.theorem != 2:
-        raise HampackError("--alpha-prime requires --theorem 2")
-    if args.delta_target is not None and args.theorem != 3:
-        raise HampackError("--delta-target requires --theorem 3")
-    # the defaults are filled in here, so that the manifest records both
-    args.alpha_prime = 0.6 if args.alpha_prime is None else args.alpha_prime
-    args.delta_target = 0.1 if args.delta_target is None else args.delta_target
+    _mode_flag(args, "alpha_prime", args.theorem == 2, "--theorem 2", 0.6)
+    _mode_flag(args, "delta_target", args.theorem == 3, "--theorem 3", 0.1)
     h = hypercore.read_hypergraph(args.input)
     shared = dict(num_partitions=args.r, resample_limit=args.resample_limit,
                   seed=derive_seed(args.seed, "pack"))
@@ -235,6 +235,8 @@ def cmd_mc_factor(args) -> int:
 
 
 def cmd_mc_partition(args) -> int:
+    _mode_flag(args, "ell", args.kind == "aux-degrees", "--kind aux-degrees", 1)
+    _mode_flag(args, "sizes", args.kind == "part-degrees", "--kind part-degrees", None)
     h = hypercore.read_hypergraph(args.input)
     if args.kind == "aux-degrees":
         report = randomlab.aux_degree_sweep(
@@ -355,8 +357,8 @@ def build_parser() -> _Parser:
     p = add("mc-partition", cmd_mc_partition, "random-partition degree sweeps")
     p.add_argument("--input", required=True)
     p.add_argument("--kind", choices=("aux-degrees", "part-degrees"), default="aux-degrees")
-    p.add_argument("--ell", type=int, default=1, help="for aux-degrees")
-    p.add_argument("--sizes", default="", help="comma-separated part sizes for part-degrees")
+    p.add_argument("--ell", type=int, help="for aux-degrees (default 1)")
+    p.add_argument("--sizes", help="comma-separated part sizes for part-degrees")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--trials", type=int, default=50)

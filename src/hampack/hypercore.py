@@ -8,8 +8,7 @@ The tuple view `edges` is decoded from the codes on first use.  Hypergraph
 values are immutable after construction.
 
 When n^k <= 2^24, `locate` gathers from a dense position table over the code
-space (`Hypergraph.position_table`), and so does the codegree report when the
-edges fill enough of that space.
+space (`Hypergraph.position_table`); nothing else reads the table.
 """
 from __future__ import annotations
 
@@ -76,10 +75,6 @@ def _walked_codes(n: int, k: int, edges: list) -> np.ndarray:
 
 
 POSITION_TABLE_MAX_CODES = 2 ** 24  # int32 holds every position; at most 64 MB
-# degree_report's table path reads about (k + 1)·n^k table entries, and one
-# subset rank of the rank path costs about as much as this many entry reads
-# (numpy 2.4, n^k <= 2^24: 13-21 ns a rank against 0.5-1.1 ns an entry)
-TABLE_READS_PER_RANK = 16
 
 
 def check_dimensions(n: int, k: int) -> None:
@@ -153,10 +148,15 @@ class Hypergraph:
 
     def _decode(self, out: np.ndarray) -> None:
         """Write every edge's j-th vertex, the j-th most significant base-n
-        digit of its code, into out[j] for j = 0..k-1."""
-        rest = self.codes
-        for j in range(self.k - 1, -1, -1):
-            rest, out[j] = np.divmod(rest, self.n)
+        digit of its code, into out[j] in out's dtype.  A remainder is taken as
+        rest - quotient·n: floor division by a scalar is several times faster
+        than `np.divmod`."""
+        rest = self.codes.astype(out.dtype, copy=False)
+        for j in range(self.k - 1, 0, -1):
+            quotient = rest // self.n
+            np.subtract(rest, quotient * self.n, out=out[j])
+            rest = quotient
+        out[0] = rest
 
     def position_table(self) -> np.ndarray | None:
         """The read-only int32 array over the n^k codes holding each edge's
@@ -261,21 +261,21 @@ def subset_ranks(h: Hypergraph, d: int) -> np.ndarray:
     return ranks
 
 
-def _codegrees(table: np.ndarray, n: int, d: int) -> np.ndarray:
-    """The degree of every d-subset, d = k - 1, in lexicographic order, read
-    from a position table.  Viewed as an n x ... x n array, the table is
-    nonzero only at edges' increasing vertex tuples, so summing its edge
-    indicator over axis i counts, for each d-tuple, the vertices that complete
-    it as the edge's i-th smallest; the sum over the k axes is the codegree.
-    The strictly increasing d-tuples in C order are the d-subsets in
-    lexicographic order.  A codegree is below n <= 2^24, so int32 holds it."""
-    edges = (table > 0).reshape((n,) * (d + 1))
-    counts = sum(edges.sum(axis=i, dtype=np.int32) for i in range(d + 1))
-    increasing = np.ones((n,) * d, dtype=bool)
-    axes = np.indices((n,) * d, sparse=True)
-    for below, above in zip(axes, axes[1:]):
-        increasing &= below < above
-    return counts[increasing]
+def _facet_degrees(h: Hypergraph) -> np.ndarray:
+    """The degree of every (k-1)-subset, in lexicographic order: for each j,
+    one bincount of the facet codes (an edge's digits without its j-th),
+    read at the increasing (k-1)-tuples, whose C order is lexicographic."""
+    n, k = h.n, h.k
+    digits = np.empty((k, len(h.codes)), dtype=np.int32 if n ** k < 2 ** 31 else np.int64)
+    h._decode(digits)
+    counts = 0
+    for j in range(k):
+        facet = 0
+        for i in chain(range(j), range(j + 1, k)):
+            facet = facet * n + digits[i]
+        counts = counts + np.bincount(facet, minlength=n ** (k - 1))
+    increasing = (np.diff(np.indices((n,) * (k - 1)), axis=0) > 0).all(axis=0)
+    return counts[increasing.ravel()]
 
 
 def degree_report(h: Hypergraph, d: int) -> DegreeReport:
@@ -283,25 +283,22 @@ def degree_report(h: Hypergraph, d: int) -> DegreeReport:
     lexicographic order as witness.
 
     Every d-subset's degree is counted, and the first extremes are the argmin
-    and argmax of the counts, in two cases.  For d = k - 1, when the position
-    table exists and its (k + 1)·n^k reads cost less than ranking the |E|·k
-    (k-1)-subsets (TABLE_READS_PER_RANK), the counts are read from the table
-    (`_codegrees`): the edges must fill a large share of the n^k codes, as
-    they do for k <= 3 and high density.  When C(n, d) <= |E|·C(k, d), the
-    count array is no larger than the rank array, and `np.bincount` counts
-    the ranks.  Otherwise some d-subset lies in no edge, so the minimum is 0;
-    the distinct ranks are then sorted with `np.unique`, which keeps the
-    memory at O(|E|·C(k, d)), and the first subset of degree 0 is the first
-    rank missing from them.
+    and argmax of the counts, in two cases.  For d = k - 1 and n^(k-1) <=
+    k·|E|, the count array over the (k-1)-subset codes is no larger than the
+    list of the edges' k·|E| facets, and `_facet_degrees` counts the facets.
+    When C(n, d) <= |E|·C(k, d), the count array is no larger than the rank
+    array, and `np.bincount` counts the ranks.  Otherwise some d-subset lies
+    in no edge, so the minimum is 0; the distinct ranks are then sorted with
+    `np.unique`, which keeps the memory at O(|E|·C(k, d)), and the first
+    subset of degree 0 is the first rank missing from them.
     """
     if not (1 <= d <= h.k - 1):
         raise InvalidQueryError(f"d must satisfy 1 <= d <= k-1 = {h.k - 1}, got {d}")
     n, k = h.n, h.k
     total = math.comb(n, d)
-    cheaper = d == k - 1 and (k + 1) * n ** k <= TABLE_READS_PER_RANK * k * len(h.codes)
-    table = h.position_table() if cheaper else None
-    if table is not None or total <= len(h.codes) * math.comb(k, d):
-        counts = (_codegrees(table, n, d) if table is not None
+    facets = d == k - 1 and n ** d <= k * len(h.codes)
+    if facets or total <= len(h.codes) * math.comb(k, d):
+        counts = (_facet_degrees(h) if facets
                   else np.bincount(subset_ranks(h, d).ravel(), minlength=total))
         r_min, r_max = int(np.argmin(counts)), int(np.argmax(counts))
         d_min, d_max = int(counts[r_min]), int(counts[r_max])

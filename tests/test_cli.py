@@ -291,6 +291,12 @@ MC_FACTOR_K4 = ("mc-factor", "--complete-bipartite", "4", "--rho", "1", "--p", "
      "--alpha-prime requires --theorem 2"),
     (("pack", "--theorem", "2", "--ell", "1", "--delta-target", "7"),
      "--delta-target requires --theorem 3"),
+    # each mc-partition kind refuses the other's flag
+    (("mc-partition", "--kind", "part-degrees", "--sizes", "6,6", "--ell", "5",
+      "--delta", "0.5", "--epsilon", "0.2", "--trials", "2"),
+     "--ell requires --kind aux-degrees"),
+    (("mc-partition", "--kind", "aux-degrees", "--sizes", "6,6", "--delta", "0.5",
+      "--epsilon", "0.2", "--trials", "2"), "--sizes requires --kind part-degrees"),
 ])
 def test_negative_counts_exit_1(tmp_path, capsys, argv, message):
     hpath, opath = str(tmp_path / "h.json"), tmp_path / "out.json"
@@ -501,6 +507,50 @@ def test_manifest_replay_reproduces(tmp_path, capsys):
     run(capsys, "pack", "--input", hpath, "--ell", "1", "--r", str(params["r"]),
         "--seed", str(manifest["master_seed"]), "--out", o2)
     assert open(o1).read() == open(o2).read()
+
+
+REPLAYED_RUNS = {
+    "gen-complete": ("gen", "--complete", "--n", "8", "--k", "3"),
+    "gen-random": ("gen", "--random", "--n", "10", "--k", "3", "--p", "0.6", "--seed", "4"),
+    "gen-parity": ("gen", "--parity", "--n", "12", "--k", "3", "--certify", "1"),
+    "degrees": ("degrees", "--input", "H", "--d", "2"),
+    "reduce": ("reduce", "--input", "H", "--ell", "1", "--seed", "5"),
+    "pack-t2": ("pack", "--input", "H", "--ell", "1", "--r", "2", "--seed", "9"),
+    "pack-t3": ("pack", "--input", "H", "--theorem", "3", "--ell", "1", "--r", "2"),
+    "mc-factor": ("mc-factor", "--complete-bipartite", "4", "--rho", "1", "--p", "0.5",
+                  "--epsilon", "0.1", "--trials", "3"),
+    "mc-partition-aux": ("mc-partition", "--input", "H", "--delta", "0.6",
+                         "--epsilon", "0.2", "--trials", "3"),
+    "mc-partition-parts": ("mc-partition", "--input", "H", "--kind", "part-degrees",
+                           "--sizes", "6,6", "--delta", "0.5", "--epsilon", "0.2",
+                           "--trials", "3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLAYED_RUNS))
+def test_manifest_parameters_replay_the_run(tmp_path, capsys, name):
+    # every non-null parameter of the manifest, passed back as its flag (a true
+    # one as a bare flag), writes the same primary output and sidecars
+    hpath = str(tmp_path / "h.json")
+    write_hypergraph(complete_hypergraph(12, 3), hpath)
+    o1, o2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
+    argv = [hpath if a == "H" else a for a in REPLAYED_RUNS[name]]
+    assert run(capsys, *argv, "--out", o1)[0] == 0
+    manifest = json.load(open(o1 + ".manifest.json"))
+    replay = [manifest["command"]]
+    for key, value in manifest["parameters"].items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            replay.append(flag)
+        elif value not in (None, False):
+            replay += [flag, o2 if key == "out" else str(value)]
+    code, _, err = run(capsys, *replay)
+    assert code == 0, err
+    replayed = json.load(open(o2 + ".manifest.json"))
+    assert replayed["parameters"] == dict(manifest["parameters"], out=o2)
+    assert len(manifest["outputs"]) == len(replayed["outputs"]) >= 1
+    for first, second in zip(manifest["outputs"], replayed["outputs"]):
+        assert open(first, "rb").read() == open(second, "rb").read(), first
 
 
 # sha256 of the primary JSON and of its sidecar CSV, recorded for a fixed-seed

@@ -109,14 +109,35 @@ K7_MINUS_TWO = Hypergraph(7, 3, [e for e in combinations(range(7), 3)
     # pair (0, 1) witnesses both; removing {0, 1, 2} and {4, 5, 6} leaves the
     # first minimum at (0, 1) and the first maximum at (0, 3)
     K7_MINUS_TWO,
+    # each side of the facet rule n^(k-1) <= k·|E|: k = 2 and k = 3 at equality
+    # and one edge short of it, the benchmark's dense k = 3 input, k = 4 dense
+    # and sparse, k = 5, and n^k past the position table's bound
+    Hypergraph(6, 2, [(0, 1), (2, 3), (4, 5)]),
+    Hypergraph(7, 2, [(0, 1), (2, 3), (4, 5)]),
+    Hypergraph(6, 3, list(combinations(range(6), 3))[:12]),
+    Hypergraph(6, 3, list(combinations(range(6), 3))[:11]),
+    random_hypergraph(90, 3, 0.9, 3),
+    random_hypergraph(16, 4, 0.9, 6),
+    random_hypergraph(16, 4, 0.2, 7),
+    random_hypergraph(12, 5, 0.9, 8),
+    TABLE_SHAPES[-1],
 ], ids=["n9-k3", "n10-k4", "n8-k5", "sparse", "dense", "complete", "parity",
         "uncovered-pair", "empty", "one-edge", "fano"]
-    + [f"table-{h!r}" for h in TABLE_SHAPES[:-1]] + ["k7-minus-two"])
-def test_degree_report_equals_the_dict_scan(h):
+    + [f"table-{h!r}" for h in TABLE_SHAPES[:-1]] + ["k7-minus-two"]
+    + ["k2-facets-at-equality", "k2-ranks-past-equality", "k3-facets-at-equality",
+       "k3-ranks-past-equality", "pack-r16-n90", "k4-facets", "k4-ranks", "k5-ranks",
+       "past-the-table-bound"])
+def test_degree_report_equals_the_dict_scan(h, monkeypatch):
+    h = Hypergraph._from_codes(h.n, h.k, h.codes)  # a copy that has not built a table
+    counted, facet_degrees = [], hypercore._facet_degrees
+    monkeypatch.setattr(hypercore, "_facet_degrees",
+                        lambda h: counted.append(h) or facet_degrees(h))
     for d in range(1, h.k):
         rep = degree_report(h, d)
         assert (rep.min_degree, rep.max_degree, rep.witness_min, rep.witness_max) \
             == degree_report_scan(h, d)
+    assert len(counted) == (h.n ** (h.k - 1) <= h.k * h.num_edges())
+    assert h._table is None  # the position table is locate's alone
 
 
 def test_relative_degree_complete():
@@ -307,45 +328,6 @@ def test_locate_equals_the_binary_search(h):
         assert got.tolist() == locate_reference(h, rows).tolist()
     if len(h.codes):
         assert h.locate(h.rows()[::-1]).tolist() == list(range(len(h.codes)))[::-1]
-
-
-@pytest.mark.parametrize("h, reads_table", [
-    # (k + 1)·n^k <= 16·k·|E|: 4·8^3 = 2048 <= 2688 and 4·7^3 = 1372 <= 1584
-    (complete_hypergraph(8, 3), True),
-    (K7_MINUS_TWO, True),
-    (random_hypergraph(90, 3, 0.9, 3), True),
-    # 5·7^4 = 12005 > 2240: k = 4 never fills enough of the n^k codes
-    (complete_hypergraph(7, 4), False),
-    (random_hypergraph(9, 3, 0.1, 1), False),
-    (Hypergraph(6, 3, []), False),
-], ids=repr)
-def test_codegree_report_reads_the_table_only_when_cheaper(h, reads_table):
-    h = Hypergraph(h.n, h.k, h.rows())  # a copy that has not built its table
-    report = degree_report(h, h.k - 1)
-    assert (h._table is not None) == reads_table
-    assert (report.min_degree, report.max_degree, report.witness_min, report.witness_max) \
-        == degree_report_scan(h, h.k - 1)
-    degree_report(h, 1)
-    assert (h._table is not None) == reads_table  # other d never build it
-
-
-def test_codegree_report_without_a_table(monkeypatch):
-    # dense enough for the table, but one code past its bound: the rank path answers
-    monkeypatch.setattr(hypercore, "POSITION_TABLE_MAX_CODES", 8 ** 3 - 1)
-    h = complete_hypergraph(8, 3)
-    rep = degree_report(h, 2)
-    assert h.position_table() is None
-    assert (rep.min_degree, rep.max_degree, rep.witness_min, rep.witness_max) \
-        == (6, 6, (0, 1), (0, 1))
-
-
-def test_codegree_report_past_the_table_bound():
-    h = TABLE_SHAPES[-1]
-    assert h.position_table() is None
-    rep = degree_report(h, 2)
-    # (0, 1) lies in {0, 1, 2} and {0, 1, 259}; (0, 3) is the first uncovered pair
-    assert (rep.min_degree, rep.max_degree, rep.witness_min, rep.witness_max) \
-        == (0, 2, (0, 3), (0, 1))
 
 
 def test_position_table_is_built_once():
