@@ -330,6 +330,40 @@ def test_locate_equals_the_binary_search(h):
         assert h.locate(h.rows()[::-1]).tolist() == list(range(len(h.codes)))[::-1]
 
 
+@pytest.mark.parametrize("h, counts_facets", [
+    # n^(k-1) <= k·|E|: the n^(k-1) facet counts are no more than the k·|E| facets
+    (complete_hypergraph(8, 3), True),  # 64 <= 168
+    (K7_MINUS_TWO, True),  # 49 <= 99
+    (complete_hypergraph(7, 4), False),  # 343 > 140
+    (random_hypergraph(9, 3, 0.1, 1), False),  # 81 > 30
+    (Hypergraph(6, 3, []), False),
+], ids=repr)
+def test_codegree_report_reads_the_table_only_when_cheaper(h, counts_facets, monkeypatch):
+    # the codegree report reads a facet count table only when it is the cheaper
+    # path, and never reads or builds locate's position table
+    h = Hypergraph(h.n, h.k, h.rows())  # a copy that has not built its table
+    counted, facet_degrees = [], hypercore._facet_degrees
+    monkeypatch.setattr(hypercore, "_facet_degrees",
+                        lambda h: counted.append(h) or facet_degrees(h))
+    report = degree_report(h, h.k - 1)
+    assert len(counted) == counts_facets
+    assert (report.min_degree, report.max_degree, report.witness_min, report.witness_max) \
+        == degree_report_scan(h, h.k - 1)
+    degree_report(h, 1)
+    assert len(counted) == counts_facets  # other d never count facets
+    assert h._table is None
+
+
+def test_codegree_report_without_a_table(monkeypatch):
+    # one code past the position table's bound: the report does not need the table
+    monkeypatch.setattr(hypercore, "POSITION_TABLE_MAX_CODES", 8 ** 3 - 1)
+    h = complete_hypergraph(8, 3)
+    rep = degree_report(h, 2)
+    assert h.position_table() is None
+    assert (rep.min_degree, rep.max_degree, rep.witness_min, rep.witness_max) \
+        == (6, 6, (0, 1), (0, 1))
+
+
 def test_position_table_is_built_once():
     h = random_hypergraph(9, 3, 0.5, 4)
     table = h.position_table()
