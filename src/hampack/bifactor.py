@@ -269,7 +269,7 @@ def find_factor(g: BipartiteGraph, r: int) -> Optional[Factor]:
     if not (0 <= r <= g.m):
         raise InvalidInputError(f"r must be in 0..m={g.m}, got {r}")
     if r == 0:
-        return Factor(0, BipartiteGraph(g.m, ()))
+        return Factor(0, BipartiteGraph._from_codes(g.m, np.empty(0, np.int64)))
     if g.min_degree() < r:
         return None
     return _FactorNetwork([g]).witnesses(np.array([r]))[0]
@@ -304,7 +304,8 @@ def max_factors(graphs: Sequence[BipartiteGraph]) -> list[tuple[int, Factor]]:
             elif probe[i]:
                 hi[i] = probe[i] - 1
         probe = np.where(lo < hi, (lo + hi + 1) // 2, 0)
-    return [(int(r), f if f is not None else Factor(0, BipartiteGraph(g.m, ())))
+    return [(int(r), f if f is not None
+             else Factor(0, BipartiteGraph._from_codes(g.m, np.empty(0, np.int64))))
             for r, f, g in zip(lo.tolist(), best, graphs)]
 
 

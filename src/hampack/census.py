@@ -2,12 +2,14 @@
 counting bounds, evaluated in natural-log space.
 
 Exact counts are big integers from exhaustive enumeration; formula values are
-floats computed via log-gamma.  The two never mix.
+floats computed via log-gamma.  The two never mix.  The enumerator holds its
+own set of the edge tuples: at n <= 10 there are at most C(10, 5) = 252.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .errors import InvalidInputError, SizeLimitError
@@ -93,6 +95,7 @@ def enumerate_cycles(h: Hypergraph, ell: int) -> set[HamiltonCycle]:
     for window in segment_windows(n, k, ell).tolist():
         by_depth[max(window)].append(window)
     above = canonical_above(n, k, ell)
+    edges = set(h.edges)
 
     found: set[HamiltonCycle] = set()
     arr = [-1] * n
@@ -109,7 +112,7 @@ def enumerate_cycles(h: Hypergraph, ell: int) -> set[HamiltonCycle]:
             arr[depth] = v
             ok = True
             for seg in by_depth[depth]:
-                if not h.has_edge(arr[p] for p in seg):
+                if tuple(sorted([arr[p] for p in seg])) not in edges:
                     ok = False
                     break
             if ok:
@@ -123,9 +126,13 @@ def enumerate_cycles(h: Hypergraph, ell: int) -> set[HamiltonCycle]:
 
 
 def edge_set_count(cycles: set[HamiltonCycle]) -> int:
-    """Distinct segment sets among the cycles (can differ from the arrangement
-    count only for ell = 0)."""
-    return len({frozenset(c.segments()) for c in cycles})
+    """Distinct segment sets among cycles of one shape (can differ from the
+    arrangement count only for ell = 0), read by one getter per window; for
+    k = 1 a getter returns the vertex itself, which keeps the count."""
+    c = next(iter(cycles), None)
+    windows = segment_windows(c.n, c.k, c.ell).tolist() if c is not None else []
+    getters = [itemgetter(*window) for window in windows]
+    return len({frozenset(get(c.arrangement) for get in getters) for c in cycles})
 
 
 def empirical_vs_bound(h: Hypergraph, ell: int, slack_per_vertex: float = 0.1) -> CountReport:

@@ -191,6 +191,8 @@ def _packing_doc(result: packer.PackingResult) -> dict:
 def cmd_pack(args) -> int:
     _mode_flag(args, "alpha_prime", args.theorem == 2, "--theorem 2", 0.6)
     _mode_flag(args, "delta_target", args.theorem == 3, "--theorem 3", 0.1)
+    if args.theorem == 3 and args.epsilon is None:
+        args.epsilon = 0.1  # theorem 2 keeps None: "measured alpha - alpha'"
     h = hypercore.read_hypergraph(args.input)
     shared = dict(num_partitions=args.r, resample_limit=args.resample_limit,
                   seed=derive_seed(args.seed, "pack"))
@@ -199,8 +201,7 @@ def cmd_pack(args) -> int:
                                         epsilon=args.epsilon, **shared)
     else:
         result = packer.pack_near_regular(
-            h, args.ell, delta_target=args.delta_target,
-            epsilon=args.epsilon if args.epsilon is not None else 0.1, **shared)
+            h, args.ell, delta_target=args.delta_target, epsilon=args.epsilon, **shared)
     sidecars = []
     if args.out:
         header = [f.name for f in dataclasses.fields(packer.PartitionStats)]

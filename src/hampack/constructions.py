@@ -1,25 +1,34 @@
 """Generators for test-subject hypergraphs: complete, random, and the
-parity-based extremal construction that admits no odd-degree factor."""
+parity-based extremal construction that admits no odd-degree factor.  All
+three unrank lexicographic ranks into edge codes with `lex_unrank`."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidQueryError
+from .bifactor import DENSE_MAX_ENTRIES
+from .errors import InvalidQueryError, SizeLimitError
 from .hypercore import Hypergraph, check_dimensions, lex_unrank, row_codes
 from .util import check_probability, random_stream
 
 _DRAW_CHUNK = 1 << 20   # uniforms drawn per random_sample call
 
 
+def _all_rows(n: int, k: int) -> np.ndarray:
+    """Every k-subset of 0..n-1 as a C(n, k) x k array of ascending rows in
+    lexicographic order; refused before any allocation past 1 GiB of rows."""
+    check_dimensions(n, k)
+    if math.comb(n, k) * k > DENSE_MAX_ENTRIES:
+        raise SizeLimitError(f"C({n}, {k})·{k} > 2^27: the edge rows would exceed 1 GiB")
+    return lex_unrank(np.arange(math.comb(n, k)), n, k)
+
+
 def complete_hypergraph(n: int, k: int) -> Hypergraph:
     """All C(n, k) edges."""
-    check_dimensions(n, k)
-    return Hypergraph(n, k, combinations(range(n), k))
+    return Hypergraph._from_codes(n, k, row_codes(_all_rows(n, k), n))
 
 
 def random_hypergraph(n: int, k: int, p: float, seed: int) -> Hypergraph:
@@ -67,16 +76,10 @@ class ParityCertificate:
 def parity_hypergraph(n: int, k: int) -> ParityConstruction:
     """Take part A = {0..a-1} with a the smallest odd integer >= n/2 - 1; the
     edge set is every k-subset with an even intersection with A."""
-    check_dimensions(n, k)
-    a = -((-(n - 2)) // 2)  # ceil(n/2 - 1)
-    if a < 1:
-        a = 1
-    if a % 2 == 0:
-        a += 1
-    part_a = tuple(range(a))
-    edges = [e for e in combinations(range(n), k)
-             if sum(1 for v in e if v < a) % 2 == 0]
-    return ParityConstruction(hypergraph=Hypergraph(n, k, edges), part_a=part_a)
+    rows = _all_rows(n, k)
+    a = ((n - 1) // 2) | 1  # (n - 1) // 2 = ceil(n/2 - 1); | 1 rounds up to odd
+    rows = rows[(rows < a).sum(axis=1) % 2 == 0]
+    return ParityConstruction(Hypergraph._from_codes(n, k, row_codes(rows, n)), tuple(range(a)))
 
 
 def _count_matchings_exact_cover(h: Hypergraph) -> int:
@@ -120,7 +123,7 @@ def verify_no_odd_factor(construction: ParityConstruction, r: int) -> ParityCert
         raise InvalidQueryError(
             f"k={h.k} does not divide n={h.n}; factors are impossible for trivial reasons")
     a = set(construction.part_a)
-    all_even = all(len(a.intersection(e)) % 2 == 0 for e in h.edges)
+    all_even = bool((np.isin(h.rows(), construction.part_a).sum(axis=1) % 2 == 0).all())
     size_odd = len(a) % 2 == 1
     pm_count = None
     if r == 1 and h.n <= 12:

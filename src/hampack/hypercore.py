@@ -7,8 +7,9 @@ position in `codes` names an edge.  Codes must fit in int64, so n^k < 2^63.
 The tuple view `edges` is decoded from the codes on first use.  Hypergraph
 values are immutable after construction.
 
-When n^k <= 2^24, `locate` gathers from a dense position table over the code
-space (`Hypergraph.position_table`); nothing else reads the table.
+Membership is one query: `locate` answers a batch of vertex rows.  When
+n^k <= 2^24 it gathers from a dense position table over the code space
+(`Hypergraph.position_table`); nothing else reads the table.
 """
 from __future__ import annotations
 
@@ -88,7 +89,7 @@ def check_dimensions(n: int, k: int) -> None:
 class Hypergraph:
     """A k-uniform hypergraph on vertices 0..n-1 with a set of k-edges."""
 
-    __slots__ = ("n", "k", "codes", "_edges", "_code_set", "_table")
+    __slots__ = ("n", "k", "codes", "_edges", "_table")
 
     def __init__(self, n: int, k: int, edges: Iterable[Iterable[int]]):
         check_dimensions(n, k)
@@ -109,7 +110,7 @@ class Hypergraph:
     def _store(self, n: int, k: int, codes: np.ndarray) -> None:
         codes.flags.writeable = False
         for name, value in (("n", n), ("k", k), ("codes", codes), ("_edges", None),
-                            ("_code_set", None), ("_table", None)):
+                            ("_table", None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -197,20 +198,6 @@ class Hypergraph:
 
     def num_edges(self) -> int:
         return len(self.codes)
-
-    def has_edge(self, vertices: Iterable[int]) -> bool:
-        """Membership of one vertex set.  The exhaustive enumerators call this
-        per candidate segment, so it tests a frozenset of the codes, built on
-        first use; batches go through `locate`."""
-        vs = sorted(vertices)
-        if len(vs) != self.k or vs[0] < 0 or vs[-1] >= self.n:
-            return False
-        code = 0
-        for v in vs:
-            code = code * self.n + v
-        if self._code_set is None:
-            object.__setattr__(self, "_code_set", frozenset(self.codes.tolist()))
-        return code in self._code_set
 
 
 @dataclass(frozen=True)

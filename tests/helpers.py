@@ -15,8 +15,10 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 from hampack.bifactor import BipartiteGraph, GaleRyserWitness
 from hampack.errors import (InvalidInputError, InvalidQueryError, InvariantViolation,
                             SizeLimitError)
-from hampack.hypercore import Hypergraph, row_codes
+from hampack.hypercore import Hypergraph, check_dimensions, row_codes
 from hampack.census import ENUMERATION_MAX_N, enumerate_cycles
+from hampack.constructions import (ParityCertificate, ParityConstruction,
+                                   _count_matchings_exact_cover)
 from hampack.reduction import (HamiltonCycle, PartitionScheme, build_aux_graph,
                                canonical_rows, check_shape, segment_windows)
 
@@ -235,8 +237,9 @@ def enumerate_cycles_reference(h: Hypergraph, ell: int) -> set[HamiltonCycle]:
 
     Backtracks over vertex placements, testing each length-k segment as soon
     as its last position is filled; the surviving arrangements are
-    canonicalized `CANON_CHUNK` at a time and deduplicated.  Exact but
-    factorial: n <= 10 enforced.
+    canonicalized `CANON_CHUNK` at a time and deduplicated.  It holds its own
+    set of the edges: it checks the placement rule, not the lookup.  Exact
+    but factorial: n <= 10 enforced.
     """
     n, k = h.n, h.k
     if n > ENUMERATION_MAX_N:
@@ -247,6 +250,7 @@ def enumerate_cycles_reference(h: Hypergraph, ell: int) -> set[HamiltonCycle]:
     for window in segment_windows(n, k, ell).tolist():
         by_depth[max(window)].append(window)
 
+    edges = set(map(frozenset, h.edges))
     found: set[tuple[int, ...]] = set()
     leaves: list[int] = []   # the pending arrangements, concatenated
     arr = [-1] * n
@@ -269,7 +273,7 @@ def enumerate_cycles_reference(h: Hypergraph, ell: int) -> set[HamiltonCycle]:
             arr[depth] = v
             ok = True
             for seg in by_depth[depth]:
-                if not h.has_edge(arr[p] for p in seg):
+                if frozenset(arr[p] for p in seg) not in edges:
                     ok = False
                     break
             if ok:
@@ -331,6 +335,57 @@ def random_hypergraph_reference(n, k, p, seed):
     return Hypergraph(n, k, [e for e in combinations(range(n), k) if rng.random() < p])
 
 
+def complete_hypergraph_reference(n: int, k: int) -> Hypergraph:
+    """All C(n, k) edges: the oracle for `complete_hypergraph`."""
+    check_dimensions(n, k)
+    return Hypergraph(n, k, combinations(range(n), k))
+
+
+def parity_hypergraph_reference(n: int, k: int) -> ParityConstruction:
+    """Take part A = {0..a-1} with a the smallest odd integer >= n/2 - 1; the
+    edge set is every k-subset with an even intersection with A: the oracle
+    for `parity_hypergraph`."""
+    check_dimensions(n, k)
+    a = -((-(n - 2)) // 2)  # ceil(n/2 - 1)
+    if a < 1:
+        a = 1
+    if a % 2 == 0:
+        a += 1
+    part_a = tuple(range(a))
+    edges = [e for e in combinations(range(n), k)
+             if sum(1 for v in e if v < a) % 2 == 0]
+    return ParityConstruction(hypergraph=Hypergraph(n, k, edges), part_a=part_a)
+
+
+def verify_no_odd_factor_reference(construction: ParityConstruction,
+                                   r: int) -> ParityCertificate:
+    """Certify that the parity construction has no r-factor for odd r, testing
+    each edge's intersection with part A as a set: the oracle for
+    `verify_no_odd_factor`."""
+    if r % 2 == 0:
+        raise InvalidQueryError(f"r must be odd, got {r}")
+    h = construction.hypergraph
+    if h.n % h.k != 0:
+        raise InvalidQueryError(
+            f"k={h.k} does not divide n={h.n}; factors are impossible for trivial reasons")
+    a = set(construction.part_a)
+    all_even = all(len(a.intersection(e)) % 2 == 0 for e in h.edges)
+    size_odd = len(a) % 2 == 1
+    pm_count = None
+    if r == 1 and h.n <= 12:
+        pm_count = _count_matchings_exact_cover(h)
+    return ParityCertificate(
+        r=r,
+        part_a_size=len(a),
+        part_a_size_odd=size_odd,
+        all_intersections_even=all_even,
+        degree_sum_parity=(r * len(a)) % 2,
+        edge_sum_parity=0 if all_even else 1,
+        no_factor=size_odd and all_even,
+        exhaustive_pm_count=pm_count,
+    )
+
+
 def degree_of(h, subset):
     """Number of edges containing every vertex of `subset`, by a scan over
     the edges."""
@@ -340,7 +395,7 @@ def degree_of(h, subset):
     if not a:
         return h.num_edges()
     if len(a) == h.k:
-        return 1 if h.has_edge(a) else 0
+        return int(h.locate([list(a)])[0] >= 0)
     return sum(1 for e in h.edges if a.issubset(e))
 
 

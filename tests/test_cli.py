@@ -396,6 +396,13 @@ def test_count_size_limit_exit_1(tmp_path, capsys):
     assert "`hampack bound` evaluates the formulas at any n" in err
 
 
+@pytest.mark.parametrize("kind", ["--complete", "--parity"])
+def test_gen_rows_past_1_gib_exit_1(capsys, kind):
+    code, out, err = run(capsys, "gen", kind, "--n", "1000", "--k", "3")
+    assert code == 1 and out == ""
+    assert "C(1000, 3)·3 > 2^27: the edge rows would exceed 1 GiB" in err
+
+
 def test_verify_ell_out_of_range_exit_2(tmp_path, capsys):
     hpath = str(tmp_path / "h.json")
     write_hypergraph(complete_hypergraph(6, 3), hpath)
@@ -537,6 +544,9 @@ def test_manifest_parameters_replay_the_run(tmp_path, capsys, name):
     argv = [hpath if a == "H" else a for a in REPLAYED_RUNS[name]]
     assert run(capsys, *argv, "--out", o1)[0] == 0
     manifest = json.load(open(o1 + ".manifest.json"))
+    if name.startswith("pack"):
+        # theorem 3 runs at epsilon 0.1; theorem 2's null means "measured alpha - alpha'"
+        assert manifest["parameters"]["epsilon"] == {"pack-t2": None, "pack-t3": 0.1}[name]
     replay = [manifest["command"]]
     for key, value in manifest["parameters"].items():
         flag = "--" + key.replace("_", "-")

@@ -1,14 +1,20 @@
 import math
+import tracemalloc
 
 import pytest
 
 from hampack import constructions
-from hampack.constructions import (complete_hypergraph, parity_hypergraph,
+from hampack.constructions import (ParityConstruction, complete_hypergraph, parity_hypergraph,
                                    random_hypergraph, verify_no_odd_factor)
 from hampack.errors import InvalidQueryError, ParseError, SizeLimitError
-from hampack.hypercore import degree_report
+from hampack.hypercore import Hypergraph, degree_report
 
-from helpers import random_hypergraph_reference
+from helpers import (complete_hypergraph_reference, parity_hypergraph_reference,
+                     random_hypergraph_reference, verify_no_odd_factor_reference)
+
+# every 1 <= k <= n <= 14, so n = k, k = 1 and the parity parts with a >= n/2
+# (n = 1, 2, 5, 6, 9, 10, 13, 14) are among them, plus two larger shapes
+UNRANKED_SHAPES = [(n, k) for n in range(1, 15) for k in range(1, n + 1)] + [(40, 4), (90, 3)]
 
 
 @pytest.mark.parametrize("n,k,expected", [(4, 3, 4), (6, 3, 20), (5, 5, 1)])
@@ -68,6 +74,60 @@ def test_generators_reject_bad_shapes_before_enumerating(generate):
         generate(3, 5)
     with pytest.raises(SizeLimitError):
         generate(10 ** 7, 3)
+
+
+@pytest.mark.parametrize("n,k", UNRANKED_SHAPES)
+def test_unranked_generators_match_the_combinations_references(n, k):
+    assert complete_hypergraph(n, k) == complete_hypergraph_reference(n, k)
+    cons, ref = parity_hypergraph(n, k), parity_hypergraph_reference(n, k)
+    assert cons.hypergraph == ref.hypergraph and cons.part_a == ref.part_a
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n, k in UNRANKED_SHAPES if n <= 14])
+def test_parity_certificates_match_the_set_reference(n, k):
+    cons, ref = parity_hypergraph(n, k), parity_hypergraph_reference(n, k)
+    for r in (1, 3):
+        if n % k:
+            with pytest.raises(InvalidQueryError):
+                verify_no_odd_factor(cons, r)
+        else:
+            assert verify_no_odd_factor(cons, r) == verify_no_odd_factor_reference(ref, r)
+
+
+def test_certificate_reads_any_part_a():
+    # parts that are not an initial segment 0..a-1, and the empty part; every
+    # edge of `even` meets {1, 4, 5} in 0 or 2 vertices
+    even = Hypergraph(6, 3, [(0, 1, 4), (2, 4, 5), (0, 2, 3), (1, 3, 5)])
+    for h in (complete_hypergraph(6, 3), even):
+        for part_a in ((1, 4, 5), (0, 2), ()):
+            cons = ParityConstruction(hypergraph=h, part_a=part_a)
+            for r in (1, 3):
+                assert verify_no_odd_factor(cons, r) == verify_no_odd_factor_reference(cons, r)
+    assert verify_no_odd_factor(ParityConstruction(even, (1, 4, 5)), 1).no_factor
+
+
+@pytest.mark.parametrize("generate", [complete_hypergraph, parity_hypergraph],
+                         ids=["complete", "parity"])
+def test_generators_refuse_rows_past_1_gib_before_allocating(generate):
+    # C(1000, 3)·3 ≈ 5·10^8 row entries > 2^27
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match=r"C\(1000, 3\)·3 > 2\^27: the edge rows"):
+            generate(1000, 3)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("generate", [complete_hypergraph, parity_hypergraph],
+                         ids=["complete", "parity"])
+def test_row_bound_admits_exactly_its_entries(monkeypatch, generate):
+    # C(12, 3)·3 = 660 row entries
+    monkeypatch.setattr(constructions, "DENSE_MAX_ENTRIES", 660)
+    generate(12, 3)
+    monkeypatch.setattr(constructions, "DENSE_MAX_ENTRIES", 659)
+    with pytest.raises(SizeLimitError):
+        generate(12, 3)
 
 
 @pytest.mark.parametrize("n,expected_a", [(12, 5), (6, 3), (10, 5), (7, 3)])

@@ -31,7 +31,7 @@ def test_degree_of_parity_pair_matches_enumeration():
     cons = parity_hypergraph(12, 3)
     h = cons.hypergraph
     # both vertices inside the odd part; count valid third vertices directly
-    expected = sum(1 for v in range(12) if v not in (0, 1) and h.has_edge((0, 1, v)))
+    expected = int((h.locate([(0, 1, v) for v in range(2, 12)]) >= 0).sum())
     assert degree_of(h, [0, 1]) == expected
     # and by the parity rule itself: the third vertex must avoid the odd part
     assert expected == 12 - len(cons.part_a)
@@ -177,7 +177,7 @@ def test_read_minimal(tmp_path):
     path = tmp_path / "h.json"
     path.write_text('{"n": 4, "k": 3, "edges": [[0, 1, 2]]}')
     h = read_hypergraph(str(path))
-    assert h.num_edges() == 1 and h.has_edge([2, 1, 0])
+    assert h.num_edges() == 1 and h.locate([[2, 1, 0]]).tolist() == [0]
 
 
 @pytest.mark.parametrize("payload,fragment", [
@@ -382,5 +382,4 @@ def test_equality_and_hash_follow_the_edge_set():
     b = Hypergraph(6, 3, ((5, 3, 4), (2, 1, 0)))
     assert a == b and hash(a) == hash(b)
     assert a != Hypergraph(6, 3, [[0, 1, 2]]) and a != Hypergraph(7, 3, a.edges)
-    assert b.has_edge([4, 5, 3]) and not b.has_edge([0, 1, 3])
-    assert not b.has_edge([0, 1]) and not b.has_edge([0, 1, 6])
+    assert b.locate([[4, 5, 3], [0, 1, 3], [0, 1, 6]]).tolist() == [1, -1, -1]
