@@ -6,7 +6,6 @@ Both parts have size m and are indexed 0..m-1; edges are (s, t) pairs.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -307,14 +306,6 @@ def max_factors(graphs: Sequence[BipartiteGraph]) -> list[tuple[int, Factor]]:
     return [(int(r), f if f is not None
              else Factor(0, BipartiteGraph._from_codes(g.m, np.empty(0, np.int64))))
             for r, f, g in zip(lo.tolist(), best, graphs)]
-
-
-def almost_regular_bound(alpha: float, epsilon: float) -> float:
-    """Factor-density target alpha - 10*sqrt(epsilon) for near-regular graphs, clamped at 0."""
-    if not alpha > 0.5:
-        raise InvalidInputError(f"alpha must be > 1/2, got {alpha}")
-    check_nonnegative(epsilon, "epsilon")
-    return max(0.0, alpha - 10.0 * math.sqrt(epsilon))
 
 
 def peel_matchings(factor: Factor, host: BipartiteGraph) -> np.ndarray:

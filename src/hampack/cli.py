@@ -194,8 +194,7 @@ def cmd_pack(args) -> int:
     if args.theorem == 3 and args.epsilon is None:
         args.epsilon = 0.1  # theorem 2 keeps None: "measured alpha - alpha'"
     h = hypercore.read_hypergraph(args.input)
-    shared = dict(num_partitions=args.r, resample_limit=args.resample_limit,
-                  seed=derive_seed(args.seed, "pack"))
+    shared = dict(num_partitions=args.r, seed=derive_seed(args.seed, "pack"))
     if args.theorem == 2:
         result = packer.pack_min_degree(h, args.ell, alpha_prime=args.alpha_prime,
                                         epsilon=args.epsilon, **shared)
@@ -338,7 +337,6 @@ def build_parser() -> _Parser:
                    help="min-degree pipeline: the hypothesis' alpha' (default 0.6)")
     p.add_argument("--epsilon", type=float)
     p.add_argument("--r", type=int, help="number of partitions (default: formula, clamped)")
-    p.add_argument("--resample-limit", type=int, default=5, dest="resample_limit")
     p.add_argument("--delta-target", type=float, dest="delta_target",
                    help="near-regular pipeline: uncovered-edge budget as a fraction of "
                         "C(n,k) (default 0.1)")

@@ -210,6 +210,17 @@ class DegreeReport:
     witness_max: tuple[int, ...]
 
 
+def _binomials(n: int, d: int) -> np.ndarray:
+    """The (d + 1) x n int64 table B[j, x] = C(x, j), one row per j by the
+    hockey-stick identity C(x, j) = sum_{y < x} C(y, j - 1).  Every entry is
+    at most C(n, d) <= n^d, which fits in int64 for d <= k since n^k < 2^63."""
+    table = np.zeros((d + 1, n), dtype=np.int64)
+    table[0] = 1
+    for j in range(1, d + 1):
+        np.cumsum(table[j - 1, :-1], out=table[j, 1:])
+    return table
+
+
 def lex_unrank(ranks: np.ndarray, n: int, d: int) -> np.ndarray:
     """The d-subsets of 0..n-1 at positions `ranks` in lexicographic order, as
     a len(ranks) x d int64 array of ascending rows.
@@ -220,8 +231,9 @@ def lex_unrank(ranks: np.ndarray, n: int, d: int) -> np.ndarray:
     """
     rest = math.comb(n, d) - 1 - np.asarray(ranks, dtype=np.int64)
     rows = np.empty((len(rest), d), dtype=np.int64)
+    binomials = _binomials(n, d)
     for i in range(d):
-        table = np.array([math.comb(x, d - i) for x in range(n)], dtype=np.int64)
+        table = binomials[d - i]
         x = np.searchsorted(table, rest, side="right") - 1
         rest = rest - table[x]
         rows[:, i] = n - 1 - x
@@ -234,11 +246,10 @@ def subset_ranks(h: Hypergraph, d: int) -> np.ndarray:
     combination of combinations(range(k), d), where
     rank(c) = C(n, d) - 1 - sum_i C(n - 1 - c_i, d - i).
 
-    Each term is a gather from the 1-D table v -> C(n - 1 - v, d - i) over one
-    contiguous vertex column."""
+    Each term is a gather from the 1-D table v -> C(n - 1 - v, d - i), a
+    reversed row of `_binomials`, over one contiguous vertex column."""
     n = h.n
-    tables = [np.array([math.comb(n - 1 - v, j) for v in range(n)], dtype=np.int64)
-              for j in range(d + 1)]
+    tables = _binomials(n, d)[:, ::-1]
     columns = h.columns()
     positions = list(combinations(range(h.k), d))
     ranks = np.empty((len(h.codes), len(positions)), dtype=np.int64)

@@ -3,14 +3,15 @@
 Both pipelines run one loop, `_pack`: sample partition schemes, let every
 hypergraph edge that fits some scheme pick one uniformly at random (making the
 per-scheme sub-hypergraphs edge-disjoint by construction), then extract a
-maximal regular subgraph of each scheme's auxiliary graph restricted to its
+maximum regular subgraph of each scheme's auxiliary graph restricted to its
 assigned edges, peel it into perfect matchings, and lift each matching to a
 cycle.  An edge fits a scheme exactly when it is realized by an edge of that
 scheme's auxiliary graph, so the candidates are read off the aux graphs.
-Each pipeline sets only what differs: `pack_min_degree` needs only a codegree
-lower bound; `pack_near_regular` additionally needs the codegrees to be nearly
-uniform, records a factor target per partition and reports coverage against
-an uncovered-edge budget.
+Each scheme is resampled up to `RESAMPLE_LIMIT` times until its aux graph
+passes the pipeline's acceptance test.  Each pipeline sets only what differs:
+`pack_min_degree` needs only a codegree lower bound; `pack_near_regular`
+additionally needs the codegrees to be nearly uniform and reports coverage
+against an uncovered-edge budget.
 """
 from __future__ import annotations
 
@@ -30,6 +31,8 @@ from .reduction import (AuxGraph, HamiltonCycle, build_aux_graph, canonicalize, 
                         verify_cycle)
 from .util import check_nonnegative, check_probability, derive_seed
 
+RESAMPLE_LIMIT = 5  # resamples per scheme before a failing one is kept anyway
+
 
 @dataclass(frozen=True)
 class PartitionStats:
@@ -39,7 +42,6 @@ class PartitionStats:
     aux_edges: int
     assigned_edges: int
     sub_aux_edges: int
-    factor_target: Optional[int]
     factor_size: int
     matchings: int
     cycles: int
@@ -55,7 +57,6 @@ class PackingResult:
     covered_edges: int
     coverage_ratio: float
     warnings: tuple[str, ...]
-    resample_exhausted: bool
     uncovered_budget: Optional[float] = None   # near-regular pipeline only
     goal_met: Optional[bool] = None
 
@@ -120,8 +121,8 @@ def default_num_partitions(h: Hypergraph, ell: int) -> int:
 
 
 def _sample_accepted_schemes(h: Hypergraph, ell: int, count: int, seed: int,
-                             resample_limit: int, accept) -> tuple[list, list[int], bool]:
-    """Sample `count` schemes, retrying each until `accept(aux)` or the limit."""
+                             accept) -> tuple[list, list[int], bool]:
+    """Sample `count` schemes, retrying each until `accept(aux)` or `RESAMPLE_LIMIT`."""
     auxes = []
     retries = []
     exhausted = False
@@ -131,7 +132,7 @@ def _sample_accepted_schemes(h: Hypergraph, ell: int, count: int, seed: int,
             s = sample_scheme(h, ell, derive_seed(seed, f"scheme:{i}:{tries}"))
             aux = build_aux_graph(h, s)
             ok = accept(aux)
-            if ok or tries >= resample_limit:
+            if ok or tries >= RESAMPLE_LIMIT:
                 if not ok:
                     exhausted = True
                 auxes.append(aux)
@@ -187,22 +188,15 @@ def _extract_cycles(h: Hypergraph, auxes: Sequence[AuxGraph], subs: Sequence[Bip
     return [r for r, _ in factors], counts, rows, pos
 
 
-def _pack(h: Hypergraph, ell: int, count: int, seed: int, resample_limit: int, accept,
-          warnings: list[str], density: Optional[float] = None,
+def _pack(h: Hypergraph, ell: int, count: int, seed: int, accept, warnings: list[str],
           uncovered_budget: Optional[float] = None) -> PackingResult:
     """The shared packing loop: sample and accept `count` >= 0 schemes, assign
     the edges, and extract the cycles of every partition from the aux edges
-    whose hyperedge chose it (`_extract_cycles`).
-
-    `density`, when given, records the factor target density·m·retention
-    (retention: the share of the aux edges assigned to the partition), which
-    the flow maximum dominates whenever it is feasible.  Edge-disjointness
-    (over all located segments at once) and edge conservation are re-verified.
+    whose hyperedge chose it (`_extract_cycles`).  Edge-disjointness (over all
+    located segments at once) and edge conservation are re-verified.
     """
     check_nonnegative(count, "number of partitions")
-    check_nonnegative(resample_limit, "resample limit")
-    auxes, retries, exhausted = _sample_accepted_schemes(
-        h, ell, count, seed, resample_limit, accept)
+    auxes, retries, exhausted = _sample_accepted_schemes(h, ell, count, seed, accept)
     if exhausted:
         warnings.append("resample limit exhausted for at least one partition; partial result")
     assignment = assign_edges(h, auxes, derive_seed(seed, "assign"))
@@ -211,16 +205,11 @@ def _pack(h: Hypergraph, ell: int, count: int, seed: int, resample_limit: int, a
                                        aux.graph.codes[assignment.choice[aux.edge_pos] == i])
             for i, aux in enumerate(auxes)]
     sizes, cycles, rows, pos = _extract_cycles(h, auxes, subs, segment_windows(h.n, h.k, ell))
-    stats: list[PartitionStats] = []
-    for i, aux in enumerate(auxes):
-        m, aux_edges = aux.scheme.m, len(aux.graph.codes)
-        target = None
-        if density is not None:
-            target = int(density * m * ((assigned[i] / aux_edges) if aux_edges else 0.0))
-        stats.append(PartitionStats(
-            index=i, retries=retries[i], aux_min_degree=aux.graph.min_degree(),
-            aux_edges=aux_edges, assigned_edges=assigned[i], sub_aux_edges=len(subs[i].codes),
-            factor_target=target, factor_size=sizes[i], matchings=sizes[i], cycles=cycles[i]))
+    stats = [PartitionStats(
+        index=i, retries=retries[i], aux_min_degree=aux.graph.min_degree(),
+        aux_edges=len(aux.graph.codes), assigned_edges=assigned[i],
+        sub_aux_edges=len(subs[i].codes), factor_size=sizes[i], matchings=sizes[i],
+        cycles=cycles[i]) for i, aux in enumerate(auxes)]
     used, uses = np.unique(pos, return_counts=True)
     if (uses > 1).any():
         raise InvariantViolation(
@@ -240,22 +229,21 @@ def _pack(h: Hypergraph, ell: int, count: int, seed: int, resample_limit: int, a
         psi_histogram={v: c for v, c in enumerate(np.bincount(assignment.psi).tolist()) if c},
         unassigned=int(unassigned.sum()),
         covered_edges=covered, coverage_ratio=ratio,
-        warnings=tuple(warnings), resample_exhausted=exhausted,
-        uncovered_budget=uncovered_budget, goal_met=goal)
+        warnings=tuple(warnings), uncovered_budget=uncovered_budget, goal_met=goal)
 
 
 def pack_min_degree(h: Hypergraph, ell: int, *, alpha_prime: float = 0.6,
                     epsilon: Optional[float] = None, num_partitions: Optional[int] = None,
-                    resample_limit: int = 5, seed: int = 0) -> PackingResult:
+                    seed: int = 0) -> PackingResult:
     """Packing pipeline under a codegree lower-bound hypothesis.
 
     Schemes whose auxiliary graph misses the (alpha' + eps/2)·m min-degree mark
-    are resampled up to `resample_limit` times.  alpha' must be in [0, 1];
+    are resampled up to `RESAMPLE_LIMIT` times.  alpha' must be in [0, 1];
     epsilon must be >= 0 and defaults to the measured alpha - alpha'; the
     partition count defaults to `default_num_partitions`.  The factor
-    extracted per partition is the flow-certified maximum, which dominates the
-    guaranteed size.  Invariants (cycle validity, pairwise edge-disjointness,
-    edge conservation) are re-verified on the assembled result.
+    extracted per partition is the flow-certified maximum.  Invariants (cycle
+    validity, pairwise edge-disjointness, edge conservation) are re-verified
+    on the assembled result.
     """
     check_probability(alpha_prime, "alpha_prime")
     if epsilon is not None:
@@ -271,22 +259,21 @@ def pack_min_degree(h: Hypergraph, ell: int, *, alpha_prime: float = 0.6,
     eps = epsilon if epsilon is not None else max(alpha - alpha_prime, 0.0)
     threshold = (alpha_prime + eps / 2.0) * m
     count = num_partitions if num_partitions is not None else default_num_partitions(h, ell)
-    return _pack(h, ell, count, seed, resample_limit,
-                 lambda aux: aux.graph.min_degree() >= threshold, warnings)
+    return _pack(h, ell, count, seed, lambda aux: aux.graph.min_degree() >= threshold,
+                 warnings)
 
 
 def pack_near_regular(h: Hypergraph, ell: int, delta_target: float, epsilon: float,
-                      seed: int, num_partitions: Optional[int] = None,
-                      resample_limit: int = 5) -> PackingResult:
+                      seed: int, num_partitions: Optional[int] = None) -> PackingResult:
     """Packing pipeline under a two-sided codegree hypothesis, aimed at
     covering all but a delta_target fraction of the possible edges.
 
-    Requires max codegree - min codegree <= 2*epsilon*n.  The partition count
-    follows |E|·((k-ell)/n)^2 / q with q = (alpha-epsilon)·m^2/|E| (clamped to
-    the desk-scale range, overridable); the per-partition factor target comes
-    from the near-regular density guarantee scaled by each partition's edge
-    retention, with the flow maximum as fallback.  epsilon must be >= 0 and
-    delta_target in [0, 1].
+    Requires max codegree - min codegree <= 2*epsilon*n.  Schemes whose
+    auxiliary graph has a degree outside the band (alpha ± 2*epsilon)·m are
+    resampled up to `RESAMPLE_LIMIT` times.  The partition count follows
+    |E|·((k-ell)/n)^2 / q with q = (alpha-epsilon)·m^2/|E| (clamped to the
+    desk-scale range, overridable); each partition takes the flow-certified
+    maximum factor.  epsilon must be >= 0 and delta_target in [0, 1].
     """
     check_nonnegative(epsilon, "epsilon")
     check_probability(delta_target, "delta_target")
@@ -311,11 +298,7 @@ def pack_near_regular(h: Hypergraph, ell: int, delta_target: float, epsilon: flo
             num_partitions = 1
     band_lo = (alpha - 2.0 * epsilon) * m
     band_hi = (alpha + 2.0 * epsilon) * m
-    try:
-        density = bifactor.almost_regular_bound(alpha, 2.0 * epsilon)
-    except InvalidInputError:
-        density = 0.0
-    return _pack(h, ell, num_partitions, seed, resample_limit,
+    return _pack(h, ell, num_partitions, seed,
                  lambda aux: band_lo <= aux.graph.min_degree()
                  and aux.graph.max_degree() <= band_hi,
-                 warnings, density=density, uncovered_budget=delta_target * math.comb(n, k))
+                 warnings, uncovered_budget=delta_target * math.comb(n, k))

@@ -102,7 +102,7 @@ def _check_robustness_hypotheses(g: BipartiteGraph, rho: float) -> None:
             f"host graph has no {math.floor(rho * m)}-factor; the rho hypothesis fails")
 
 
-def _factor_target(rho: float, m: int, p: float, epsilon: float) -> int:
+def _robustness_target(rho: float, m: int, p: float, epsilon: float) -> int:
     """floor((1 - epsilon) * rho * m * p), with a 1e-9 tolerance so that a product
     that is an integer in exact arithmetic is not rounded down by float error.
     epsilon must lie in [0, 1): outside it the target is negative or above m·p."""
@@ -120,7 +120,7 @@ def factor_robustness_trial(g: BipartiteGraph, rho: float, p: float, epsilon: fl
     """
     if not skip_checks:
         _check_robustness_hypotheses(g, rho)
-    target = _factor_target(rho, g.m, p, epsilon)
+    target = _robustness_target(rho, g.m, p, epsilon)
     sub = random_subgraph(g, p, seed)
     r_star, factor = bifactor.max_factor(sub)
     return FactorTrial(seed=seed, r_star=r_star, target=target,
@@ -133,7 +133,7 @@ def factor_robustness_sweep(g: BipartiteGraph, rho: float, p: float, epsilon: fl
     are checked once, before any trial."""
     _check_robustness_hypotheses(g, rho)
     check_probability(p)
-    target = _factor_target(rho, g.m, p, epsilon)
+    target = _robustness_target(rho, g.m, p, epsilon)
     results = _sweep(lambda seed: factor_robustness_trial(g, rho, p, epsilon, seed,
                                                           skip_checks=True),
                      trials, master_seed)

@@ -7,11 +7,10 @@ import pytest
 import scipy.sparse.csgraph as csgraph
 
 from hampack import randomlab
-from hampack.bifactor import (GALE_RYSER_MAX_M, BipartiteGraph, Factor,
-                              almost_regular_bound, complete_bipartite, find_factor,
-                              from_json_dict, gale_ryser_check, max_factor, max_factors,
-                              peel_all, peel_matchings, read_bipartite, to_json_dict,
-                              write_bipartite)
+from hampack.bifactor import (GALE_RYSER_MAX_M, BipartiteGraph, Factor, complete_bipartite,
+                              find_factor, from_json_dict, gale_ryser_check, max_factor,
+                              max_factors, peel_all, peel_matchings, read_bipartite,
+                              to_json_dict, write_bipartite)
 from hampack.errors import (InvalidInputError, InvariantViolation, ParseError,
                             SizeLimitError)
 
@@ -345,17 +344,6 @@ class TestClosedForms:
             csaba_rho(0.49)
         with pytest.raises(InvalidInputError):
             csaba_rho(1.01)
-
-    def test_almost_regular_bound(self):
-        assert almost_regular_bound(0.8, 0.0) == 0.8
-        assert abs(almost_regular_bound(0.6, 0.0001) - 0.5) < 1e-12
-        assert almost_regular_bound(0.55, 0.01) == 0.0
-        with pytest.raises(InvalidInputError):
-            almost_regular_bound(0.5, 0.01)
-        with pytest.raises(InvalidInputError, match="alpha must be > 1/2, got nan"):
-            almost_regular_bound(math.nan, 0.1)
-        with pytest.raises(InvalidInputError, match="epsilon must be >= 0, got nan"):
-            almost_regular_bound(0.8, math.nan)
 
 
 class TestPeel:

@@ -161,6 +161,26 @@ def test_pack_near_regular_cli(tmp_path, capsys):
     assert json.loads(out)["coverage_ratio"] > 0
 
 
+PACK_KEYS = {"cycles", "partitions_used", "per_partition", "psi_histogram", "unassigned",
+             "covered_edges", "coverage_ratio", "warnings", "uncovered_budget", "goal_met"}
+PARTITION_KEYS = {"index", "retries", "aux_min_degree", "aux_edges", "assigned_edges",
+                  "sub_aux_edges", "factor_size", "matchings", "cycles"}
+
+
+@pytest.mark.parametrize("theorem", ["2", "3"])
+def test_pack_document_keys(tmp_path, capsys, theorem):
+    # the benchmark's pack check reads cycles, partitions_used, covered_edges,
+    # coverage_ratio, unassigned, psi_histogram and, per partition, retries,
+    # matchings, factor_size, aux_edges, assigned_edges, sub_aux_edges, cycles
+    hpath = str(tmp_path / "h.json")
+    write_hypergraph(complete_hypergraph(12, 3), hpath)
+    code, out, _ = run(capsys, "pack", "--input", hpath, "--theorem", theorem,
+                       "--ell", "1", "--r", "2", "--seed", "7")
+    doc = json.loads(out)
+    assert code == 0 and set(doc) == PACK_KEYS
+    assert [set(p) for p in doc["per_partition"]] == [PARTITION_KEYS] * 2
+
+
 @pytest.mark.parametrize("theorem", ["2", "3"])
 def test_pack_rejects_negative_partition_count(tmp_path, capsys, theorem):
     hpath, opath = str(tmp_path / "h.json"), tmp_path / "pack.json"
@@ -248,10 +268,11 @@ MC_FACTOR_K4 = ("mc-factor", "--complete-bipartite", "4", "--rho", "1", "--p", "
       "--trials", "-3"), "number of trials must be >= 0, got -3"),
     (("mc-partition", "--kind", "part-degrees", "--sizes", "6,6", "--delta", "0.5",
       "--epsilon", "0.2", "--trials", "-3"), "number of trials must be >= 0, got -3"),
-    (("pack", "--theorem", "2", "--ell", "1", "--r", "2", "--resample-limit", "-1"),
-     "resample limit must be >= 0, got -1"),
+    # the resample limit is a constant of the packer, not a flag
+    (("pack", "--theorem", "2", "--ell", "1", "--r", "2", "--resample-limit", "3"),
+     "unrecognized arguments: --resample-limit 3"),
     (("pack", "--theorem", "3", "--ell", "1", "--r", "2", "--epsilon", "0.05",
-      "--resample-limit", "-1"), "resample limit must be >= 0, got -1"),
+      "--resample-limit", "3"), "unrecognized arguments: --resample-limit 3"),
     # parameters outside their range, checked before any trial or partition
     (MC_FACTOR_K4 + ("--epsilon", "1.5", "--trials", "2"), "epsilon must be in [0, 1), got 1.5"),
     (MC_FACTOR_K4 + ("--epsilon", "-3", "--trials", "2"), "epsilon must be in [0, 1), got -3.0"),
@@ -569,7 +590,11 @@ def test_manifest_parameters_replay_the_run(tmp_path, capsys, name):
 # primary digests of complete-12-3-t3 and both random-30-3 cases were
 # re-recorded when the peel moved to Hopcroft-Karp: it splits the same factors
 # into other matchings, so other cycles cover the same edges (see
-# GOLDEN_PACK_CYCLES_FREE).
+# GOLDEN_PACK_CYCLES_FREE).  Every GOLDEN_PACK digest and every
+# GOLDEN_PACK_CYCLES_FREE digest was re-recorded once when the packer dropped
+# `resample_exhausted` and the per-partition `factor_target` (and its
+# partitions.csv column): both documents equal the earlier ones with those
+# keys and that column deleted, and nothing else moved.
 GOLDEN_INPUTS = {
     "complete-12-3": ["--complete", "--n", "12", "--k", "3"],
     "complete-4-3": ["--complete", "--n", "4", "--k", "3"],
@@ -581,29 +606,29 @@ GOLDEN_INPUTS = {
 
 GOLDEN_PACK = [
     ("complete-12-3", ["--theorem", "2", "--ell", "0"],
-     "b135037dabbf9d34123a8407d221c1a391713900754d8e91c8274cebae564d14",
-     "6fdeea76e5b4b42e053270e923f9c89b73861f0cbf5a85e85c8aa8dd94aa14c8"),
+     "3be910c2dc3488c3d67bab978009e4152a8c54e20e4064d29fdb7b13ea180b16",
+     "4971e09fdadb1a9a905c746f1c594066ec806c53950fed2b5677d75ddd3ef66f"),
     ("complete-12-3", ["--theorem", "3", "--ell", "0", "--r", "4"],
-     "2f7a1d52ffd2a6c1dddb5592a2a7850d5e2bd555b8210bf64e763053b71c0ba3",
-     "f2039b221e900c26a56a92ad8589a43e206a3bf3b882e64af076bd41f44dcee0"),
+     "186b2605e51ef630ef42b7dc8ab26ed06d179a377b39e8fb3153f984939085c9",
+     "3f872d818a8eef634df0d23a3f141faaf9e0ecd9664890494bfe85155d095051"),
     ("complete-4-3", ["--theorem", "2", "--ell", "1", "--r", "3"],
-     "2cfbc508f9c7d200f29674ef983ef64886166a2f416087650a1887764756c99d",
-     "c0b24d2c34e46d9aa5a52d654448853c448193f2d3e9e1910c0b61fe979ce22a"),
+     "73d6573df766dfd2b3583b54ccb9a7cc395c47d88f2e74dd9e5ecba1a84eaecc",
+     "30c4b880011ddaa8ce8510e29967092a5e9f646eb6c1fc932cb0ada9bf758e96"),
     ("complete-4-3", ["--theorem", "3", "--ell", "1", "--r", "3"],
-     "9f93d3ca06fc046d75766e8995dd4c9ba782063991ca4311efd1553785602dbe",
-     "62b833174d454bb2ae18a6b4270e2768775e631d38119c81d7bb6f1372a76a38"),
+     "7a915f2f532d79f2f37a899a9b8a236356d8ab9be21e73f41526a87ce0af9ac5",
+     "f9728abb2c574fc9fecf03cd4d9f6099f5b5fb6b53f0b562558ce8e65bb3a955"),
     ("complete-6-5", ["--theorem", "2", "--ell", "2", "--r", "3"],
-     "3ce6e940caf6c9541b6e23dee93b6a96311f01ad475d9c69b7e4a4c9806bff6b",
-     "d0feeece412b5bdc617399c2b1701087e0429a97ccd11d40a62b51e49d28140d"),
+     "8218d15f2619b32f3c40449ef446d7529869051b19983523ef1d1b55eee33997",
+     "0c12e49b85099f87a54840f3aae38f38fe8d28ca4c9c9003bd10c98560a32de8"),
     ("complete-6-5", ["--theorem", "3", "--ell", "2", "--r", "3"],
-     "24f0910bd2f39c85d35156e26d415f47a04494c6fb5ac8d0ad003d70a0912aa4",
-     "62b833174d454bb2ae18a6b4270e2768775e631d38119c81d7bb6f1372a76a38"),
+     "d5b14558982567aefa62e4d96a0ecef5ac22aca9febda981d42db09c6c9b9589",
+     "f9728abb2c574fc9fecf03cd4d9f6099f5b5fb6b53f0b562558ce8e65bb3a955"),
     ("random-30-3", ["--theorem", "2", "--ell", "1", "--r", "8"],
-     "cafb5d9152a9a71333b3d507f0a2e7bcd078b9217c7625ae31ab1c352ffae616",
-     "ed87c6c7f23ae9d32eb9ce31ff2fd7c79c7c8b24c56c42a8b1f90d4c6020c40e"),
+     "cbb5cc23c6e320e566f6e44332aacfae7882097da68c97d0bb0da77ebbd57d56",
+     "33d1b2450d17f4b4b01f2a1758a43ceddad2f3522d7f4f6d8e69367edea89807"),
     ("random-30-3", ["--theorem", "3", "--ell", "1", "--r", "8", "--epsilon", "0.3"],
-     "0b88fe5b6db59171e84c2036b155205c716bfe8e9bbb5f65129503a4fe459e81",
-     "6407ab7ab64682ba8f0129560ca2d73ffc331e6063aa009cd3d63e3ea76dfa6d"),
+     "16f5395ac4af45062ba0cdb4ad87e2b322367f415a133c9e3fd26782ca2514fb",
+     "33d1b2450d17f4b4b01f2a1758a43ceddad2f3522d7f4f6d8e69367edea89807"),
 ]
 
 
@@ -633,14 +658,14 @@ def test_pack_golden_digests(tmp_path, capsys, name, argv, primary, sidecar):
 # field, the sorted covered edges and the cycle count.  Another decomposition
 # of the same factors lists other cycles but leaves this digest unchanged.
 GOLDEN_PACK_CYCLES_FREE = {
-    "complete-12-3-t2": "0be50eeae63c337b0eb8ed94a91cf6e1ef3f37ef6cc294132ecd99b40565f80a",
-    "complete-12-3-t3": "c5579f0de62671861a40f0c151d5e44bd84ac1dda0e536bbe72e4fff49657300",
-    "complete-4-3-t2": "293a054adcf3d667ffc7753386ea8b26cad7fc5de00d3574eb80ece31ed24a8b",
-    "complete-4-3-t3": "e80c76821ad6f9e8abfe7be8cbb5c6675298e55b8576109263b52b11ac62e715",
-    "complete-6-5-t2": "6f174f492e4512afc78fa42b075b5f30578caf892c8a550ed2177f6b760f84cd",
-    "complete-6-5-t3": "07e4c1de3d68fb9745fb8b2ca9834ecc4715893f5d594a371f59b8414133e160",
-    "random-30-3-t2": "8c473fbb8eb5f01a2daee1020ba5ef0ad67feae9c5094c0574ebe64996a2d22b",
-    "random-30-3-t3": "f2d1b786d1c506bae116a1f3a80c89ccef11986b1c221aaf663094aa5d18ce84",
+    "complete-12-3-t2": "754d0840573ebd286a31274f702d10e8089dd91b5b92f764163a4519630f3b5e",
+    "complete-12-3-t3": "f6f1d998a7397d82a60815d12b439689da8465ce06b1827c14c829bfe1c2340d",
+    "complete-4-3-t2": "5ec2dcca9392ee9e2f10159515db541c5d120163a89b69ea7df9a98e95bd89ac",
+    "complete-4-3-t3": "4532f4e182fc7063647ba67112c80b59704e9a8e70bff8abe16d1e26815dfe5f",
+    "complete-6-5-t2": "6f268691dc6d68e2f7f6239ca3c0e5a3b2c94206803534a81d52833d716b7305",
+    "complete-6-5-t3": "551de16e8d900cd9268102efeb2a794bbc62a78b04003df9d215837429426ec8",
+    "random-30-3-t2": "4d86065167e2eaa09e76c47e12f6e75432b99fc012fc2e24e57933f5f07dde5f",
+    "random-30-3-t3": "e4899ff052a0ff4fa6d9bc1dc1553ca40f60552cfd33ff37a614678f8d15a369",
 }
 
 

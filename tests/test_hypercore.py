@@ -257,6 +257,16 @@ def test_lex_unrank_walks_the_combinations_in_order(n, d):
     assert lex_unrank(ranks[::-2], n, d).tolist() == lex_unrank(ranks, n, d)[::-2].tolist()
 
 
+@pytest.mark.parametrize("n,d", [(0, 2), (1, 3), (9, 4), (55108, 4), (6208, 5)])
+def test_binomial_table_is_math_comb(n, d):
+    # 55108 and 6208 are the largest n with n^d < 2^63 for d = 4 and 5, so
+    # the last columns hold the largest values a rank table can hold
+    table = hypercore._binomials(n, d)
+    xs = sorted(set(range(min(n, 40))) | set(range(max(n - 40, 0), n)))
+    assert table.shape == (d + 1, n) and table.dtype == np.int64
+    assert table[:, xs].tolist() == [[math.comb(x, j) for x in xs] for j in range(d + 1)]
+
+
 def test_constructor_rejects_bad_k():
     with pytest.raises(ParseError):
         Hypergraph(3, 4, [])

@@ -234,7 +234,7 @@ class TestPackMinDegree:
 
     def test_empty_hypergraph(self):
         h = Hypergraph(12, 3, [])
-        res = pack_min_degree(h, 1, num_partitions=2, seed=1, resample_limit=1)
+        res = pack_min_degree(h, 1, num_partitions=2, seed=1)
         assert not res.cycles and res.coverage_ratio == 0.0
         assert res.warnings  # degree hypothesis unmet
 
@@ -342,11 +342,26 @@ class TestPackNearRegular:
             assert sum(s.assigned_edges for s in res.per_partition) \
                 + res.unassigned == h.num_edges()
 
-    def test_reports_guaranteed_target(self):
-        h = random_hypergraph(24, 3, 0.85, 77)
-        res = pack_near_regular(h, ell=1, delta_target=0.5, epsilon=0.25,
-                                seed=1, num_partitions=2)
-        assert all(s.factor_target is not None for s in res.per_partition)
+
+class TestResampleLimit:
+    """A scheme that fails its pipeline's acceptance test is resampled
+    `RESAMPLE_LIMIT` times and then kept; the run still packs and says so."""
+
+    def test_exhausted_limit_warns_once_and_keeps_the_last_scheme(self):
+        empty, k12 = Hypergraph(12, 3, []), complete_hypergraph(12, 3)
+        runs = [
+            # no aux edges at all: every aux min degree is 0
+            (empty, pack_min_degree(empty, 1, num_partitions=2, seed=1)),
+            # every aux graph is K_{6,6}: degree 6 = m, above alpha·m = 5 at epsilon 0
+            (k12, pack_near_regular(k12, 1, delta_target=0.5, epsilon=0.0, seed=1,
+                                    num_partitions=2)),
+        ]
+        for h, res in runs:
+            assert res.warnings.count(
+                "resample limit exhausted for at least one partition; partial result") == 1
+            assert [s.retries for s in res.per_partition] == [packer.RESAMPLE_LIMIT] * 2
+            assert all(verify_cycle(h, c) for c in res.cycles)
+        assert not runs[0][1].cycles and len(runs[1][1].cycles) == 8
 
 
 class TestBatchChecks:
