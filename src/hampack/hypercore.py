@@ -14,6 +14,7 @@ n^k <= 2^24 it gathers from a dense position table over the code space
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterable
@@ -33,22 +34,29 @@ def row_codes(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def _fast_codes(n: int, k: int, edges: list):
-    """Sorted codes of a valid edge list in one vectorised pass; None when
-    any check fails, so that the caller can find the offending edge.  Only
-    lists and tuples of k plain ints (not bools) pass the type scan."""
-    if not set(map(type, edges)) <= {list, tuple} or set(map(len, edges)) != {k} \
-            or set(map(type, chain.from_iterable(edges))) != {int}:
-        return None
+    """Sorted codes of a valid edge list in one typed pass, or None when a
+    check fails, so that the caller can name the offending edge.  Accepts
+    exactly what `_walked_codes` accepts: `array("Q")` takes each vertex
+    through `__index__`, as `operator.index` does, and refuses floats,
+    strings, None, lists and ints outside 0..2^64-1; a bool passes as 0 or 1,
+    so only the edges holding a 0 or a 1 have their types read."""
     try:
-        rows = np.fromiter(chain.from_iterable(edges), np.int64, count=k * len(edges))
-    except OverflowError:  # a vertex past int64
+        if set(map(len, edges)) != {k}:
+            return None
+        flat = np.frombuffer(array("Q", chain.from_iterable(edges)), dtype=np.uint64)
+    except (TypeError, OverflowError):
         return None
-    rows = rows.reshape(len(edges), k)
-    rows.sort(axis=1)
-    if rows[:, 0].min() < 0 or rows[:, -1].max() >= n \
-            or not (rows[:, 1:] > rows[:, :-1]).all():
+    if flat.max() >= n or bool in set(map(type, chain.from_iterable(
+            map(edges.__getitem__, (np.flatnonzero(flat <= 1) // k).tolist())))):
         return None
-    codes = np.sort(row_codes(rows, n))
+    rows = flat.view(np.int64).reshape(len(edges), k)
+    if not (rows[:, 1:] > rows[:, :-1]).all():
+        rows.sort(axis=1)
+        if not (rows[:, 1:] > rows[:, :-1]).all():
+            return None
+    codes = row_codes(rows, n)
+    if not (codes[1:] > codes[:-1]).all():
+        codes.sort()
     return None if (codes[1:] == codes[:-1]).any() else codes
 
 

@@ -2,7 +2,8 @@
 
 Both pipelines run one loop, `_pack`: sample partition schemes, let every
 hypergraph edge that fits some scheme pick one uniformly at random (making the
-per-scheme sub-hypergraphs edge-disjoint by construction), then extract a
+per-scheme sub-hypergraphs edge-disjoint by construction; `assign_edges` makes
+one numpy draw per candidate, seeded by the label "assign"), then extract a
 maximum regular subgraph of each scheme's auxiliary graph restricted to its
 assigned edges, peel it into perfect matchings, and lift each matching to a
 cycle.  An edge fits a scheme exactly when it is realized by an edge of that
@@ -16,7 +17,6 @@ against an uncovered-edge budget.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import NoReturn, Optional, Sequence
 
@@ -76,33 +76,24 @@ class Assignment:
 def assign_edges(h: Hypergraph, auxes: Sequence[AuxGraph], seed: int) -> Assignment:
     """Every edge realized by at least one scheme's aux graph picks one of those
     schemes uniformly at random; the per-scheme edge sets are disjoint by
-    construction.  Candidate lists are ascending and each scheme appears once,
-    although for m = 2 two aux edges realize the same hyperedge.
+    construction.  psi counts each scheme once, although for m = 2 two aux
+    edges realize the same hyperedge.
 
-    The picks are the draws of `random.Random(seed).randrange(psi)` for the
-    realized edges in position order, draw for draw: each draws
-    r = getrandbits(psi.bit_length()) until r < psi, which is what
-    `randrange` does for an int psi > 0, without its per-call checks."""
-    pos = np.concatenate([np.empty(0, dtype=np.int64)] + [aux.edge_pos for aux in auxes])
-    scheme = np.repeat(np.arange(len(auxes)), [len(aux.edge_pos) for aux in auxes])
-    order = np.argsort(pos, kind="stable")  # schemes stay ascending within a position
-    pos, scheme = pos[order], scheme[order]
-    first = np.ones(len(pos), dtype=bool)
-    first[1:] = (pos[1:] != pos[:-1]) | (scheme[1:] != scheme[:-1])
-    pos, scheme = pos[first], scheme[first]
-    psi = np.bincount(pos, minlength=h.num_edges())
-    realized = np.flatnonzero(psi)
-    getrandbits = random.Random(seed).getrandbits
-    picks = []
-    append = picks.append
-    for c in psi[realized].tolist():
-        bits = c.bit_length()
-        r = getrandbits(bits)
-        while r >= c:
-            r = getrandbits(bits)
-        append(r)
+    The pick is a reservoir of size one, filled scheme by scheme from one
+    `numpy.random.default_rng(seed)`: scheme i draws a uniform u in [0, 1)
+    for each edge it realizes (in aux-edge order, at the edge's first aux
+    edge), counts itself into the edge's psi and takes the edge when
+    u·psi < 1.  Each of an edge's psi candidates ends up holding it with
+    probability 1/psi."""
+    rng = np.random.default_rng(seed)
+    psi = np.zeros(h.num_edges(), dtype=np.int64)
     choice = np.full(h.num_edges(), -1, dtype=np.int64)
-    choice[realized] = scheme[(np.cumsum(psi) - psi)[realized] + np.array(picks, dtype=np.int64)]
+    for i, aux in enumerate(auxes):
+        pos = aux.edge_pos
+        if aux.scheme.m == 2:
+            pos = pos[np.sort(np.unique(pos, return_index=True)[1])]
+        psi[pos] += 1
+        choice[pos[rng.random(len(pos)) * psi[pos] < 1]] = i
     return Assignment(psi=psi, choice=choice)
 
 

@@ -466,30 +466,27 @@ def partition_minima_reference(h, sizes, seed):
 
 
 def assign_edges_reference(h, auxes, seed):
-    """Tuple-keyed candidate dict walked in `h.edges` order: the oracle for
-    `assign_edges`.  Returns (psi, choice, per_scheme, unassigned) with psi
-    and choice keyed by edge tuple (choice None when no scheme realizes the
-    edge) and the per-scheme and unassigned edge lists in `h.edges` order."""
-    candidates = {}
+    """Tuple-keyed candidate lists with the pick rule applied edge by edge: the
+    oracle for `assign_edges`.  Scheme by scheme, each hyperedge that an aux
+    edge realizes (first time in that scheme, in (a, b) order) counts the
+    scheme as a candidate and takes it when u·psi < 1, u the next
+    `default_rng(seed).random()`.  Returns (psi, choice, per_scheme,
+    unassigned) with psi and choice keyed by edge tuple (choice None when no
+    scheme realizes the edge) and the per-scheme and unassigned edge lists in
+    `h.edges` order."""
+    rng = np.random.default_rng(seed)
+    psi = dict.fromkeys(h.edges, 0)
+    choice = dict.fromkeys(h.edges)
     for i, aux in enumerate(auxes):
         labels = scheme_labels(aux.scheme)
-        for a, b in aux.graph.edges:
-            cands = candidates.setdefault(tuple(sorted(labels[a] + aux.scheme.blocks_b[b])), [])
-            if not cands or cands[-1] != i:
-                cands.append(i)
-    rng = random.Random(seed)
-    psi, choice = {}, {}
-    per_scheme = [[] for _ in auxes]
-    unassigned = []
-    for e in h.edges:
-        cands = candidates.get(e, [])
-        psi[e] = len(cands)
-        if cands:
-            choice[e] = cands[rng.randrange(len(cands))]
-            per_scheme[choice[e]].append(e)
-        else:
-            choice[e] = None
-            unassigned.append(e)
+        candidates = [tuple(sorted(labels[a] + aux.scheme.blocks_b[b]))
+                      for a, b in sorted(aux.graph.edges)]
+        for e in dict.fromkeys(candidates):
+            psi[e] += 1
+            if rng.random() * psi[e] < 1:
+                choice[e] = i
+    per_scheme = [[e for e in h.edges if choice[e] == i] for i in range(len(auxes))]
+    unassigned = [e for e in h.edges if choice[e] is None]
     return psi, choice, per_scheme, unassigned
 
 

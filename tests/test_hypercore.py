@@ -214,12 +214,17 @@ def test_parse_errors(tmp_path, payload, fragment):
 
 
 def test_fast_scan_accepts_exactly_what_the_walk_accepts():
-    """Plain edge lists, each valid or with one injected fault: the
-    vectorised scan and the per-edge walk accept the same lists, with equal
-    codes, and every fault is refused."""
+    """Plain edge lists, each valid or with one injected change: the typed
+    scan and the per-edge walk accept the same lists, with equal codes.
+    numpy int64 vertices are accepted by both; every other change is a fault
+    that both refuse, including the values numpy itself would convert
+    (integral floats, numeric strings, bools at vertex values 0 and 1)."""
     rng = random.Random(20)
-    faults = [None, "length", "repeat", "range", "duplicate", "bool", "huge"]
-    for _ in range(400):
+    faults = [None, "length", "repeat", "range", "duplicate", "bool", "huge", "low",
+              "float", "string", "none", "nested", "dict-edge", "string-edge",
+              "np-int64", "np-bool", "bool01"]
+    seen = set()
+    for _ in range(1000):
         k = rng.randint(2, 4)
         n = rng.randint(k + 1, 9)
         subsets = rng.sample(list(combinations(range(n), k)),
@@ -227,6 +232,10 @@ def test_fast_scan_accepts_exactly_what_the_walk_accepts():
         edges = [rng.sample(e, k) if rng.random() < 0.5 else tuple(rng.sample(e, k))
                  for e in subsets]
         fault, i = rng.choice(faults), rng.randrange(len(edges))
+        if fault == "bool01":  # an edge holding vertex 0 or 1, the bool of equal value
+            i = next((i for i, e in enumerate(edges) if min(e) <= 1), None)
+            if i is None:
+                continue
         e, j = list(edges[i]), rng.randrange(k)
         if fault == "length":    # one vertex repeated, so still k distinct
             e.append(e[j])
@@ -240,6 +249,27 @@ def test_fast_scan_accepts_exactly_what_the_walk_accepts():
             e[j] = rng.random() < 0.5
         elif fault == "huge":
             e[j] = rng.choice([2 ** 63, 2 ** 64 + 1, 10 ** 30])
+        elif fault == "low":
+            e[j] = -2 ** 63 - 1
+        elif fault == "float":
+            e[j] = float(e[j])
+        elif fault == "string":
+            e[j] = str(e[j])
+        elif fault == "none":
+            e[j] = None
+        elif fault == "nested":
+            e[j] = [e[j]]
+        elif fault == "dict-edge":   # as JSON decodes an object: string keys
+            e = {str(v): v for v in e}
+        elif fault == "string-edge":
+            e = "".join(map(str, e))
+        elif fault == "np-int64":
+            e = [np.int64(v) for v in e]
+        elif fault == "np-bool":
+            e[j] = np.bool_(e[j])
+        elif fault == "bool01":
+            j = e.index(min(e))
+            e[j] = bool(e[j])
         edges[i] = e
         fast = _fast_codes(n, k, edges)
         try:
@@ -247,7 +277,9 @@ def test_fast_scan_accepts_exactly_what_the_walk_accepts():
         except ParseError:
             walked = None
         assert (None if fast is None else fast.tolist()) == walked, (n, k, edges)
-        assert (walked is None) == (fault is not None), (fault, edges)
+        assert (walked is None) == (fault not in (None, "np-int64")), (fault, edges)
+        seen.add(fault)
+    assert seen == set(faults)
 
 
 @pytest.mark.parametrize("n,d", [(1, 1), (5, 1), (5, 2), (6, 3), (7, 7), (9, 4)])

@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from hampack import bifactor, packer
 from hampack.bifactor import complete_bipartite
@@ -168,7 +169,7 @@ REFERENCE_CASES = [
     pytest.param(random_hypergraph(8, 4, 0.5, 6), 0, 3, id="n8-k4-ell0-m2"),
     pytest.param(random_hypergraph(9, 5, 0.7, 4), 2, 4, id="n9-k5-ell2"),
     pytest.param(complete_hypergraph(6, 5), 2, 3, id="n6-k5-ell2-m2"),
-    # psi reaches 13, past the other cases' 5: bit length 4 and bounds off powers of two
+    # psi reaches 13, past the other cases' 5
     pytest.param(complete_hypergraph(8, 3), 1, 24, id="n8-k3-ell1-psi13"),
     pytest.param(Hypergraph(12, 3, []), 1, 2, id="empty"),
 ]
@@ -189,6 +190,30 @@ class TestAssignMatchesReference:
                 assert [h.edges[p] for p in np.flatnonzero(a.choice == i)] == per_scheme[i]
             assert [h.edges[p] for p in np.flatnonzero(a.choice == -1)] == unassigned
             assert a.assigned_counts(count) == [len(x) for x in per_scheme]
+
+    @pytest.mark.parametrize("h,ell,count", REFERENCE_CASES)
+    def test_psi_and_assigned_edges_do_not_depend_on_the_seed(self, h, ell, count):
+        auxes = aux_graphs(h, [scheme_for(h, ell, s) for s in range(count)])
+        first = assign_edges(h, auxes, 0)
+        for seed in (1, 7, 2 ** 64 - 1):
+            a = assign_edges(h, auxes, seed)
+            assert np.array_equal(a.psi, first.psi)
+            assert np.array_equal(a.choice >= 0, first.choice >= 0)
+
+    def test_each_of_13_candidates_is_picked_uniformly(self):
+        """Chi-squared over 2600 seeds: the rank of the picked scheme among
+        the edge's 13 candidates is uniform."""
+        h = complete_hypergraph(8, 3)
+        auxes = aux_graphs(h, [scheme_for(h, 1, s) for s in range(24)])
+        realizes = np.zeros((len(auxes), h.num_edges()), dtype=np.int64)
+        for i, aux in enumerate(auxes):
+            realizes[i, aux.edge_pos] = 1
+        pos = int(np.flatnonzero(realizes.sum(axis=0) == 13)[0])
+        rank = np.cumsum(realizes[:, pos]) - 1
+        picks = np.bincount([rank[assign_edges(h, auxes, seed).choice[pos]]
+                             for seed in range(2600)], minlength=13)
+        assert len(picks) == 13
+        assert chisquare(picks).pvalue > 1e-3, picks.tolist()
 
 
 def reference_psi_histogram(h, ell, seed, res):
@@ -361,7 +386,11 @@ class TestResampleLimit:
                 "resample limit exhausted for at least one partition; partial result") == 1
             assert [s.retries for s in res.per_partition] == [packer.RESAMPLE_LIMIT] * 2
             assert all(verify_cycle(h, c) for c in res.cycles)
-        assert not runs[0][1].cycles and len(runs[1][1].cycles) == 8
+        # the two K_{6,6} share 6 hyperedges; seed 1 draws 4 of them to the
+        # first, whose 34 edges hold a 5-factor, and 2 to the second (32 edges,
+        # a 4-factor), so 9 cycles; the count follows the assignment draw
+        assert [s.assigned_edges for s in runs[1][1].per_partition] == [34, 32]
+        assert not runs[0][1].cycles and len(runs[1][1].cycles) == 9
 
 
 class TestBatchChecks:
