@@ -90,7 +90,7 @@ class BipartiteGraph:
                 and self.m == other.m and np.array_equal(self.codes, other.codes))
 
     def __hash__(self) -> int:
-        return hash((self.m, self.edges))
+        return hash((self.m, self.codes.tobytes()))
 
     def __repr__(self) -> str:
         return f"BipartiteGraph(m={self.m}, |E|={len(self.codes)})"
@@ -192,7 +192,7 @@ class _FactorNetwork:
     r_0, r_1, ... only writes the first M and the last M capacities; a graph
     at r = 0 carries no flow.
 
-    scipy is imported here and in `peel_all`, on first use, so that the
+    scipy is imported here and in `_peel_checked`, on first use, so that the
     commands that never solve a flow or a matching do not load it.
     """
 
@@ -318,7 +318,15 @@ def peel_matchings(factor: Factor, host: BipartiteGraph) -> np.ndarray:
 def peel_all(factors: Sequence[Factor], hosts: Sequence[BipartiteGraph]) -> list[np.ndarray]:
     """Decompose each factor, checked against its host, into exactly r
     edge-disjoint perfect matchings: entry i is an r_i x m_i int64 array whose
-    row j maps each s to its t.
+    row j maps each s to its t (`_peel_checked`)."""
+    for factor, host in zip(factors, hosts, strict=True):
+        factor.check_against(host)
+    return _peel_checked(factors)
+
+
+def _peel_checked(factors: Sequence[Factor]) -> list[np.ndarray]:
+    """`peel_all` of factors already checked against their hosts, such as the
+    witnesses `max_factors` returns.
 
     Round j runs Hopcroft-Karp (`maximum_bipartite_matching`) once on the
     disjoint union of the remaining edges of every factor
@@ -333,8 +341,6 @@ def peel_all(factors: Sequence[Factor], hosts: Sequence[BipartiteGraph]) -> list
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_bipartite_matching
-    for factor, host in zip(factors, hosts, strict=True):
-        factor.check_against(host)
     rs = np.array([f.r for f in factors], dtype=np.int64)
     off, s, t = _disjoint_union([f.graph for f in factors])
     ms, size, t = np.diff(off), int(off[-1]), t.astype(np.int32)

@@ -19,8 +19,7 @@ from typing import Any, Optional
 
 from . import __version__, bifactor, census, constructions, hypercore, packer, randomlab
 from .errors import HampackError, InvariantViolation
-from .reduction import (build_aux_graph, cycle_to_json_dict, read_cycle, sample_scheme,
-                        verify_cycle)
+from .reduction import build_aux_graph, cycle_records, read_cycle, sample_scheme, verify_cycle
 from .util import canonical_json, check_nonnegative, derive_seed, sha256_file, write_json
 
 EXIT_OK = 0
@@ -183,8 +182,11 @@ def cmd_factor(args) -> int:
 
 
 def _packing_doc(result: packer.PackingResult) -> dict:
-    doc = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
-    doc["cycles"] = [cycle_to_json_dict(c) for c in result.cycles]
+    """The result's fields, with its cycle table written as "cycles", one
+    (arrangement, ell) record per row, in place of k, ell and arrangements."""
+    doc = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)
+           if f.name not in ("k", "ell", "arrangements")}
+    doc["cycles"] = cycle_records(result.ell, result.arrangements)
     return doc
 
 
@@ -207,7 +209,7 @@ def cmd_pack(args) -> int:
         rows = [dataclasses.astuple(s) for s in result.per_partition]
         sidecars.append((args.out + ".partitions.csv", _csv_text(header, rows)))
     _emit(_packing_doc(result), args, sidecars=sidecars)
-    if not result.cycles:
+    if not len(result.arrangements):
         retained = sum(s.sub_aux_edges for s in result.per_partition)
         print(f"warning: 0 cycles from {result.partitions_used} partitions; "
               f"{retained} aux edges retained in total", file=sys.stderr)

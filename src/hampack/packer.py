@@ -6,8 +6,11 @@ per-scheme sub-hypergraphs edge-disjoint by construction; `assign_edges` makes
 one numpy draw per candidate, seeded by the label "assign"), then extract a
 maximum regular subgraph of each scheme's auxiliary graph restricted to its
 assigned edges, peel it into perfect matchings, and lift each matching to a
-cycle.  An edge fits a scheme exactly when it is realized by an edge of that
-scheme's auxiliary graph, so the candidates are read off the aux graphs.
+cycle.  The cycles stay one r x n integer table from `lift_canonical` on:
+`PackingResult.arrangements` holds it, and `PackingResult.cycles` builds
+`HamiltonCycle` values from it only when a caller asks.  An edge fits a
+scheme exactly when it is realized by an edge of that scheme's auxiliary
+graph, so the candidates are read off the aux graphs.
 Each scheme is resampled up to `RESAMPLE_LIMIT` times until its aux graph
 passes the pipeline's acceptance test.  Each pipeline sets only what differs:
 `pack_min_degree` needs only a codegree lower bound; `pack_near_regular`
@@ -47,9 +50,14 @@ class PartitionStats:
     cycles: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PackingResult:
-    cycles: tuple[HamiltonCycle, ...]
+    """`arrangements` is the read-only r x n int64 table of the packed
+    cycles' canonical arrangements, one row per cycle; equal results have
+    equal tables and equal other fields."""
+    k: int
+    ell: int
+    arrangements: np.ndarray
     partitions_used: int
     per_partition: tuple[PartitionStats, ...]
     psi_histogram: dict[int, int]
@@ -59,6 +67,18 @@ class PackingResult:
     warnings: tuple[str, ...]
     uncovered_budget: Optional[float] = None   # near-regular pipeline only
     goal_met: Optional[bool] = None
+
+    @property
+    def cycles(self) -> tuple[HamiltonCycle, ...]:
+        """The packed cycles, built from `arrangements` on each access."""
+        return tuple(HamiltonCycle(k=self.k, ell=self.ell, arrangement=tuple(row))
+                     for row in self.arrangements.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PackingResult):
+            return NotImplemented
+        return (np.array_equal(self.arrangements, other.arrangements)
+                and {**vars(self), "arrangements": None} == {**vars(other), "arrangements": None})
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,15 +167,17 @@ def _extract_cycles(h: Hypergraph, auxes: Sequence[AuxGraph], subs: Sequence[Bip
     the maximum factor of `subs[i]`, a subgraph of `auxes[i].graph`.
 
     Every partition's factor search and peel run together (`max_factors`,
-    `peel_all`); each partition's matchings are lifted and canonicalized in
-    one `lift_canonical` call, and all cycles are verified together: one
-    permutation check and one `locate` of every segment.  A rejected cycle is
-    re-derived through the per-cycle path with its own partition's aux graph.
+    then `bifactor._peel_checked`, since `max_factors` has already checked
+    each witness against its graph); each partition's matchings are lifted
+    and canonicalized in one `lift_canonical` call, and all cycles are
+    verified together: one permutation check and one `locate` of every
+    segment.  A rejected cycle is re-derived through the per-cycle path with
+    its own partition's aux graph.
     Returns the factor sizes, the cycle counts, the cycle rows and the
     located segment positions (one row of len(windows) per cycle).
     """
     factors = bifactor.max_factors(subs)
-    peeled = bifactor.peel_all([f for _, f in factors], subs)
+    peeled = bifactor._peel_checked([f for _, f in factors])
     blocks, kept = [np.empty((0, h.n), dtype=np.int64)], []
     for aux, matchings in zip(auxes, peeled):
         rows = lift_canonical(aux, matchings)
@@ -212,9 +234,9 @@ def _pack(h: Hypergraph, ell: int, count: int, seed: int, accept, warnings: list
     covered = len(used)
     ratio = covered / h.num_edges() if h.num_edges() else 0.0
     goal = (h.num_edges() - covered) <= uncovered_budget if uncovered_budget is not None else None
+    rows.flags.writeable = False
     return PackingResult(
-        cycles=tuple(HamiltonCycle(k=h.k, ell=ell, arrangement=tuple(row))
-                     for row in rows.tolist()),
+        k=h.k, ell=ell, arrangements=rows,
         partitions_used=len(auxes),
         per_partition=tuple(stats),
         psi_histogram={v: c for v, c in enumerate(np.bincount(assignment.psi).tolist()) if c},

@@ -303,6 +303,17 @@ def cycle_to_json_dict(cycle: HamiltonCycle) -> dict:
     return {"ell": cycle.ell, "arrangement": list(cycle.arrangement)}
 
 
+def cycle_records(ell: int, rows: np.ndarray) -> np.ndarray:
+    """The cycles whose arrangements are the rows of the r x n array `rows`,
+    as one structured array of (arrangement, ell) records: `canonical_json`
+    writes it as the list of their `cycle_to_json_dict` documents."""
+    records = np.empty(len(rows), dtype=[("arrangement", np.int64, (rows.shape[1],)),
+                                         ("ell", np.int64)])
+    records["arrangement"] = rows
+    records["ell"] = ell
+    return records
+
+
 def cycle_from_json_dict(obj, k: int) -> HamiltonCycle:
     if not isinstance(obj, dict) or set(obj.keys()) != {"ell", "arrangement"}:
         raise ParseError('expected an object with exactly the keys "ell", "arrangement"')

@@ -73,12 +73,14 @@ def canonical_json(obj: Any) -> str:
 
     Dataclasses are written as dicts of their fields, tuples as lists, sets
     and frozensets as sorted lists, dict keys through `str`, and non-finite
-    floats as null, and a 2-d integer numpy array as its `.tolist()`;
-    otherwise the bytes are those of `json.dumps(obj, sort_keys=True,
+    floats as null, a 2-d integer numpy array as its `.tolist()`, and a 1-d
+    numpy structured array whose fields are integers or 1-d integer
+    sub-arrays as the list of its records, each a dict from field name to
+    value; otherwise the bytes are those of `json.dumps(obj, sort_keys=True,
     separators=(",", ": "), indent=1)`.  A list of plain ints is written with
-    one join and a 2-d integer array with one format, which is where large
-    documents spend their bytes.  Other numpy values raise TypeError, as they
-    do in `json.dumps`.
+    one join, and a 2-d integer array or a structured array with one row
+    template and one format, which is where large documents spend their
+    bytes.  Other numpy values raise TypeError, as they do in `json.dumps`.
     """
     return _encode(obj, "\n")
 
@@ -109,6 +111,8 @@ def _encode(value: Any, newline: str) -> str:
             body = sep.join([row] * len(value)) % tuple(value.ravel().tolist())
             return "[" + inner + body + newline + "]"
         value = value.tolist()
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.names is not None:
+        return _encode_records(value, newline)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -127,6 +131,41 @@ def _encode(value: Any, newline: str) -> str:
     else:
         body = sep.join([_encode(item, inner) for item in value])
     return "[" + inner + body + newline + "]"
+
+
+def _encode_records(value: np.ndarray, newline: str) -> str:
+    """The 1-d structured array `value` written as its list of records at the
+    indent that `newline` ends with: one row template, its fields in sorted
+    order, filled for every record by one `%`."""
+    inner = newline + " "
+    key_inner = inner + " "
+    item_inner = key_inner + " "
+    parts, columns = [], []
+    for name in sorted(value.dtype.names):
+        field = value.dtype.fields[name][0]
+        if field.base.kind not in "iu" or field.ndim > 1:
+            raise TypeError(f"structured field {name!r} of type {field} is not an integer "
+                            "or a 1-d integer sub-array")
+        key = _quote(name).replace("%", "%%") + ": "
+        if not field.ndim:
+            parts.append(key + "%d")
+            columns.append(value[name][:, None])
+        elif field.shape[0]:
+            parts.append(key + "[" + item_inner + ("," + item_inner).join(["%d"] * field.shape[0])
+                         + key_inner + "]")
+            columns.append(value[name])
+        else:
+            parts.append(key + "[]")
+    if not len(value):
+        return "[]"
+    row = "{" + key_inner + ("," + key_inner).join(parts) + inner + "}" if parts else "{}"
+    values: tuple = ()
+    if columns:
+        dtype = np.result_type(*columns)
+        if dtype.kind not in "iu":      # int64 with uint64 promotes to float64, which rounds
+            dtype = np.dtype(object)
+        values = tuple(np.concatenate(columns, axis=1, dtype=dtype).ravel().tolist())
+    return "[" + inner + ("," + inner).join([row] * len(value)) % values + newline + "]"
 
 
 def read_json(path: str, build: Callable[[Any], T]) -> T:

@@ -151,6 +151,32 @@ def test_pack_zero_cycles_warns_on_stderr(tmp_path, capsys):
     assert code == 0 and json.loads(out)["cycles"] and err == ""
 
 
+def test_pack_builds_no_per_cycle_object(tmp_path, capsys, monkeypatch):
+    # the cycles go from the packer's table to the bytes as one records array,
+    # and write the document that the per-cycle dicts write
+    from hampack import cli, packer, reduction
+    from hampack.hypercore import read_hypergraph
+    from hampack.util import canonical_json, derive_seed
+    hpath = str(tmp_path / "h.json")
+    assert run(capsys, "gen", *README_H, "--out", hpath)[0] == 0
+    argv = ["pack", "--input", hpath, "--ell", "1", "--r", "4", "--seed", "7"]
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+    result = packer.pack_min_degree(read_hypergraph(hpath), 1, num_partitions=4,
+                                    seed=derive_seed(7, "pack"))
+    doc = cli._packing_doc(result)
+    doc["cycles"] = [reduction.cycle_to_json_dict(c) for c in result.cycles]
+    assert len(doc["cycles"]) > 1 and canonical_json(doc) + "\n" == expected
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pack built a per-cycle object")
+    for module in (cli, packer, reduction):
+        for name in ("HamiltonCycle", "cycle_to_json_dict"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert run(capsys, *argv) == (0, expected, "")
+
+
 def test_pack_near_regular_cli(tmp_path, capsys):
     hpath = str(tmp_path / "h.json")
     write_hypergraph(complete_hypergraph(12, 3), hpath)

@@ -417,13 +417,13 @@ class TestBatchChecks:
         h = complete_hypergraph(12, 3)
         scheme = sample_scheme(h, 1, 5)
         monkeypatch.setattr(packer, "sample_scheme", lambda h_, ell, seed: scheme)
-        peel, first = bifactor.peel_all, []
+        peel, first = bifactor._peel_checked, []
 
-        def peel_first(factors, hosts):
+        def peel_first(factors):
             # every partition gets the first partition's matchings
-            first.extend(peel(factors, hosts))
+            first.extend(peel(factors))
             return [first[0]] * len(first)
-        monkeypatch.setattr(bifactor, "peel_all", peel_first)
+        monkeypatch.setattr(bifactor, "_peel_checked", peel_first)
         with pytest.raises(InvariantViolation,
                            match=r"^edge \(\d+, \d+, \d+\) appears in two packed cycles$"):
             pack_min_degree(h, 1, num_partitions=2, seed=3)

@@ -1,13 +1,15 @@
 """The JSON file formats: exact bytes written, the canonical encoder against
-the stdlib one, the error for a file that is not JSON, the collector paused
-while a file is read, the bulk Mersenne Twister draws, and the shared input
-checks."""
+the stdlib one (integer tables and structured records included), the error
+for a file that is not JSON, the collector paused while a file is read, the
+bulk Mersenne Twister draws, and the shared input checks."""
 import gc
 import random
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hampack.bifactor import BipartiteGraph, read_bipartite, write_bipartite
 from hampack.constructions import random_hypergraph
@@ -247,6 +249,62 @@ def test_canonical_json_refuses_what_json_refuses():
             canonical_json_reference(value)
         with pytest.raises(TypeError):
             canonical_json(value)
+
+
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+# names that JSON escapes ("\"", "\\", "\n", "é"), that the row template must
+# escape ("%"), and that sort differently from their definition order
+FIELD_NAMES = st.text(st.sampled_from('ab"\\\n%é_Z'), min_size=1, max_size=3)
+
+
+@st.composite
+def record_arrays(draw):
+    """A 1-d structured array of integer fields, each a scalar or a 1-d
+    sub-array of width 0-3, with values anywhere in its dtype's range."""
+    names = draw(st.lists(FIELD_NAMES, max_size=4, unique=True))
+    fields = [(name, draw(st.sampled_from(INT_DTYPES)),
+               draw(st.sampled_from([(), (0,), (1,), (3,)]))) for name in names]
+    rows = draw(st.integers(0, 4))
+    records = np.zeros(rows, dtype=fields)
+    for name, dtype, shape in fields:
+        info = np.iinfo(dtype)
+        values = draw(st.lists(st.integers(int(info.min), int(info.max)),
+                               min_size=rows * int(np.prod(shape)),
+                               max_size=rows * int(np.prod(shape))))
+        records[name] = np.array(values, dtype=dtype).reshape((rows, *shape))
+    return records
+
+
+def _as_dicts(records):
+    return [{name: record[name].tolist() for name in records.dtype.names} for record in records]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(record_arrays())
+@example(np.zeros(0, dtype=[("arrangement", np.int64, (4,)), ("ell", np.int64)]))
+@example(np.array([([3, 0, 1, 2], 1)], dtype=[("arrangement", np.int64, (4,)), ("ell", np.int64)]))
+@example(np.array([(-1, 2 ** 64 - 1), (-(2 ** 63), 0)], dtype=[("b", np.int64), ("a", np.uint64)]))
+@example(np.array([(7,), (-7,)], dtype=[("only", np.int8)]))
+@example(np.zeros(2, dtype=[("z", np.int64, (0,)), ("a", np.uint8)]))
+@example(np.zeros(2, dtype=[("%d", np.int64), ('"q"', np.int64, (2,)), ("\n", np.int64)]))
+@example(np.zeros(3, dtype=[]))
+def test_records_are_written_as_their_list_of_dicts(records):
+    listed = _as_dicts(records)
+    assert canonical_json(records) == canonical_json_reference(listed)
+    assert canonical_json({"cycles": records, "n": [records]}) == canonical_json_reference(
+        {"cycles": listed, "n": [listed]})
+
+
+@pytest.mark.parametrize("rows", [0, 2])
+@pytest.mark.parametrize("field", [np.float64, np.bool_, np.complex128, "U3", "O",
+                                   (np.int64, (2, 2)), [("inner", np.int64)]],
+                         ids=["float", "bool", "complex", "str", "object", "2d-sub-array",
+                              "nested-record"])
+def test_records_refuse_a_non_integer_field(rows, field):
+    dtype = ([("ok", np.int64), ("bad", *field)] if isinstance(field, tuple)
+             else [("ok", np.int64), ("bad", field)])
+    with pytest.raises(TypeError, match="structured field 'bad'"):
+        canonical_json(np.zeros(rows, dtype=dtype))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 63 + 5])
