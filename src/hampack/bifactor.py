@@ -37,15 +37,16 @@ class BipartiteGraph:
     edge store.  The degrees are derived from it at once and `edges` (a
     frozenset of (s, t) pairs) on first use.  The constructor checks its
     pairs in one pass, in input order: each must be two integers (bools
-    refused, see `util.integer`) in 0..m-1.  `_from_codes` takes an already
-    sorted subset of a valid graph's codes.  Both go through `_store`.
+    refused, see `util.integer`) in 0..m-1, and none may repeat an earlier
+    one.  `_from_codes` takes an already sorted subset of a valid graph's
+    codes.  Both go through `_store`.
     """
 
     __slots__ = ("m", "codes", "_deg_s", "_deg_t", "_edges")
 
     def __init__(self, m: int, edges: Iterable[tuple[int, int]]):
         _check_size(m)
-        codes = []
+        codes = set()
         for idx, e in enumerate(edges):
             try:
                 s, t = map(integer, e)
@@ -53,8 +54,10 @@ class BipartiteGraph:
                 raise InvalidInputError(f"edge {idx}: must be a pair of integers") from None
             if not (0 <= s < m and 0 <= t < m):
                 raise InvalidInputError(f"edge ({s},{t}) out of range for m={m}")
-            codes.append(s * m + t)
-        self._store(m, np.unique(np.array(codes, dtype=np.int64)))
+            if s * m + t in codes:
+                raise InvalidInputError(f"edge {idx} ({s},{t}): duplicate edge")
+            codes.add(s * m + t)
+        self._store(m, np.sort(np.array(list(codes), dtype=np.int64)))
 
     @classmethod
     def _from_codes(cls, m: int, codes: np.ndarray) -> BipartiteGraph:
@@ -126,6 +129,10 @@ class Factor:
             raise InvariantViolation(f"factor has m={g.m} but the host graph has m={host.m}")
         if not np.isin(g.codes, host.codes).all():
             raise InvariantViolation("factor uses edges not present in the host graph")
+        self.check_regular()
+
+    def check_regular(self) -> None:
+        g = self.graph
         if (g._deg_s != self.r).any() or (g._deg_t != self.r).any():
             raise InvariantViolation(f"not every vertex has degree exactly {self.r}")
 
@@ -192,7 +199,7 @@ class _FactorNetwork:
     r_0, r_1, ... only writes the first M and the last M capacities; a graph
     at r = 0 carries no flow.
 
-    scipy is imported here and in `_peel_checked`, on first use, so that the
+    scipy is imported here and in `peel_factors`, on first use, so that the
     commands that never solve a flow or a matching do not load it.
     """
 
@@ -276,11 +283,12 @@ def find_factor(g: BipartiteGraph, r: int) -> Optional[Factor]:
 
 def max_factor(g: BipartiteGraph) -> tuple[int, Factor]:
     """Largest r with an r-factor, plus a witness: `max_factors` of one graph."""
-    return max_factors([g])[0]
+    factor = max_factors([g])[0]
+    return factor.r, factor
 
 
-def max_factors(graphs: Sequence[BipartiteGraph]) -> list[tuple[int, Factor]]:
-    """Largest r with an r-factor of each graph, plus a witness.
+def max_factors(graphs: Sequence[BipartiteGraph]) -> list[Factor]:
+    """A witness of the largest r with an r-factor, for each graph.
 
     No r-factor exceeds the minimum degree δ, and on dense graphs r* = δ is
     the common case, so r = δ is probed first.  If it is infeasible, binary
@@ -303,30 +311,24 @@ def max_factors(graphs: Sequence[BipartiteGraph]) -> list[tuple[int, Factor]]:
             elif probe[i]:
                 hi[i] = probe[i] - 1
         probe = np.where(lo < hi, (lo + hi + 1) // 2, 0)
-    return [(int(r), f if f is not None
-             else Factor(0, BipartiteGraph._from_codes(g.m, np.empty(0, np.int64))))
-            for r, f, g in zip(lo.tolist(), best, graphs)]
+    return [f if f is not None
+            else Factor(0, BipartiteGraph._from_codes(g.m, np.empty(0, np.int64)))
+            for f, g in zip(best, graphs)]
 
 
 def peel_matchings(factor: Factor, host: BipartiteGraph) -> np.ndarray:
-    """Decompose an r-factor into exactly r edge-disjoint perfect matchings,
-    the rows of an r x m int64 array (row j maps each s to its t):
-    `peel_all` of one factor."""
-    return peel_all([factor], [host])[0]
+    """Decompose an r-factor, checked against its host, into exactly r
+    edge-disjoint perfect matchings, the rows of an r x m int64 array (row j
+    maps each s to its t): `peel_factors` of one factor."""
+    factor.check_against(host)
+    return peel_factors([factor])[0]
 
 
-def peel_all(factors: Sequence[Factor], hosts: Sequence[BipartiteGraph]) -> list[np.ndarray]:
-    """Decompose each factor, checked against its host, into exactly r
-    edge-disjoint perfect matchings: entry i is an r_i x m_i int64 array whose
-    row j maps each s to its t (`_peel_checked`)."""
-    for factor, host in zip(factors, hosts, strict=True):
-        factor.check_against(host)
-    return _peel_checked(factors)
-
-
-def _peel_checked(factors: Sequence[Factor]) -> list[np.ndarray]:
-    """`peel_all` of factors already checked against their hosts, such as the
-    witnesses `max_factors` returns.
+def peel_factors(factors: Sequence[Factor]) -> list[np.ndarray]:
+    """Decompose each r-regular factor into exactly r edge-disjoint perfect
+    matchings: entry i is an r_i x m_i int64 array whose row j maps each s
+    to its t.  Each factor's degrees are checked against its r first; its
+    edges are not checked against a host (`peel_matchings` does that).
 
     Round j runs Hopcroft-Karp (`maximum_bipartite_matching`) once on the
     disjoint union of the remaining edges of every factor
@@ -339,6 +341,8 @@ def _peel_checked(factors: Sequence[Factor]) -> list[np.ndarray]:
     edges left) unmatched, or removes other than one edge per active row,
     would break that, so it raises.
     """
+    for factor in factors:
+        factor.check_regular()
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_bipartite_matching
     rs = np.array([f.r for f in factors], dtype=np.int64)

@@ -15,9 +15,10 @@ from typing import Optional
 from .errors import InvalidInputError, SizeLimitError
 from .hypercore import Hypergraph, degree_report
 from .reduction import HamiltonCycle, canonical_above, check_shape, segment_windows
-from .util import check_nonnegative, check_probability
+from .util import check_probability
 
 ENUMERATION_MAX_N = 10
+SLACK_PER_VERTEX = 0.1  # per-vertex log slack standing in for the count's (1 - o(1))^n
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,8 @@ def _log_guaranteed(n: int, k: int, ell: int, x: float) -> float:
 def count_lower_bound(n: int, k: int, ell: int, alpha: float) -> float:
     """Log of the guaranteed cycle count at codegree density alpha.
 
-    The sub-exponential slack factor is excluded; callers subtract their own
-    per-vertex slack (see empirical_vs_bound).
+    The sub-exponential slack factor is excluded; `empirical_vs_bound`
+    subtracts n·`SLACK_PER_VERTEX` in its place.
     """
     if not (0.5 < alpha <= 1.0):
         raise InvalidInputError(f"alpha must be in (1/2, 1], got {alpha}")
@@ -135,9 +136,8 @@ def edge_set_count(cycles: set[HamiltonCycle]) -> int:
     return len({frozenset(get(c.arrangement) for get in getters) for c in cycles})
 
 
-def empirical_vs_bound(h: Hypergraph, ell: int, slack_per_vertex: float = 0.1) -> CountReport:
+def empirical_vs_bound(h: Hypergraph, ell: int) -> CountReport:
     """Exact count against both formulas evaluated at the measured codegree density."""
-    check_nonnegative(slack_per_vertex, "slack per vertex")
     cycles = enumerate_cycles(h, ell)
     exact = len(cycles)
     distinct_edge_sets = edge_set_count(cycles)
@@ -150,11 +150,11 @@ def empirical_vs_bound(h: Hypergraph, ell: int, slack_per_vertex: float = 0.1) -
     hypothesis = alpha > 0.5
     if hypothesis:
         log_exact = math.log(exact) if exact > 0 else float("-inf")
-        met = log_exact >= log_bound - h.n * slack_per_vertex
+        met = log_exact >= log_bound - h.n * SLACK_PER_VERTEX
     else:
         met = None
     return CountReport(n=h.n, k=h.k, ell=ell,
                        exact_count=exact, edge_set_count=distinct_edge_sets,
                        alpha=alpha, log_lower_bound=log_bound, log_expected=log_exp,
-                       slack_per_vertex=slack_per_vertex,
+                       slack_per_vertex=SLACK_PER_VERTEX,
                        hypothesis_met=hypothesis, bound_met=met)

@@ -128,7 +128,7 @@ def cmd_degrees(args) -> int:
 
 def cmd_count(args) -> int:
     h = hypercore.read_hypergraph(args.input)
-    report = census.empirical_vs_bound(h, args.ell, slack_per_vertex=args.slack)
+    report = census.empirical_vs_bound(h, args.ell)
     doc = dataclasses.asdict(report)
     if report.log_expected == float("-inf"):
         doc["note"] = "no cycles expected"
@@ -191,15 +191,12 @@ def _packing_doc(result: packer.PackingResult) -> dict:
 
 
 def cmd_pack(args) -> int:
-    _mode_flag(args, "alpha_prime", args.theorem == 2, "--theorem 2", 0.6)
+    _mode_flag(args, "epsilon", args.theorem == 3, "--theorem 3", 0.1)
     _mode_flag(args, "delta_target", args.theorem == 3, "--theorem 3", 0.1)
-    if args.theorem == 3 and args.epsilon is None:
-        args.epsilon = 0.1  # theorem 2 keeps None: "measured alpha - alpha'"
     h = hypercore.read_hypergraph(args.input)
     shared = dict(num_partitions=args.r, seed=derive_seed(args.seed, "pack"))
     if args.theorem == 2:
-        result = packer.pack_min_degree(h, args.ell, alpha_prime=args.alpha_prime,
-                                        epsilon=args.epsilon, **shared)
+        result = packer.pack_min_degree(h, args.ell, **shared)
     else:
         result = packer.pack_near_regular(
             h, args.ell, delta_target=args.delta_target, epsilon=args.epsilon, **shared)
@@ -313,7 +310,6 @@ def build_parser() -> _Parser:
     p = add("count", cmd_count, "enumerate Hamilton cycles and compare with the formulas")
     p.add_argument("--input", required=True)
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--slack", type=float, default=0.1, help="per-vertex log slack")
 
     p = add("bound", cmd_bound, "evaluate the counting formulas in log space")
     p.add_argument("--n", type=int, required=True)
@@ -335,9 +331,8 @@ def build_parser() -> _Parser:
     p.add_argument("--theorem", type=int, choices=(2, 3), default=2,
                    help="pipeline: 2 = min-degree hypothesis, 3 = near-regular coverage")
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--alpha-prime", type=float, dest="alpha_prime",
-                   help="min-degree pipeline: the hypothesis' alpha' (default 0.6)")
-    p.add_argument("--epsilon", type=float)
+    p.add_argument("--epsilon", type=float,
+                   help="near-regular pipeline: codegree spread bound (default 0.1)")
     p.add_argument("--r", type=int, help="number of partitions (default: formula, clamped)")
     p.add_argument("--delta-target", type=float, dest="delta_target",
                    help="near-regular pipeline: uncovered-edge budget as a fraction of "

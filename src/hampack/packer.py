@@ -13,9 +13,9 @@ scheme exactly when it is realized by an edge of that scheme's auxiliary
 graph, so the candidates are read off the aux graphs.
 Each scheme is resampled up to `RESAMPLE_LIMIT` times until its aux graph
 passes the pipeline's acceptance test.  Each pipeline sets only what differs:
-`pack_min_degree` needs only a codegree lower bound; `pack_near_regular`
-additionally needs the codegrees to be nearly uniform and reports coverage
-against an uncovered-edge budget.
+`pack_min_degree` needs only a codegree lower bound, above `ALPHA_PRIME`;
+`pack_near_regular` additionally needs the codegrees to be nearly uniform and
+reports coverage against an uncovered-edge budget.
 """
 from __future__ import annotations
 
@@ -35,6 +35,7 @@ from .reduction import (AuxGraph, HamiltonCycle, build_aux_graph, canonicalize, 
 from .util import check_nonnegative, check_probability, derive_seed
 
 RESAMPLE_LIMIT = 5  # resamples per scheme before a failing one is kept anyway
+ALPHA_PRIME = 0.6  # min-degree pipeline: the hypothesis' alpha', between 1/2 and alpha
 
 
 @dataclass(frozen=True)
@@ -167,8 +168,8 @@ def _extract_cycles(h: Hypergraph, auxes: Sequence[AuxGraph], subs: Sequence[Bip
     the maximum factor of `subs[i]`, a subgraph of `auxes[i].graph`.
 
     Every partition's factor search and peel run together (`max_factors`,
-    then `bifactor._peel_checked`, since `max_factors` has already checked
-    each witness against its graph); each partition's matchings are lifted
+    then `peel_factors`, which leaves out the host check `max_factors` has
+    already made on each witness); each partition's matchings are lifted
     and canonicalized in one `lift_canonical` call, and all cycles are
     verified together: one permutation check and one `locate` of every
     segment.  A rejected cycle is re-derived through the per-cycle path with
@@ -177,7 +178,7 @@ def _extract_cycles(h: Hypergraph, auxes: Sequence[AuxGraph], subs: Sequence[Bip
     located segment positions (one row of len(windows) per cycle).
     """
     factors = bifactor.max_factors(subs)
-    peeled = bifactor._peel_checked([f for _, f in factors])
+    peeled = bifactor.peel_factors(factors)
     blocks, kept = [np.empty((0, h.n), dtype=np.int64)], []
     for aux, matchings in zip(auxes, peeled):
         rows = lift_canonical(aux, matchings)
@@ -198,7 +199,7 @@ def _extract_cycles(h: Hypergraph, auxes: Sequence[AuxGraph], subs: Sequence[Bip
         j = int(np.argmax(bad))
         i = int(np.searchsorted(first, j, side="right")) - 1
         _explain_rejected(h, auxes[i], kept[i][j - first[i]])
-    return [r for r, _ in factors], counts, rows, pos
+    return [f.r for f in factors], counts, rows, pos
 
 
 def _pack(h: Hypergraph, ell: int, count: int, seed: int, accept, warnings: list[str],
@@ -245,38 +246,34 @@ def _pack(h: Hypergraph, ell: int, count: int, seed: int, accept, warnings: list
         warnings=tuple(warnings), uncovered_budget=uncovered_budget, goal_met=goal)
 
 
-def pack_min_degree(h: Hypergraph, ell: int, *, alpha_prime: float = 0.6,
-                    epsilon: Optional[float] = None, num_partitions: Optional[int] = None,
+def pack_min_degree(h: Hypergraph, ell: int, *, num_partitions: Optional[int] = None,
                     seed: int = 0) -> PackingResult:
     """Packing pipeline under a codegree lower-bound hypothesis.
 
-    Schemes whose auxiliary graph misses the (alpha' + eps/2)·m min-degree mark
-    are resampled up to `RESAMPLE_LIMIT` times.  alpha' must be in [0, 1];
-    epsilon must be >= 0 and defaults to the measured alpha - alpha'; the
-    partition count defaults to `default_num_partitions`.  The factor
-    extracted per partition is the flow-certified maximum.  Invariants (cycle
-    validity, pairwise edge-disjointness, edge conservation) are re-verified
-    on the assembled result.
+    The hypothesis is alpha > `ALPHA_PRIME` > 1/2 for the measured min
+    codegree density alpha; with eps = max(alpha - ALPHA_PRIME, 0), schemes
+    whose auxiliary graph misses the (ALPHA_PRIME + eps/2)·m min-degree mark
+    are resampled up to `RESAMPLE_LIMIT` times.  The partition count defaults
+    to `default_num_partitions`.  The factor extracted per partition is the
+    flow-certified maximum.  Invariants (cycle validity, pairwise
+    edge-disjointness, edge conservation) are re-verified on the assembled
+    result.
     """
-    check_probability(alpha_prime, "alpha_prime")
-    if epsilon is not None:
-        check_nonnegative(epsilon, "epsilon")
     n, k = h.n, h.k
     m = check_shape(n, k, ell)
     warnings: list[str] = []
     alpha = degree_report(h, k - 1).min_degree / n
-    if not (alpha > alpha_prime > 0.5):
+    if not alpha > ALPHA_PRIME:
         warnings.append(
             f"degree hypothesis unmet: measured alpha={alpha:.4f}, "
-            f"alpha'={alpha_prime}; running best-effort")
-    eps = epsilon if epsilon is not None else max(alpha - alpha_prime, 0.0)
-    threshold = (alpha_prime + eps / 2.0) * m
+            f"alpha'={ALPHA_PRIME}; running best-effort")
+    threshold = (ALPHA_PRIME + max(alpha - ALPHA_PRIME, 0.0) / 2.0) * m
     count = num_partitions if num_partitions is not None else default_num_partitions(h, ell)
     return _pack(h, ell, count, seed, lambda aux: aux.graph.min_degree() >= threshold,
                  warnings)
 
 
-def pack_near_regular(h: Hypergraph, ell: int, delta_target: float, epsilon: float,
+def pack_near_regular(h: Hypergraph, ell: int, *, delta_target: float, epsilon: float,
                       seed: int, num_partitions: Optional[int] = None) -> PackingResult:
     """Packing pipeline under a two-sided codegree hypothesis, aimed at
     covering all but a delta_target fraction of the possible edges.

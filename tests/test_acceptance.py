@@ -215,7 +215,7 @@ def test_criterion_8_packing_invariants():
     violations = 0
     for run in range(20):
         h = random_hypergraph(24, 3, 0.9, 9000 + run)
-        res = pack_min_degree(h, 1, alpha_prime=0.6, num_partitions=4, seed=100 + run)
+        res = pack_min_degree(h, 1, num_partitions=4, seed=100 + run)
         used = set()
         for cycle in res.cycles:
             if not verify_cycle(h, cycle):

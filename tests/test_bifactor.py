@@ -9,7 +9,7 @@ import scipy.sparse.csgraph as csgraph
 from hampack import randomlab
 from hampack.bifactor import (GALE_RYSER_MAX_M, BipartiteGraph, Factor, complete_bipartite,
                               find_factor, from_json_dict, gale_ryser_check, max_factor,
-                              max_factors, peel_all, peel_matchings, read_bipartite,
+                              max_factors, peel_factors, peel_matchings, read_bipartite,
                               to_json_dict, write_bipartite)
 from hampack.errors import (InvalidInputError, InvariantViolation, ParseError,
                             SizeLimitError)
@@ -169,7 +169,7 @@ class TestCodeStore:
         # equal graphs hash equal; neither comparing nor hashing builds `edges`
         for g in self.graphs():
             pairs = sorted(g.edges, reverse=True)
-            same = BipartiteGraph(g.m, pairs + pairs[:3])     # any order, repeats collapse
+            same = BipartiteGraph(g.m, pairs)     # any order; a repeat is refused
             assert same == g and hash(same) == hash(g) and len({g, same}) == 1
             assert same._edges is None
             assert BipartiteGraph(g.m + 1, pairs) != g
@@ -314,7 +314,7 @@ class TestWitnessCheck:
         _drop_one_flow_unit(monkeypatch, at_r=4, node=1 + 3)
         with pytest.raises(InvariantViolation, match="degree exactly 4"):
             max_factors(graphs)
-        assert max_factors(graphs[::2]) == [max_factor(graphs[0]), max_factor(graphs[2])]
+        assert max_factors(graphs[::2]) == [max_factor(graphs[0])[1], max_factor(graphs[2])[1]]
 
 
 class TestMaxFactors:
@@ -323,9 +323,9 @@ class TestMaxFactors:
                   random_bipartite(3, 0.6, 7), random_bipartite(14, 0.5, 8),
                   random_bipartite(6, 0.7, 9, min_deg=3), random_bipartite(20, 0.4, 10)]
         results = max_factors(graphs)
-        assert [r for r, _ in results] == [4, 2, 0] + [max_factor(g)[0] for g in graphs[3:]]
-        for g, (r_star, factor) in zip(graphs, results):
-            assert factor.r == r_star
+        assert [f.r for f in results] == [4, 2, 0] + [max_factor(g)[0] for g in graphs[3:]]
+        for g, factor in zip(graphs, results):
+            r_star = factor.r
             factor.check_against(g)
             assert (r_star, factor) == max_factor(g)
             if g.m <= GALE_RYSER_MAX_M:
@@ -416,18 +416,24 @@ class TestPeel:
         with pytest.raises(InvariantViolation, match="m=3 but the host graph has m=4"):
             peel_matchings(Factor(r=3, graph=g), complete_bipartite(4))
 
-    def test_peel_all_decomposes_factors_of_different_r_and_m(self):
+    def test_peel_factors_decomposes_factors_of_different_r_and_m(self):
         hosts = [complete_bipartite(3), cycle6(), random_bipartite(9, 0.7, 11),
                  BipartiteGraph(4, []), random_bipartite(12, 0.6, 12), BipartiteGraph(0, [])]
         factors = [Factor(3, hosts[0]), Factor(2, hosts[1]), max_factor(hosts[2])[1],
                    Factor(0, hosts[3]), find_factor(hosts[4], 2), Factor(0, hosts[5])]
         assert [f.r for f in factors] == [3, 2, max_factor(hosts[2])[0], 0, 2, 0]
-        peeled = peel_all(factors, hosts)
+        peeled = peel_factors(factors)
         assert len(peeled) == len(factors)
         for rows, factor in zip(peeled, factors):
             assert rows.shape == (factor.r, factor.graph.m) and rows.dtype == np.int64
             assert peel_decomposes(rows, factor)
-        assert peel_all([], []) == []
+        assert peel_factors([]) == []
+
+    def test_peel_factors_refuses_a_factor_that_is_not_r_regular(self):
+        # the degrees are checked before any matching round runs
+        bogus = Factor(r=2, graph=BipartiteGraph(3, [(0, 0), (1, 1), (2, 2)]))
+        with pytest.raises(InvariantViolation, match="^not every vertex has degree exactly 2$"):
+            peel_factors([Factor(r=2, graph=cycle6()), bogus])
 
     def test_matching_off_the_remainder_detected(self, monkeypatch):
         # 0 -> 2, 1 -> 0, 2 -> 1 is a permutation, but none of its pairs is
@@ -489,3 +495,5 @@ def test_json_schema_errors():
         from_json_dict({"m": 2, "edges": [[0, 9], [0, 1.5]]})
     with pytest.raises(ParseError, match=r"^edge 1: must be a pair of integers$"):
         from_json_dict({"m": 2, "edges": [[0, 1], [0, 1.5], [0, 9]]})
+    with pytest.raises(ParseError, match=r"^edge 2 \(0,1\): duplicate edge$"):
+        from_json_dict({"m": 2, "edges": [[0, 1], [1, 1], [0, 1], [1, 1], [0, 9]]})

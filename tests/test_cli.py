@@ -212,7 +212,7 @@ def test_pack_rejects_negative_partition_count(tmp_path, capsys, theorem):
     hpath, opath = str(tmp_path / "h.json"), tmp_path / "pack.json"
     write_hypergraph(complete_hypergraph(12, 3), hpath)
     code, _, err = run(capsys, "pack", "--input", hpath, "--theorem", theorem,
-                       "--ell", "1", "--r", "-3", "--epsilon", "0.05", "--out", str(opath))
+                       "--ell", "1", "--r", "-3", "--out", str(opath))
     assert code == 1
     assert "number of partitions must be >= 0, got -3" in err
     assert not opath.exists()
@@ -321,21 +321,22 @@ MC_FACTOR_K4 = ("mc-factor", "--complete-bipartite", "4", "--rho", "1", "--p", "
      "delta_target -1.0 not in [0, 1]"),
     (("pack", "--theorem", "3", "--ell", "1", "--delta-target", "7"),
      "delta_target 7.0 not in [0, 1]"),
+    # the min-degree pipeline computes its own epsilon from the measured alpha
     (("pack", "--theorem", "2", "--ell", "1", "--r", "2", "--epsilon", "-1"),
-     "epsilon must be >= 0, got -1.0"),
+     "--epsilon requires --theorem 3"),
     (("pack", "--theorem", "2", "--ell", "1", "--r", "2", "--epsilon", "nan"),
-     "epsilon must be >= 0, got nan"),
-    # checked before the enumeration, which refuses n = 12
-    (("count", "--ell", "1", "--slack", "-0.5"), "slack per vertex must be >= 0, got -0.5"),
-    (("count", "--ell", "1", "--slack", "nan"), "slack per vertex must be >= 0, got nan"),
-    # checked before the codegree measurement and the partitions
+     "--epsilon requires --theorem 3"),
+    # the count's slack and the min-degree pipeline's alpha' are constants
+    # (census.SLACK_PER_VERTEX, packer.ALPHA_PRIME), not flags
+    (("count", "--ell", "1", "--slack", "-0.5"), "unrecognized arguments: --slack -0.5"),
+    (("count", "--ell", "1", "--slack", "nan"), "unrecognized arguments: --slack nan"),
     (("pack", "--theorem", "2", "--ell", "1", "--alpha-prime", "nan"),
-     "alpha_prime nan not in [0, 1]"),
+     "unrecognized arguments: --alpha-prime nan"),
     (("pack", "--theorem", "2", "--ell", "1", "--alpha-prime", "1.5"),
-     "alpha_prime 1.5 not in [0, 1]"),
-    # each pipeline refuses the other's flag instead of ignoring it
+     "unrecognized arguments: --alpha-prime 1.5"),
     (("pack", "--theorem", "3", "--ell", "1", "--alpha-prime", "nan"),
-     "--alpha-prime requires --theorem 2"),
+     "unrecognized arguments: --alpha-prime nan"),
+    # each pipeline refuses the other's flag instead of ignoring it
     (("pack", "--theorem", "2", "--ell", "1", "--delta-target", "7"),
      "--delta-target requires --theorem 3"),
     # each mc-partition kind refuses the other's flag
@@ -477,6 +478,14 @@ def test_bipartite_bool_values_exit_1(tmp_path, capsys):
         assert code == 1 and out == "" and "integer" in err
 
 
+def test_bipartite_repeated_pair_exit_1(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text('{"m": 2, "edges": [[0, 0], [0, 0], [1, 1]]}')
+    code, out, err = run(capsys, "factor", "--input", str(path))
+    assert code == 1 and out == ""
+    assert "edge 1 (0,0): duplicate edge" in err
+
+
 def test_cycle_bool_values_exit_1(tmp_path, capsys):
     hpath = str(tmp_path / "h.json")
     write_hypergraph(complete_hypergraph(6, 3), hpath)
@@ -550,6 +559,22 @@ def test_manifest_contents(tmp_path, capsys):
     assert manifest["artifact_version"]
 
 
+@pytest.mark.parametrize("argv, keys", [
+    (("pack", "--theorem", "2", "--ell", "1", "--r", "2"),
+     {"theorem", "ell", "epsilon", "r", "delta_target"}),
+    (("pack", "--theorem", "3", "--ell", "1", "--r", "2"),
+     {"theorem", "ell", "epsilon", "r", "delta_target"}),
+    (("count", "--ell", "1"), {"ell"}),
+], ids=["pack-t2", "pack-t3", "count"])
+def test_manifest_parameter_keys(tmp_path, capsys, argv, keys):
+    # alpha' and the count's slack are constants, so no manifest records them
+    hpath, opath = str(tmp_path / "h.json"), str(tmp_path / "out.json")
+    write_hypergraph(complete_hypergraph(6, 3), hpath)
+    assert run(capsys, *argv, "--input", hpath, "--out", opath)[0] == 0
+    manifest = json.loads(open(opath + ".manifest.json").read())
+    assert set(manifest["parameters"]) == keys | {"input", "out", "seed", "threads"}
+
+
 def test_manifest_replay_reproduces(tmp_path, capsys):
     hpath = str(tmp_path / "h.json")
     write_hypergraph(complete_hypergraph(12, 3), hpath)
@@ -592,7 +617,8 @@ def test_manifest_parameters_replay_the_run(tmp_path, capsys, name):
     assert run(capsys, *argv, "--out", o1)[0] == 0
     manifest = json.load(open(o1 + ".manifest.json"))
     if name.startswith("pack"):
-        # theorem 3 runs at epsilon 0.1; theorem 2's null means "measured alpha - alpha'"
+        # theorem 3 runs at epsilon 0.1; theorem 2 takes no epsilon (it uses
+        # the measured alpha - packer.ALPHA_PRIME), so its manifest records null
         assert manifest["parameters"]["epsilon"] == {"pack-t2": None, "pack-t3": 0.1}[name]
     replay = [manifest["command"]]
     for key, value in manifest["parameters"].items():

@@ -251,7 +251,7 @@ class TestPsiHistogram:
 class TestPackMinDegree:
     def test_complete_k12(self):
         h = complete_hypergraph(12, 3)
-        res = pack_min_degree(h, 1, alpha_prime=0.6, num_partitions=2, seed=5)
+        res = pack_min_degree(h, 1, num_partitions=2, seed=5)
         assert res.cycles
         for c in res.cycles:
             assert verify_cycle(h, c)
@@ -277,7 +277,7 @@ class TestPackMinDegree:
     def test_invariants_over_seeds(self):
         h = random_hypergraph(24, 3, 0.9, 101)
         for seed in (3, 11):
-            res = pack_min_degree(h, 1, alpha_prime=0.6, num_partitions=4, seed=seed)
+            res = pack_min_degree(h, 1, num_partitions=4, seed=seed)
             used = set()
             for c in res.cycles:
                 assert verify_cycle(h, c)
@@ -300,7 +300,7 @@ class TestPackMinDegree:
 
     def test_ell0_pipeline(self):
         h = complete_hypergraph(12, 3)
-        res = pack_min_degree(h, 0, alpha_prime=0.6, num_partitions=2, seed=9)
+        res = pack_min_degree(h, 0, num_partitions=2, seed=9)
         for c in res.cycles:
             assert c.ell == 0
             assert verify_cycle(h, c)
@@ -334,6 +334,14 @@ class TestPackNearRegular:
         res = pack_near_regular(complete_hypergraph(n, k), ell=ell, delta_target=0.5,
                                 epsilon=0.05, seed=3)
         assert res.partitions_used == expected == len(res.per_partition)
+
+    def test_parameters_after_ell_are_keyword_only(self):
+        # both pipelines take one call form: (h, ell, ...) with keyword parameters
+        h = complete_hypergraph(12, 3)
+        with pytest.raises(TypeError, match="positional"):
+            pack_near_regular(h, 1, 0.5, 0.05, 3)
+        with pytest.raises(TypeError, match="positional"):
+            pack_min_degree(h, 1, 2)
 
     def test_complete_runs(self):
         h = complete_hypergraph(12, 3)
@@ -417,13 +425,13 @@ class TestBatchChecks:
         h = complete_hypergraph(12, 3)
         scheme = sample_scheme(h, 1, 5)
         monkeypatch.setattr(packer, "sample_scheme", lambda h_, ell, seed: scheme)
-        peel, first = bifactor._peel_checked, []
+        peel, first = bifactor.peel_factors, []
 
         def peel_first(factors):
             # every partition gets the first partition's matchings
             first.extend(peel(factors))
             return [first[0]] * len(first)
-        monkeypatch.setattr(bifactor, "_peel_checked", peel_first)
+        monkeypatch.setattr(bifactor, "peel_factors", peel_first)
         with pytest.raises(InvariantViolation,
                            match=r"^edge \(\d+, \d+, \d+\) appears in two packed cycles$"):
             pack_min_degree(h, 1, num_partitions=2, seed=3)
