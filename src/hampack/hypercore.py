@@ -17,11 +17,11 @@ import math
 from array import array
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 import numpy as np
 
-from .errors import InvalidQueryError, ParseError, SizeLimitError
+from .errors import InvalidQueryError, InvariantViolation, ParseError, SizeLimitError
 from .util import integer, read_json, write_json
 
 
@@ -34,12 +34,13 @@ def row_codes(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def _fast_codes(n: int, k: int, edges: list):
-    """Sorted codes of a valid edge list in one typed pass, or None when a
-    check fails, so that the caller can name the offending edge.  Accepts
-    exactly what `_walked_codes` accepts: `array("Q")` takes each vertex
-    through `__index__`, as `operator.index` does, and refuses floats,
-    strings, None, lists and ints outside 0..2^64-1; a bool passes as 0 or 1,
-    so only the edges holding a 0 or a 1 have their types read."""
+    """Sorted codes of a valid edge list in one typed pass, the only builder
+    of codes from a list, or None when a check fails.  It returns None
+    exactly when `_raise_edge_fault` finds a bad edge to name: `array("Q")`
+    takes each vertex through `__index__`, as `operator.index` does, and
+    refuses floats, strings, None, lists and ints outside 0..2^64-1; a bool
+    passes as 0 or 1, so only the edges holding a 0 or a 1 have their types
+    read."""
     try:
         if set(map(len, edges)) != {k}:
             return None
@@ -60,27 +61,23 @@ def _fast_codes(n: int, k: int, edges: list):
     return None if (codes[1:] == codes[:-1]).any() else codes
 
 
-def _walked_codes(n: int, k: int, edges: list) -> np.ndarray:
-    """Sorted codes by a per-edge walk; raises ParseError naming the first bad edge."""
-    codes = []
+def _raise_edge_fault(n: int, k: int, edges: list) -> NoReturn:
+    """Walk an edge list that `_fast_codes` refused and raise ParseError
+    naming its first bad edge; InvariantViolation when no edge is bad."""
     seen = set()
     for idx, e in enumerate(edges):
         try:
-            ce = sorted(map(integer, e))
+            ce = tuple(sorted(map(integer, e)))
         except TypeError:
             raise ParseError(f"edge {idx}: must be a list of integers") from None
         if len(ce) != k or len(set(ce)) != k:
             raise ParseError(f"edge {idx} {list(e)}: not {k} distinct vertices")
         if ce[0] < 0 or ce[-1] >= n:
             raise ParseError(f"edge {idx} {list(e)}: vertex out of range 0..{n - 1}")
-        code = 0
-        for v in ce:
-            code = code * n + v
-        if code in seen:
+        if ce in seen:
             raise ParseError(f"edge {idx} {list(e)}: duplicate edge")
-        seen.add(code)
-        codes.append(code)
-    return np.sort(np.array(codes, dtype=np.int64))
+        seen.add(ce)
+    raise InvariantViolation("the typed edge scan refused a list with no bad edge")
 
 
 POSITION_TABLE_MAX_CODES = 2 ** 24  # int32 holds every position; at most 64 MB
@@ -104,7 +101,7 @@ class Hypergraph:
         edges = edges if isinstance(edges, list) else list(edges)
         codes = _fast_codes(n, k, edges) if edges else np.empty(0, dtype=np.int64)
         if codes is None:
-            codes = _walked_codes(n, k, edges)
+            _raise_edge_fault(n, k, edges)
         self._store(n, k, codes)
 
     @classmethod

@@ -305,8 +305,9 @@ def cycle_to_json_dict(cycle: HamiltonCycle) -> dict:
 
 def cycle_records(ell: int, rows: np.ndarray) -> np.ndarray:
     """The cycles whose arrangements are the rows of the r x n array `rows`,
-    as one structured array of (arrangement, ell) records: `canonical_json`
-    writes it as the list of their `cycle_to_json_dict` documents."""
+    as one structured array of (arrangement, ell) records, both fields int64
+    as `canonical_json` requires of a record's fields: it writes the array as
+    the list of their `cycle_to_json_dict` documents."""
     records = np.empty(len(rows), dtype=[("arrangement", np.int64, (rows.shape[1],)),
                                          ("ell", np.int64)])
     records["arrangement"] = rows

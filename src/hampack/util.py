@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import InvalidInputError, ParseError
 
-MASK64 = (1 << 64) - 1
 T = TypeVar("T")
 
 
@@ -29,7 +28,7 @@ def derive_seed(master: int, label: str) -> int:
     derivations, so reordered work stays reproducible.
     """
     h = hashlib.sha256(f"{master}/{label}".encode("utf-8")).digest()
-    return int.from_bytes(h[:8], "big") & MASK64
+    return int.from_bytes(h[:8], "big")
 
 
 def random_stream(seed: int) -> np.random.RandomState:
@@ -73,14 +72,14 @@ def canonical_json(obj: Any) -> str:
 
     Dataclasses are written as dicts of their fields, tuples as lists, sets
     and frozensets as sorted lists, dict keys through `str`, and non-finite
-    floats as null, a 2-d integer numpy array as its `.tolist()`, and a 1-d
-    numpy structured array whose fields are integers or 1-d integer
-    sub-arrays as the list of its records, each a dict from field name to
-    value; otherwise the bytes are those of `json.dumps(obj, sort_keys=True,
-    separators=(",", ": "), indent=1)`.  A list of plain ints is written with
-    one join, and a 2-d integer array or a structured array with one row
-    template and one format, which is where large documents spend their
-    bytes.  Other numpy values raise TypeError, as they do in `json.dumps`.
+    floats as null; otherwise the bytes are those of `json.dumps(obj,
+    sort_keys=True, separators=(",", ": "), indent=1)`.  Two kinds of numpy
+    array, where large documents spend their bytes, are written with one row
+    template and one format: a 2-d integer array as its `.tolist()`, and a
+    1-d structured array whose fields all share one integer dtype, each a
+    scalar or a 1-d sub-array, as the list of its records, each a dict from
+    field name to value.  Any other numpy value raises TypeError, as it does
+    in `json.dumps`.
     """
     return _encode(obj, "\n")
 
@@ -100,19 +99,12 @@ def _encode(value: Any, newline: str) -> str:
         return int.__repr__(value)
     if isinstance(value, float):
         return float.__repr__(value) if math.isfinite(value) else "null"
+    if isinstance(value, np.ndarray):
+        return _encode_table(value, newline)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
     inner = newline + " "
     sep = "," + inner
-    if isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype.kind in "iu":
-        if value.size:
-            row_inner = inner + " "
-            row = "[" + row_inner + ("," + row_inner).join(["%d"] * value.shape[1]) + inner + "]"
-            body = sep.join([row] * len(value)) % tuple(value.ravel().tolist())
-            return "[" + inner + body + newline + "]"
-        value = value.tolist()
-    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.names is not None:
-        return _encode_records(value, newline)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -126,46 +118,51 @@ def _encode(value: Any, newline: str) -> str:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     if not value:
         return "[]"
-    if set(map(type, value)) == {int}:
-        body = sep.join(map(int.__repr__, value))
-    else:
-        body = sep.join([_encode(item, inner) for item in value])
-    return "[" + inner + body + newline + "]"
+    return "[" + inner + sep.join([_encode(item, inner) for item in value]) + newline + "]"
 
 
-def _encode_records(value: np.ndarray, newline: str) -> str:
-    """The 1-d structured array `value` written as its list of records at the
-    indent that `newline` ends with: one row template, its fields in sorted
-    order, filled for every record by one `%`."""
+def _int_list(width: int, newline: str) -> str:
+    """The `%` template of a list of `width` ints closed at the indent that
+    `newline` ends with."""
+    if not width:
+        return "[]"
     inner = newline + " "
-    key_inner = inner + " "
-    item_inner = key_inner + " "
-    parts, columns = [], []
-    for name in sorted(value.dtype.names):
-        field = value.dtype.fields[name][0]
-        if field.base.kind not in "iu" or field.ndim > 1:
-            raise TypeError(f"structured field {name!r} of type {field} is not an integer "
-                            "or a 1-d integer sub-array")
-        key = _quote(name).replace("%", "%%") + ": "
-        if not field.ndim:
-            parts.append(key + "%d")
-            columns.append(value[name][:, None])
-        elif field.shape[0]:
-            parts.append(key + "[" + item_inner + ("," + item_inner).join(["%d"] * field.shape[0])
-                         + key_inner + "]")
-            columns.append(value[name])
-        else:
-            parts.append(key + "[]")
+    return "[" + inner + ("," + inner).join(["%d"] * width) + newline + "]"
+
+
+def _encode_table(value: np.ndarray, newline: str) -> str:
+    """The numpy array `value` written at the indent that `newline` ends
+    with: a 2-d integer array as its list of rows, a 1-d structured array as
+    its list of records, fields in sorted order.  One row template is filled
+    for every row by one `%`; any other array raises TypeError."""
+    inner = newline + " "
+    if value.ndim == 2 and value.dtype.kind in "iu":
+        row, cells = _int_list(value.shape[1], inner), value
+    elif value.ndim == 1 and value.dtype.names:
+        key_inner = inner + " "
+        first = value.dtype.fields[value.dtype.names[0]][0].base
+        parts, columns = [], []
+        for name in sorted(value.dtype.names):
+            field = value.dtype.fields[name][0]
+            if field.base != first or first.kind not in "iu" or field.ndim > 1:
+                raise TypeError(f"structured field {name!r} of type {field} is not an integer "
+                                f"or a 1-d sub-array of the first field's dtype {first}")
+            key = _quote(name).replace("%", "%%") + ": "
+            if field.ndim:
+                parts.append(key + _int_list(field.shape[0], key_inner))
+                columns.append(value[name])
+            else:
+                parts.append(key + "%d")
+                columns.append(value[name][:, None])
+        row = "{" + key_inner + ("," + key_inner).join(parts) + inner + "}"
+        cells = np.concatenate(columns, axis=1)     # one dtype: never promoted to float64
+    else:
+        raise TypeError(f"numpy array of dtype {value.dtype} and shape {value.shape} is not "
+                        "a 2-d integer table or a 1-d array of integer records")
     if not len(value):
         return "[]"
-    row = "{" + key_inner + ("," + key_inner).join(parts) + inner + "}" if parts else "{}"
-    values: tuple = ()
-    if columns:
-        dtype = np.result_type(*columns)
-        if dtype.kind not in "iu":      # int64 with uint64 promotes to float64, which rounds
-            dtype = np.dtype(object)
-        values = tuple(np.concatenate(columns, axis=1, dtype=dtype).ravel().tolist())
-    return "[" + inner + ("," + inner).join([row] * len(value)) % values + newline + "]"
+    body = ("," + inner).join([row] * len(value)) % tuple(cells.ravel().tolist())
+    return "[" + inner + body + newline + "]"
 
 
 def read_json(path: str, build: Callable[[Any], T]) -> T:

@@ -712,6 +712,18 @@ def test_pack_golden_digests(tmp_path, capsys, name, argv, primary, sidecar):
     assert (_sha256(opath), _sha256(opath + ".partitions.csv")) == (primary, sidecar)
 
 
+def test_pack_benchmark_document_digest(tmp_path, capsys):
+    # the document that perfbench's pack-r16-n90 workload checks: 360 cycles
+    # on 105,847 edges, the largest records table the encoder writes
+    hpath = str(tmp_path / "h.json")
+    assert run(capsys, "gen", *GOLDEN_INPUTS["random-90-3"], "--out", hpath)[0] == 0
+    opath = str(tmp_path / "pack.json")
+    code, _, _ = run(capsys, "pack", "--input", hpath, "--ell", "1", "--r", "16",
+                     "--seed", "3", "--out", opath)
+    assert code == 0
+    assert _sha256(opath) == "f6048615b1359629059af1d2fa305893ec2ff768f80ede97d9e319a3f6f6ceef"
+
+
 # sha256 of each GOLDEN_PACK document without its arrangements: every other
 # field, the sorted covered edges and the cycle count.  Another decomposition
 # of the same factors lists other cycles but leaves this digest unchanged.

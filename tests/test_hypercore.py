@@ -8,9 +8,9 @@ import pytest
 
 from hampack import hypercore
 from hampack.constructions import complete_hypergraph, parity_hypergraph, random_hypergraph
-from hampack.errors import InvalidQueryError, ParseError, SizeLimitError
+from hampack.errors import InvalidQueryError, InvariantViolation, ParseError, SizeLimitError
 from hampack.hypercore import (POSITION_TABLE_MAX_CODES, Hypergraph, _fast_codes,
-                               _walked_codes, degree_report, lex_unrank, read_hypergraph,
+                               _raise_edge_fault, degree_report, lex_unrank, read_hypergraph,
                                write_hypergraph)
 
 from helpers import (degree_of, degree_report_scan, locate_reference, one_uncovered_pair,
@@ -215,10 +215,11 @@ def test_parse_errors(tmp_path, payload, fragment):
 
 def test_fast_scan_accepts_exactly_what_the_walk_accepts():
     """Plain edge lists, each valid or with one injected change: the typed
-    scan and the per-edge walk accept the same lists, with equal codes.
-    numpy int64 vertices are accepted by both; every other change is a fault
-    that both refuse, including the values numpy itself would convert
-    (integral floats, numeric strings, bools at vertex values 0 and 1)."""
+    scan returns None exactly when the per-edge walk names a bad edge, and
+    otherwise the sorted codes of the set of edges.  numpy int64 vertices are
+    accepted by both; every other change is a fault that both refuse,
+    including the values numpy itself would convert (integral floats, numeric
+    strings, bools at vertex values 0 and 1)."""
     rng = random.Random(20)
     faults = [None, "length", "repeat", "range", "duplicate", "bool", "huge", "low",
               "float", "string", "none", "nested", "dict-edge", "string-edge",
@@ -272,12 +273,15 @@ def test_fast_scan_accepts_exactly_what_the_walk_accepts():
             e[j] = bool(e[j])
         edges[i] = e
         fast = _fast_codes(n, k, edges)
-        try:
-            walked = _walked_codes(n, k, edges).tolist()
-        except ParseError:
-            walked = None
-        assert (None if fast is None else fast.tolist()) == walked, (n, k, edges)
-        assert (walked is None) == (fault not in (None, "np-int64")), (fault, edges)
+        with pytest.raises((ParseError, InvariantViolation)) as walk:
+            _raise_edge_fault(n, k, edges)
+        refused = walk.type is ParseError
+        assert (fast is None) == refused, (n, k, edges)
+        assert refused == (fault not in (None, "np-int64")), (fault, edges)
+        if not refused:
+            assert fast.tolist() == sorted({sum(int(v) * n ** (k - 1 - j)
+                                                for j, v in enumerate(sorted(e)))
+                                            for e in edges}), (n, k, edges)
         seen.add(fault)
     assert seen == set(faults)
 
