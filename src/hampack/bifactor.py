@@ -188,16 +188,20 @@ def gale_ryser_check(g: BipartiteGraph, r: int) -> GaleRyserWitness:
 
 
 class _FactorNetwork:
-    """The r-factor flow network of the disjoint union of graphs, built once
-    for every choice of r per graph.
+    """The complement flow network of the disjoint union of graphs, built once
+    for every choice of r per graph: it routes the deg - r edges that an
+    r-factor leaves out at each vertex, not the r it keeps, since G has an
+    r-factor iff it has a (deg - r)-factor.  When δ > m/2 and r = δ that is
+    |E| - r·m < r·m flow units.
 
     Graph i's vertices are offset by off[i] (`_disjoint_union`), and
     M = off[-1].  Nodes: source 0, s of graph i as
     1 + off[i] + s, t as 1 + M + off[i] + t, sink 2M + 1.  The CSR holds the
     source row (arcs to every s), each s row with unit arcs to its t
     neighbours in ascending order, then the t -> sink rows.  Solving for
-    r_0, r_1, ... only writes the first M and the last M capacities; a graph
-    at r = 0 carries no flow.
+    r_0, r_1, ... only writes the first M and the last M capacities,
+    deg(s) - r_i and deg(t) - r_i; a graph at r = 0 gets capacity 0 and
+    carries no flow.  No probe exceeds δ, so no capacity is negative.
 
     scipy is imported here and in `peel_factors`, on first use, so that the
     commands that never solve a flow or a matching do not load it.
@@ -206,11 +210,12 @@ class _FactorNetwork:
     def __init__(self, graphs: Sequence[BipartiteGraph]):
         from scipy.sparse import csr_matrix
         self.hosts = graphs
-        self.off, s, t = _disjoint_union(graphs)
+        self.off, _, t = _disjoint_union(graphs)
         self.ms = np.diff(self.off)
+        self.deg_s = np.concatenate([g._deg_s for g in graphs])
+        self.deg_t = np.concatenate([g._deg_t for g in graphs])
         size = self.size = int(self.off[-1])
-        row_len = np.concatenate(([size], np.bincount(s, minlength=size),
-                                  np.ones(size, np.int64), [0]))
+        row_len = np.concatenate(([size], self.deg_s, np.ones(size, np.int64), [0]))
         indptr = np.concatenate(([0], np.cumsum(row_len))).astype(np.int32)
         indices = np.concatenate((np.arange(1, size + 1), 1 + size + t,
                                   np.full(size, 2 * size + 1))).astype(np.int32)
@@ -221,26 +226,28 @@ class _FactorNetwork:
         """Entry i is an rs[i]-factor of graph i, or None if there is none or
         rs[i] = 0, all from one flow.
 
-        Graph i has an rs[i]-factor iff its own source arcs carry rs[i]·m_i.
-        Its witness is the s -> t arcs with flow in its s rows, read from the
-        flow's CSR (which keeps the network's row and column order, with a
-        non-positive reverse arc added beside each arc), and is checked
-        against graph i before it is returned.
+        Graph i has an rs[i]-factor iff its own source arcs carry
+        |E_i| - rs[i]·m_i, that is, iff none of them has capacity unsent.  Its
+        witness is its host edges whose s -> t arcs carry no flow, read from
+        the flow's CSR (which keeps the network's row and column order, with
+        a non-positive reverse arc added beside each arc, and keeps each
+        s -> t arc explicit even at zero flow), and is checked against graph
+        i before it is returned.
         """
         from scipy.sparse.csgraph import maximum_flow
         size, off, data = self.size, self.off, self.graph.data
-        caps = np.repeat(rs, self.ms)
-        data[:size] = caps
-        data[-size:] = caps
+        row_r = np.repeat(rs, self.ms)
+        data[:size] = np.where(row_r > 0, self.deg_s - row_r, 0)
+        data[-size:] = np.where(row_r > 0, self.deg_t - row_r, 0)
         flow = maximum_flow(self.graph, 0, 2 * size + 1).flow
-        sent = np.zeros(size + 1, dtype=np.int64)
-        sent[flow.indices[:flow.indptr[1]]] = flow.data[:flow.indptr[1]]
-        sent = np.cumsum(sent)
-        feasible = (rs > 0) & (sent[off[1:]] - sent[off[:-1]] == rs * self.ms)
+        unsent = np.concatenate(([0], data[:size])).astype(np.int64)
+        unsent[flow.indices[:flow.indptr[1]]] -= flow.data[:flow.indptr[1]]
+        unsent = np.cumsum(unsent)
+        feasible = (rs > 0) & (unsent[off[1:]] == unsent[off[:-1]])
         lo, hi = flow.indptr[1], flow.indptr[size + 1]
         s = np.repeat(np.arange(size), np.diff(flow.indptr[1:size + 2]))
-        positive = flow.data[lo:hi] > 0
-        s, t = s[positive], flow.indices[lo:hi][positive].astype(np.int64) - 1 - size
+        left_in = (flow.indices[lo:hi] > size) & (flow.data[lo:hi] == 0)
+        s, t = s[left_in], flow.indices[lo:hi][left_in].astype(np.int64) - 1 - size
         bounds = np.searchsorted(s, off)
         found: list[Optional[Factor]] = [None] * len(rs)
         for i in np.flatnonzero(feasible).tolist():
@@ -265,12 +272,12 @@ def _disjoint_union(graphs: Sequence[BipartiteGraph]) -> tuple[np.ndarray, np.nd
 
 
 def find_factor(g: BipartiteGraph, r: int) -> Optional[Factor]:
-    """Constructive r-factor search via max flow.
-
-    Network: source -> each s with capacity r, unit arcs across the edges,
-    each t -> sink with capacity r; an r-factor exists iff max flow = r·m.
-    One `_FactorNetwork` is built and solved once; its witness is checked
-    there against the host graph.
+    """Constructive r-factor search via max flow on the complement network:
+    source -> each s with capacity deg(s) - r, unit arcs across the edges,
+    each t -> sink with capacity deg(t) - r; an r-factor exists iff max flow
+    = |E| - r·m, and it is the edges without flow.  One `_FactorNetwork` is
+    built and solved once; its witness is checked there against the host
+    graph.
     """
     if not (0 <= r <= g.m):
         raise InvalidInputError(f"r must be in 0..m={g.m}, got {r}")
@@ -294,10 +301,12 @@ def max_factors(graphs: Sequence[BipartiteGraph]) -> list[Factor]:
     the common case, so r = δ is probed first.  If it is infeasible, binary
     search runs over [0, δ - 1]: feasibility is monotone in r (the subset
     inequality r(|X|+|Y|-m) <= e(X,Y) only tightens as r grows).  Every
-    graph's searches share one flow network over the disjoint union of the
-    graphs: the first flow probes each graph at its δ, and each further flow
-    probes each graph whose search is still open at its midpoint, the others
-    at capacity 0.  Each feasible probe's witness is checked against its
+    graph's searches share one complement flow network over the disjoint
+    union of the graphs (`_FactorNetwork`), which routes the deg - r edges
+    each vertex leaves out: the first flow probes each graph at its δ, and
+    each further flow probes each graph whose search is still open at its
+    midpoint, the others at capacity 0.  No probe exceeds δ, so every
+    capacity is >= 0.  Each feasible probe's witness is checked against its
     graph.
     """
     delta = np.array([g.min_degree() for g in graphs], dtype=np.int64)

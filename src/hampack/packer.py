@@ -278,7 +278,9 @@ def pack_near_regular(h: Hypergraph, ell: int, *, delta_target: float, epsilon: 
     """Packing pipeline under a two-sided codegree hypothesis, aimed at
     covering all but a delta_target fraction of the possible edges.
 
-    Requires max codegree - min codegree <= 2*epsilon*n.  Schemes whose
+    Requires max codegree - min codegree <= 2*epsilon*n, tested as the
+    integer spread / 2n <= epsilon: one correctly rounded division, so
+    epsilon = spread / 2n itself passes.  Schemes whose
     auxiliary graph has a degree outside the band (alpha ± 2*epsilon)·m are
     resampled up to `RESAMPLE_LIMIT` times.  The partition count follows
     |E|·((k-ell)/n)^2 / q with q = (alpha-epsilon)·m^2/|E| (clamped to the
@@ -291,7 +293,7 @@ def pack_near_regular(h: Hypergraph, ell: int, *, delta_target: float, epsilon: 
     m = check_shape(n, k, ell)
     codegrees = degree_report(h, k - 1)
     lo, hi = codegrees.min_degree / n, codegrees.max_degree / n
-    if (hi - lo) * n > 2.0 * epsilon * n:
+    if (codegrees.max_degree - codegrees.min_degree) / (2 * n) > epsilon:
         raise InvalidInputError(
             f"codegree spread too wide for the near-regular hypothesis: "
             f"min={lo:.4f}n, max={hi:.4f}n, allowed spread 2*eps*n with eps={epsilon}")

@@ -210,11 +210,20 @@ class TestCodeStore:
             g.codes[0] = 3
 
 
-def _drop_one_flow_unit(monkeypatch, at_r, node=1):
-    """Make maximum_flow, when the source arc to s node `node` (1 + the
-    vertex's offset in the network) has capacity at_r, return a flow in
-    which that vertex has degree at_r - 1 while the flow value and every
-    source arc are kept.
+def _probe_at(graph, node):
+    """The r that the factor network `graph` probes at s node `node` (1 + the
+    vertex's offset in the network): the vertex's degree, its row length,
+    minus its source capacity deg - r.  A closed search (capacity 0) reads
+    as r = deg; no test below meets one at the node it watches."""
+    return graph.indptr[node + 1] - graph.indptr[node] - graph.data[node - 1]
+
+
+def _flip_one_flow_unit(monkeypatch, at_r, node=1):
+    """Make maximum_flow, when the network probes r = at_r at s node `node`,
+    return a flow whose first s -> t arc at that vertex carries 1 unit if it
+    carried none and none if it carried 1, while the flow value and every
+    source arc are kept: the witness loses or gains that edge, so the vertex
+    has degree at_r - 1 or at_r + 1 in it.
 
     bifactor imports its scipy solvers inside the functions that call them,
     so patching the scipy module itself reaches every call."""
@@ -222,35 +231,37 @@ def _drop_one_flow_unit(monkeypatch, at_r, node=1):
 
     def fake(graph, source, sink):
         result = real(graph, source, sink)
-        if graph.data[node - 1] != at_r:
+        if _probe_at(graph, node) != at_r:
             return result
         m = (graph.shape[0] - 2) // 2
         flow = result.flow.copy()
         lo, hi = flow.indptr[node], flow.indptr[node + 1]
-        hit = np.flatnonzero((flow.indices[lo:hi] > m) & (flow.data[lo:hi] > 0))[0]
-        flow.data[lo + hit] = 0
+        arc = lo + np.flatnonzero(flow.indices[lo:hi] > m)[0]
+        flow.data[arc] = 1 - flow.data[arc]
         return SimpleNamespace(flow_value=result.flow_value, flow=flow)
 
     monkeypatch.setattr(csgraph, "maximum_flow", fake)
 
 
 def _swap_onto_non_edges(monkeypatch, at_r):
-    """Make maximum_flow, when the source capacities are at_r, move the units
-    on (0, 1) and (1, 0) onto (0, 0) and (1, 1): every degree and the flow
-    value stay as they were, but the witness leaves the host when the
-    diagonal is not in it."""
+    """Make maximum_flow, when the network probes r = at_r at its first s
+    vertex, move the arcs (0, 1) and (1, 0) of the returned flow, with the
+    flow they carry, onto (0, 0) and (1, 1): every degree and the flow value
+    stay as they were, but the witness gains the diagonal, which is not in
+    the host."""
     real = csgraph.maximum_flow
 
     def fake(graph, source, sink):
         result = real(graph, source, sink)
-        if graph.data[0] != at_r:
+        if _probe_at(graph, 1) != at_r:
             return result
         m = (graph.shape[0] - 2) // 2
-        flow = result.flow.tolil()
-        assert flow[1, m + 2] == flow[2, m + 1] == 1
-        flow[1, m + 2] = flow[2, m + 1] = 0
-        flow[1, m + 1] = flow[2, m + 2] = 1
-        return SimpleNamespace(flow_value=result.flow_value, flow=flow.tocsr())
+        flow = result.flow.copy()
+        for node, (t_from, t_to) in ((1, (1, 0)), (2, (0, 1))):
+            lo, hi = flow.indptr[node], flow.indptr[node + 1]
+            (arc,) = np.flatnonzero(flow.indices[lo:hi] == 1 + m + t_from)
+            flow.indices[lo + arc] = 1 + m + t_to
+        return SimpleNamespace(flow_value=result.flow_value, flow=flow)
 
     monkeypatch.setattr(csgraph, "maximum_flow", fake)
 
@@ -265,7 +276,7 @@ def two_block_graph():
 
 
 def k44_minus_diagonal():
-    """3-regular, so its only 3-factor is the graph itself: every edge carries flow."""
+    """3-regular, so its only 3-factor is the graph itself: no edge carries flow."""
     return BipartiteGraph(4, [(s, t) for s in range(4) for t in range(4) if s != t])
 
 
@@ -280,7 +291,7 @@ class TestWitnessCheck:
     def test_robustness_trial_and_sweep_reject_a_wrong_degree(self, monkeypatch):
         # p = 1 keeps all of K_{4,4}, whose max-factor search probes r = 4
         # first; rho = 1/2 keeps the sweep's hypothesis check at r = 2
-        _drop_one_flow_unit(monkeypatch, at_r=4)
+        _flip_one_flow_unit(monkeypatch, at_r=4)
         g = complete_bipartite(4)
         with pytest.raises(InvariantViolation, match="degree exactly 4"):
             randomlab.factor_robustness_trial(g, 0.5, 1.0, 0.1, seed=0)
@@ -288,7 +299,7 @@ class TestWitnessCheck:
             randomlab.factor_robustness_sweep(g, 0.5, 1.0, 0.1, trials=2, master_seed=0)
 
     def test_find_factor_rejects_a_wrong_degree(self, monkeypatch):
-        _drop_one_flow_unit(monkeypatch, at_r=2)
+        _flip_one_flow_unit(monkeypatch, at_r=2)
         with pytest.raises(InvariantViolation):
             find_factor(complete_bipartite(4), 2)
 
@@ -302,16 +313,16 @@ class TestWitnessCheck:
         assert find_factor(two_block, 1) is not None
         for g, at_r in ((complete_bipartite(4), 4), (two_block, 1)):
             with monkeypatch.context() as patch:
-                _drop_one_flow_unit(patch, at_r)
+                _flip_one_flow_unit(patch, at_r)
                 with pytest.raises(InvariantViolation):
                     max_factor(g)
 
     def test_max_factors_checks_each_graph_of_the_union(self, monkeypatch):
-        # the first s vertex of the second graph is network node 1 + 3; only
-        # its source arc has capacity 4, so the first two graphs' witnesses
-        # are sound and the third graph's search is never reached broken
+        # the first s vertex of the second graph is network node 1 + 3, where
+        # the one flow probes r = 4; without the second graph that node is
+        # the third graph's, probed at r = 5, so nothing there is broken
         graphs = [complete_bipartite(3), complete_bipartite(4), complete_bipartite(5)]
-        _drop_one_flow_unit(monkeypatch, at_r=4, node=1 + 3)
+        _flip_one_flow_unit(monkeypatch, at_r=4, node=1 + 3)
         with pytest.raises(InvariantViolation, match="degree exactly 4"):
             max_factors(graphs)
         assert max_factors(graphs[::2]) == [max_factor(graphs[0])[1], max_factor(graphs[2])[1]]
@@ -333,6 +344,76 @@ class TestMaxFactors:
                 if r_star < g.m:
                     assert not gale_ryser_check(g, r_star + 1).holds
         assert max_factors([]) == []
+
+
+def _record_flow_values(monkeypatch):
+    """Make maximum_flow append each flow value it returns to the list returned."""
+    real, values = csgraph.maximum_flow, []
+
+    def spy(graph, source, sink):
+        result = real(graph, source, sink)
+        values.append(int(result.flow_value))
+        return result
+
+    monkeypatch.setattr(csgraph, "maximum_flow", spy)
+    return values
+
+
+def _assert_max_factor(g, factor, r_star):
+    assert factor.r == r_star
+    factor.check_against(g)
+    if g.m <= GALE_RYSER_MAX_M:
+        assert gale_ryser_check(g, r_star).holds
+        assert not gale_ryser_check(g, r_star + 1).holds
+
+
+def regular_graph(m, r, seed):
+    """An r-regular bipartite graph: r shifted copies of one random perfect matching."""
+    perm = random.Random(seed).sample(range(m), m)
+    return BipartiteGraph(m, [(s, perm[(s + j) % m]) for s in range(m) for j in range(r)])
+
+
+class TestComplementFlow:
+    # the factor network routes the deg - r edges a factor leaves out at each
+    # vertex, |E| - r·m units when the probe is feasible
+    def test_a_regular_graph_is_its_own_factor_at_zero_demand(self, monkeypatch):
+        flows = _record_flow_values(monkeypatch)
+        for g in (k44_minus_diagonal(), cycle6(), regular_graph(12, 5, 31), complete_bipartite(6)):
+            r_star, factor = max_factor(g)
+            _assert_max_factor(g, factor, g.min_degree())
+            assert factor.graph == g and find_factor(g, r_star) == factor
+        assert flows == [0] * 8  # one flow per search, each routing nothing
+
+    def test_probes_below_the_minimum_degree(self, monkeypatch):
+        # r = 3 routes less than |E| - 3m; r = 1 and r = 2 route all of theirs
+        g = two_block_graph()
+        num_edges = len(g.codes)
+        flows = _record_flow_values(monkeypatch)
+        r_star, factor = max_factor(g)
+        assert (g.m, g.min_degree()) == (8, 3)
+        _assert_max_factor(g, factor, 2)
+        assert flows[0] < num_edges - 3 * 8
+        assert flows[1:] == [num_edges - 1 * 8, num_edges - 2 * 8]
+
+    def test_one_union_mixes_closed_zero_demand_and_lower_searches(self, monkeypatch):
+        # K_{4,4} and the two regular graphs close at the first flow with
+        # zero demand, the edgeless graph never opens, and both two-block
+        # graphs keep searching below their minimum degree while the others
+        # sit at capacity 0.  The m = 40 one is the `factor` golden input:
+        # δ = 12, r* = 7.
+        rng = random.Random(4040)
+        wide = BipartiteGraph(40, [(s, t) for s in range(40) for t in range(40)
+                                   if rng.random() < (0.9 if (s < 25) == (t < 15) else 0.12)])
+        graphs = [complete_bipartite(4), k44_minus_diagonal(), BipartiteGraph(5, []),
+                  two_block_graph(), regular_graph(9, 4, 32), wide]
+        flows = _record_flow_values(monkeypatch)
+        results = max_factors(graphs)
+        assert len(flows) > 1
+        assert [f.r for f in results] == [4, 3, 0, 2, 4, 7] and wide.min_degree() == 12
+        for g, factor in zip(graphs, results):
+            _assert_max_factor(g, factor, factor.r)
+            assert (factor.r, factor) == max_factor(g)
+        assert all(results[i].graph == graphs[i] for i in (0, 1, 4))
 
 
 class TestClosedForms:

@@ -653,6 +653,11 @@ def test_manifest_parameters_replay_the_run(tmp_path, capsys, name):
 # `covered_edges`, `coverage_ratio`, `goal_met`, and per partition
 # `assigned_edges`, `sub_aux_edges`, `factor_size`, `matchings`, `cycles`);
 # `psi_histogram`, `unassigned`, `retries` and the `aux_*` columns are as before.
+# The primary digests of both complete-12-3 cases and both random-30-3 cases
+# were re-recorded once more when the factor search moved to the complement
+# flow (the edges a factor leaves out): it returns other r*-factors of the same
+# sub aux graphs, so each document equals the earlier one outside `cycles`,
+# the same number of cycles covers other edges, and every sidecar is as before.
 GOLDEN_INPUTS = {
     "complete-12-3": ["--complete", "--n", "12", "--k", "3"],
     "complete-4-3": ["--complete", "--n", "4", "--k", "3"],
@@ -664,10 +669,10 @@ GOLDEN_INPUTS = {
 
 GOLDEN_PACK = [
     ("complete-12-3", ["--theorem", "2", "--ell", "0"],
-     "eee35cf0b715357a3e673d4c5efc17f5fa7922d38e6dec89fdea3db2469938a7",
+     "ee4cad580661c4744832c0750c808719c477297b50b4d716ac2282f6302455e3",
      "ac42e937cc117ccebd7614d772546381189332253ce15b4666e77b4015e1a030"),
     ("complete-12-3", ["--theorem", "3", "--ell", "0", "--r", "4"],
-     "262335e6abce5d83b3085500edad8142c6e66df416e4e65046d45506e149c767",
+     "a378fdb2bbeb8ec56c048882a6a9629e508dad59445e4e0e6061a3c663005145",
      "4dab033919426131c96c999f49e44e976d10264ac70d09e7a1f08dbd974dc00a"),
     ("complete-4-3", ["--theorem", "2", "--ell", "1", "--r", "3"],
      "17c8df35a52cbf31b5ee2a09c942fa9b4366227feea072068c690ac12f0f7b16",
@@ -682,10 +687,10 @@ GOLDEN_PACK = [
      "bb9c8e5bb0467687933535ba77b09fe7c04ea3579dd0b76d08276ded155978c7",
      "04add865462fc3944e51ba55ebce76cca6a1efb79f3eb245d00c1bccdb0f04f5"),
     ("random-30-3", ["--theorem", "2", "--ell", "1", "--r", "8"],
-     "ff0e2fb5554e135c8c148ee5522a14f6db86376a892bd9ac1a10d106a1841c7f",
+     "779fa994c623830cf6ce1c55a754dc6c0b8b99368e725bc75687c81f8f272f80",
      "cd8a6c0f7f9fba549d971ec3e9c5f1346d817d7ae22ef238adac3acca9ed5573"),
     ("random-30-3", ["--theorem", "3", "--ell", "1", "--r", "8", "--epsilon", "0.3"],
-     "73f00eaad88350c0cd3b3163ce4651caa70f53fcaf94e4c7097fe69add1d9b76",
+     "2cda8a7c75cdafa4a24c43e6f0c7cc08e0e8a28b4fede3f6cba85ca3b85440a2",
      "cd8a6c0f7f9fba549d971ec3e9c5f1346d817d7ae22ef238adac3acca9ed5573"),
 ]
 
@@ -714,28 +719,34 @@ def test_pack_golden_digests(tmp_path, capsys, name, argv, primary, sidecar):
 
 def test_pack_benchmark_document_digest(tmp_path, capsys):
     # the document that perfbench's pack-r16-n90 workload checks: 360 cycles
-    # on 105,847 edges, the largest records table the encoder writes
+    # on 105,847 edges, the largest records table the encoder writes.
+    # Re-recorded when the factor search moved to the complement flow: other
+    # r*-factors give other cycles, and the document equals the earlier one
+    # outside `cycles` (same 360 cycles, coverage and partitions.csv).
     hpath = str(tmp_path / "h.json")
     assert run(capsys, "gen", *GOLDEN_INPUTS["random-90-3"], "--out", hpath)[0] == 0
     opath = str(tmp_path / "pack.json")
     code, _, _ = run(capsys, "pack", "--input", hpath, "--ell", "1", "--r", "16",
                      "--seed", "3", "--out", opath)
     assert code == 0
-    assert _sha256(opath) == "f6048615b1359629059af1d2fa305893ec2ff768f80ede97d9e319a3f6f6ceef"
+    assert _sha256(opath) == "55c93a5fad8f842150a81923389feb03a1e27b2127533b28a1b26ac4e6577e6f"
 
 
 # sha256 of each GOLDEN_PACK document without its arrangements: every other
 # field, the sorted covered edges and the cycle count.  Another decomposition
 # of the same factors lists other cycles but leaves this digest unchanged.
+# Another factor does not: the complete-12-3 and random-30-3 entries were
+# re-recorded when the factor search moved to the complement flow, whose
+# r*-factors, and so covered edges, differ; the other fields are as before.
 GOLDEN_PACK_CYCLES_FREE = {
-    "complete-12-3-t2": "ac2fd5897ffbd45cb1e0fc7bb439abdd97b8a814a2a1171d4a7004631d3766ad",
-    "complete-12-3-t3": "022562a552421148c42c69b5cd548d4f8f931a4c30efc849bb77341da205ac07",
+    "complete-12-3-t2": "9984a113d118f91e557fb431c7ac748a48e5b700fa6be5e5a2abdd15ef020e32",
+    "complete-12-3-t3": "ea30ccb308d97fc307a29d26c146e482df3ff5a607b4f4e57ed92239b8137f15",
     "complete-4-3-t2": "cbeb285ca6f009ee76621af634d361cc69b12d6fa3343077e9e3a18b4d56c9fe",
     "complete-4-3-t3": "fa14ceb0891b0f61146c474c33bc7a041a88e54ac2ebd1f9518047c8946176c6",
     "complete-6-5-t2": "b112a03ce0866273bc94b80d42f4a351e0bac5ef40f8b0c9647b971ac3b848d0",
     "complete-6-5-t3": "5dc66802e9faaf72dc1a69094798d2d1f5e205d464e144c755f92e04efe178da",
-    "random-30-3-t2": "7654648c80090bcfbb5a5ced47c4a5a26f7d143227432d98ba6f89bf36c56b48",
-    "random-30-3-t3": "6330668903c021995d4f837418031609c545d44c7d019d50b26a0a63a2f2f67d",
+    "random-30-3-t2": "abdd0a6b0162ecbcd685d82431a7b4cf50987e680eb64cbd7189824a9c19ffe7",
+    "random-30-3-t3": "7144fdaf9d2f217ee51b63a90542744b3847a35e162ff4230598452f09fd7ed6",
 }
 
 
@@ -901,11 +912,28 @@ def test_mc_factor_golden_digests(tmp_path, capsys):
         "b760c6340609e369b2751dd3470f87ae12f10711d329c5ebe86de733493d38c7")
 
 
+def test_mc_factor_benchmark_digests(tmp_path, capsys):
+    # the run that perfbench's mc-factor-k150 workload checks; its trials CSV
+    # holds every trial's r*, which the primary JSON (successes only) does
+    # not.  Both were recorded on the flow that routed the r·m kept edges and
+    # hold unchanged on the one that routes the edges a factor leaves out.
+    opath = str(tmp_path / "mc.json")
+    code, _, _ = run(capsys, "mc-factor", "--complete-bipartite", "150",
+                     "--rho", "1", "--p", "0.5", "--epsilon", "0.2",
+                     "--trials", "40", "--seed", "1", "--out", opath)
+    assert code == 0
+    assert (_sha256(opath), _sha256(opath + ".trials.csv")) == (
+        "3c983c69345e94376c465e293b79700a3ea37ddeccc8f906aed1e2f15a89ebac",
+        "25e1ddc3259d1470127594080304d284771be8be8bf5b41686ddebbc7ce32972")
+
+
 def test_factor_golden_digests(tmp_path, capsys):
     # m = 40 with a dense 25 x 15 block and a dense 15 x 25 block joined by
     # sparse edges: r* = 7 sits below the minimum degree 12, so the search
     # meets infeasible values of r above r*.  Both digests were recorded
-    # before the flow network was built once per graph.
+    # before the flow network was built once per graph, and re-recorded when
+    # the search moved to the complement flow: r* and r are as before, only
+    # the factor edge list differs.
     from hampack.bifactor import BipartiteGraph, write_bipartite
     rng = random.Random(4040)
     m = 40
@@ -916,10 +944,10 @@ def test_factor_golden_digests(tmp_path, capsys):
     opath = str(tmp_path / "f.json")
     code, _, _ = run(capsys, "factor", "--input", gpath, "--out", opath)
     assert code == 0 and json.loads(open(opath).read())["r_star"] == 7
-    assert _sha256(opath) == "ff4c0e8f8b094a1c71022f70ccd59def4581c6531ee457ba4acfb3e28f2ee262"
+    assert _sha256(opath) == "b3127d58c0d777874b13fa056c9751dc853bcc5c37074cd424322f1eb133ee31"
     code, _, _ = run(capsys, "factor", "--input", gpath, "--r", "6", "--out", opath)
     assert code == 0
-    assert _sha256(opath) == "c0b012a00e48896a9f6ee3203a90143943345540fc4eea87956ee332748fac28"
+    assert _sha256(opath) == "54f2f44f00819c089a82cb15fce380df0c4c1cc545376d9358a3ceb5f64c066d"
 
 
 
@@ -928,6 +956,8 @@ def test_factor_fixed_r_gale_ryser_golden_digests(tmp_path, capsys):
     # a dense 6 x 8 block: the minimum degree is 5 but r* = 4, so r = 5 fails
     # the inequality at a non-trivial (X, Y*) and r = 4 holds after scanning
     # every subset.  Both digests were recorded on the pure-Python Gray walk.
+    # The r = 4 digest was re-recorded when the factor search moved to the
+    # complement flow: only its factor edge list differs.
     from hampack.bifactor import BipartiteGraph, write_bipartite
     rng = random.Random(1417)
     m = 14
@@ -942,7 +972,7 @@ def test_factor_fixed_r_gale_ryser_golden_digests(tmp_path, capsys):
     assert _sha256(opath) == "286a1798ef473c57ee754930629517bb04446d7a67b0cb9663952dbc4f41afe0"
     code, _, _ = run(capsys, "factor", "--input", gpath, "--r", "4", "--out", opath)
     assert code == 0 and json.loads(open(opath).read())["gale_ryser"]["holds"]
-    assert _sha256(opath) == "4ccc5cb01890b294a3f6e5397ed2682c47a4c082f5b84e429ff3d409f320a2ac"
+    assert _sha256(opath) == "22a012e84f4a66454eddefce277d40b4790cd50469777ce855a23e27d7bd7480"
 
 # `--threads` is accepted for compatibility and changes nothing.
 THREADS_CASES = [

@@ -9,7 +9,7 @@ from hampack import bifactor, packer
 from hampack.bifactor import complete_bipartite
 from hampack.constructions import complete_hypergraph, random_hypergraph
 from hampack.errors import InvalidInputError, InvariantViolation
-from hampack.hypercore import Hypergraph
+from hampack.hypercore import Hypergraph, degree_report
 from hampack.packer import (assign_edges, default_num_partitions, pack_min_degree,
                             pack_near_regular)
 from hampack.reduction import build_aux_graph, sample_scheme, verify_cycle
@@ -358,6 +358,20 @@ class TestPackNearRegular:
         lopsided = Hypergraph(12, 3, edges)
         with pytest.raises(InvalidInputError, match="spread"):
             pack_near_regular(lopsided, ell=1, delta_target=0.5, epsilon=0.05, seed=1)
+
+    def test_epsilon_at_the_measured_spread_is_accepted(self):
+        # codegrees 1..7 on n = 9: the spread 6 is exactly 2·(1/3)·9, but the
+        # float form (7/9 - 1/9)·9 = 6.000000000000001 > 6 refused ε = 1/3
+        h = random_hypergraph(9, 3, 0.5, 0)
+        codegrees = degree_report(h, 2)
+        assert (codegrees.min_degree, codegrees.max_degree) == (1, 7)
+        assert (7 / 9 - 1 / 9) * 9 > 2.0 * (1 / 3) * 9
+        res = pack_near_regular(h, ell=0, delta_target=0.5, epsilon=1 / 3, seed=1,
+                                num_partitions=2)
+        assert res.partitions_used == 2
+        with pytest.raises(InvalidInputError, match="spread"):
+            pack_near_regular(h, ell=0, delta_target=0.5, epsilon=np.nextafter(1 / 3, 0),
+                              seed=1, num_partitions=2)
 
     def test_invariants_on_random_runs(self):
         h = random_hypergraph(24, 3, 0.85, 77)
