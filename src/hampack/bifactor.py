@@ -29,6 +29,12 @@ def _check_size(m: int) -> None:
         raise SizeLimitError(f"m = {m} > 2^27: each degree array would exceed 1 GiB")
 
 
+def _split(codes: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (s, t) columns of the pair codes s·m + t; m = 0 only with no codes."""
+    s = codes // m
+    return s, codes - s * m
+
+
 class BipartiteGraph:
     """Bipartite graph with parts S and T of equal size m, no parallel edges.
 
@@ -67,7 +73,7 @@ class BipartiteGraph:
 
     def _store(self, m: int, codes: np.ndarray) -> None:
         codes.flags.writeable = False
-        s, t = np.divmod(codes, m)
+        s, t = _split(codes, m)
         for name, value in (("m", m), ("codes", codes),
                             ("_deg_s", np.bincount(s, minlength=m)),
                             ("_deg_t", np.bincount(t, minlength=m)),
@@ -80,13 +86,13 @@ class BipartiteGraph:
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         if self._edges is None:
-            s, t = np.divmod(self.codes, self.m)
+            s, t = _split(self.codes, self.m)
             object.__setattr__(self, "_edges", frozenset(zip(s.tolist(), t.tolist())))
         return self._edges
 
     def pairs(self) -> np.ndarray:
         """The edges as an |E| x 2 int64 array of (s, t) rows, in code order."""
-        return np.column_stack(np.divmod(self.codes, self.m))
+        return np.column_stack(_split(self.codes, self.m))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BipartiteGraph)
@@ -265,7 +271,7 @@ def _disjoint_union(graphs: Sequence[BipartiteGraph]) -> tuple[np.ndarray, np.nd
     off = np.concatenate(([0], np.cumsum([g.m for g in graphs], dtype=np.int64)))
     s, t = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for g, o in zip(graphs, off.tolist()):
-        gs, gt = np.divmod(g.codes, g.m)
+        gs, gt = _split(g.codes, g.m)
         s.append(gs + o)
         t.append(gt + o)
     return off, np.concatenate(s), np.concatenate(t)

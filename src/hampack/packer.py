@@ -11,16 +11,17 @@ cycle.  The cycles stay one r x n integer table from `lift_canonical` on:
 `HamiltonCycle` values from it only when a caller asks.  An edge fits a
 scheme exactly when it is realized by an edge of that scheme's auxiliary
 graph, so the candidates are read off the aux graphs.
-Each scheme is resampled up to `RESAMPLE_LIMIT` times until its aux graph
-passes the pipeline's acceptance test.  Each pipeline sets only what differs:
-`pack_min_degree` needs only a codegree lower bound, above `ALPHA_PRIME`;
-`pack_near_regular` additionally needs the codegrees to be nearly uniform and
+Each pipeline sets only what differs: `pack_min_degree` needs only a codegree
+lower bound, above `ALPHA_PRIME`, and resamples each scheme up to
+`RESAMPLE_LIMIT` times until its aux graph reaches a min-degree mark;
+`pack_near_regular` needs nearly uniform codegrees, keeps its schemes as
+drawn, counts the aux graphs outside its degree band in one warning, and
 reports coverage against an uncovered-edge budget.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NoReturn, Optional, Sequence
 
 import numpy as np
@@ -133,25 +134,18 @@ def default_num_partitions(h: Hypergraph, ell: int) -> int:
 
 
 def _sample_accepted_schemes(h: Hypergraph, ell: int, count: int, seed: int,
-                             accept) -> tuple[list, list[int], bool]:
-    """Sample `count` schemes, retrying each until `accept(aux)` or `RESAMPLE_LIMIT`."""
-    auxes = []
-    retries = []
-    exhausted = False
+                             mark: float) -> tuple[list[AuxGraph], list[int]]:
+    """Sample `count` schemes, retrying each until its aux graph's min degree
+    reaches `mark` or `RESAMPLE_LIMIT`; return the aux graphs and retries."""
+    auxes, retries = [], []
     for i in range(count):
-        tries = 0
-        while True:
-            s = sample_scheme(h, ell, derive_seed(seed, f"scheme:{i}:{tries}"))
-            aux = build_aux_graph(h, s)
-            ok = accept(aux)
-            if ok or tries >= RESAMPLE_LIMIT:
-                if not ok:
-                    exhausted = True
-                auxes.append(aux)
-                retries.append(tries)
+        for t in range(RESAMPLE_LIMIT + 1):
+            aux = build_aux_graph(h, sample_scheme(h, ell, derive_seed(seed, f"scheme:{i}:{t}")))
+            if aux.graph.min_degree() >= mark:
                 break
-            tries += 1
-    return auxes, retries, exhausted
+        auxes.append(aux)
+        retries.append(t)
+    return auxes, retries
 
 
 def _explain_rejected(h: Hypergraph, aux: AuxGraph, matching: np.ndarray) -> NoReturn:
@@ -202,16 +196,16 @@ def _extract_cycles(h: Hypergraph, auxes: Sequence[AuxGraph], subs: Sequence[Bip
     return [f.r for f in factors], counts, rows, pos
 
 
-def _pack(h: Hypergraph, ell: int, count: int, seed: int, accept, warnings: list[str],
-          uncovered_budget: Optional[float] = None) -> PackingResult:
-    """The shared packing loop: sample and accept `count` >= 0 schemes, assign
-    the edges, and extract the cycles of every partition from the aux edges
-    whose hyperedge chose it (`_extract_cycles`).  Edge-disjointness (over all
-    located segments at once) and edge conservation are re-verified.
-    """
+def _pack(h: Hypergraph, ell: int, count: int, seed: int, mark: float, warnings: list[str],
+          uncovered_budget: Optional[float] = None) -> tuple[PackingResult, list[AuxGraph]]:
+    """The shared packing loop: sample `count` >= 0 schemes against the
+    min-degree `mark`, assign the edges, and extract the cycles of every
+    partition from the aux edges whose hyperedge chose it (`_extract_cycles`).
+    Edge-disjointness (over all located segments at once) and edge
+    conservation are re-verified.  Returns the result and the aux graphs."""
     check_nonnegative(count, "number of partitions")
-    auxes, retries, exhausted = _sample_accepted_schemes(h, ell, count, seed, accept)
-    if exhausted:
+    auxes, retries = _sample_accepted_schemes(h, ell, count, seed, mark)
+    if any(aux.graph.min_degree() < mark for aux in auxes):
         warnings.append("resample limit exhausted for at least one partition; partial result")
     assignment = assign_edges(h, auxes, derive_seed(seed, "assign"))
     assigned = assignment.assigned_counts(len(auxes))
@@ -237,13 +231,10 @@ def _pack(h: Hypergraph, ell: int, count: int, seed: int, accept, warnings: list
     goal = (h.num_edges() - covered) <= uncovered_budget if uncovered_budget is not None else None
     rows.flags.writeable = False
     return PackingResult(
-        k=h.k, ell=ell, arrangements=rows,
-        partitions_used=len(auxes),
-        per_partition=tuple(stats),
+        k=h.k, ell=ell, arrangements=rows, partitions_used=len(auxes), per_partition=tuple(stats),
         psi_histogram={v: c for v, c in enumerate(np.bincount(assignment.psi).tolist()) if c},
-        unassigned=int(unassigned.sum()),
-        covered_edges=covered, coverage_ratio=ratio,
-        warnings=tuple(warnings), uncovered_budget=uncovered_budget, goal_met=goal)
+        unassigned=int(unassigned.sum()), covered_edges=covered, coverage_ratio=ratio,
+        warnings=tuple(warnings), uncovered_budget=uncovered_budget, goal_met=goal), auxes
 
 
 def pack_min_degree(h: Hypergraph, ell: int, *, num_partitions: Optional[int] = None,
@@ -269,8 +260,7 @@ def pack_min_degree(h: Hypergraph, ell: int, *, num_partitions: Optional[int] = 
             f"alpha'={ALPHA_PRIME}; running best-effort")
     threshold = (ALPHA_PRIME + max(alpha - ALPHA_PRIME, 0.0) / 2.0) * m
     count = num_partitions if num_partitions is not None else default_num_partitions(h, ell)
-    return _pack(h, ell, count, seed, lambda aux: aux.graph.min_degree() >= threshold,
-                 warnings)
+    return _pack(h, ell, count, seed, threshold, warnings)[0]
 
 
 def pack_near_regular(h: Hypergraph, ell: int, *, delta_target: float, epsilon: float,
@@ -280,12 +270,13 @@ def pack_near_regular(h: Hypergraph, ell: int, *, delta_target: float, epsilon: 
 
     Requires max codegree - min codegree <= 2*epsilon*n, tested as the
     integer spread / 2n <= epsilon: one correctly rounded division, so
-    epsilon = spread / 2n itself passes.  Schemes whose
-    auxiliary graph has a degree outside the band (alpha ± 2*epsilon)·m are
-    resampled up to `RESAMPLE_LIMIT` times.  The partition count follows
-    |E|·((k-ell)/n)^2 / q with q = (alpha-epsilon)·m^2/|E| (clamped to the
-    desk-scale range, overridable); each partition takes the flow-certified
-    maximum factor.  epsilon must be >= 0 and delta_target in [0, 1].
+    epsilon = spread / 2n itself passes.  Schemes are kept as drawn (the
+    paper's auxiliary graphs are near-regular only with high probability);
+    one warning counts those with a degree outside (alpha ± 2*epsilon)·m.
+    The partition count follows |E|·((k-ell)/n)^2 / q with
+    q = (alpha-epsilon)·m^2/|E| (clamped to the desk-scale range,
+    overridable); each partition takes the flow-certified maximum factor.
+    epsilon must be >= 0 and delta_target in [0, 1].
     """
     check_nonnegative(epsilon, "epsilon")
     check_probability(delta_target, "delta_target")
@@ -308,9 +299,13 @@ def pack_near_regular(h: Hypergraph, ell: int, *, delta_target: float, epsilon: 
             num_partitions = _clamp_partitions(h, ell, num_edges * ((k - ell) / n) ** 2 / q)
         else:
             num_partitions = 1
-    band_lo = (alpha - 2.0 * epsilon) * m
-    band_hi = (alpha + 2.0 * epsilon) * m
-    return _pack(h, ell, num_partitions, seed,
-                 lambda aux: band_lo <= aux.graph.min_degree()
-                 and aux.graph.max_degree() <= band_hi,
-                 warnings, uncovered_budget=delta_target * math.comb(n, k))
+    result, auxes = _pack(h, ell, num_partitions, seed, 0, warnings,
+                          uncovered_budget=delta_target * math.comb(n, k))
+    band_lo, band_hi = (alpha - 2.0 * epsilon) * m, (alpha + 2.0 * epsilon) * m
+    outside = sum(not band_lo <= aux.graph.min_degree() <= aux.graph.max_degree() <= band_hi
+                  for aux in auxes)
+    if not outside:
+        return result
+    return replace(result, warnings=result.warnings + (
+        f"aux degree outside the near-regular band (alpha +/- 2*eps)*m = "
+        f"[{band_lo:.4f}, {band_hi:.4f}] in {outside} of {len(auxes)} partitions",))

@@ -10,7 +10,6 @@ import hashlib
 import json
 import math
 import operator
-import random
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, TextIO, TypeVar
 
@@ -35,16 +34,15 @@ def random_stream(seed: int) -> np.random.RandomState:
     """A numpy generator whose `random_sample` draws continue, bit for bit, the
     `random()` draws of `random.Random(seed)`.
 
-    It is loaded with the Mersenne Twister state of `random.Random(seed)`.
-    Both generators turn two 32-bit outputs into a double by the same formula
-    (genrand_res53), and NEP 19 freezes the `RandomState` stream, so
-    successive `random_sample` calls return the same doubles as the same
-    number of `random()` calls.
+    Both seed the Mersenne Twister by `init_by_array` on the 32-bit
+    little-endian words of |seed| (at least one), which `RandomState` takes as
+    a list: a one-word array is seeded as a scalar, by `init_genrand`.  Both
+    turn two 32-bit outputs into a double by genrand_res53, and NEP 19 freezes
+    the `RandomState` stream, so n `random_sample` draws are n `random()` draws.
     """
-    state = random.Random(seed).getstate()[1]      # 624 key words, then the position
-    stream = np.random.RandomState()
-    stream.set_state(("MT19937", np.array(state[:624], dtype=np.uint32), state[624]))
-    return stream
+    seed = abs(operator.index(seed))
+    return np.random.RandomState([(seed >> shift) & 0xFFFFFFFF
+                                  for shift in range(0, max(seed.bit_length(), 1), 32)])
 
 
 def check_probability(p: float, name: str = "probability") -> None:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -373,6 +374,22 @@ class TestPackNearRegular:
             pack_near_regular(h, ell=0, delta_target=0.5, epsilon=np.nextafter(1 / 3, 0),
                               seed=1, num_partitions=2)
 
+    def test_schemes_are_kept_as_drawn_at_the_hypothesis_own_epsilon(self):
+        # the 3-subsets of Z_60 whose sum mod 60 is below 54: codegrees 52-54,
+        # so epsilon = 2/120; at m = 30 the band (alpha ± 2·epsilon)·m =
+        # [25.5, 27.5] is 2 wide, and no drawn scheme's aux graph fits in it
+        h = Hypergraph(60, 3, [e for e in itertools.combinations(range(60), 3)
+                               if sum(e) % 60 < 54])
+        codegrees = degree_report(h, 2)
+        assert (codegrees.min_degree, codegrees.max_degree) == (52, 54)
+        res = pack_near_regular(h, ell=1, delta_target=0.5, epsilon=2 / 120, seed=0,
+                                num_partitions=16)
+        assert [s.retries for s in res.per_partition] == [0] * 16
+        assert res.warnings == (
+            "aux degree outside the near-regular band (alpha +/- 2*eps)*m = "
+            "[25.5000, 27.5000] in 16 of 16 partitions",)
+        assert len(res.arrangements) > 0
+
     def test_invariants_on_random_runs(self):
         h = random_hypergraph(24, 3, 0.85, 77)
         for seed in (1, 9):
@@ -391,28 +408,34 @@ class TestPackNearRegular:
 
 
 class TestResampleLimit:
-    """A scheme that fails its pipeline's acceptance test is resampled
-    `RESAMPLE_LIMIT` times and then kept; the run still packs and says so."""
+    """A Theorem 2 scheme whose aux graph misses the min-degree mark is
+    resampled `RESAMPLE_LIMIT` times and then kept; the run still packs and
+    says so."""
 
     def test_exhausted_limit_warns_once_and_keeps_the_last_scheme(self):
-        empty, k12 = Hypergraph(12, 3, []), complete_hypergraph(12, 3)
-        runs = [
-            # no aux edges at all: every aux min degree is 0
-            (empty, pack_min_degree(empty, 1, num_partitions=2, seed=1)),
-            # every aux graph is K_{6,6}: degree 6 = m, above alpha·m = 5 at epsilon 0
-            (k12, pack_near_regular(k12, 1, delta_target=0.5, epsilon=0.0, seed=1,
-                                    num_partitions=2)),
-        ]
-        for h, res in runs:
+        # the empty input has no aux edges at all, so every aux min degree is 0;
+        # the random one has min codegree 2 = n/6, below alpha', so its mark
+        # is alpha'·m = 3.6
+        empty, h = Hypergraph(12, 3, []), random_hypergraph(12, 3, 0.6, 0)
+        assert degree_report(h, 2).min_degree == 2
+        mark = packer.ALPHA_PRIME * 6
+        results = []
+        for g, seed in ((empty, 1), (h, 2)):
+            res = pack_min_degree(g, 1, num_partitions=2, seed=seed)
             assert res.warnings.count(
                 "resample limit exhausted for at least one partition; partial result") == 1
             assert [s.retries for s in res.per_partition] == [packer.RESAMPLE_LIMIT] * 2
-            assert all(verify_cycle(h, c) for c in res.cycles)
-        # the two K_{6,6} share 6 hyperedges; seed 1 draws 4 of them to the
-        # first, whose 34 edges hold a 5-factor, and 2 to the second (32 edges,
-        # a 4-factor), so 9 cycles; the count follows the assignment draw
-        assert [s.assigned_edges for s in runs[1][1].per_partition] == [34, 32]
-        assert not runs[0][1].cycles and len(runs[1][1].cycles) == 9
+            assert all(verify_cycle(g, c) for c in res.cycles)
+            for i in range(2):
+                # each of the partition's 6 schemes misses the mark
+                labels = [f"scheme:{i}:{t}" for t in range(packer.RESAMPLE_LIMIT + 1)]
+                tries = [build_aux_graph(g, sample_scheme(g, 1, derive_seed(seed, label)))
+                         for label in labels]
+                assert max(aux.graph.min_degree() for aux in tries) < mark
+            results.append(res)
+        # the last schemes' aux graphs, of min degrees 3 and 2, still pack 4 cycles
+        assert [s.aux_min_degree for s in results[1].per_partition] == [3, 2]
+        assert not results[0].cycles and len(results[1].cycles) == 4
 
 
 class TestBatchChecks:

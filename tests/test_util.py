@@ -315,7 +315,7 @@ def test_records_refuse_a_non_integer_field(rows, dtype, message):
         canonical_json(np.zeros(rows, dtype=dtype))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2 ** 63 + 5])
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 5, 2 ** 64, -5])
 def test_random_stream_continues_the_random_draws(seed):
     rng = random.Random(seed)
     expected = [rng.random() for _ in range(1000)]
