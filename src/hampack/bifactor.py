@@ -252,7 +252,7 @@ class _FactorNetwork:
         feasible = (rs > 0) & (unsent[off[1:]] == unsent[off[:-1]])
         lo, hi = flow.indptr[1], flow.indptr[size + 1]
         s = np.repeat(np.arange(size), np.diff(flow.indptr[1:size + 2]))
-        left_in = (flow.indices[lo:hi] > size) & (flow.data[lo:hi] == 0)
+        left_in = np.flatnonzero((flow.indices[lo:hi] > size) & (flow.data[lo:hi] == 0))
         s, t = s[left_in], flow.indices[lo:hi][left_in].astype(np.int64) - 1 - size
         bounds = np.searchsorted(s, off)
         found: list[Optional[Factor]] = [None] * len(rs)

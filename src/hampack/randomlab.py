@@ -28,7 +28,7 @@ from .bifactor import BipartiteGraph, Factor
 from .errors import InvalidInputError
 from .hypercore import Hypergraph, degree_report, subset_ranks
 from .reduction import build_aux_graph, sample_scheme
-from .util import check_nonnegative, check_probability, derive_seed, random_stream
+from .util import check_nonnegative, check_probability, derive_seed, random_draws
 
 MIN_PART_FRACTION = 0.05   # partition_degree_trial refuses parts below this share of n
 
@@ -59,12 +59,13 @@ def random_subgraph(g: BipartiteGraph, p: float, seed: int) -> BipartiteGraph:
     only on (seed, edge-rank), never on p, so runs with the same seed are
     coupled: raising p can only grow the kept edge set.
 
-    All draws come from one `random_sample` call on `util.random_stream(seed)`,
-    which equals the per-edge `random()` calls bit for bit.
+    All draws come from one `util.random_draws(seed, |E|)` call, which equals
+    the per-edge `random()` calls bit for bit, and the kept codes are gathered
+    by the indices of the draws below p.
     """
     check_probability(p)
-    draws = random_stream(seed).random_sample(len(g.codes))
-    return BipartiteGraph._from_codes(g.m, g.codes[draws < p])
+    draws = random_draws(seed, len(g.codes))
+    return BipartiteGraph._from_codes(g.m, g.codes[np.flatnonzero(draws < p)])
 
 
 @dataclass(frozen=True)
@@ -97,18 +98,24 @@ def _check_robustness_hypotheses(g: BipartiteGraph, rho: float) -> None:
         raise InvalidInputError(
             f"min degree {g.min_degree()} is not above m/2 = {m / 2}; "
             "the density hypothesis fails")
-    if bifactor.find_factor(g, math.floor(rho * m)) is None:
-        raise InvalidInputError(
-            f"host graph has no {math.floor(rho * m)}-factor; the rho hypothesis fails")
+    r = _tolerant_floor(rho * m)
+    if bifactor.find_factor(g, r) is None:
+        raise InvalidInputError(f"host graph has no {r}-factor; the rho hypothesis fails")
+
+
+def _tolerant_floor(x: float) -> int:
+    """floor(x) with a 1e-9 tolerance, so that a product that is an integer in
+    exact arithmetic (0.29 * 100 = 28.999999999999996) is not rounded down by
+    float error."""
+    return math.floor(x + 1e-9)
 
 
 def _robustness_target(rho: float, m: int, p: float, epsilon: float) -> int:
-    """floor((1 - epsilon) * rho * m * p), with a 1e-9 tolerance so that a product
-    that is an integer in exact arithmetic is not rounded down by float error.
+    """floor((1 - epsilon) * rho * m * p), through `_tolerant_floor`.
     epsilon must lie in [0, 1): outside it the target is negative or above m·p."""
     if not (0.0 <= epsilon < 1.0):
         raise InvalidInputError(f"epsilon must be in [0, 1), got {epsilon}")
-    return math.floor((1.0 - epsilon) * rho * m * p + 1e-9)
+    return _tolerant_floor((1.0 - epsilon) * rho * m * p)
 
 
 def factor_robustness_trial(g: BipartiteGraph, rho: float, p: float, epsilon: float,

@@ -1,10 +1,12 @@
-"""Small shared helpers: seed derivation, Mersenne Twister draws in bulk,
-the input checks shared by every module (probabilities, non-negative values,
-integers), canonical JSON, JSON files read with the cyclic collector paused,
-file digests."""
+"""Small shared helpers: seed derivation, Mersenne Twister draws in bulk
+(`random_draws` as one array from a reseeded generator, `random_stream` as a
+generator whose draws continue), the input checks shared by every module
+(probabilities, non-negative values, integers), canonical JSON, JSON files
+read with the cyclic collector paused, file digests."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import gc
 import hashlib
 import json
@@ -30,6 +32,13 @@ def derive_seed(master: int, label: str) -> int:
     return int.from_bytes(h[:8], "big")
 
 
+def _seed_words(seed: int) -> list[int]:
+    """The 32-bit little-endian words of |seed|, at least one: the key that
+    `random.seed` passes to the Mersenne Twister's `init_by_array`."""
+    seed = abs(operator.index(seed))
+    return [(seed >> shift) & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+
+
 def random_stream(seed: int) -> np.random.RandomState:
     """A numpy generator whose `random_sample` draws continue, bit for bit, the
     `random()` draws of `random.Random(seed)`.
@@ -40,9 +49,31 @@ def random_stream(seed: int) -> np.random.RandomState:
     turn two 32-bit outputs into a double by genrand_res53, and NEP 19 freezes
     the `RandomState` stream, so n `random_sample` draws are n `random()` draws.
     """
-    seed = abs(operator.index(seed))
-    return np.random.RandomState([(seed >> shift) & 0xFFFFFFFF
-                                  for shift in range(0, max(seed.bit_length(), 1), 32)])
+    return np.random.RandomState(_seed_words(seed))
+
+
+@functools.cache
+def _reseeded() -> np.random.RandomState:
+    """The one generator that `random_draws` reseeds, built on first use:
+    `numpy.random` loads on first access, and `import hampack.cli` does not
+    need it."""
+    return np.random.RandomState()
+
+
+def random_draws(seed: int, count: int) -> np.ndarray:
+    """The first `count` values of `random.Random(seed).random()`, bit for bit,
+    as one new float64 array.
+
+    They are drawn from one module-private generator, reseeded per call by
+    `RandomState.seed` on the words that `random_stream` passes to the
+    constructor: the same `init_by_array`, without building a generator per
+    call.  Only the array leaves this module, so no caller holds a stream that
+    a later call reseeds.  hampack starts no threads (`--threads` has no
+    effect), so the generator needs no lock.
+    """
+    kept = _reseeded()
+    kept.seed(_seed_words(seed))
+    return kept.random_sample(count)
 
 
 def check_probability(p: float, name: str = "probability") -> None:

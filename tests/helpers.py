@@ -552,23 +552,24 @@ def lift_reference(aux, sigma):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Runs in a fresh interpreter: import hampack.cli from the source tree, run
-# main(argv) when argv is given, and print the top-level packages loaded.
-_PACKAGES_CHILD = """
+# main(argv) when argv is given, and print the names of the modules loaded.
+_MODULES_CHILD = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import hampack.cli
 code = hampack.cli.main(sys.argv[2:]) if len(sys.argv) > 2 else 0
-print(json.dumps(sorted({name.split(".")[0] for name in sys.modules})))
+print(json.dumps(sorted(sys.modules)))
 sys.exit(code)
 """
 
 
-def packages_loaded_by(argv):
-    """The top-level packages a fresh interpreter has loaded after importing
-    `hampack.cli` and, if `argv` is not empty, running `main(argv)`, which
-    must exit 0.  Give `--out` in `argv`, so that standard output holds only
-    the package list."""
-    proc = subprocess.run([sys.executable, "-c", _PACKAGES_CHILD, str(SRC), *argv],
+def modules_loaded_by(argv):
+    """The full names of the modules a fresh interpreter has loaded after
+    importing `hampack.cli` and, if `argv` is not empty, running `main(argv)`,
+    which must exit 0; a package's name is there whenever one of its modules
+    is.  Give `--out` in `argv`, so that standard output holds only the
+    module list."""
+    proc = subprocess.run([sys.executable, "-c", _MODULES_CHILD, str(SRC), *argv],
                           capture_output=True, text=True, timeout=120)
     if proc.returncode != 0:
         raise AssertionError(f"{argv} exited {proc.returncode}: {proc.stderr}")

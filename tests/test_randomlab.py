@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from hampack import bifactor
 from hampack.bifactor import BipartiteGraph, complete_bipartite, max_factor
 from hampack.constructions import complete_hypergraph, random_hypergraph
 from hampack.errors import InvalidInputError
@@ -116,6 +117,20 @@ class TestFactorRobustness:
             factor_robustness_trial(sparse, 0.5, 0.5, 0.1, 0)
         with pytest.raises(InvalidInputError, match="rho"):
             factor_robustness_trial(complete_bipartite(4), 0.0, 0.5, 0.1, 0)
+
+    @pytest.mark.parametrize("rho,m,r", [(0.29, 100, 29), (0.58, 50, 29), (0.57, 100, 57),
+                                         (0.82, 150, 123)])
+    def test_rho_factor_size_is_the_exact_floor(self, monkeypatch, rho, m, r):
+        # rho * m is the integer r in exact arithmetic and just below r in floats
+        asked = []
+        monkeypatch.setattr(bifactor, "find_factor", lambda g, size: asked.append(size))
+        g = complete_bipartite(m)
+        message = rf"^host graph has no {r}-factor; the rho hypothesis fails$"
+        with pytest.raises(InvalidInputError, match=message):
+            factor_robustness_trial(g, rho, 0.5, 0.1, 0)
+        with pytest.raises(InvalidInputError, match=message):
+            factor_robustness_sweep(g, rho, 0.5, 0.1, trials=0, master_seed=0)
+        assert asked == [r, r]
 
     @pytest.mark.parametrize("epsilon", [-3.0, 1.0, 1.5, float("nan")])
     def test_epsilon_outside_the_unit_interval_rejected(self, epsilon):

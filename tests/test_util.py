@@ -16,8 +16,8 @@ from hampack.constructions import random_hypergraph
 from hampack.errors import InvalidInputError, ParseError
 from hampack.hypercore import Hypergraph, read_hypergraph, write_hypergraph
 from hampack.reduction import HamiltonCycle, read_cycle, write_cycle
-from hampack.util import (canonical_json, check_nonnegative, integer, random_stream,
-                          read_json)
+from hampack.util import (canonical_json, check_nonnegative, integer, random_draws,
+                          random_stream, read_json)
 
 from helpers import canonical_json_reference
 
@@ -323,6 +323,32 @@ def test_random_stream_continues_the_random_draws(seed):
     assert random_stream(seed).random_sample(0).tolist() == []
     drawn = [stream.random_sample(size).tolist() for size in (0, 1, 624, 375)]
     assert sum(drawn, []) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 5, 2 ** 64, -5])
+def test_random_draws_are_the_random_draws(seed):
+    rng = random.Random(seed)
+    expected = [rng.random() for _ in range(1000)]
+    drawn = random_draws(seed, 1000)
+    assert drawn.dtype == np.float64 and drawn.tolist() == expected
+    assert random_draws(seed, 0).tolist() == []
+
+
+def test_random_draws_are_not_changed_by_later_draws():
+    first = random_draws(3, 700)
+    kept = first.copy()
+    random_draws(4, 700)
+    random_draws(3, 10)
+    np.testing.assert_array_equal(first, kept)
+
+
+def test_random_draws_do_not_reseed_a_live_stream():
+    rng = random.Random(11)
+    expected = [rng.random() for _ in range(1300)]
+    stream = random_stream(11)
+    head = stream.random_sample(650).tolist()
+    random_draws(12, 900)
+    assert head + stream.random_sample(650).tolist() == expected
 
 
 @pytest.mark.parametrize("x", [-1, -0.5, float("-inf"), float("nan")])
