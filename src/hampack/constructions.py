@@ -12,9 +12,7 @@ import numpy as np
 from .bifactor import DENSE_MAX_ENTRIES
 from .errors import InvalidQueryError, SizeLimitError
 from .hypercore import Hypergraph, check_dimensions, lex_unrank, row_codes
-from .util import check_probability, random_stream
-
-_DRAW_CHUNK = 1 << 20   # uniforms drawn per random_sample call
+from .util import bernoulli_ranks
 
 
 def _all_rows(n: int, k: int) -> np.ndarray:
@@ -35,17 +33,13 @@ def random_hypergraph(n: int, k: int, p: float, seed: int) -> Hypergraph:
     """Include each k-subset independently with probability p; deterministic per seed.
 
     The k-subset of lexicographic rank i is kept iff the i-th `random()` of
-    `random.Random(seed)` is below p.  The draws come from
-    `util.random_stream(seed)` in chunks of `_DRAW_CHUNK`, and only the kept
-    ranks are turned into edge codes, so memory stays O(|E|) plus one chunk.
+    `random.Random(seed)` is below p: the ranks are `util.bernoulli_ranks(seed,
+    C(n, k), p)`, and only they are turned into edge codes, so memory stays
+    O(|E|) plus one chunk of draws.
     """
-    check_probability(p)
     check_dimensions(n, k)
-    stream = random_stream(seed)
-    total = math.comb(n, k)
-    kept = [lo + np.flatnonzero(stream.random_sample(min(_DRAW_CHUNK, total - lo)) < p)
-            for lo in range(0, total, _DRAW_CHUNK)]
-    return Hypergraph._from_codes(n, k, row_codes(lex_unrank(np.concatenate(kept), n, k), n))
+    ranks = bernoulli_ranks(seed, math.comb(n, k), p)
+    return Hypergraph._from_codes(n, k, row_codes(lex_unrank(ranks, n, k), n))
 
 
 @dataclass(frozen=True)

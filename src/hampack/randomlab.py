@@ -28,7 +28,7 @@ from .bifactor import BipartiteGraph, Factor
 from .errors import InvalidInputError
 from .hypercore import Hypergraph, degree_report, subset_ranks
 from .reduction import build_aux_graph, sample_scheme
-from .util import check_nonnegative, check_probability, derive_seed, random_draws
+from .util import bernoulli_ranks, check_nonnegative, check_probability, derive_seed
 
 MIN_PART_FRACTION = 0.05   # partition_degree_trial refuses parts below this share of n
 
@@ -59,13 +59,10 @@ def random_subgraph(g: BipartiteGraph, p: float, seed: int) -> BipartiteGraph:
     only on (seed, edge-rank), never on p, so runs with the same seed are
     coupled: raising p can only grow the kept edge set.
 
-    All draws come from one `util.random_draws(seed, |E|)` call, which equals
-    the per-edge `random()` calls bit for bit, and the kept codes are gathered
-    by the indices of the draws below p.
+    The kept ranks are `util.bernoulli_ranks(seed, |E|, p)`, and the kept
+    codes are gathered by them.
     """
-    check_probability(p)
-    draws = random_draws(seed, len(g.codes))
-    return BipartiteGraph._from_codes(g.m, g.codes[np.flatnonzero(draws < p)])
+    return BipartiteGraph._from_codes(g.m, g.codes[bernoulli_ranks(seed, len(g.codes), p)])
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,17 @@
-"""Small shared helpers: seed derivation, Mersenne Twister draws in bulk
-(`random_draws` as one array from a reseeded generator, `random_stream` as a
-generator whose draws continue), the input checks shared by every module
-(probabilities, non-negative values, integers), canonical JSON, JSON files
-read with the cyclic collector paused, file digests."""
+"""Small shared helpers: seed derivation, the one Bernoulli draw that every
+random object keeps its items by (`bernoulli_ranks`), the input checks shared
+by every module (probabilities, non-negative values, integers), canonical
+JSON, JSON files read with the cyclic collector paused, file digests."""
 from __future__ import annotations
 
 import dataclasses
-import functools
 import gc
 import hashlib
 import json
 import math
 import operator
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Callable, TextIO, TypeVar
+from typing import Any, Callable, Optional, TextIO, TypeVar
 
 import numpy as np
 
@@ -39,41 +37,34 @@ def _seed_words(seed: int) -> list[int]:
     return [(seed >> shift) & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
 
 
-def random_stream(seed: int) -> np.random.RandomState:
-    """A numpy generator whose `random_sample` draws continue, bit for bit, the
-    `random()` draws of `random.Random(seed)`.
+_DRAW_CHUNK = 1 << 20   # uniforms drawn per random_sample call
+_generator: Optional[np.random.RandomState] = None   # built by the first bernoulli_ranks
 
-    Both seed the Mersenne Twister by `init_by_array` on the 32-bit
-    little-endian words of |seed| (at least one), which `RandomState` takes as
-    a list: a one-word array is seeded as a scalar, by `init_genrand`.  Both
-    turn two 32-bit outputs into a double by genrand_res53, and NEP 19 freezes
-    the `RandomState` stream, so n `random_sample` draws are n `random()` draws.
+
+def bernoulli_ranks(seed: int, total: int, p: float) -> np.ndarray:
+    """The ascending int64 ranks i < `total` whose i-th `random()` of
+    `random.Random(seed)` is below p, bit for bit: each of `total` items is
+    kept independently with probability p.
+
+    `random.seed` and `RandomState.seed` both seed the Mersenne Twister by
+    `init_by_array` on the 32-bit little-endian words of |seed| (at least one),
+    which `RandomState` takes as a list: a one-word array is seeded as a
+    scalar, by `init_genrand`.  Both turn two 32-bit outputs into a double by
+    genrand_res53, and NEP 19 freezes the `RandomState` stream.  One
+    module-private generator is built on first use (`numpy.random` loads on
+    first access, and `import hampack.cli` does not need it), reseeded per call
+    and drawn in chunks of `_DRAW_CHUNK`, so memory stays O(kept) plus one
+    chunk.  Only the ranks leave this module, and hampack starts no threads
+    (`--threads` has no effect), so the generator needs no lock.
     """
-    return np.random.RandomState(_seed_words(seed))
-
-
-@functools.cache
-def _reseeded() -> np.random.RandomState:
-    """The one generator that `random_draws` reseeds, built on first use:
-    `numpy.random` loads on first access, and `import hampack.cli` does not
-    need it."""
-    return np.random.RandomState()
-
-
-def random_draws(seed: int, count: int) -> np.ndarray:
-    """The first `count` values of `random.Random(seed).random()`, bit for bit,
-    as one new float64 array.
-
-    They are drawn from one module-private generator, reseeded per call by
-    `RandomState.seed` on the words that `random_stream` passes to the
-    constructor: the same `init_by_array`, without building a generator per
-    call.  Only the array leaves this module, so no caller holds a stream that
-    a later call reseeds.  hampack starts no threads (`--threads` has no
-    effect), so the generator needs no lock.
-    """
-    kept = _reseeded()
-    kept.seed(_seed_words(seed))
-    return kept.random_sample(count)
+    global _generator
+    check_probability(p)
+    if _generator is None:
+        _generator = np.random.RandomState()
+    _generator.seed(_seed_words(seed))
+    kept = [lo + np.flatnonzero(_generator.random_sample(min(_DRAW_CHUNK, total - lo)) < p)
+            for lo in range(0, total, _DRAW_CHUNK)]
+    return np.concatenate([np.empty(0, dtype=np.int64)] + kept)
 
 
 def check_probability(p: float, name: str = "probability") -> None:

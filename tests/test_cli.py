@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -10,7 +12,7 @@ from hampack.constructions import complete_hypergraph
 from hampack.hypercore import write_hypergraph
 from hampack.reduction import HamiltonCycle, write_cycle
 
-from helpers import modules_loaded_by
+from helpers import SRC, modules_loaded_by
 
 
 def run(capsys, *argv):
@@ -433,6 +435,28 @@ def test_verify_valid_and_invalid(tmp_path, capsys):
 def test_unknown_flag_exit_1(capsys):
     code, _, _ = run(capsys, "count", "--nonsense")
     assert code == 1
+
+
+# `python -m hampack.cli` runs `main_entry`, the console script's target,
+# which exits the process with the code that `main` returns.
+PROCESS_EXITS = {
+    "ok": (["bound", "--n", "6", "--k", "3", "--ell", "1", "--alpha", "0.9"], 0, ""),
+    "invalid": (["bound", "--n", "6", "--k", "3", "--ell", "1"], 1,
+                "error: provide --alpha and/or --p\n"),
+    "usage": (["gen", "--bogus"], 1, "usage: hampack gen"),
+    "failure": (["mc-factor", "--complete-bipartite", "4", "--rho", "1", "--p", "0.5",
+                 "--epsilon", "0.2", "--trials", "1", "--min-successes", "2"], 2,
+                "FAIL: 0 successes < required 2\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROCESS_EXITS))
+def test_process_exit_codes(name):
+    argv, code, err = PROCESS_EXITS[name]
+    proc = subprocess.run([sys.executable, "-m", "hampack.cli", *argv], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(err) and bool(proc.stderr) == bool(err)
 
 
 def test_count_size_limit_exit_1(tmp_path, capsys):
@@ -1071,8 +1095,8 @@ def test_scipy_free_commands_do_not_load_scipy(tmp_path, scipy_gate_files, name)
     assert "hampack" in loaded and "numpy" in loaded
     assert "scipy" not in loaded
     if not argv:
-        # numpy.random loads on first access, and util builds its reseeded
-        # generator on first use, not at import
+        # numpy.random loads on first access, and util.bernoulli_ranks builds
+        # its generator on first use, not at import
         assert "numpy.random" not in loaded
 
 

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from hampack import constructions
+from hampack import constructions, util
 from hampack.constructions import (ParityConstruction, complete_hypergraph, parity_hypergraph,
                                    random_hypergraph, verify_no_odd_factor)
 from hampack.errors import InvalidQueryError, ParseError, SizeLimitError
@@ -54,7 +54,7 @@ def test_random_matches_the_per_subset_draws(n):
 def test_random_draws_continue_across_chunks(monkeypatch, chunk):
     # C(13, 4) = 715 subsets: chunks of 1 and 7 end mid-way, 715 ends exactly
     # at the last subset and 716 holds them all.
-    monkeypatch.setattr(constructions, "_DRAW_CHUNK", chunk)
+    monkeypatch.setattr(util, "_DRAW_CHUNK", chunk)
     for seed in (0, 2 ** 63 + 5):
         assert random_hypergraph(13, 4, 0.5, seed) == random_hypergraph_reference(13, 4, 0.5, seed)
 
@@ -64,6 +64,8 @@ def test_random_rejects_bad_shapes_before_drawing():
         random_hypergraph(3, 5, 0.5, 0)
     with pytest.raises(SizeLimitError):
         random_hypergraph(10 ** 7, 3, 0.5, 0)
+    with pytest.raises(ParseError):     # the shape is checked before p
+        random_hypergraph(3, 5, 1.5, 0)
 
 
 @pytest.mark.parametrize("generate", [complete_hypergraph, parity_hypergraph],

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hampack import bifactor
+from hampack import bifactor, util
 from hampack.bifactor import BipartiteGraph, complete_bipartite, max_factor
 from hampack.constructions import complete_hypergraph, random_hypergraph
 from hampack.errors import InvalidInputError
@@ -50,16 +50,19 @@ class TestRandomSubgraph:
     @pytest.mark.parametrize("seed", [0, -5, derive_seed(1, "trial:0"),
                                       derive_seed(2, "trial:39"), 2**64 + 12345])
     @pytest.mark.parametrize("p", [0, 0.5, 1])
-    def test_matches_per_edge_python_draws(self, seed, p):
+    def test_matches_per_edge_python_draws(self, monkeypatch, seed, p):
         # the reference draws one random.Random(seed).random() per edge in
         # sorted order; the 900 draws for K_{30,30} use 1800 words, more than
-        # one 624-word Mersenne Twister block
-        for g in (complete_bipartite(30), random_bipartite(15, 0.6, 8)):
-            rng = random.Random(seed)
-            reference = [e for e in sorted(g.edges) if rng.random() < p]
-            sub = random_subgraph(g, p, seed)
-            assert sorted(sub.edges) == reference
-            assert sub == BipartiteGraph(g.m, reference)
+        # one 624-word Mersenne Twister block, and chunks of 1, 7 and 624
+        # draws split them mid-way
+        for chunk in (1, 7, 624, util._DRAW_CHUNK):
+            monkeypatch.setattr(util, "_DRAW_CHUNK", chunk)
+            for g in (complete_bipartite(30), random_bipartite(15, 0.6, 8)):
+                rng = random.Random(seed)
+                reference = [e for e in sorted(g.edges) if rng.random() < p]
+                sub = random_subgraph(g, p, seed)
+                assert sorted(sub.edges) == reference
+                assert sub == BipartiteGraph(g.m, reference)
 
 
 def test_max_factor_monotone_under_edge_addition():

@@ -1,8 +1,9 @@
 """The JSON file formats: exact bytes written, the canonical encoder against
 the stdlib one (integer tables and structured records included), the error
 for a file that is not JSON, the collector paused while a file is read, the
-bulk Mersenne Twister draws, and the shared input checks."""
+Bernoulli draw against `random.Random`, and the shared input checks."""
 import gc
+import math
 import random
 from dataclasses import dataclass
 
@@ -16,8 +17,8 @@ from hampack.constructions import random_hypergraph
 from hampack.errors import InvalidInputError, ParseError
 from hampack.hypercore import Hypergraph, read_hypergraph, write_hypergraph
 from hampack.reduction import HamiltonCycle, read_cycle, write_cycle
-from hampack.util import (canonical_json, check_nonnegative, integer, random_draws,
-                          random_stream, read_json)
+from hampack import util
+from hampack.util import bernoulli_ranks, canonical_json, check_nonnegative, integer, read_json
 
 from helpers import canonical_json_reference
 
@@ -315,40 +316,41 @@ def test_records_refuse_a_non_integer_field(rows, dtype, message):
         canonical_json(np.zeros(rows, dtype=dtype))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 5, 2 ** 64, -5])
-def test_random_stream_continues_the_random_draws(seed):
+def _kept_by_python(seed, total, p):
     rng = random.Random(seed)
-    expected = [rng.random() for _ in range(1000)]
-    stream = random_stream(seed)
-    assert random_stream(seed).random_sample(0).tolist() == []
-    drawn = [stream.random_sample(size).tolist() for size in (0, 1, 624, 375)]
-    assert sum(drawn, []) == expected
+    return [i for i in range(total) if rng.random() < p]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 5, 2 ** 64, -5])
+def test_random_stream_continues_the_random_draws(monkeypatch, seed):
+    # a chunk of 1 ends after every draw, 624 draws fill two 624-word Mersenne
+    # Twister blocks, 1000 ends at the last draw and the default holds them all
+    for chunk in (1, 624, 1000, util._DRAW_CHUNK):
+        monkeypatch.setattr(util, "_DRAW_CHUNK", chunk)
+        for p in (0, 0.3, 0.5, 1):
+            assert bernoulli_ranks(seed, 1000, p).tolist() == _kept_by_python(seed, 1000, p)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 5, 2 ** 64, -5])
 def test_random_draws_are_the_random_draws(seed):
+    # draw j is kept at the next double above it and not at itself, so the
+    # kept ranks pin every draw bit for bit
     rng = random.Random(seed)
-    expected = [rng.random() for _ in range(1000)]
-    drawn = random_draws(seed, 1000)
-    assert drawn.dtype == np.float64 and drawn.tolist() == expected
-    assert random_draws(seed, 0).tolist() == []
+    draws = [rng.random() for _ in range(1000)]
+    for j in range(0, 1000, 37):
+        assert j in bernoulli_ranks(seed, 1000, math.nextafter(draws[j], 2))
+        assert j not in bernoulli_ranks(seed, 1000, draws[j])
+    assert bernoulli_ranks(seed, 1000, 0.5).dtype == np.int64
+    empty = bernoulli_ranks(seed, 0, 0.5)
+    assert empty.dtype == np.int64 and empty.tolist() == []
 
 
 def test_random_draws_are_not_changed_by_later_draws():
-    first = random_draws(3, 700)
+    first = bernoulli_ranks(3, 700, 0.5)
     kept = first.copy()
-    random_draws(4, 700)
-    random_draws(3, 10)
+    bernoulli_ranks(4, 700, 0.5)
+    bernoulli_ranks(3, 10, 1)
     np.testing.assert_array_equal(first, kept)
-
-
-def test_random_draws_do_not_reseed_a_live_stream():
-    rng = random.Random(11)
-    expected = [rng.random() for _ in range(1300)]
-    stream = random_stream(11)
-    head = stream.random_sample(650).tolist()
-    random_draws(12, 900)
-    assert head + stream.random_sample(650).tolist() == expected
 
 
 @pytest.mark.parametrize("x", [-1, -0.5, float("-inf"), float("nan")])
