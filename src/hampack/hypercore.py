@@ -10,9 +10,16 @@ values are immutable after construction.
 Membership is one query: `locate` answers a batch of vertex rows.  When
 n^k <= 2^24 it gathers from a dense position table over the code space
 (`Hypergraph.position_table`); nothing else reads the table.
+
+A file is read as bytes.  Its edge list, JSON whitespace removed, is checked
+and decoded by a chunked numpy scan that accepts rows of k unsigned integers
+of at most 18 digits with no leading zero; the rest of the file goes through
+`json.loads`.  Any other file is read by `util.read_json`, whose checks name
+the fault.  Both paths build codes through `_vertex_codes`.
 """
 from __future__ import annotations
 
+import json
 import math
 from array import array
 from dataclasses import dataclass
@@ -40,17 +47,28 @@ def _fast_codes(n: int, k: int, edges: list):
     takes each vertex through `__index__`, as `operator.index` does, and
     refuses floats, strings, None, lists and ints outside 0..2^64-1; a bool
     passes as 0 or 1, so only the edges holding a 0 or a 1 have their types
-    read."""
+    read.  The rest of the checks are `_vertex_codes`'s."""
     try:
         if set(map(len, edges)) != {k}:
             return None
         flat = np.frombuffer(array("Q", chain.from_iterable(edges)), dtype=np.uint64)
     except (TypeError, OverflowError):
         return None
-    if flat.max() >= n or bool in set(map(type, chain.from_iterable(
+    if bool in set(map(type, chain.from_iterable(
             map(edges.__getitem__, (np.flatnonzero(flat <= 1) // k).tolist())))):
         return None
-    rows = flat.view(np.int64).reshape(len(edges), k)
+    return _vertex_codes(n, k, flat)
+
+
+def _vertex_codes(n: int, k: int, flat: np.ndarray):
+    """Sorted codes of the rows of k vertices that the non-empty uint64 or
+    non-negative int64 array `flat` lists one after another, the only builder
+    of codes from vertices; None when a vertex is n or more, a row repeats a
+    vertex or two rows hold the same vertex set.  Rows and codes are sorted
+    only when they do not already ascend."""
+    if flat.max() >= n:
+        return None
+    rows = flat.view(np.int64).reshape(-1, k)
     if not (rows[:, 1:] > rows[:, :-1]).all():
         rows.sort(axis=1)
         if not (rows[:, 1:] > rows[:, :-1]).all():
@@ -333,9 +351,101 @@ def from_json_dict(obj) -> Hypergraph:
     return Hypergraph(n, k, edges)
 
 
+_SCAN_CHUNK = 1 << 18   # bytes of edge list per numpy pass: bounds the int64 temporaries
+_JSON_WHITESPACE = b" \t\n\r"
+_DIGITS_AS_ZERO = bytes.maketrans(b"0123456789", b"0" * 10)
+
+
+def _scan_hypergraph(data: bytes) -> Hypergraph | None:
+    """The hypergraph of the JSON document `data` when its edge list is
+    plain; None otherwise.
+
+    The edge list runs from the first `[` to the last `]`.  The rest, with
+    `[]` standing for the list, must be ASCII and pass `json.loads` and
+    `from_json_dict`.  Such a header holds exactly the keys "n", "k" and
+    "edges", whose values are two integers and a list, so no string holds a
+    bracket and `[]` is its only list: the value of "edges".  The list itself
+    goes through `_scan_vertices`, and its vertices through `_vertex_codes`.
+    """
+    start, stop = data.find(b"["), data.rfind(b"]") + 1
+    if not 0 <= start < stop:
+        return None
+    try:
+        shape = from_json_dict(json.loads((data[:start] + b"[]" + data[stop:]).decode("ascii")))
+    except (ValueError, RecursionError):   # JSONDecodeError, UnicodeDecodeError, ParseError
+        return None
+    n, k = shape.n, shape.k
+    flat = _scan_vertices(data, start, stop, k)
+    if flat is None:
+        return None
+    codes = _vertex_codes(n, k, flat) if len(flat) else flat
+    return None if codes is None else Hypergraph._from_codes(n, k, codes)
+
+
+def _scan_vertices(data: bytes, start: int, stop: int, k: int) -> np.ndarray | None:
+    """The vertices of the JSON edge list data[start:stop], row after row, as
+    an int64 array; None unless, with its JSON whitespace removed, it is
+    exactly `[`, rows `[d,...,d]` of k unsigned integers joined by `,`, and
+    `]`, each integer of at most 18 digits with no leading zero, and no
+    whitespace splits an integer: the list holds as many digit runs as the
+    rows hold integers.
+
+    The list without whitespace is read in pieces of about `_SCAN_CHUNK`
+    bytes cut after a `],`, where a row ends in any list this accepts.  In a
+    piece, each non-digit byte and each digit that follows one starts a
+    token; with every digit written as 0, the tokens must spell `[0,...,0],`
+    once per row, the last piece ending in the list's `]`.  Digits are told
+    apart by uint8 arithmetic: a byte below "0" minus 48 wraps past 9."""
+    raw = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
+    runs = 0
+    for lo in range(1, len(raw), _SCAN_CHUNK):
+        digit = (raw[lo - 1:lo + _SCAN_CHUNK] - 48) < 10
+        runs += int(np.count_nonzero(digit[1:] > digit[:-1]))
+    packed = data.translate(None, _JSON_WHITESPACE)
+    lo, end = packed.find(b"[") + 1, packed.rfind(b"]") + 1
+    row = b"[" + b",".join([b"0"] * k) + b"],"
+    if lo == end - 1:   # the list is []
+        lo = end
+    parts = [np.empty(0, dtype=np.int64)]
+    while lo < end:
+        hi = packed.find(b"],", lo + _SCAN_CHUNK, end)
+        hi = end if hi < 0 else hi + 2
+        piece = np.frombuffer(packed, dtype=np.uint8, count=hi - lo, offset=lo)
+        first = (piece - 48) >= 10
+        first[1:] |= first[:-1]
+        pos = np.flatnonzero(first)
+        rows = len(pos) // len(row)
+        spelled = row * rows
+        if hi == end:
+            spelled = spelled[:-1] + b"]"
+        if not rows or piece[pos].tobytes().translate(_DIGITS_AS_ZERO) != spelled:
+            return None
+        pos = pos.reshape(rows, len(row))
+        starts = pos[:, 1:-2:2].ravel()
+        digits = pos[:, 2:-1:2].ravel() - starts
+        vertices = piece.take(starts).astype(np.int64) - 48
+        most = int(digits.max())
+        if most > 18 or ((vertices == 0) & (digits > 1)).any():
+            return None
+        for j in range(1, most):
+            vertices = np.where(digits > j,
+                                vertices * 10 + piece.take(starts + j, mode="clip") - 48,
+                                vertices)
+        parts.append(vertices)
+        lo = hi
+    flat = np.concatenate(parts)
+    return flat if len(flat) == runs else None
+
+
 def read_hypergraph(path: str) -> Hypergraph:
-    """Read a hypergraph from JSON; validates the exact schema."""
-    return read_json(path, from_json_dict)
+    """Read a hypergraph from JSON; validates the exact schema.  A file that
+    `_scan_hypergraph` refuses goes to `read_json(path, from_json_dict)`,
+    which names its fault or reads the rare valid file the scan refuses (a
+    `-0` vertex, a vertex of 19 digits, non-ASCII bytes)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    h = _scan_hypergraph(data)
+    return read_json(path, from_json_dict) if h is None else h
 
 
 def write_hypergraph(h: Hypergraph, path: str) -> None:

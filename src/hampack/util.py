@@ -188,6 +188,10 @@ def _encode_table(value: np.ndarray, newline: str) -> str:
 def read_json(path: str, build: Callable[[Any], T]) -> T:
     """Return `build(document)` for the JSON document in the file at `path`.
 
+    Its callers are the cycle and bipartite readers, and the hypergraph
+    reader for a file its byte scan refuses, where `build` names the fault
+    (or, rarely, reads a valid file, such as one with a `-0` vertex).
+
     The text is decoded, and `build` run, with the cyclic garbage collector
     paused if it was running: a document is mostly small acyclic lists, which
     the collector would otherwise scan again and again while `json` creates

@@ -1,17 +1,23 @@
 import json
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hampack import hypercore
+from hampack.cli import main
 from hampack.constructions import complete_hypergraph, parity_hypergraph, random_hypergraph
-from hampack.errors import InvalidQueryError, InvariantViolation, ParseError, SizeLimitError
+from hampack.errors import (HampackError, InvalidQueryError, InvariantViolation, ParseError,
+                            SizeLimitError)
 from hampack.hypercore import (POSITION_TABLE_MAX_CODES, Hypergraph, _fast_codes,
-                               _raise_edge_fault, degree_report, lex_unrank, read_hypergraph,
-                               write_hypergraph)
+                               _raise_edge_fault, _scan_hypergraph, degree_report,
+                               from_json_dict, lex_unrank, read_hypergraph, write_hypergraph)
+from hampack.util import read_json
 
 from helpers import (degree_of, degree_report_scan, locate_reference, one_uncovered_pair,
                      relative_degree)
@@ -207,10 +213,165 @@ def test_read_minimal(tmp_path):
     ('not json', "JSON"),
 ])
 def test_parse_errors(tmp_path, payload, fragment):
+    """Each payload as written and, when it is JSON, in the indent-1 layout
+    that `write_hypergraph` uses: the same message both times."""
     path = tmp_path / "bad.json"
-    path.write_text(payload)
-    with pytest.raises(ParseError, match=fragment):
-        read_hypergraph(str(path))
+    layouts = [payload]
+    if payload != "not json":
+        layouts.append(json.dumps(json.loads(payload), indent=1))
+    messages = set()
+    for text in layouts:
+        path.write_text(text)
+        with pytest.raises(ParseError, match=fragment) as info:
+            read_hypergraph(str(path))
+        messages.add(str(info.value))
+    assert len(messages) == 1
+
+
+def _render(header: dict, rows: list, keys: list, layout: str, rnd: random.Random) -> str:
+    """A hypergraph document from JSON text pieces: `header` maps each key's
+    quoted text to its value's text, the key of the edge list to None, and
+    `rows` holds each vertex's text.  "indent" is `canonical_json`'s layout,
+    "compact" has no whitespace, "random" draws each gap from the JSON
+    whitespace bytes."""
+    def gap(depth):
+        if layout == "indent":
+            return "\n" + " " * depth
+        if layout == "compact":
+            return ""
+        return rnd.choice(["", " ", "\n", "\r\n", "\t", " \r\n\t "])
+
+    def join(items, depth):
+        return ",".join(gap(depth + 1) + item for item in items) + gap(depth)
+
+    def colon():
+        return ": " if layout == "indent" else gap(1) + ":" + gap(1)
+
+    edges = "[" + join(["[" + join(row, 2) + "]" for row in rows], 1) + "]" if rows else "[]"
+    return "{" + join([key + colon() + (edges if header[key] is None else header[key])
+                       for key in keys], 0) + "}\n"
+
+
+VERTEX_FAULTS = {
+    "space": lambda t: t[:1] + " " + (t[1:] or "0"),
+    "leading-zero": lambda t: "0" + t,
+    "minus-zero": lambda t: "-0",
+    "minus-one": lambda t: "-1",
+    "float": lambda t: t + ".0",
+    "exponent": lambda t: t + "e0",
+    "true": lambda t: "true",
+    "string": lambda t: '"' + t + '"',
+    "nested": lambda t: "[" + t + "]",
+    "19-digits": lambda t: str(10 ** 18 + int(t)),
+}
+FILE_FAULTS = [None, "short-row", "long-row", "comma", "bracket", "bom", "non-ascii",
+               "escaped-key", "duplicate-edges"]
+
+
+@st.composite
+def hypergraph_files(draw, fault):
+    """The bytes of a small k-graph file in one of three layouts, holding
+    `fault` where the file has room for it."""
+    rnd = draw(st.randoms(use_true_random=False))
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(k, 13))
+    pool = list(combinations(range(n), k))
+    rows = [[str(v) for v in rnd.sample(e, k)]
+            for e in rnd.sample(pool, min(draw(st.integers(0, 12)), len(pool)))]
+    header = {'"n"': str(n), '"k"': str(k), '"edges"': None}
+    layout = draw(st.sampled_from(["indent", "compact", "random"]))
+    keys = ['"edges"', '"k"', '"n"']
+    if layout == "random":
+        rnd.shuffle(keys)
+    if rows and fault in VERTEX_FAULTS:
+        row = rnd.choice(rows)
+        j = row.index("0") if fault == "minus-zero" and "0" in row else rnd.randrange(k)
+        row[j] = VERTEX_FAULTS[fault](row[j])
+        if fault == "19-digits" and k == 1:    # a valid file: n^k < 2^63 allows the vertex
+            header['"n"'] = str(2 ** 62)
+    elif rows and fault == "short-row":
+        rnd.choice(rows).pop()
+    elif rows and fault == "long-row":
+        row = rnd.choice(rows)
+        row.append(rnd.choice(row))
+    elif fault == "escaped-key":
+        header['"\\u006e"'] = header.pop('"n"')
+        keys[keys.index('"n"')] = '"\\u006e"'
+    elif fault == "duplicate-edges":
+        header['"edges" '] = rnd.choice(["[]", "5", "[[" + ",".join(map(str, range(k))) + "]]"])
+        keys.insert(rnd.randrange(len(keys) + 1), '"edges" ')
+    data = _render(header, rows, keys, layout, rnd).encode("utf-8")
+    at = rnd.choice([rnd.randrange(len(data) + 1), data.rfind(b"]")])   # or after the last row
+    if fault in ("comma", "bracket", "non-ascii"):
+        data = data[:at] + rnd.choice({"comma": [b","], "bracket": [b"]"],
+                                       "non-ascii": [b"\xff", "\u00e9".encode()]}[fault]) + data[at:]
+    elif fault == "bom":
+        data = "\ufeff".encode() + data
+    return data
+
+
+def _outcome(read, path):
+    try:
+        h = read(path)
+    except HampackError as exc:
+        return type(exc), str(exc)
+    return h.n, h.k, h.codes.dtype, h.codes.tolist()
+
+
+@pytest.mark.parametrize("fault", list(VERTEX_FAULTS) + FILE_FAULTS)
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_the_scan_reads_what_the_json_path_reads(tmp_path_factory, fault, data):
+    """`read_hypergraph` returns what `read_json(path, from_json_dict)`
+    returns, or raises the same error with the same message; the scan itself
+    reads every file that holds no fault.  Small pieces cut these small
+    files as the default cuts a large one."""
+    chunk = data.draw(st.sampled_from([hypercore._SCAN_CHUNK, 1, 6, 20]))
+    data = data.draw(hypergraph_files(fault))
+    path = str(tmp_path_factory.getbasetemp() / "scan-case.json")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hypercore, "_SCAN_CHUNK", chunk)
+        assert (_outcome(read_hypergraph, path)
+                == _outcome(lambda p: read_json(p, from_json_dict), path)), (fault, data)
+        if fault is None:
+            assert _scan_hypergraph(data) is not None, data
+
+
+def test_plain_files_never_reach_the_json_path(tmp_path, monkeypatch):
+    """The random file is cut into two pieces of `_SCAN_CHUNK` bytes or so."""
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("random", "complete", "empty")}
+    main(["gen", "--random", "--n", "60", "--k", "3", "--p", "0.9", "--seed", "4",
+          "--out", paths["random"]])
+    main(["gen", "--complete", "--n", "11", "--k", "4", "--out", paths["complete"]])
+    write_hypergraph(Hypergraph(6, 3, []), paths["empty"])
+    expected = {name: read_json(path, from_json_dict) for name, path in paths.items()}
+
+    def refuse(path, build):
+        raise AssertionError(f"{path} was read by the json path")
+
+    monkeypatch.setattr(hypercore, "read_json", refuse)
+    for name, path in paths.items():
+        assert read_hypergraph(path) == expected[name], name
+    assert expected["complete"] == complete_hypergraph(11, 4)
+    assert expected["random"].num_edges() > 0 and expected["empty"].num_edges() == 0
+
+
+def test_the_scan_peaks_below_the_json_path(tmp_path):
+    """tracemalloc peaks on `pack-r16-n90`'s input file."""
+    path = str(tmp_path / "h.json")
+    main(["gen", "--random", "--n", "90", "--k", "3", "--p", "0.9", "--seed", "3",
+          "--out", path])
+    peaks = []
+    for read in (read_hypergraph, lambda p: read_json(p, from_json_dict)):
+        tracemalloc.start()
+        try:
+            read(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1], peaks
 
 
 def test_fast_scan_accepts_exactly_what_the_walk_accepts():
