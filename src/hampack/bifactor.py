@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import (InvalidInputError, InvariantViolation, ParseError,
                      SizeLimitError)
-from .util import check_nonnegative, integer, read_json, write_json
+from .util import check_nonnegative, integer, read_json
 
 GALE_RYSER_MAX_M = 14
 DENSE_MAX_ENTRIES = 2 ** 27  # one int64 array of this many entries is 1 GiB
@@ -404,7 +404,3 @@ def from_json_dict(obj) -> BipartiteGraph:
 
 def read_bipartite(path: str) -> BipartiteGraph:
     return read_json(path, from_json_dict)
-
-
-def write_bipartite(g: BipartiteGraph, path: str) -> None:
-    write_json(to_json_dict(g), path)

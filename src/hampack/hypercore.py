@@ -14,22 +14,22 @@ n^k <= 2^24 it gathers from a dense position table over the code space
 A file is read as bytes.  Its edge list, JSON whitespace removed, is checked
 and decoded by a chunked numpy scan that accepts rows of k unsigned integers
 of at most 18 digits with no leading zero; the rest of the file goes through
-`json.loads`.  Any other file is read by `util.read_json`, whose checks name
-the fault.  Both paths build codes through `_vertex_codes`.
+`json.loads`.  Any other file is read by `util.read_json` into a list, and
+the list constructor walks it edge by edge (`_edge_codes`), naming the first
+bad edge.  The scan builds its codes through `_vertex_codes`.
 """
 from __future__ import annotations
 
 import json
 import math
-from array import array
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterable, NoReturn
+from typing import Iterable
 
 import numpy as np
 
-from .errors import InvalidQueryError, InvariantViolation, ParseError, SizeLimitError
-from .util import integer, read_json, write_json
+from .errors import InvalidQueryError, ParseError, SizeLimitError
+from .util import integer, read_json
 
 
 def row_codes(rows: np.ndarray, n: int) -> np.ndarray:
@@ -40,35 +40,15 @@ def row_codes(rows: np.ndarray, n: int) -> np.ndarray:
     return codes
 
 
-def _fast_codes(n: int, k: int, edges: list):
-    """Sorted codes of a valid edge list in one typed pass, the only builder
-    of codes from a list, or None when a check fails.  It returns None
-    exactly when `_raise_edge_fault` finds a bad edge to name: `array("Q")`
-    takes each vertex through `__index__`, as `operator.index` does, and
-    refuses floats, strings, None, lists and ints outside 0..2^64-1; a bool
-    passes as 0 or 1, so only the edges holding a 0 or a 1 have their types
-    read.  The rest of the checks are `_vertex_codes`'s."""
-    try:
-        if set(map(len, edges)) != {k}:
-            return None
-        flat = np.frombuffer(array("Q", chain.from_iterable(edges)), dtype=np.uint64)
-    except (TypeError, OverflowError):
-        return None
-    if bool in set(map(type, chain.from_iterable(
-            map(edges.__getitem__, (np.flatnonzero(flat <= 1) // k).tolist())))):
-        return None
-    return _vertex_codes(n, k, flat)
-
-
 def _vertex_codes(n: int, k: int, flat: np.ndarray):
-    """Sorted codes of the rows of k vertices that the non-empty uint64 or
-    non-negative int64 array `flat` lists one after another, the only builder
-    of codes from vertices; None when a vertex is n or more, a row repeats a
-    vertex or two rows hold the same vertex set.  Rows and codes are sorted
-    only when they do not already ascend."""
+    """Sorted codes of the rows of k vertices that the non-empty, non-negative
+    int64 array `flat` of `_scan_vertices` lists one after another; None when
+    a vertex is n or more, a row repeats a vertex or two rows hold the same
+    vertex set.  Rows and codes are sorted only when they do not already
+    ascend."""
     if flat.max() >= n:
         return None
-    rows = flat.view(np.int64).reshape(-1, k)
+    rows = flat.reshape(-1, k)
     if not (rows[:, 1:] > rows[:, :-1]).all():
         rows.sort(axis=1)
         if not (rows[:, 1:] > rows[:, :-1]).all():
@@ -79,9 +59,9 @@ def _vertex_codes(n: int, k: int, flat: np.ndarray):
     return None if (codes[1:] == codes[:-1]).any() else codes
 
 
-def _raise_edge_fault(n: int, k: int, edges: list) -> NoReturn:
-    """Walk an edge list that `_fast_codes` refused and raise ParseError
-    naming its first bad edge; InvariantViolation when no edge is bad."""
+def _edge_codes(n: int, k: int, edges: Iterable[Iterable[int]]) -> np.ndarray:
+    """Sorted codes of an edge list, walked one edge at a time; ParseError
+    naming the first bad edge."""
     seen = set()
     for idx, e in enumerate(edges):
         try:
@@ -95,7 +75,7 @@ def _raise_edge_fault(n: int, k: int, edges: list) -> NoReturn:
         if ce in seen:
             raise ParseError(f"edge {idx} {list(e)}: duplicate edge")
         seen.add(ce)
-    raise InvariantViolation("the typed edge scan refused a list with no bad edge")
+    return np.sort(row_codes(np.array(list(seen), dtype=np.int64).reshape(-1, k), n))
 
 
 POSITION_TABLE_MAX_CODES = 2 ** 24  # int32 holds every position; at most 64 MB
@@ -116,11 +96,7 @@ class Hypergraph:
 
     def __init__(self, n: int, k: int, edges: Iterable[Iterable[int]]):
         check_dimensions(n, k)
-        edges = edges if isinstance(edges, list) else list(edges)
-        codes = _fast_codes(n, k, edges) if edges else np.empty(0, dtype=np.int64)
-        if codes is None:
-            _raise_edge_fault(n, k, edges)
-        self._store(n, k, codes)
+        self._store(n, k, _edge_codes(n, k, edges))
 
     @classmethod
     def _from_codes(cls, n: int, k: int, codes: np.ndarray) -> Hypergraph:
@@ -446,8 +422,3 @@ def read_hypergraph(path: str) -> Hypergraph:
         data = fh.read()
     h = _scan_hypergraph(data)
     return read_json(path, from_json_dict) if h is None else h
-
-
-def write_hypergraph(h: Hypergraph, path: str) -> None:
-    """Write JSON with edges in ascending canonical order; read(write(h)) == h."""
-    write_json(to_json_dict(h), path)

@@ -20,7 +20,7 @@ import numpy as np
 from .bifactor import BipartiteGraph
 from .errors import InvalidInputError, ParseError
 from .hypercore import Hypergraph
-from .util import read_json, write_json
+from .util import read_json
 
 
 def check_shape(n: int, k: int, ell: int) -> int:
@@ -327,7 +327,3 @@ def cycle_from_json_dict(obj, k: int) -> HamiltonCycle:
 
 def read_cycle(path: str, k: int) -> HamiltonCycle:
     return read_json(path, lambda obj: cycle_from_json_dict(obj, k))
-
-
-def write_cycle(cycle: HamiltonCycle, path: str) -> None:
-    write_json(cycle_to_json_dict(cycle), path)

@@ -10,9 +10,10 @@ from hampack import randomlab
 from hampack.bifactor import (GALE_RYSER_MAX_M, BipartiteGraph, Factor, complete_bipartite,
                               find_factor, from_json_dict, gale_ryser_check, max_factor,
                               max_factors, peel_factors, peel_matchings, read_bipartite,
-                              to_json_dict, write_bipartite)
+                              to_json_dict)
 from hampack.errors import (InvalidInputError, InvariantViolation, ParseError,
                             SizeLimitError)
+from hampack.util import write_json
 
 from helpers import (brute_force_matching_count, count_perfect_matchings, csaba_rho,
                      gale_ryser_walk, peel_decomposes, peel_reference,
@@ -555,7 +556,7 @@ class TestPermanent:
 def test_json_roundtrip(tmp_path):
     g = random_bipartite(6, 0.5, 77)
     path = str(tmp_path / "g.json")
-    write_bipartite(g, path)
+    write_json(to_json_dict(g), path)
     assert read_bipartite(path) == g
 
 

@@ -7,10 +7,11 @@ import sys
 
 import pytest
 
+from hampack import hypercore
 from hampack.cli import build_parser, main
 from hampack.constructions import complete_hypergraph
-from hampack.hypercore import write_hypergraph
-from hampack.reduction import HamiltonCycle, write_cycle
+from hampack.reduction import HamiltonCycle, cycle_to_json_dict
+from hampack.util import write_json
 
 from helpers import SRC, modules_loaded_by
 
@@ -73,7 +74,7 @@ def test_gen_parity_certify(tmp_path, capsys):
 
 def test_degrees(tmp_path, capsys):
     path = str(tmp_path / "h.json")
-    write_hypergraph(complete_hypergraph(6, 3), path)
+    write_json(hypercore.to_json_dict(complete_hypergraph(6, 3)), path)
     code, out, _ = run(capsys, "degrees", "--input", path, "--d", "2")
     assert code == 0
     doc = json.loads(out)
@@ -103,7 +104,7 @@ def test_bound_below_k_vertices_exit_1(capsys, argv):
 
 def test_reduce_then_factor(tmp_path, capsys):
     hpath = str(tmp_path / "h.json")
-    write_hypergraph(complete_hypergraph(8, 3), hpath)
+    write_json(hypercore.to_json_dict(complete_hypergraph(8, 3)), hpath)
     gpath = str(tmp_path / "aux.json")
     code, _, _ = run(capsys, "reduce", "--input", hpath, "--ell", "1",
                      "--seed", "5", "--out", gpath)
@@ -116,8 +117,8 @@ def test_reduce_then_factor(tmp_path, capsys):
 
 def test_factor_fixed_r_with_gale_ryser(tmp_path, capsys):
     gpath = str(tmp_path / "g.json")
-    from hampack.bifactor import complete_bipartite, write_bipartite
-    write_bipartite(complete_bipartite(3), gpath)
+    from hampack.bifactor import complete_bipartite, to_json_dict
+    write_json(to_json_dict(complete_bipartite(3)), gpath)
     code, out, _ = run(capsys, "factor", "--input", gpath, "--r", "2")
     doc = json.loads(out)
     assert code == 0 and doc["exists"] and doc["gale_ryser"]["holds"]
@@ -125,7 +126,7 @@ def test_factor_fixed_r_with_gale_ryser(tmp_path, capsys):
 
 def test_pack_byte_identical(tmp_path, capsys):
     hpath = str(tmp_path / "h.json")
-    write_hypergraph(complete_hypergraph(12, 3), hpath)
+    write_json(hypercore.to_json_dict(complete_hypergraph(12, 3)), hpath)
     outs = []
     for name in ("a.json", "b.json"):
         opath = str(tmp_path / name)
@@ -140,7 +141,7 @@ def test_pack_byte_identical(tmp_path, capsys):
 
 def test_pack_zero_cycles_warns_on_stderr(tmp_path, capsys):
     hpath = str(tmp_path / "h.json")
-    write_hypergraph(complete_hypergraph(12, 3), hpath)
+    write_json(hypercore.to_json_dict(complete_hypergraph(12, 3)), hpath)
     argv = ["pack", "--input", hpath, "--theorem", "2", "--ell", "1", "--seed", "7"]
     code, out, err = run(capsys, *argv, "--r", "40")
     doc = json.loads(out)
@@ -181,7 +182,7 @@ def test_pack_builds_no_per_cycle_object(tmp_path, capsys, monkeypatch):
 
 def test_pack_near_regular_cli(tmp_path, capsys):
     hpath = str(tmp_path / "h.json")
-    write_hypergraph(complete_hypergraph(12, 3), hpath)
+    write_json(hypercore.to_json_dict(complete_hypergraph(12, 3)), hpath)
     code, out, _ = run(capsys, "pack", "--input", hpath, "--theorem", "3",
                        "--ell", "1", "--r", "2", "--seed", "7",
                        "--epsilon", "0.05", "--delta-target", "0.5")
@@ -201,7 +202,7 @@ def test_pack_document_keys(tmp_path, capsys, theorem):
     # coverage_ratio, unassigned, psi_histogram and, per partition, retries,
     # matchings, factor_size, aux_edges, assigned_edges, sub_aux_edges, cycles
     hpath = str(tmp_path / "h.json")
-    write_hypergraph(complete_hypergraph(12, 3), hpath)
+    write_json(hypercore.to_json_dict(complete_hypergraph(12, 3)), hpath)
     code, out, _ = run(capsys, "pack", "--input", hpath, "--theorem", theorem,
                        "--ell", "1", "--r", "2", "--seed", "7")
     doc = json.loads(out)
@@ -212,7 +213,7 @@ def test_pack_document_keys(tmp_path, capsys, theorem):
 @pytest.mark.parametrize("theorem", ["2", "3"])
 def test_pack_rejects_negative_partition_count(tmp_path, capsys, theorem):
     hpath, opath = str(tmp_path / "h.json"), tmp_path / "pack.json"
-    write_hypergraph(complete_hypergraph(12, 3), hpath)
+    write_json(hypercore.to_json_dict(complete_hypergraph(12, 3)), hpath)
     code, _, err = run(capsys, "pack", "--input", hpath, "--theorem", theorem,
                        "--ell", "1", "--r", "-3", "--out", str(opath))
     assert code == 1
@@ -260,8 +261,8 @@ def test_mc_factor_probability_checked_without_trials(tmp_path, capsys):
 
 def test_mc_factor_graph_flags_exclusive_and_required(tmp_path, capsys):
     gpath = str(tmp_path / "g.json")
-    from hampack.bifactor import complete_bipartite, write_bipartite
-    write_bipartite(complete_bipartite(4), gpath)
+    from hampack.bifactor import complete_bipartite, to_json_dict
+    write_json(to_json_dict(complete_bipartite(4)), gpath)
     sweep = ("--rho", "1", "--p", "0.5", "--epsilon", "0.1", "--trials", "1")
     code, out, err = run(capsys, "mc-factor", "--input", gpath,
                          "--complete-bipartite", "4", *sweep)
@@ -350,7 +351,7 @@ MC_FACTOR_K4 = ("mc-factor", "--complete-bipartite", "4", "--rho", "1", "--p", "
 ])
 def test_negative_counts_exit_1(tmp_path, capsys, argv, message):
     hpath, opath = str(tmp_path / "h.json"), tmp_path / "out.json"
-    write_hypergraph(complete_hypergraph(12, 3), hpath)
+    write_json(hypercore.to_json_dict(complete_hypergraph(12, 3)), hpath)
     if argv[0] != "mc-factor":
         argv = argv[:1] + ("--input", hpath) + argv[1:]
     code, _, err = run(capsys, *argv, "--out", str(opath))
@@ -371,7 +372,7 @@ def test_probability_out_of_range_exit_1(capsys, argv):
 
 def test_mc_partition_threshold_failure(tmp_path, capsys):
     hpath = str(tmp_path / "h.json")
-    write_hypergraph(complete_hypergraph(12, 3), hpath)
+    write_json(hypercore.to_json_dict(complete_hypergraph(12, 3)), hpath)
     # every pair sees 4 of its 10 completions in a part of 6, below 0.9 * 6
     code, out, err = run(capsys, "mc-partition", "--input", hpath,
                          "--kind", "part-degrees", "--sizes", "6,6",
@@ -384,7 +385,7 @@ def test_mc_partition_threshold_failure(tmp_path, capsys):
 
 def test_mc_partition_aux(tmp_path, capsys):
     hpath = str(tmp_path / "h.json")
-    write_hypergraph(complete_hypergraph(12, 3), hpath)
+    write_json(hypercore.to_json_dict(complete_hypergraph(12, 3)), hpath)
     code, out, _ = run(capsys, "mc-partition", "--input", hpath,
                        "--kind", "aux-degrees", "--ell", "1",
                        "--delta", "0.6", "--epsilon", "0.2",
@@ -395,7 +396,7 @@ def test_mc_partition_aux(tmp_path, capsys):
 
 def test_mc_partition_parts(tmp_path, capsys):
     hpath = str(tmp_path / "h.json")
-    write_hypergraph(complete_hypergraph(12, 3), hpath)
+    write_json(hypercore.to_json_dict(complete_hypergraph(12, 3)), hpath)
     code, out, _ = run(capsys, "mc-partition", "--input", hpath,
                        "--kind", "part-degrees", "--sizes", "6,6",
                        "--delta", "0.5", "--epsilon", "0.2",
@@ -410,7 +411,7 @@ def test_mc_partition_parts(tmp_path, capsys):
 ])
 def test_mc_partition_sizes_checked_without_trials(tmp_path, capsys, sizes, message):
     hpath, opath = str(tmp_path / "h.json"), tmp_path / "mc.json"
-    write_hypergraph(complete_hypergraph(30, 3), hpath)
+    write_json(hypercore.to_json_dict(complete_hypergraph(30, 3)), hpath)
     code, _, err = run(capsys, "mc-partition", "--input", hpath, "--kind", "part-degrees",
                        "--sizes", sizes, "--delta", "0.2", "--epsilon", "0.1",
                        "--trials", "0", "--out", str(opath))
@@ -421,13 +422,13 @@ def test_mc_partition_sizes_checked_without_trials(tmp_path, capsys, sizes, mess
 
 def test_verify_valid_and_invalid(tmp_path, capsys):
     hpath = str(tmp_path / "h.json")
-    write_hypergraph(complete_hypergraph(6, 3), hpath)
+    write_json(hypercore.to_json_dict(complete_hypergraph(6, 3)), hpath)
     cpath = str(tmp_path / "c.json")
-    write_cycle(HamiltonCycle(k=3, ell=1, arrangement=(0, 1, 2, 3, 4, 5)), cpath)
+    write_json(cycle_to_json_dict(HamiltonCycle(k=3, ell=1, arrangement=(0, 1, 2, 3, 4, 5))), cpath)
     code, out, _ = run(capsys, "verify", "--input", hpath, "--cycle", cpath)
     assert code == 0 and json.loads(out)["ok"] is True
     bad = str(tmp_path / "bad.json")
-    write_cycle(HamiltonCycle(k=3, ell=1, arrangement=(0, 1, 2, 3, 4, 4)), bad)
+    write_json(cycle_to_json_dict(HamiltonCycle(k=3, ell=1, arrangement=(0, 1, 2, 3, 4, 4))), bad)
     code, out, _ = run(capsys, "verify", "--input", hpath, "--cycle", bad)
     assert code == 2 and json.loads(out)["ok"] is False
 
@@ -461,7 +462,7 @@ def test_process_exit_codes(name):
 
 def test_count_size_limit_exit_1(tmp_path, capsys):
     hpath = str(tmp_path / "big.json")
-    write_hypergraph(complete_hypergraph(12, 3), hpath)
+    write_json(hypercore.to_json_dict(complete_hypergraph(12, 3)), hpath)
     code, _, err = run(capsys, "count", "--input", hpath, "--ell", "1")
     assert code == 1 and "n=12" in err
     assert "exhaustive enumeration stops at n <= 10" in err
@@ -477,9 +478,9 @@ def test_gen_rows_past_1_gib_exit_1(capsys, kind):
 
 def test_verify_ell_out_of_range_exit_2(tmp_path, capsys):
     hpath = str(tmp_path / "h.json")
-    write_hypergraph(complete_hypergraph(6, 3), hpath)
+    write_json(hypercore.to_json_dict(complete_hypergraph(6, 3)), hpath)
     cpath = str(tmp_path / "c.json")
-    write_cycle(HamiltonCycle(k=3, ell=2, arrangement=(0, 1, 2, 3, 4, 5)), cpath)
+    write_json(cycle_to_json_dict(HamiltonCycle(k=3, ell=2, arrangement=(0, 1, 2, 3, 4, 5))), cpath)
     code, out, _ = run(capsys, "verify", "--input", hpath, "--cycle", cpath)
     assert code == 2 and json.loads(out)["failure"] == "ell-out-of-range"
 
@@ -512,7 +513,7 @@ def test_bipartite_repeated_pair_exit_1(tmp_path, capsys):
 
 def test_cycle_bool_values_exit_1(tmp_path, capsys):
     hpath = str(tmp_path / "h.json")
-    write_hypergraph(complete_hypergraph(6, 3), hpath)
+    write_json(hypercore.to_json_dict(complete_hypergraph(6, 3)), hpath)
     for doc in ('{"ell": true, "arrangement": [0, 1, 2, 3, 4, 5]}',
                 '{"ell": 1, "arrangement": [0, 1, 2, 3, 4, false]}'):
         cpath = tmp_path / "c.json"
@@ -573,7 +574,7 @@ def test_invalid_file_no_partial_output(tmp_path, capsys):
 
 def test_manifest_contents(tmp_path, capsys):
     hpath = str(tmp_path / "h.json")
-    write_hypergraph(complete_hypergraph(6, 3), hpath)
+    write_json(hypercore.to_json_dict(complete_hypergraph(6, 3)), hpath)
     opath = str(tmp_path / "deg.json")
     run(capsys, "degrees", "--input", hpath, "--d", "2", "--out", opath)
     manifest = json.loads(open(opath + ".manifest.json").read())
@@ -593,7 +594,7 @@ def test_manifest_contents(tmp_path, capsys):
 def test_manifest_parameter_keys(tmp_path, capsys, argv, keys):
     # alpha' and the count's slack are constants, so no manifest records them
     hpath, opath = str(tmp_path / "h.json"), str(tmp_path / "out.json")
-    write_hypergraph(complete_hypergraph(6, 3), hpath)
+    write_json(hypercore.to_json_dict(complete_hypergraph(6, 3)), hpath)
     assert run(capsys, *argv, "--input", hpath, "--out", opath)[0] == 0
     manifest = json.loads(open(opath + ".manifest.json").read())
     assert set(manifest["parameters"]) == keys | {"input", "out", "seed", "threads"}
@@ -601,7 +602,7 @@ def test_manifest_parameter_keys(tmp_path, capsys, argv, keys):
 
 def test_manifest_replay_reproduces(tmp_path, capsys):
     hpath = str(tmp_path / "h.json")
-    write_hypergraph(complete_hypergraph(12, 3), hpath)
+    write_json(hypercore.to_json_dict(complete_hypergraph(12, 3)), hpath)
     o1, o2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
     run(capsys, "pack", "--input", hpath, "--ell", "1", "--r", "2", "--seed", "9",
         "--out", o1)
@@ -635,7 +636,7 @@ def test_manifest_parameters_replay_the_run(tmp_path, capsys, name):
     # every non-null parameter of the manifest, passed back as its flag (a true
     # one as a bare flag), writes the same primary output and sidecars
     hpath = str(tmp_path / "h.json")
-    write_hypergraph(complete_hypergraph(12, 3), hpath)
+    write_json(hypercore.to_json_dict(complete_hypergraph(12, 3)), hpath)
     o1, o2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
     argv = [hpath if a == "H" else a for a in REPLAYED_RUNS[name]]
     assert run(capsys, *argv, "--out", o1)[0] == 0
@@ -967,13 +968,13 @@ def test_factor_golden_digests(tmp_path, capsys):
     # before the flow network was built once per graph, and re-recorded when
     # the search moved to the complement flow: r* and r are as before, only
     # the factor edge list differs.
-    from hampack.bifactor import BipartiteGraph, write_bipartite
+    from hampack.bifactor import BipartiteGraph, to_json_dict
     rng = random.Random(4040)
     m = 40
     edges = [(s, t) for s in range(m) for t in range(m)
              if rng.random() < (0.9 if (s < 25) == (t < 15) else 0.12)]
     gpath = str(tmp_path / "g.json")
-    write_bipartite(BipartiteGraph(m, edges), gpath)
+    write_json(to_json_dict(BipartiteGraph(m, edges)), gpath)
     opath = str(tmp_path / "f.json")
     code, _, _ = run(capsys, "factor", "--input", gpath, "--out", opath)
     assert code == 0 and json.loads(open(opath).read())["r_star"] == 7
@@ -991,13 +992,13 @@ def test_factor_fixed_r_gale_ryser_golden_digests(tmp_path, capsys):
     # every subset.  Both digests were recorded on the pure-Python Gray walk.
     # The r = 4 digest was re-recorded when the factor search moved to the
     # complement flow: only its factor edge list differs.
-    from hampack.bifactor import BipartiteGraph, write_bipartite
+    from hampack.bifactor import BipartiteGraph, to_json_dict
     rng = random.Random(1417)
     m = 14
     edges = [(s, t) for s in range(m) for t in range(m)
              if rng.random() < (0.9 if (s < 8) == (t < 6) else 0.15)]
     gpath = str(tmp_path / "g.json")
-    write_bipartite(BipartiteGraph(m, edges), gpath)
+    write_json(to_json_dict(BipartiteGraph(m, edges)), gpath)
     opath = str(tmp_path / "f.json")
     code, _, _ = run(capsys, "factor", "--input", gpath, "--r", "5", "--out", opath)
     witness = json.loads(open(opath).read())["gale_ryser"]
@@ -1018,7 +1019,7 @@ THREADS_CASES = [
 @pytest.mark.parametrize("argv,sidecar", THREADS_CASES, ids=[c[0][0] for c in THREADS_CASES])
 def test_threads_flag_changes_no_output(tmp_path, capsys, argv, sidecar):
     hpath = str(tmp_path / "h.json")
-    write_hypergraph(complete_hypergraph(12, 3), hpath)
+    write_json(hypercore.to_json_dict(complete_hypergraph(12, 3)), hpath)
     files = []
     for threads in ("1", "4"):
         opath = str(tmp_path / f"t{threads}.json")
@@ -1078,8 +1079,9 @@ SCIPY_USERS = {
 @pytest.fixture
 def scipy_gate_files(tmp_path, capsys):
     files = {name: str(tmp_path / f"{name}.json") for name in "hgc"}
-    write_hypergraph(complete_hypergraph(6, 3), files["h"])
-    write_cycle(HamiltonCycle(k=3, ell=1, arrangement=(0, 1, 2, 3, 4, 5)), files["c"])
+    write_json(hypercore.to_json_dict(complete_hypergraph(6, 3)), files["h"])
+    write_json(cycle_to_json_dict(HamiltonCycle(k=3, ell=1, arrangement=(0, 1, 2, 3, 4, 5))),
+               files["c"])
     assert run(capsys, "reduce", "--input", files["h"], "--ell", "1", "--out", files["g"])[0] == 0
     return files
 

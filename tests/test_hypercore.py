@@ -12,12 +12,10 @@ from hypothesis import strategies as st
 from hampack import hypercore
 from hampack.cli import main
 from hampack.constructions import complete_hypergraph, parity_hypergraph, random_hypergraph
-from hampack.errors import (HampackError, InvalidQueryError, InvariantViolation, ParseError,
-                            SizeLimitError)
-from hampack.hypercore import (POSITION_TABLE_MAX_CODES, Hypergraph, _fast_codes,
-                               _raise_edge_fault, _scan_hypergraph, degree_report,
-                               from_json_dict, lex_unrank, read_hypergraph, write_hypergraph)
-from hampack.util import read_json
+from hampack.errors import HampackError, InvalidQueryError, ParseError, SizeLimitError
+from hampack.hypercore import (POSITION_TABLE_MAX_CODES, Hypergraph, _scan_hypergraph,
+                               degree_report, from_json_dict, lex_unrank, read_hypergraph)
+from hampack.util import read_json, write_json
 
 from helpers import (degree_of, degree_report_scan, locate_reference, one_uncovered_pair,
                      relative_degree)
@@ -175,7 +173,7 @@ def test_degree_of_equals_relative_degree_on_complement():
 def test_roundtrip(tmp_path):
     h = random_hypergraph(7, 3, 0.6, 11)
     path = str(tmp_path / "h.json")
-    write_hypergraph(h, path)
+    write_json(hypercore.to_json_dict(h), path)
     assert read_hypergraph(path) == h
 
 
@@ -214,7 +212,7 @@ def test_read_minimal(tmp_path):
 ])
 def test_parse_errors(tmp_path, payload, fragment):
     """Each payload as written and, when it is JSON, in the indent-1 layout
-    that `write_hypergraph` uses: the same message both times."""
+    that `write_json` writes: the same message both times."""
     path = tmp_path / "bad.json"
     layouts = [payload]
     if payload != "not json":
@@ -345,7 +343,7 @@ def test_plain_files_never_reach_the_json_path(tmp_path, monkeypatch):
     main(["gen", "--random", "--n", "60", "--k", "3", "--p", "0.9", "--seed", "4",
           "--out", paths["random"]])
     main(["gen", "--complete", "--n", "11", "--k", "4", "--out", paths["complete"]])
-    write_hypergraph(Hypergraph(6, 3, []), paths["empty"])
+    write_json(hypercore.to_json_dict(Hypergraph(6, 3, [])), paths["empty"])
     expected = {name: read_json(path, from_json_dict) for name, path in paths.items()}
 
     def refuse(path, build):
@@ -374,13 +372,13 @@ def test_the_scan_peaks_below_the_json_path(tmp_path):
     assert peaks[0] <= peaks[1], peaks
 
 
-def test_fast_scan_accepts_exactly_what_the_walk_accepts():
-    """Plain edge lists, each valid or with one injected change: the typed
-    scan returns None exactly when the per-edge walk names a bad edge, and
-    otherwise the sorted codes of the set of edges.  numpy int64 vertices are
-    accepted by both; every other change is a fault that both refuse,
-    including the values numpy itself would convert (integral floats, numeric
-    strings, bools at vertex values 0 and 1)."""
+def test_the_constructor_refuses_every_edge_fault():
+    """Plain edge lists, each valid or with one injected change:
+    `Hypergraph(n, k, edges)` raises ParseError on every fault, and otherwise
+    holds the sorted codes of the set of edges.  numpy int64 vertices are
+    accepted; every other change is a fault, including the values numpy
+    itself would convert (integral floats, numeric strings, bools at vertex
+    values 0 and 1)."""
     rng = random.Random(20)
     faults = [None, "length", "repeat", "range", "duplicate", "bool", "huge", "low",
               "float", "string", "none", "nested", "dict-edge", "string-edge",
@@ -433,16 +431,13 @@ def test_fast_scan_accepts_exactly_what_the_walk_accepts():
             j = e.index(min(e))
             e[j] = bool(e[j])
         edges[i] = e
-        fast = _fast_codes(n, k, edges)
-        with pytest.raises((ParseError, InvariantViolation)) as walk:
-            _raise_edge_fault(n, k, edges)
-        refused = walk.type is ParseError
-        assert (fast is None) == refused, (n, k, edges)
-        assert refused == (fault not in (None, "np-int64")), (fault, edges)
-        if not refused:
-            assert fast.tolist() == sorted({sum(int(v) * n ** (k - 1 - j)
-                                                for j, v in enumerate(sorted(e)))
-                                            for e in edges}), (n, k, edges)
+        if fault not in (None, "np-int64"):
+            with pytest.raises(ParseError):
+                Hypergraph(n, k, edges)
+        else:
+            codes = {sum(int(v) * n ** (k - 1 - j) for j, v in enumerate(sorted(e)))
+                     for e in edges}
+            assert Hypergraph(n, k, edges).codes.tolist() == sorted(codes), (n, k, edges)
         seen.add(fault)
     assert seen == set(faults)
 

@@ -12,36 +12,36 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hampack.bifactor import BipartiteGraph, read_bipartite, write_bipartite
+from hampack import bifactor, hypercore, util
+from hampack.bifactor import BipartiteGraph, read_bipartite
 from hampack.constructions import random_hypergraph
 from hampack.errors import InvalidInputError, ParseError
-from hampack.hypercore import Hypergraph, read_hypergraph, write_hypergraph
-from hampack.reduction import HamiltonCycle, read_cycle, write_cycle
-from hampack import util
+from hampack.hypercore import Hypergraph, read_hypergraph
+from hampack.reduction import HamiltonCycle, cycle_to_json_dict, read_cycle
 from hampack.util import bernoulli_ranks, canonical_json, check_nonnegative, integer, read_json
 
 from helpers import canonical_json_reference
 
 # Recorded from the per-module writers before they shared `util.write_json`.
 WRITERS = [
-    pytest.param(write_hypergraph, Hypergraph(5, 3, [(0, 1, 2), (4, 2, 3), (0, 3, 4)]),
+    pytest.param(hypercore.to_json_dict, Hypergraph(5, 3, [(0, 1, 2), (4, 2, 3), (0, 3, 4)]),
                  '{\n "edges": [\n  [\n   0,\n   1,\n   2\n  ],\n  [\n   0,\n   3,\n   4\n  ],'
                  '\n  [\n   2,\n   3,\n   4\n  ]\n ],\n "k": 3,\n "n": 5\n}\n',
                  id="hypergraph"),
-    pytest.param(write_bipartite, BipartiteGraph(3, [(2, 0), (0, 1), (1, 1)]),
+    pytest.param(bifactor.to_json_dict, BipartiteGraph(3, [(2, 0), (0, 1), (1, 1)]),
                  '{\n "edges": [\n  [\n   0,\n   1\n  ],\n  [\n   1,\n   1\n  ],\n  [\n   2,\n   0\n  ]'
                  '\n ],\n "m": 3\n}\n',
                  id="bipartite"),
-    pytest.param(write_cycle, HamiltonCycle(k=3, ell=1, arrangement=(0, 1, 2, 3, 4, 5)),
+    pytest.param(cycle_to_json_dict, HamiltonCycle(k=3, ell=1, arrangement=(0, 1, 2, 3, 4, 5)),
                  '{\n "arrangement": [\n  0,\n  1,\n  2,\n  3,\n  4,\n  5\n ],\n "ell": 1\n}\n',
                  id="cycle"),
 ]
 
 
-@pytest.mark.parametrize("write,value,expected", WRITERS)
-def test_writer_bytes(tmp_path, write, value, expected):
+@pytest.mark.parametrize("to_json,value,expected", WRITERS)
+def test_writer_bytes(tmp_path, to_json, value, expected):
     path = tmp_path / "out.json"
-    write(value, str(path))
+    util.write_json(to_json(value), str(path))
     assert path.read_bytes() == expected.encode("utf-8")
 
 
@@ -113,7 +113,7 @@ def test_reading_a_large_hypergraph_runs_no_collection_and_keeps_no_document(tmp
     h = random_hypergraph(52, 3, 0.9, 5)
     assert h.num_edges() > 19000
     path = str(tmp_path / "h.json")
-    write_hypergraph(h, path)
+    util.write_json(hypercore.to_json_dict(h), path)
     starts = []
 
     def record(phase, info):
