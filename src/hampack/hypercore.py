@@ -11,25 +11,29 @@ Membership is one query: `locate` answers a batch of vertex rows.  When
 n^k <= 2^24 it gathers from a dense position table over the code space
 (`Hypergraph.position_table`); nothing else reads the table.
 
-A file is read as bytes.  Its edge list, JSON whitespace removed, is checked
-and decoded by a chunked numpy scan that accepts rows of k unsigned integers
-of at most 18 digits with no leading zero; the rest of the file goes through
-`json.loads`.  Any other file is read by `util.read_json` into a list, and
-the list constructor walks it edge by edge (`_edge_codes`), naming the first
-bad edge.  The scan builds its codes through `_vertex_codes`.
+A file is read as bytes, block by block.  The header, the bytes before the
+edge list and after it, is read from the file's two ends and goes through
+`json.loads`.  The edge list, JSON whitespace removed, is checked and decoded
+one block at a time by a numpy scan that accepts rows of k unsigned integers
+of at most 18 digits with no leading zero, and each block's rows become codes
+at once, so a read holds the codes and one block, never the whole file.  Any
+other file is read again by `util.load_json` into a list, and the list
+constructor walks it edge by edge (`_edge_codes`), naming the first bad edge.
+A file that cannot seek, such as a pipe, is read whole once.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterable
+from typing import BinaryIO, Iterable
 
 import numpy as np
 
 from .errors import InvalidQueryError, ParseError, SizeLimitError
-from .util import integer, read_json
+from .util import integer, load_json
 
 
 def row_codes(rows: np.ndarray, n: int) -> np.ndarray:
@@ -38,25 +42,6 @@ def row_codes(rows: np.ndarray, n: int) -> np.ndarray:
     for j in range(rows.shape[1]):
         codes = codes * n + rows[:, j]
     return codes
-
-
-def _vertex_codes(n: int, k: int, flat: np.ndarray):
-    """Sorted codes of the rows of k vertices that the non-empty, non-negative
-    int64 array `flat` of `_scan_vertices` lists one after another; None when
-    a vertex is n or more, a row repeats a vertex or two rows hold the same
-    vertex set.  Rows and codes are sorted only when they do not already
-    ascend."""
-    if flat.max() >= n:
-        return None
-    rows = flat.reshape(-1, k)
-    if not (rows[:, 1:] > rows[:, :-1]).all():
-        rows.sort(axis=1)
-        if not (rows[:, 1:] > rows[:, :-1]).all():
-            return None
-    codes = row_codes(rows, n)
-    if not (codes[1:] > codes[:-1]).all():
-        codes.sort()
-    return None if (codes[1:] == codes[:-1]).any() else codes
 
 
 def _edge_codes(n: int, k: int, edges: Iterable[Iterable[int]]) -> np.ndarray:
@@ -327,98 +312,179 @@ def from_json_dict(obj) -> Hypergraph:
     return Hypergraph(n, k, edges)
 
 
-_SCAN_CHUNK = 1 << 18   # bytes of edge list per numpy pass: bounds the int64 temporaries
+_SCAN_CHUNK = 1 << 18   # bytes per read of a file: bounds each block's int64 temporaries
 _JSON_WHITESPACE = b" \t\n\r"
 _DIGITS_AS_ZERO = bytes.maketrans(b"0123456789", b"0" * 10)
 
 
-def _scan_hypergraph(data: bytes) -> Hypergraph | None:
-    """The hypergraph of the JSON document `data` when its edge list is
-    plain; None otherwise.
+def _scan_hypergraph(fh: BinaryIO) -> Hypergraph | None:
+    """The hypergraph of the JSON document that the seekable binary file
+    `fh`, positioned at its start, holds when its edge list is plain; None
+    otherwise.
 
-    The edge list runs from the first `[` to the last `]`.  The rest, with
-    `[]` standing for the list, must be ASCII and pass `json.loads` and
+    The edge list runs from the first `[` to the last `]`, which
+    `_list_bounds` finds from the two ends of the file.  The rest, with `[]`
+    standing for the list, must be ASCII and pass `json.loads` and
     `from_json_dict`.  Such a header holds exactly the keys "n", "k" and
     "edges", whose values are two integers and a list, so no string holds a
-    bracket and `[]` is its only list: the value of "edges".  The list itself
-    goes through `_scan_vertices`, and its vertices through `_vertex_codes`.
+    bracket and `[]` is its only list: the value of "edges".
+
+    The list is then read in blocks of `_SCAN_CHUNK` bytes.  A block's digit
+    runs are counted, a run that the previous block ended in carried over;
+    its JSON whitespace is removed, and its complete rows, up to its last
+    `],`, go through `_piece_codes`; the rest carries over to the next block.
+    With its whitespace removed, the list must be `[`, rows joined by `,`,
+    and `]`, and no whitespace may split an integer: the list holds as many
+    digit runs as the rows hold integers.  Last, the codes of all the rows
+    are sorted, when they do not already ascend, and must hold no duplicate.
     """
-    start, stop = data.find(b"["), data.rfind(b"]") + 1
-    if not 0 <= start < stop:
+    bounds = _list_bounds(fh)
+    if bounds is None:
         return None
+    head, start, tail, stop = bounds
     try:
-        shape = from_json_dict(json.loads((data[:start] + b"[]" + data[stop:]).decode("ascii")))
+        shape = from_json_dict(json.loads((head + b"[]" + tail).decode("ascii")))
     except (ValueError, RecursionError):   # JSONDecodeError, UnicodeDecodeError, ParseError
         return None
     n, k = shape.n, shape.k
-    flat = _scan_vertices(data, start, stop, k)
-    if flat is None:
+    runs, digit_before, rest, parts = 0, False, b"", []
+    fh.seek(start + 1)
+    left = stop - start - 1
+    while left:
+        block = fh.read(min(_SCAN_CHUNK, left))
+        if not block:
+            return None
+        left -= len(block)
+        count, digit_before = _digit_runs(block, digit_before)
+        runs += count
+        rest += block.translate(None, _JSON_WHITESPACE)
+        del block   # the rows below need only `rest`
+        cut = rest.rfind(b"],") + 2
+        if cut > 1:
+            codes = _piece_codes(rest, cut, n, k, last=False)
+            if codes is None:
+                return None
+            parts.append(codes)
+            rest = rest[cut:]
+    if parts or rest != b"]":   # b"]" alone: the list is []
+        codes = _piece_codes(rest, len(rest), n, k, last=True)
+        if codes is None:
+            return None
+        parts.append(codes)
+    codes = np.concatenate([np.empty(0, dtype=np.int64)] + parts)
+    del parts   # the checks and the sort below hold the codes once
+    if len(codes) * k != runs:
         return None
-    codes = _vertex_codes(n, k, flat) if len(flat) else flat
-    return None if codes is None else Hypergraph._from_codes(n, k, codes)
+    if not (codes[1:] > codes[:-1]).all():
+        codes.sort()
+        if (codes[1:] == codes[:-1]).any():
+            return None
+    return Hypergraph._from_codes(n, k, codes)
 
 
-def _scan_vertices(data: bytes, start: int, stop: int, k: int) -> np.ndarray | None:
-    """The vertices of the JSON edge list data[start:stop], row after row, as
-    an int64 array; None unless, with its JSON whitespace removed, it is
-    exactly `[`, rows `[d,...,d]` of k unsigned integers joined by `,`, and
-    `]`, each integer of at most 18 digits with no leading zero, and no
-    whitespace splits an integer: the list holds as many digit runs as the
-    rows hold integers.
+def _list_bounds(fh: BinaryIO) -> tuple[bytes, int, bytes, int] | None:
+    """(the bytes before the first `[`, its offset, the bytes after the last
+    `]` behind it, the offset past that `]`) of the seekable file `fh`,
+    positioned at its start; None when there is no such pair.  The head is
+    read forward and the tail backward, `_SCAN_CHUNK` bytes at a time, so a
+    plain file takes one read at each end."""
+    blocks = []
+    while True:
+        block = fh.read(_SCAN_CHUNK)
+        if not block:
+            return None
+        at = block.find(b"[")
+        if at >= 0:
+            break
+        blocks.append(block)
+    head = b"".join(blocks) + block[:at]
+    start, hi, blocks = len(head), fh.seek(0, io.SEEK_END), []
+    while True:
+        lo = max(start + 1, hi - _SCAN_CHUNK)
+        if lo >= hi:
+            return None
+        fh.seek(lo)
+        block = fh.read(hi - lo)
+        at = block.rfind(b"]")
+        if at >= 0:
+            break
+        blocks.append(block)
+        hi = lo
+    return head, start, block[at + 1:] + b"".join(reversed(blocks)), lo + at + 1
 
-    The list without whitespace is read in pieces of about `_SCAN_CHUNK`
-    bytes cut after a `],`, where a row ends in any list this accepts.  In a
-    piece, each non-digit byte and each digit that follows one starts a
-    token; with every digit written as 0, the tokens must spell `[0,...,0],`
-    once per row, the last piece ending in the list's `]`.  Digits are told
-    apart by uint8 arithmetic: a byte below "0" minus 48 wraps past 9."""
-    raw = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
-    runs = 0
-    for lo in range(1, len(raw), _SCAN_CHUNK):
-        digit = (raw[lo - 1:lo + _SCAN_CHUNK] - 48) < 10
-        runs += int(np.count_nonzero(digit[1:] > digit[:-1]))
-    packed = data.translate(None, _JSON_WHITESPACE)
-    lo, end = packed.find(b"[") + 1, packed.rfind(b"]") + 1
+
+def _digit_runs(block: bytes, digit_before: bool) -> tuple[int, bool]:
+    """The number of digit runs that start in `block`, where `digit_before`
+    tells whether the byte before it is a digit, and whether its last byte
+    is one."""
+    digit = (np.frombuffer(block, dtype=np.uint8) - 48) < 10
+    return (int(np.count_nonzero(digit[1:] > digit[:-1])) + int(digit[0] > digit_before),
+            bool(digit[-1]))
+
+
+def _piece_codes(text: bytes, size: int, n: int, k: int, last: bool) -> np.ndarray | None:
+    """The codes, in row order, of the rows that text[:size] lists; None
+    unless, with every digit written as 0, it spells `[0,...,0],` once per
+    row, at least once, with the list's closing `]` for the last `,` when
+    `last`, and each row holds k distinct vertices below n of at most 18
+    digits with no leading zero.
+
+    Digits are told apart by uint8 arithmetic: a byte below "0" minus 48
+    wraps past 9.  Rows are sorted only when they do not already ascend."""
+    piece = np.frombuffer(text, dtype=np.uint8, count=size)
+    digit = (piece - 48) < 10
+    if not _spells_rows(piece, digit, k, last):
+        return None
+    starts = np.flatnonzero(digit[1:] > digit[:-1])
+    starts += 1
+    lengths = np.flatnonzero(digit[:-1] > digit[1:])
+    lengths += 1
+    lengths -= starts
+    vertices = piece.take(starts).astype(np.int64)
+    vertices -= 48
+    most = int(lengths.max())
+    if most > 18 or ((vertices == 0) & (lengths > 1)).any():
+        return None
+    for j in range(1, most):
+        vertices = np.where(lengths > j,
+                            vertices * 10 + piece.take(starts + j, mode="clip") - 48,
+                            vertices)
+    if vertices.max() >= n:
+        return None
+    rows = vertices.reshape(-1, k)
+    if not (rows[:, 1:] > rows[:, :-1]).all():
+        rows.sort(axis=1)
+        if not (rows[:, 1:] > rows[:, :-1]).all():
+            return None
+    return row_codes(rows, n)
+
+
+def _spells_rows(piece: np.ndarray, digit: np.ndarray, k: int, last: bool) -> bool:
+    """Whether the tokens of `piece`, its digits written as 0, spell
+    `[0,...,0],` (k zeros) once per row, at least once, with `]` for the
+    last `,` when `last`.  A token starts at the first byte and at each byte
+    that is not a digit following a digit."""
+    first = np.concatenate(([True], ~(digit[1:] & digit[:-1])))
+    tokens = piece[first].tobytes().translate(_DIGITS_AS_ZERO)
     row = b"[" + b",".join([b"0"] * k) + b"],"
-    if lo == end - 1:   # the list is []
-        lo = end
-    parts = [np.empty(0, dtype=np.int64)]
-    while lo < end:
-        hi = packed.find(b"],", lo + _SCAN_CHUNK, end)
-        hi = end if hi < 0 else hi + 2
-        piece = np.frombuffer(packed, dtype=np.uint8, count=hi - lo, offset=lo)
-        first = (piece - 48) >= 10
-        first[1:] |= first[:-1]
-        pos = np.flatnonzero(first)
-        rows = len(pos) // len(row)
-        spelled = row * rows
-        if hi == end:
-            spelled = spelled[:-1] + b"]"
-        if not rows or piece[pos].tobytes().translate(_DIGITS_AS_ZERO) != spelled:
-            return None
-        pos = pos.reshape(rows, len(row))
-        starts = pos[:, 1:-2:2].ravel()
-        digits = pos[:, 2:-1:2].ravel() - starts
-        vertices = piece.take(starts).astype(np.int64) - 48
-        most = int(digits.max())
-        if most > 18 or ((vertices == 0) & (digits > 1)).any():
-            return None
-        for j in range(1, most):
-            vertices = np.where(digits > j,
-                                vertices * 10 + piece.take(starts + j, mode="clip") - 48,
-                                vertices)
-        parts.append(vertices)
-        lo = hi
-    flat = np.concatenate(parts)
-    return flat if len(flat) == runs else None
+    count = len(tokens) // len(row)
+    spelled = row * count
+    if last:
+        spelled = spelled[:-1] + b"]"
+    return count > 0 and tokens == spelled
 
 
 def read_hypergraph(path: str) -> Hypergraph:
     """Read a hypergraph from JSON; validates the exact schema.  A file that
-    `_scan_hypergraph` refuses goes to `read_json(path, from_json_dict)`,
-    which names its fault or reads the rare valid file the scan refuses (a
-    `-0` vertex, a vertex of 19 digits, non-ASCII bytes)."""
+    `_scan_hypergraph` refuses is read again from its start by
+    `load_json(path, fh, from_json_dict)`, which names its fault or reads the
+    rare valid file the scan refuses (a `-0` vertex, a vertex of 19 digits,
+    non-ASCII bytes).  A file that cannot seek, such as a pipe, is read
+    whole once, and both paths read those bytes."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    h = _scan_hypergraph(data)
-    return read_json(path, from_json_dict) if h is None else h
+        source = fh if fh.seekable() else io.BytesIO(fh.read())
+        h = _scan_hypergraph(source)
+        if h is None:
+            source.seek(0)
+            h = load_json(path, source, from_json_dict)
+        return h

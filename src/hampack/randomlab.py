@@ -30,7 +30,7 @@ from .hypercore import Hypergraph, degree_report, subset_ranks
 from .reduction import build_aux_graph, sample_scheme
 from .util import bernoulli_ranks, check_nonnegative, check_probability, derive_seed
 
-MIN_PART_FRACTION = 0.05   # partition_degree_trial refuses parts below this share of n
+MIN_PART_FRACTION = 0.05   # partition_degree_sweep refuses parts below this share of n
 
 
 def _sweep(run: Callable[[int], Any], trials: int, master_seed: int) -> list:
@@ -46,9 +46,11 @@ def _check_degree_thresholds(delta: float, epsilon: float) -> None:
 
 
 def _codegree_hypothesis(h: Hypergraph, delta: float, epsilon: float) -> bool:
-    """min codegree >= (delta + epsilon) * n, after `_check_degree_thresholds`."""
+    """min codegree >= (delta + epsilon) * n, after `_check_degree_thresholds`.
+    For k = 1 the one (k-1)-subset is the empty set, which lies in every edge."""
     _check_degree_thresholds(delta, epsilon)
-    return degree_report(h, h.k - 1).min_degree >= (delta + epsilon) * h.n
+    codegree = degree_report(h, h.k - 1).min_degree if h.k > 1 else h.num_edges()
+    return codegree >= (delta + epsilon) * h.n
 
 
 def random_subgraph(g: BipartiteGraph, p: float, seed: int) -> BipartiteGraph:
@@ -182,23 +184,14 @@ def _check_part_sizes(n: int, sizes: tuple[int, ...]) -> None:
             f"every part must have at least {MIN_PART_FRACTION} * n vertices")
 
 
-def partition_degree_trial(h: Hypergraph, sizes: tuple[int, ...], delta: float,
-                           epsilon: float, seed: int) -> PartitionTrial:
-    """Uniform random partition with exact part sizes; success iff every part
-    meets its (delta + 2*eps/3) * m_i degree threshold for every (k-1)-subset.
-    """
-    _check_part_sizes(h.n, sizes)
-    _check_degree_thresholds(delta, epsilon)
-    return _partition_degree_trial(h, sizes, delta, epsilon, seed,
-                                   subset_ranks(h, h.k - 1), h.rows())
-
-
 def _partition_degree_trial(h: Hypergraph, sizes: tuple[int, ...], delta: float,
                             epsilon: float, seed: int, ranks: np.ndarray,
                             rows: np.ndarray) -> PartitionTrial:
-    """`partition_degree_trial` on already checked `sizes` and on
-    `ranks = subset_ranks(h, k - 1)` and `rows = h.rows()`, which do not
-    depend on the seed.
+    """One trial of `partition_degree_sweep`, on already checked `sizes` and
+    on `ranks = subset_ranks(h, k - 1)` and `rows = h.rows()`, which do not
+    depend on the seed: a uniform random partition with exact part sizes,
+    a success iff every part meets its (delta + 2*eps/3) * m_i degree
+    threshold for every (k-1)-subset.
 
     Column j of `ranks` leaves out the edge's vertex at position k-1-j, so
     each (k-1)-subset's degree into a part counts the columns whose left-out

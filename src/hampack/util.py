@@ -7,11 +7,12 @@ from __future__ import annotations
 import dataclasses
 import gc
 import hashlib
+import io
 import json
 import math
 import operator
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Callable, Optional, TextIO, TypeVar
+from typing import Any, BinaryIO, Callable, Optional, TextIO, TypeVar
 
 import numpy as np
 
@@ -186,11 +187,20 @@ def _encode_table(value: np.ndarray, newline: str) -> str:
 
 
 def read_json(path: str, build: Callable[[Any], T]) -> T:
-    """Return `build(document)` for the JSON document in the file at `path`.
+    """Return `build(document)` for the JSON document in the file at `path`;
+    see `load_json`."""
+    with open(path, "rb") as fh:
+        return load_json(path, fh, build)
+
+
+def load_json(path: str, fh: BinaryIO, build: Callable[[Any], T]) -> T:
+    """Return `build(document)` for the JSON document that the binary file
+    `fh`, read from `path` and positioned at its start, holds to its end.
 
     Its callers are the cycle and bipartite readers, and the hypergraph
     reader for a file its byte scan refuses, where `build` names the fault
-    (or, rarely, reads a valid file, such as one with a `-0` vertex).
+    (or, rarely, reads a valid file, such as one with a `-0` vertex).  The
+    bytes are decoded as `open(path, encoding="utf-8")` decodes them.
 
     The text is decoded, and `build` run, with the cyclic garbage collector
     paused if it was running: a document is mostly small acyclic lists, which
@@ -200,15 +210,16 @@ def read_json(path: str, build: Callable[[Any], T]) -> T:
     not keep it.  Bytes that are not UTF-8, invalid JSON and nesting too deep
     to decode raise ParseError naming the path.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            # the document is only `build`'s argument: it is freed when `build` returns
-            return build(_decode(path, fh))
-        finally:
-            if enabled:
-                gc.enable()
+    text = io.TextIOWrapper(fh, encoding="utf-8")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # the document is only `build`'s argument: it is freed when `build` returns
+        return build(_decode(path, text))
+    finally:
+        text.detach()   # `fh` stays open for its owner
+        if enabled:
+            gc.enable()
 
 
 def _decode(path: str, fh: TextIO) -> Any:

@@ -446,9 +446,10 @@ def degree_report_scan(h, d):
 
 
 def partition_minima_reference(h, sizes, seed):
-    """Per part of the `partition_degree_trial` shuffle, the least number of
-    completing vertices inside it over all (k-1)-subsets, from a dict of each
-    covered subset's completing vertices: the oracle for the trial's minima."""
+    """Per part of the shuffle of the `partition_degree_sweep` trial on
+    `seed`, the least number of completing vertices inside it over all
+    (k-1)-subsets, from a dict of each covered subset's completing vertices:
+    the oracle for the trial's minima."""
     perm = list(range(h.n))
     random.Random(seed).shuffle(perm)
     parts, at = [], 0

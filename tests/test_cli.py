@@ -460,6 +460,33 @@ def test_process_exit_codes(name):
     assert proc.stderr.startswith(err) and bool(proc.stderr) == bool(err)
 
 
+PIPED_FILES = {
+    "plain": b'{"edges": [[0, 1, 2], [0, 1, 3]], "k": 3, "n": 4}',
+    "minus-zero": b'{"edges": [[0, 1, 2], [-0, 1, 3]], "k": 3, "n": 4}',
+    "duplicate-edge": b'{"edges": [[0, 1, 2], [2, 1, 0]], "k": 3, "n": 4}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIPED_FILES))
+def test_piped_input_reads_as_a_regular_file(tmp_path, name):
+    """A pipe cannot seek: its bytes are read once, and both the byte scan
+    and the json path read them.  The `-0` file is valid but refused by the
+    scan; the duplicate edge is named by the json path."""
+    data = PIPED_FILES[name]
+    path = tmp_path / "h.json"
+    path.write_bytes(data)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    procs = [subprocess.run([sys.executable, "-m", "hampack.cli", "degrees", "--input", source,
+                             "--d", "2"], input=stdin, capture_output=True, timeout=120, env=env)
+             for source, stdin in [("/dev/stdin", data), (str(path), b"")]]
+    piped, regular = [(p.returncode, p.stdout, p.stderr) for p in procs]
+    assert piped == regular
+    if name == "duplicate-edge":
+        assert regular[0] == 1 and b"duplicate edge" in regular[2]
+    else:
+        assert regular[0] == 0 and json.loads(regular[1])["min_degree"] == 0
+
+
 def test_count_size_limit_exit_1(tmp_path, capsys):
     hpath = str(tmp_path / "big.json")
     write_json(hypercore.to_json_dict(complete_hypergraph(12, 3)), hpath)

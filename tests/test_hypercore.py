@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import random
@@ -187,6 +188,7 @@ def test_read_minimal(tmp_path):
 @pytest.mark.parametrize("payload,fragment", [
     ('{"n": 4, "k": 3, "edges": [[0,1,2],[2,1,0]]}', "duplicate"),
     ('{"n": 4, "k": 3, "edges": [[0,1,9]]}', "out of range"),
+    ('{"n": 4, "k": 3, "edges": [[0,1,3],[1,2,4]]}', "edge 1 .*out of range"),
     ('{"n": 4, "k": 3, "edges": [[0,1]]}', "distinct"),
     ('{"n": 4, "k": 3, "edges": [[0,1,3],[0,1.5,2]]}', "edge 1: must be a list of integers"),
     ('{"n": 4, "k": 3, "edges": [[0,1,3],[0,1,2.0]]}', "edge 1: must be a list of integers"),
@@ -322,8 +324,9 @@ def _outcome(read, path):
 def test_the_scan_reads_what_the_json_path_reads(tmp_path_factory, fault, data):
     """`read_hypergraph` returns what `read_json(path, from_json_dict)`
     returns, or raises the same error with the same message; the scan itself
-    reads every file that holds no fault.  Small pieces cut these small
-    files as the default cuts a large one."""
+    reads every file that holds no fault.  Small blocks cut these small
+    files as the default cuts a large one: inside integers, whitespace runs,
+    `],` and the header."""
     chunk = data.draw(st.sampled_from([hypercore._SCAN_CHUNK, 1, 6, 20]))
     data = data.draw(hypergraph_files(fault))
     path = str(tmp_path_factory.getbasetemp() / "scan-case.json")
@@ -334,7 +337,47 @@ def test_the_scan_reads_what_the_json_path_reads(tmp_path_factory, fault, data):
         assert (_outcome(read_hypergraph, path)
                 == _outcome(lambda p: read_json(p, from_json_dict), path)), (fault, data)
         if fault is None:
-            assert _scan_hypergraph(data) is not None, data
+            assert _scan_hypergraph(io.BytesIO(data)) is not None, data
+
+
+@pytest.mark.parametrize("layout", ["indent", "compact", "random"])
+def test_the_scan_reads_a_header_written_before_the_edge_list(tmp_path, layout):
+    """"n" and "k" precede "edges", so the header's head end holds them and
+    its tail end is empty; every block size reads it as the json path does."""
+    rnd = random.Random(7)
+    rows = [[str(v) for v in rnd.sample(e, 3)]
+            for e in rnd.sample(list(combinations(range(13), 3)), 9)]
+    data = _render({'"n"': "13", '"k"': "3", '"edges"': None}, rows,
+                   ['"n"', '"k"', '"edges"'], layout, rnd).encode()
+    assert data[data.rfind(b"]") + 1:].strip() == b"}"
+    path = str(tmp_path / "h.json")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    expected = _outcome(lambda p: read_json(p, from_json_dict), path)
+    for chunk in [hypercore._SCAN_CHUNK, 1, 6, 20]:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hypercore, "_SCAN_CHUNK", chunk)
+            assert _outcome(read_hypergraph, path) == expected, chunk
+            assert _scan_hypergraph(io.BytesIO(data)) is not None, chunk
+
+
+@pytest.mark.parametrize("text", [
+    '{"edges": [[1 0]], "k": 1, "n": 11}',
+    '{"edges": [[0, 1\n2, 3]], "k": 3, "n": 13}',
+    '{"n": 50, "k": 3, "edges": [[0,1,2],[3,4\t\t5,6]]}',
+])
+def test_whitespace_inside_an_integer_goes_to_the_json_path(tmp_path, text):
+    """Without the whitespace the rows would be valid, so only the count of
+    digit runs refuses them, whichever block a run starts in."""
+    path = str(tmp_path / "h.json")
+    with open(path, "w") as fh:
+        fh.write(text)
+    for chunk in [hypercore._SCAN_CHUNK, 1, 6, 20]:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hypercore, "_SCAN_CHUNK", chunk)
+            assert _scan_hypergraph(io.BytesIO(text.encode())) is None, chunk
+            with pytest.raises(ParseError, match="not valid JSON"):
+                read_hypergraph(path)
 
 
 def test_plain_files_never_reach_the_json_path(tmp_path, monkeypatch):
@@ -346,30 +389,30 @@ def test_plain_files_never_reach_the_json_path(tmp_path, monkeypatch):
     write_json(hypercore.to_json_dict(Hypergraph(6, 3, [])), paths["empty"])
     expected = {name: read_json(path, from_json_dict) for name, path in paths.items()}
 
-    def refuse(path, build):
+    def refuse(path, fh, build):
         raise AssertionError(f"{path} was read by the json path")
 
-    monkeypatch.setattr(hypercore, "read_json", refuse)
+    monkeypatch.setattr(hypercore, "load_json", refuse)
     for name, path in paths.items():
         assert read_hypergraph(path) == expected[name], name
     assert expected["complete"] == complete_hypergraph(11, 4)
     assert expected["random"].num_edges() > 0 and expected["empty"].num_edges() == 0
 
 
-def test_the_scan_peaks_below_the_json_path(tmp_path):
-    """tracemalloc peaks on `pack-r16-n90`'s input file."""
+def test_the_read_peaks_below_twice_the_codes_and_eight_blocks(tmp_path):
+    """tracemalloc peak on `pack-r16-n90`'s input file: the read holds the
+    codes, their concatenation and the working arrays of one block."""
     path = str(tmp_path / "h.json")
     main(["gen", "--random", "--n", "90", "--k", "3", "--p", "0.9", "--seed", "3",
           "--out", path])
-    peaks = []
-    for read in (read_hypergraph, lambda p: read_json(p, from_json_dict)):
-        tracemalloc.start()
-        try:
-            read(path)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[0] <= peaks[1], peaks
+    tracemalloc.start()
+    try:
+        h = read_hypergraph(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.num_edges() > 100000
+    assert peak <= 2 * h.codes.nbytes + 8 * hypercore._SCAN_CHUNK, peak
 
 
 def test_the_constructor_refuses_every_edge_fault():

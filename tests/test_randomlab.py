@@ -11,8 +11,7 @@ from hampack.hypercore import Hypergraph
 from hampack.randomlab import (aux_degree_sweep, aux_degree_trial,
                                factor_robustness_sweep,
                                factor_robustness_trial,
-                               partition_degree_sweep, partition_degree_trial,
-                               random_subgraph)
+                               partition_degree_sweep, random_subgraph)
 from hampack.util import derive_seed
 
 from helpers import one_uncovered_pair, partition_minima_reference, random_bipartite
@@ -162,28 +161,37 @@ class TestFactorRobustness:
 class TestPartitionDegrees:
     def test_single_part_reduces_to_global_codegree(self):
         h = random_hypergraph(12, 3, 0.9, 3)
-        trial = partition_degree_trial(h, (12,), delta=0.3, epsilon=0.1, seed=5)
+        report = partition_degree_sweep(h, (12,), delta=0.3, epsilon=0.1, trials=3,
+                                        master_seed=5)
         from hampack.hypercore import degree_report
-        assert trial.minima[0] == degree_report(h, 2).min_degree
-        assert trial.success
+        for trial in report.per_trial:
+            assert trial.minima[0] == degree_report(h, 2).min_degree
+            assert trial.success
+        assert report.successes == 3
 
     def test_complete_always_succeeds(self):
         # K_12: codegree 10, pairs inside a part see exactly 4 completions there
         h = complete_hypergraph(12, 3)
-        for seed in range(5):
-            trial = partition_degree_trial(h, (6, 6), delta=0.5, epsilon=0.2, seed=seed)
+        report = partition_degree_sweep(h, (6, 6), delta=0.5, epsilon=0.2, trials=5,
+                                        master_seed=0)
+        for trial in report.per_trial:
             assert trial.minima == (4, 4)
             assert trial.success
+        assert report.successes == 5
 
     def test_size_mismatch_rejected(self):
+        # trials = 0: the sizes are checked before any trial
         with pytest.raises(InvalidInputError):
-            partition_degree_trial(complete_hypergraph(12, 3), (6, 5), 0.3, 0.1, 0)
+            partition_degree_sweep(complete_hypergraph(12, 3), (6, 5), 0.3, 0.1, trials=0,
+                                   master_seed=0)
 
     def test_tiny_parts_rejected(self):
         # 1 < 0.05 * 24: a part below MIN_PART_FRACTION of the vertices
         with pytest.raises(InvalidInputError, match="at least 0.05 \\* n"):
-            partition_degree_trial(complete_hypergraph(24, 3), (1, 23), 0.3, 0.1, 0)
-        partition_degree_trial(complete_hypergraph(24, 3), (2, 22), 0.3, 0.1, 0)
+            partition_degree_sweep(complete_hypergraph(24, 3), (1, 23), 0.3, 0.1, trials=0,
+                                   master_seed=0)
+        partition_degree_sweep(complete_hypergraph(24, 3), (2, 22), 0.3, 0.1, trials=1,
+                               master_seed=0)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("p", [0.3, 0.9, 1.0])
@@ -191,16 +199,20 @@ class TestPartitionDegrees:
         # k = 1: the one 0-subset's degree into a part is the number of edges in it
         h = random_hypergraph(12, k, p, 17 * k)
         for sizes in [(12,), (6, 6), (3, 4, 5)]:
-            for seed in range(3):
-                trial = partition_degree_trial(h, sizes, 0.3, 0.1, seed)
-                assert trial.minima == partition_minima_reference(h, sizes, seed)
+            report = partition_degree_sweep(h, sizes, 0.3, 0.1, trials=3, master_seed=k)
+            for trial in report.per_trial:
+                assert trial.minima == partition_minima_reference(h, sizes, trial.seed)
+            if k == 1:   # the empty set's degree is |E|
+                assert report.hypothesis_met == (h.num_edges() >= 0.4 * 12)
 
     @pytest.mark.parametrize("edges", [[], [(0, 1, 2)]])
     def test_minima_equal_the_completion_walk_on_sparse_inputs(self, edges):
         h = Hypergraph(8, 3, edges)
         for sizes in [(8,), (4, 4), (2, 3, 3)]:
-            assert partition_degree_trial(h, sizes, 0.3, 0.1, 1).minima \
-                == partition_minima_reference(h, sizes, 1) == (0,) * len(sizes)
+            (trial,) = partition_degree_sweep(h, sizes, 0.3, 0.1, trials=1,
+                                              master_seed=1).per_trial
+            assert trial.minima == partition_minima_reference(h, sizes, trial.seed) \
+                == (0,) * len(sizes)
 
     def test_calibrated_sweep(self):
         # dense-minus-20% hypergraph, two equal parts
@@ -212,7 +224,8 @@ class TestPartitionDegrees:
 
     def test_empty_hypergraph_minima_are_zero(self):
         h = Hypergraph(8, 3, [])
-        trial = partition_degree_trial(h, (4, 4), delta=0.1, epsilon=0.05, seed=2)
+        (trial,) = partition_degree_sweep(h, (4, 4), delta=0.1, epsilon=0.05, trials=1,
+                                          master_seed=2).per_trial
         assert trial.minima == (0, 0) and not trial.success
 
 
@@ -309,8 +322,7 @@ def test_uncovered_pair_fails_the_codegree_hypothesis():
 ])
 def test_degree_thresholds_checked_before_any_trial(delta, epsilon, message):
     h = complete_hypergraph(12, 3)
-    runs = [lambda: partition_degree_trial(h, (6, 6), delta, epsilon, seed=1),
-            lambda: partition_degree_sweep(h, (6, 6), delta, epsilon, trials=0, master_seed=1),
+    runs = [lambda: partition_degree_sweep(h, (6, 6), delta, epsilon, trials=0, master_seed=1),
             lambda: aux_degree_trial(h, 1, delta, epsilon, seed=1),
             lambda: aux_degree_sweep(h, 1, delta, epsilon, trials=0, master_seed=1)]
     for run in runs:
