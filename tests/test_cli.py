@@ -221,6 +221,20 @@ def test_pack_rejects_negative_partition_count(tmp_path, capsys, theorem):
     assert not opath.exists()
 
 
+@pytest.mark.parametrize("theorem", ["2", "3"])
+def test_pack_refuses_a_1_graph(tmp_path, capsys, theorem):
+    # every Hamilton cycle of a 1-graph is all n singleton edges, so no two
+    # are disjoint; the refusal comes before any codegree is read
+    hpath, opath = str(tmp_path / "h.json"), tmp_path / "pack.json"
+    write_json({"n": 4, "k": 1, "edges": [[0], [1], [2], [3]]}, hpath)
+    code, _, err = run(capsys, "pack", "--input", hpath, "--theorem", theorem,
+                       "--ell", "0", "--out", str(opath))
+    assert code == 1
+    assert err == ("error: packing needs k >= 2, got k=1: every Hamilton cycle of a "
+                   "1-graph uses all 4 singleton edges, so no two cycles are edge-disjoint\n")
+    assert not opath.exists()
+
+
 def test_mc_factor(tmp_path, capsys):
     opath = str(tmp_path / "mc.json")
     code, _, _ = run(capsys, "mc-factor", "--complete-bipartite", "12",
@@ -297,7 +311,7 @@ MC_FACTOR_K4 = ("mc-factor", "--complete-bipartite", "4", "--rho", "1", "--p", "
       "--trials", "-3"), "number of trials must be >= 0, got -3"),
     (("mc-partition", "--kind", "part-degrees", "--sizes", "6,6", "--delta", "0.5",
       "--epsilon", "0.2", "--trials", "-3"), "number of trials must be >= 0, got -3"),
-    # the resample limit is a constant of the packer, not a flag
+    # schemes are kept as drawn: there is no resample limit to set
     (("pack", "--theorem", "2", "--ell", "1", "--r", "2", "--resample-limit", "3"),
      "unrecognized arguments: --resample-limit 3"),
     (("pack", "--theorem", "3", "--ell", "1", "--r", "2", "--epsilon", "0.05",
@@ -781,13 +795,18 @@ def test_pack_benchmark_document_digest(tmp_path, capsys):
     # Re-recorded when the factor search moved to the complement flow: other
     # r*-factors give other cycles, and the document equals the earlier one
     # outside `cycles` (same 360 cycles, coverage and partitions.csv).
+    # Re-recorded once more when Theorem 2 stopped resampling: partition 0
+    # keeps its first scheme (aux min degree 29, below the mark 30.5), which
+    # changes the assignment, `psi_histogram`, `unassigned` and partitions.csv,
+    # and the document gains the band warning; the 360 cycles and the 16,200
+    # covered edges stay the same.
     hpath = str(tmp_path / "h.json")
     assert run(capsys, "gen", *GOLDEN_INPUTS["random-90-3"], "--out", hpath)[0] == 0
     opath = str(tmp_path / "pack.json")
     code, _, _ = run(capsys, "pack", "--input", hpath, "--ell", "1", "--r", "16",
                      "--seed", "3", "--out", opath)
     assert code == 0
-    assert _sha256(opath) == "55c93a5fad8f842150a81923389feb03a1e27b2127533b28a1b26ac4e6577e6f"
+    assert _sha256(opath) == "1cd7b33e3201718911ad917aaff873075acbf788c2e6d88a0a24c28bb445a7ee"
 
 
 # sha256 of each GOLDEN_PACK document without its arrangements: every other

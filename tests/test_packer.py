@@ -150,7 +150,7 @@ class TestAssignOracle:
         # rebuild the pipeline's schemes and assignment from its seed labels
         seed = 11
         res = pack_min_degree(h, ell, num_partitions=4, seed=seed)
-        schemes = [sample_scheme(h, ell, derive_seed(seed, f"scheme:{p.index}:{p.retries}"))
+        schemes = [sample_scheme(h, ell, derive_seed(seed, f"scheme:{p.index}:0"))
                    for p in res.per_partition]
         a = assign_edges(h, aux_graphs(h, schemes), derive_seed(seed, "assign"))
         for i, (scheme, stats) in enumerate(zip(schemes, res.per_partition)):
@@ -220,7 +220,7 @@ class TestAssignMatchesReference:
 def reference_psi_histogram(h, ell, seed, res):
     """Counts of the reference walk's psi over the pipeline's own aux graphs,
     rebuilt from its seed labels."""
-    schemes = [sample_scheme(h, ell, derive_seed(seed, f"scheme:{p.index}:{p.retries}"))
+    schemes = [sample_scheme(h, ell, derive_seed(seed, f"scheme:{p.index}:0"))
                for p in res.per_partition]
     psi, _, _, _ = assign_edges_reference(h, aux_graphs(h, schemes),
                                           derive_seed(seed, "assign"))
@@ -407,12 +407,11 @@ class TestPackNearRegular:
                 + res.unassigned == h.num_edges()
 
 
-class TestResampleLimit:
-    """A Theorem 2 scheme whose aux graph misses the min-degree mark is
-    resampled `RESAMPLE_LIMIT` times and then kept; the run still packs and
-    says so."""
+class TestMinDegreeBand:
+    """Theorem 2 keeps each scheme as drawn; one warning counts the aux
+    graphs whose min degree misses the (alpha' + eps/2)·m mark."""
 
-    def test_exhausted_limit_warns_once_and_keeps_the_last_scheme(self):
+    def test_warning_counts_the_partitions_below_the_mark(self):
         # the empty input has no aux edges at all, so every aux min degree is 0;
         # the random one has min codegree 2 = n/6, below alpha', so its mark
         # is alpha'·m = 3.6
@@ -422,20 +421,20 @@ class TestResampleLimit:
         results = []
         for g, seed in ((empty, 1), (h, 2)):
             res = pack_min_degree(g, 1, num_partitions=2, seed=seed)
-            assert res.warnings.count(
-                "resample limit exhausted for at least one partition; partial result") == 1
-            assert [s.retries for s in res.per_partition] == [packer.RESAMPLE_LIMIT] * 2
+            below = sum(s.aux_min_degree < mark for s in res.per_partition)
+            assert below == 2
+            assert res.warnings[1:] == (
+                "aux degree outside the min-degree band [(alpha' + eps/2)*m, m] = "
+                f"[3.6000, 6.0000] in {below} of 2 partitions",)
             assert all(verify_cycle(g, c) for c in res.cycles)
-            for i in range(2):
-                # each of the partition's 6 schemes misses the mark
-                labels = [f"scheme:{i}:{t}" for t in range(packer.RESAMPLE_LIMIT + 1)]
-                tries = [build_aux_graph(g, sample_scheme(g, 1, derive_seed(seed, label)))
-                         for label in labels]
-                assert max(aux.graph.min_degree() for aux in tries) < mark
+            for i, stats in enumerate(res.per_partition):
+                # the kept scheme is the first one drawn
+                aux = build_aux_graph(g, sample_scheme(g, 1, derive_seed(seed, f"scheme:{i}:0")))
+                assert (stats.retries, stats.aux_min_degree) == (0, aux.graph.min_degree())
             results.append(res)
-        # the last schemes' aux graphs, of min degrees 3 and 2, still pack 4 cycles
-        assert [s.aux_min_degree for s in results[1].per_partition] == [3, 2]
-        assert not results[0].cycles and len(results[1].cycles) == 4
+        # the first schemes' aux graphs, of min degrees 2 and 1, still pack a cycle
+        assert [s.aux_min_degree for s in results[1].per_partition] == [2, 1]
+        assert not results[0].cycles and len(results[1].cycles) == 1
 
 
 class TestBatchChecks:
