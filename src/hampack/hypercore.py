@@ -27,8 +27,8 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
-from typing import BinaryIO, Iterable
+from itertools import combinations
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -124,13 +124,6 @@ class Hypergraph:
         self._decode(rows.T)
         return rows
 
-    def columns(self) -> np.ndarray:
-        """`rows()` transposed, as a k x |E| C-ordered array: row j is the
-        contiguous column of every edge's j-th vertex."""
-        columns = np.empty((self.k, len(self.codes)), dtype=np.int64)
-        self._decode(columns)
-        return columns
-
     def _decode(self, out: np.ndarray) -> None:
         """Write every edge's j-th vertex, the j-th most significant base-n
         digit of its code, into out[j] in out's dtype.  A remainder is taken as
@@ -196,8 +189,9 @@ class DegreeReport:
 
 def _binomials(n: int, d: int) -> np.ndarray:
     """The (d + 1) x n int64 table B[j, x] = C(x, j), one row per j by the
-    hockey-stick identity C(x, j) = sum_{y < x} C(y, j - 1).  Every entry is
-    at most C(n, d) <= n^d, which fits in int64 for d <= k since n^k < 2^63."""
+    hockey-stick identity C(x, j) = sum_{y < x} C(y, j - 1), which
+    `lex_unrank` searches.  Every entry is at most C(n, d) <= n^d, which fits
+    in int64 for d <= k since n^k < 2^63."""
     table = np.zeros((d + 1, n), dtype=np.int64)
     table[0] = 1
     for j in range(1, d + 1):
@@ -224,76 +218,74 @@ def lex_unrank(ranks: np.ndarray, n: int, d: int) -> np.ndarray:
     return rows
 
 
-def subset_ranks(h: Hypergraph, d: int) -> np.ndarray:
-    """The lexicographic ranks of every edge's d-subsets, as an |E| x C(k, d)
-    int64 array: column j holds the rank of the subset at the j-th position
-    combination of combinations(range(k), d), where
-    rank(c) = C(n, d) - 1 - sum_i C(n - 1 - c_i, d - i).
-
-    Each term is a gather from the 1-D table v -> C(n - 1 - v, d - i), a
-    reversed row of `_binomials`, over one contiguous vertex column."""
-    n = h.n
-    tables = _binomials(n, d)[:, ::-1]
-    columns = h.columns()
-    positions = list(combinations(range(h.k), d))
-    ranks = np.empty((len(h.codes), len(positions)), dtype=np.int64)
-    for j, cols in enumerate(positions):
-        ranks[:, j] = math.comb(n, d) - 1 - sum(tables[d - i][columns[c]]
-                                                for i, c in enumerate(cols))
-    return ranks
+def _lex_codes(n: int, d: int, count: int) -> np.ndarray:
+    """The codes of the first `count` d-subsets of 0..n-1 in lexicographic order."""
+    return row_codes(lex_unrank(np.arange(count), n, d), n)
 
 
-def _facet_degrees(h: Hypergraph) -> np.ndarray:
-    """The degree of every (k-1)-subset, in lexicographic order: for each j,
-    one bincount of the facet codes (an edge's digits without its j-th),
-    read at the increasing (k-1)-tuples, whose C order is lexicographic."""
+def subset_codes(h: Hypergraph, d: int) -> Iterator[np.ndarray]:
+    """The codes of the edges' d-subsets, one array per position set of
+    combinations(range(k), d), in that order: the subset at positions c_1 <
+    ... < c_d of an edge is its code's digits c_1, ..., c_d read in base n.
+    The digits are decoded once, as int32 when n^k < 2^31."""
     n, k = h.n, h.k
     digits = np.empty((k, len(h.codes)), dtype=np.int32 if n ** k < 2 ** 31 else np.int64)
     h._decode(digits)
-    counts = 0
-    for j in range(k):
-        facet = 0
-        for i in chain(range(j), range(j + 1, k)):
-            facet = facet * n + digits[i]
-        counts = counts + np.bincount(facet, minlength=n ** (k - 1))
-    increasing = (np.diff(np.indices((n,) * (k - 1)), axis=0) > 0).all(axis=0)
-    return counts[increasing.ravel()]
+    for positions in combinations(range(k), d):
+        code = digits[positions[0]].copy() if d else np.zeros_like(digits[0])
+        for c in positions[1:]:
+            code *= n
+            code += digits[c]
+        yield code
+
+
+def _count_codes(columns: Iterable[np.ndarray], space: int) -> np.ndarray:
+    """How often each code in 0..space-1 occurs in `columns`: one bincount per column."""
+    return sum(np.bincount(code, minlength=space) for code in columns)
+
+
+def subset_degrees(columns: Iterable[np.ndarray], size: int, n: int,
+                   d: int) -> tuple[int, int, int, int]:
+    """(min degree, code of the first d-subset attaining it, max degree, code
+    of the first d-subset attaining it) over the C(n, d) d-subsets of 0..n-1,
+    where a subset's degree is how often its code occurs among the `size`
+    codes of `columns`.  Code order is lexicographic order.
+
+    When n^d <= size, the counts over the whole code space are no more than
+    the codes: `_count_codes` counts them, read at the codes of the subsets
+    in lexicographic order.  Otherwise `np.unique` sorts and counts the
+    distinct codes, which keeps the memory at O(size).  The first place
+    where they leave the lexicographic code sequence is the first subset of
+    degree 0, and a count 0 is put in there, so both branches end in the
+    same argmin and argmax.
+    """
+    total = math.comb(n, d)
+    if n ** d <= size:
+        counts = _count_codes(columns, n ** d)
+        codes = _lex_codes(n, d, total)
+        counts = counts[codes]
+    else:
+        codes, counts = np.unique(np.concatenate(list(columns)), return_counts=True)
+        lex = _lex_codes(n, d, min(len(codes) + 1, total))
+        gaps = np.flatnonzero(lex[:len(codes)] != codes)
+        at = int(gaps[0]) if len(gaps) else len(codes)
+        if at < total:
+            codes, counts = np.insert(codes, at, lex[at]), np.insert(counts, at, 0)
+    low, high = int(np.argmin(counts)), int(np.argmax(counts))
+    return int(counts[low]), int(codes[low]), int(counts[high]), int(codes[high])
 
 
 def degree_report(h: Hypergraph, d: int) -> DegreeReport:
     """Exact extremes over all d-subsets, with the first attaining subset in
-    lexicographic order as witness.
-
-    Every d-subset's degree is counted, and the first extremes are the argmin
-    and argmax of the counts, in two cases.  For d = k - 1 and n^(k-1) <=
-    k·|E|, the count array over the (k-1)-subset codes is no larger than the
-    list of the edges' k·|E| facets, and `_facet_degrees` counts the facets.
-    When C(n, d) <= |E|·C(k, d), the count array is no larger than the rank
-    array, and `np.bincount` counts the ranks.  Otherwise some d-subset lies
-    in no edge, so the minimum is 0; the distinct ranks are then sorted with
-    `np.unique`, which keeps the memory at O(|E|·C(k, d)), and the first
-    subset of degree 0 is the first rank missing from them.
-    """
+    lexicographic order as witness: `subset_degrees` over every edge's
+    d-subset codes, `subset_codes`."""
     if not (1 <= d <= h.k - 1):
         raise InvalidQueryError(f"d must satisfy 1 <= d <= k-1 = {h.k - 1}, got {d}")
-    n, k = h.n, h.k
-    total = math.comb(n, d)
-    facets = d == k - 1 and n ** d <= k * len(h.codes)
-    if facets or total <= len(h.codes) * math.comb(k, d):
-        counts = (_facet_degrees(h) if facets
-                  else np.bincount(subset_ranks(h, d).ravel(), minlength=total))
-        r_min, r_max = int(np.argmin(counts)), int(np.argmax(counts))
-        d_min, d_max = int(counts[r_min]), int(counts[r_max])
-    else:
-        present, counts = np.unique(subset_ranks(h, d), return_counts=True)
-        gaps = np.flatnonzero(present != np.arange(len(present)))
-        d_min, r_min = 0, int(gaps[0]) if len(gaps) else len(present)
-        if len(present):
-            i = int(np.argmax(counts))
-            d_max, r_max = int(counts[i]), int(present[i])
-        else:
-            d_max, r_max = 0, 0
-    witness_min, witness_max = map(tuple, lex_unrank([r_min, r_max], n, d).tolist())
+    n = h.n
+    d_min, c_min, d_max, c_max = subset_degrees(subset_codes(h, d),
+                                                math.comb(h.k, d) * len(h.codes), n, d)
+    witness_min, witness_max = (tuple(c // n ** i % n for i in range(d - 1, -1, -1))
+                                for c in (c_min, c_max))
     return DegreeReport(d=d, min_degree=d_min, max_degree=d_max,
                         witness_min=witness_min, witness_max=witness_max)
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import bifactor
 from .bifactor import BipartiteGraph, Factor
 from .errors import InvalidInputError
-from .hypercore import Hypergraph, degree_report, subset_ranks
+from .hypercore import Hypergraph, degree_report, subset_codes, subset_degrees
 from .reduction import build_aux_graph, sample_scheme
 from .util import bernoulli_ranks, check_nonnegative, check_probability, derive_seed
 
@@ -185,17 +185,19 @@ def _check_part_sizes(n: int, sizes: tuple[int, ...]) -> None:
 
 
 def _partition_degree_trial(h: Hypergraph, sizes: tuple[int, ...], delta: float,
-                            epsilon: float, seed: int, ranks: np.ndarray,
-                            rows: np.ndarray) -> PartitionTrial:
+                            epsilon: float, seed: int, codes: np.ndarray,
+                            left_out: np.ndarray) -> PartitionTrial:
     """One trial of `partition_degree_sweep`, on already checked `sizes` and
-    on `ranks = subset_ranks(h, k - 1)` and `rows = h.rows()`, which do not
-    depend on the seed: a uniform random partition with exact part sizes,
-    a success iff every part meets its (delta + 2*eps/3) * m_i degree
-    threshold for every (k-1)-subset.
+    on the k x |E| arrays `codes = subset_codes(h, k - 1)` and `left_out`,
+    which do not depend on the seed: a uniform random partition with exact
+    part sizes, a success iff every part meets its (delta + 2*eps/3) * m_i
+    degree threshold for every (k-1)-subset.
 
-    Column j of `ranks` leaves out the edge's vertex at position k-1-j, so
-    each (k-1)-subset's degree into a part counts the columns whose left-out
-    vertex lies in it; subsets covered by no edge get 0.
+    codes[j] leaves out the edge's vertex left_out[j], so each
+    (k-1)-subset's degree into a part is `subset_degrees` over the codes
+    whose left-out vertex lies in it; when there are fewer codes than
+    (k-1)-subsets, some subset lies in no edge and every minimum is 0.  For
+    k = 1 the one 0-subset, the empty set, has code 0 in every edge.
     """
     n, k = h.n, h.k
     rng = random.Random(seed)
@@ -203,13 +205,12 @@ def _partition_degree_trial(h: Hypergraph, sizes: tuple[int, ...], delta: float,
     rng.shuffle(perm)
     part_of = np.empty(n, dtype=np.int64)
     part_of[perm] = np.repeat(np.arange(len(sizes)), sizes)
-    total = math.comb(n, k - 1)
-    if total > ranks.size:  # some subset lies in no edge; also keeps bincount within |E|·k
+    if math.comb(n, k - 1) > codes.size:   # some subset lies in no edge
         minima = (0,) * len(sizes)
     else:
-        left_out = part_of[rows[:, ::-1]]
-        minima = tuple(int(np.bincount(ranks[left_out == i], minlength=total).min())
-                       for i in range(len(sizes)))
+        parts = part_of[left_out]
+        minima = tuple(subset_degrees([kept], len(kept), n, k - 1)[0]
+                       for kept in (codes[parts == i] for i in range(len(sizes))))
     thresholds = tuple((delta + 2.0 * epsilon / 3.0) * s for s in sizes)
     success = all(mn >= th for mn, th in zip(minima, thresholds))
     return PartitionTrial(seed=seed, minima=minima, thresholds=thresholds, success=success)
@@ -219,9 +220,10 @@ def partition_degree_sweep(h: Hypergraph, sizes: tuple[int, ...], delta: float,
                            epsilon: float, trials: int, master_seed: int) -> SweepReport:
     _check_part_sizes(h.n, sizes)
     hypothesis = _codegree_hypothesis(h, delta, epsilon)
-    ranks, rows = subset_ranks(h, h.k - 1), h.rows()
+    # position set j of combinations(range(k), k - 1) leaves out position k - 1 - j
+    codes, left_out = np.array(list(subset_codes(h, h.k - 1))), h.rows()[:, ::-1].T
     return _sweep_report(lambda seed: _partition_degree_trial(h, sizes, delta, epsilon, seed,
-                                                              ranks, rows),
+                                                              codes, left_out),
                          trials, master_seed, hypothesis)
 
 

@@ -847,7 +847,8 @@ def test_pack_golden_digests_without_arrangements(tmp_path, capsys, name, argv):
 # by test id: (gen flags, mc-partition flags, primary, sidecar).  The first two
 # are the README's `h.json` and its sweeps, recorded before the sweeps were made
 # serial and the codegree hypothesis was read off `degree_report`.  The last
-# two were recorded before partition degrees were read off `subset_ranks`; the
+# two were recorded before partition degrees were counted on lexicographic
+# subset ranks, and hold now that they are counted on subset codes; the
 # p = 0.3 input leaves some 3-subsets in no edge.
 README_H = ["--random", "--n", "24", "--k", "3", "--p", "0.9", "--seed", "1"]
 GOLDEN_MC_PARTITION = {

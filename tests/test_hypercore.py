@@ -16,10 +16,11 @@ from hampack.constructions import complete_hypergraph, parity_hypergraph, random
 from hampack.errors import HampackError, InvalidQueryError, ParseError, SizeLimitError
 from hampack.hypercore import (POSITION_TABLE_MAX_CODES, Hypergraph, _scan_hypergraph,
                                degree_report, from_json_dict, lex_unrank, read_hypergraph)
+from hampack.randomlab import partition_degree_sweep
 from hampack.util import read_json, write_json
 
 from helpers import (degree_of, degree_report_scan, locate_reference, one_uncovered_pair,
-                     relative_degree)
+                     partition_minima_reference, relative_degree)
 
 
 def test_degree_of_complete():
@@ -106,7 +107,8 @@ K7_MINUS_TWO = Hypergraph(7, 3, [e for e in combinations(range(7), 3)
     one_uncovered_pair(),
     Hypergraph(6, 3, []),
     Hypergraph(5, 3, [[0, 1, 2]]),
-    # the Fano plane: C(7, 2) = 21 = |E|·C(3, 2), the last size counted with bincount
+    # the Fano plane: every pair lies in one edge, yet 7^2 > 21 = |E|·C(3, 2),
+    # so the sorted codes, not the counts, cover every pair
     Hypergraph(7, 3, [[0, 1, 2], [0, 3, 4], [0, 5, 6], [1, 3, 5], [1, 4, 6], [2, 3, 6],
                       [2, 4, 5]]),
     *TABLE_SHAPES[:-1],
@@ -114,9 +116,10 @@ K7_MINUS_TWO = Hypergraph(7, 3, [e for e in combinations(range(7), 3)
     # pair (0, 1) witnesses both; removing {0, 1, 2} and {4, 5, 6} leaves the
     # first minimum at (0, 1) and the first maximum at (0, 3)
     K7_MINUS_TWO,
-    # each side of the facet rule n^(k-1) <= k·|E|: k = 2 and k = 3 at equality
-    # and one edge short of it, the benchmark's dense k = 3 input, k = 4 dense
-    # and sparse, k = 5, and n^k past the position table's bound
+    # each side of the dense rule n^d <= C(k, d)·|E| at d = k - 1: k = 2 and
+    # k = 3 with the dense rule at equality and one edge short of it, the
+    # benchmark's dense k = 3 input, k = 4 dense and sparse, k = 5, and n^k
+    # past the position table's bound
     Hypergraph(6, 2, [(0, 1), (2, 3), (4, 5)]),
     Hypergraph(7, 2, [(0, 1), (2, 3), (4, 5)]),
     Hypergraph(6, 3, list(combinations(range(6), 3))[:12]),
@@ -134,14 +137,16 @@ K7_MINUS_TWO = Hypergraph(7, 3, [e for e in combinations(range(7), 3)
        "past-the-table-bound"])
 def test_degree_report_equals_the_dict_scan(h, monkeypatch):
     h = Hypergraph._from_codes(h.n, h.k, h.codes)  # a copy that has not built a table
-    counted, facet_degrees = [], hypercore._facet_degrees
-    monkeypatch.setattr(hypercore, "_facet_degrees",
-                        lambda h: counted.append(h) or facet_degrees(h))
+    counted, count_codes = [], hypercore._count_codes
+    monkeypatch.setattr(hypercore, "_count_codes",
+                        lambda columns, space: counted.append(space) or count_codes(columns, space))
     for d in range(1, h.k):
         rep = degree_report(h, d)
         assert (rep.min_degree, rep.max_degree, rep.witness_min, rep.witness_max) \
             == degree_report_scan(h, d)
-    assert len(counted) == (h.n ** (h.k - 1) <= h.k * h.num_edges())
+    # the dense branch counts the n^d codes exactly when n^d <= C(k, d)·|E|
+    assert counted == [h.n ** d for d in range(1, h.k)
+                       if h.n ** d <= math.comb(h.k, d) * h.num_edges()]
     assert h._table is None  # the position table is locate's alone
 
 
@@ -575,28 +580,75 @@ def test_locate_equals_the_binary_search(h):
         assert h.locate(h.rows()[::-1]).tolist() == list(range(len(h.codes)))[::-1]
 
 
-@pytest.mark.parametrize("h, counts_facets", [
-    # n^(k-1) <= k·|E|: the n^(k-1) facet counts are no more than the k·|E| facets
+@pytest.mark.parametrize("h, dense", [
+    # n^(k-1) <= k·|E|: the n^(k-1) counts are no more than the k·|E| codes
     (complete_hypergraph(8, 3), True),  # 64 <= 168
     (K7_MINUS_TWO, True),  # 49 <= 99
     (complete_hypergraph(7, 4), False),  # 343 > 140
     (random_hypergraph(9, 3, 0.1, 1), False),  # 81 > 30
     (Hypergraph(6, 3, []), False),
 ], ids=repr)
-def test_codegree_report_reads_the_table_only_when_cheaper(h, counts_facets, monkeypatch):
-    # the codegree report reads a facet count table only when it is the cheaper
+def test_codegree_report_reads_the_table_only_when_cheaper(h, dense, monkeypatch):
+    # the codegree report reads a code count table only when it is the cheaper
     # path, and never reads or builds locate's position table
     h = Hypergraph(h.n, h.k, h.rows())  # a copy that has not built its table
-    counted, facet_degrees = [], hypercore._facet_degrees
-    monkeypatch.setattr(hypercore, "_facet_degrees",
-                        lambda h: counted.append(h) or facet_degrees(h))
+    counted, count_codes = [], hypercore._count_codes
+    monkeypatch.setattr(hypercore, "_count_codes",
+                        lambda columns, space: counted.append(space) or count_codes(columns, space))
     report = degree_report(h, h.k - 1)
-    assert len(counted) == counts_facets
+    assert counted == [h.n ** (h.k - 1)] * dense
     assert (report.min_degree, report.max_degree, report.witness_min, report.witness_max) \
         == degree_report_scan(h, h.k - 1)
     degree_report(h, 1)
-    assert len(counted) == counts_facets  # other d never count facets
+    # d = 1 takes the same rule: n counts against k·|E| codes
+    assert counted == [h.n ** (h.k - 1)] * dense + [h.n] * (h.n <= h.k * h.num_edges())
     assert h._table is None
+
+
+@st.composite
+def degree_shapes(draw):
+    """A random hypergraph with n <= 12, k <= 5 and p in [0, 1], and part
+    sizes of a partition of its vertices."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(max(k, 2), 12))
+    h = random_hypergraph(n, k, draw(st.floats(0, 1)), draw(st.integers(0, 2 ** 16)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=2)))
+    return h, tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(shape=degree_shapes(), seed=st.integers(0, 2 ** 16))
+def test_subset_degrees_equal_the_scans(shape, seed):
+    """Both counting branches, n^d <= C(k, d)·|E| and past it: every
+    `degree_report` equals the dict scan, and the partition minima equal the
+    completion walk, k = 1 included."""
+    h, sizes = shape
+    for d in range(1, h.k):
+        rep = degree_report(h, d)
+        assert (rep.min_degree, rep.max_degree, rep.witness_min, rep.witness_max) \
+            == degree_report_scan(h, d)
+    (trial,) = partition_degree_sweep(h, sizes, 0.3, 0.1, trials=1, master_seed=seed).per_trial
+    assert trial.minima == partition_minima_reference(h, sizes, trial.seed)
+
+
+def test_degree_report_peaks_below_its_digits_codes_and_counts():
+    """tracemalloc peak of the codegree report on `pack-r16-n90`'s input: the
+    counter holds the k int32 digit columns, one int32 code column and the
+    int64 copy of it that `np.bincount` counts, the n^d counts (a running sum
+    and one bincount), and the lexicographic codes with their vertex rows.
+    The decode that fills the digits holds no more: three int32 columns."""
+    h = random_hypergraph(90, 3, 0.9, 3)
+    n, k, d, size = h.n, h.k, 2, h.num_edges()
+    tracemalloc.start()
+    try:
+        degree_report(h, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    digits, code = 4 * k * size, (4 + 8) * size
+    counts, lex = 2 * 8 * n ** d, 8 * (1 + d) * math.comb(n, d)
+    assert n ** d <= math.comb(k, d) * size   # the dense branch
+    assert peak <= digits + code + counts + lex, peak
 
 
 def test_codegree_report_without_a_table(monkeypatch):
