@@ -1,20 +1,21 @@
-"""Exact Hamilton cycle enumeration (brute-force oracle) and the closed-form
-counting bounds, evaluated in natural-log space.
+"""Exact Hamilton cycle counts by a subset DP, and the closed-form counting
+bounds, evaluated in natural-log space.
 
-Exact counts are big integers from exhaustive enumeration; formula values are
-floats computed via log-gamma.  The two never mix.  The enumerator holds its
-own set of the edge tuples: at n <= 10 there are at most C(10, 5) = 252.
+Exact counts are big integers from dynamic programming over sets of used
+vertices, with vertex sets as bitmasks; formula values are floats computed
+via log-gamma.  The two never mix.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import cache
+from itertools import combinations
 from typing import Optional
 
 from .errors import InvalidInputError, SizeLimitError
 from .hypercore import Hypergraph, degree_report
-from .reduction import HamiltonCycle, canonical_above, check_shape, segment_windows
+from .reduction import check_shape
 from .util import check_probability
 
 ENUMERATION_MAX_N = 10
@@ -79,74 +80,74 @@ def expected_count(n: int, k: int, ell: int, p: float) -> float:
     return log_count + math.log(2.0) if ell == 0 and m <= 2 else log_count
 
 
-def enumerate_cycles(h: Hypergraph, ell: int) -> set[HamiltonCycle]:
-    """All Hamilton cycles with overlap ell, as canonical arrangements.
+def perfect_matchings(h: Hypergraph) -> int:
+    """The number of perfect matchings of h, by exact cover of the lowest
+    uncovered vertex, memoised on the set of covered vertices."""
+    full = (1 << h.n) - 1
+    by_low: dict[int, list[int]] = {}   # lowest vertex -> edges, as bitmasks
+    for e in h.edges:
+        mask = sum(1 << v for v in e)
+        by_low.setdefault(mask & -mask, []).append(mask)
 
-    Backtracks over vertex placements, placing at each position only vertices
-    above the one at position `canonical_above(n, k, ell)[depth]`, so that
-    each leaf is a distinct cycle, and testing each length-k segment as soon
-    as its last position is filled.  Exact but factorial: n <= 10 enforced.
+    @cache
+    def cover(used: int) -> int:
+        if used == full:
+            return 1
+        return sum(cover(used | e) for e in by_low.get(~used & (used + 1), ()) if not e & used)
+
+    return cover(0)
+
+
+def cycle_counts(h: Hypergraph, ell: int) -> tuple[int, int]:
+    """(Hamilton cycles with overlap ell, distinct edge sets among them); n <= 10.
+
+    For ell >= 1 a subset DP over (used vertices, current junction) counts the
+    closed block sequences J_0 I_0 ... J_{m-1} I_{m-1} with every J_i ∪ I_i ∪
+    J_{i+1} an edge and the least junction vertex in J_0: two per cycle, one
+    per direction.  An edge set is one cycle for m >= 3 and C(2ell, ell)/2 for
+    m = 2.  For ell = 0 a perfect matching is (m - 1)!/2 cycles, one for m <= 2.
     """
     n, k = h.n, h.k
     if n > ENUMERATION_MAX_N:
         raise SizeLimitError(
             f"n={n} > {ENUMERATION_MAX_N}: exhaustive enumeration stops at "
             f"n <= {ENUMERATION_MAX_N}; `hampack bound` evaluates the formulas at any n")
-    by_depth: list[list[list[int]]] = [[] for _ in range(n)]
-    for window in segment_windows(n, k, ell).tolist():
-        by_depth[max(window)].append(window)
-    above = canonical_above(n, k, ell)
-    edges = set(h.edges)
+    m = check_shape(n, k, ell)
+    if ell == 0:
+        matchings = perfect_matchings(h)
+        return matchings * (math.factorial(m - 1) // 2 if m >= 3 else 1), matchings
+    full, interior = (1 << n) - 1, k - 2 * ell
+    edges: set[int] = set()
+    onward: dict[int, list[tuple[int, int]]] = {}   # junction -> [(rest of edge, next junction)]
+    for e in h.edges:
+        bits = [1 << v for v in e]
+        edges.add(sum(bits))
+        for junction in map(sum, combinations(bits, ell)):
+            rest = [b for b in bits if not b & junction]
+            onward.setdefault(junction, []).extend(
+                (sum(rest), after) for after in map(sum, combinations(rest, ell)))
 
-    found: set[HamiltonCycle] = set()
-    arr = [-1] * n
-    used = [False] * n
+    @cache
+    def walk(used: int, junction: int, first: int) -> int:
+        if used.bit_count() == n - interior:   # the last interior is what is left
+            return int((junction | (full ^ used) | first) in edges)
+        # every later junction starts above the least vertex of the first
+        return sum(walk(used | rest, after, first) for rest, after in onward[junction]
+                   if not rest & used and after & -after > first & -first)
 
-    def place(depth: int) -> None:
-        if depth == n:
-            found.add(HamiltonCycle(k=k, ell=ell, arrangement=tuple(arr)))
-            return
-        q = above[depth]
-        for v in range(arr[q] + 1 if q >= 0 else 0, n):
-            if used[v]:
-                continue
-            arr[depth] = v
-            ok = True
-            for seg in by_depth[depth]:
-                if tuple(sorted([arr[p] for p in seg])) not in edges:
-                    ok = False
-                    break
-            if ok:
-                used[v] = True
-                place(depth + 1)
-                used[v] = False
-        arr[depth] = -1
-
-    place(0)
-    return found
-
-
-def edge_set_count(cycles: set[HamiltonCycle]) -> int:
-    """Distinct segment sets among cycles of one shape (can differ from the
-    arrangement count only for ell = 0), read by one getter per window; for
-    k = 1 a getter returns the vertex itself, which keeps the count."""
-    c = next(iter(cycles), None)
-    windows = segment_windows(c.n, c.k, c.ell).tolist() if c is not None else []
-    getters = [itemgetter(*window) for window in windows]
-    return len({frozenset(get(c.arrangement) for get in getters) for c in cycles})
+    cycles = sum(walk(first, first, first) for first in onward) // 2
+    return cycles, cycles if m >= 3 else cycles // (math.comb(2 * ell, ell) // 2)
 
 
 def empirical_vs_bound(h: Hypergraph, ell: int) -> CountReport:
     """Exact count against both formulas evaluated at the measured codegree density."""
-    cycles = enumerate_cycles(h, ell)
-    exact = len(cycles)
-    distinct_edge_sets = edge_set_count(cycles)
+    exact, distinct_edge_sets = cycle_counts(h, ell)
     if h.k >= 2:
         alpha = degree_report(h, h.k - 1).min_degree / h.n
     else:
         alpha = h.num_edges() / h.n
     log_bound = _log_guaranteed(h.n, h.k, ell, alpha)
-    log_exp = expected_count(h.n, h.k, ell, alpha) if alpha > 0 else float("-inf")
+    log_exp = expected_count(h.n, h.k, ell, alpha)
     hypothesis = alpha > 0.5
     if hypothesis:
         log_exact = math.log(exact) if exact > 0 else float("-inf")

@@ -307,7 +307,7 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--d", type=int, required=True)
 
-    p = add("count", cmd_count, "enumerate Hamilton cycles and compare with the formulas")
+    p = add("count", cmd_count, "count Hamilton cycles exactly and compare with the formulas")
     p.add_argument("--input", required=True)
     p.add_argument("--ell", type=int, required=True)
 

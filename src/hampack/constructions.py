@@ -10,6 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .bifactor import DENSE_MAX_ENTRIES
+from .census import perfect_matchings
 from .errors import InvalidQueryError, SizeLimitError
 from .hypercore import Hypergraph, check_dimensions, lex_unrank, row_codes
 from .util import bernoulli_ranks
@@ -76,39 +77,11 @@ def parity_hypergraph(n: int, k: int) -> ParityConstruction:
     return ParityConstruction(Hypergraph._from_codes(n, k, row_codes(rows, n)), tuple(range(a)))
 
 
-def _count_matchings_exact_cover(h: Hypergraph) -> int:
-    """Count perfect matchings of a hypergraph by exact-cover backtracking,
-    branching on the lowest uncovered vertex."""
-    by_vertex: dict[int, list[frozenset[int]]] = {v: [] for v in range(h.n)}
-    for e in h.edges:
-        fe = frozenset(e)
-        for v in e:
-            by_vertex[v].append(fe)
-
-    count = 0
-    covered: set[int] = set()
-
-    def recurse() -> None:
-        nonlocal count
-        if len(covered) == h.n:
-            count += 1
-            return
-        v = min(x for x in range(h.n) if x not in covered)
-        for fe in by_vertex[v]:
-            if covered.isdisjoint(fe):
-                covered.update(fe)
-                recurse()
-                covered.difference_update(fe)
-
-    recurse()
-    return count
-
-
 def verify_no_odd_factor(construction: ParityConstruction, r: int) -> ParityCertificate:
     """Certify that the parity construction has no r-factor for odd r.
 
-    For r = 1 and n <= 12 the certificate is cross-checked by an exhaustive
-    perfect-matching search, which must find none.
+    For r = 1 and n <= 12 the certificate is cross-checked by an exact
+    perfect-matching count, `census.perfect_matchings`, which must be 0.
     """
     if r % 2 == 0:
         raise InvalidQueryError(f"r must be odd, got {r}")
@@ -121,7 +94,7 @@ def verify_no_odd_factor(construction: ParityConstruction, r: int) -> ParityCert
     size_odd = len(a) % 2 == 1
     pm_count = None
     if r == 1 and h.n <= 12:
-        pm_count = _count_matchings_exact_cover(h)
+        pm_count = perfect_matchings(h)
     return ParityCertificate(
         r=r,
         part_a_size=len(a),

@@ -27,6 +27,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import BinaryIO, Iterable, Iterator
 
@@ -218,9 +219,13 @@ def lex_unrank(ranks: np.ndarray, n: int, d: int) -> np.ndarray:
     return rows
 
 
+@lru_cache(maxsize=4)
 def _lex_codes(n: int, d: int, count: int) -> np.ndarray:
-    """The codes of the first `count` d-subsets of 0..n-1 in lexicographic order."""
-    return row_codes(lex_unrank(np.arange(count), n, d), n)
+    """The codes of the first `count` d-subsets of 0..n-1 in lexicographic
+    order, read-only and cached: each trial of a partition sweep asks again."""
+    codes = row_codes(lex_unrank(np.arange(count), n, d), n)
+    codes.flags.writeable = False
+    return codes
 
 
 def subset_codes(h: Hypergraph, d: int) -> Iterator[np.ndarray]:

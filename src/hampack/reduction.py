@@ -261,25 +261,6 @@ def canonical_rows(rows: np.ndarray, k: int, ell: int) -> np.ndarray:
     return chunks[each, order].reshape(r, n)
 
 
-def canonical_above(n: int, k: int, ell: int) -> list[int]:
-    """`canonical_rows` as a placement rule: an arrangement is its own
-    representative exactly when each position d with above[d] >= 0 holds a
-    larger vertex than position above[d].  Blocks ascend, later starting blocks
-    start above J_0 (segment 0 for ell = 0), and the walk goes forwards: I_{m-1}
-    starts above I_0 (segment m-1 above segment 1 for ell = 0) if they differ."""
-    check_shape(n, k, ell)
-    step = k - ell
-    above = list(range(-1, n - 1))
-    for start in range(0, n, step):
-        above[start] = 0 if start else -1
-        if ell:
-            above[start + ell] = -1
-    first, last = ell or step, n - step + ell
-    if last > first:
-        above[last] = first
-    return above
-
-
 def canonicalize(cycle: HamiltonCycle) -> HamiltonCycle:
     """The one-row case of `canonical_rows`, for a checked arrangement;
     idempotent."""

@@ -16,9 +16,8 @@ from hampack.bifactor import BipartiteGraph, GaleRyserWitness
 from hampack.errors import (InvalidInputError, InvalidQueryError, InvariantViolation,
                             SizeLimitError)
 from hampack.hypercore import Hypergraph, check_dimensions, row_codes
-from hampack.census import ENUMERATION_MAX_N, enumerate_cycles
-from hampack.constructions import (ParityCertificate, ParityConstruction,
-                                   _count_matchings_exact_cover)
+from hampack.census import ENUMERATION_MAX_N
+from hampack.constructions import ParityCertificate, ParityConstruction
 from hampack.reduction import (HamiltonCycle, PartitionScheme, build_aux_graph,
                                canonical_rows, check_shape, segment_windows)
 
@@ -233,7 +232,7 @@ CANON_CHUNK = 1 << 12   # leaf arrangements canonicalized per canonical_rows cal
 
 def enumerate_cycles_reference(h: Hypergraph, ell: int) -> set[HamiltonCycle]:
     """All Hamilton cycles with overlap ell, as canonical arrangements: the
-    oracle for `enumerate_cycles`, which must return the same set.
+    oracle for `census.cycle_counts`, which must count the same cycles.
 
     Backtracks over vertex placements, testing each length-k segment as soon
     as its last position is filled; the surviving arrangements are
@@ -287,12 +286,19 @@ def enumerate_cycles_reference(h: Hypergraph, ell: int) -> set[HamiltonCycle]:
     return {HamiltonCycle(k=k, ell=ell, arrangement=row) for row in found}
 
 
+def edge_set_count_reference(cycles):
+    """The number of distinct segment sets among `cycles`, each segment and
+    each set as a frozenset: the oracle for the edge-set count of
+    `census.cycle_counts`."""
+    return len({frozenset(map(frozenset, c.segments())) for c in cycles})
+
+
 def optimal_packing(h, ell):
     """The largest number of edge-disjoint Hamilton ell-cycles of `h`: a
-    set-packing MILP over `enumerate_cycles`, one binary per cycle and one
-    <= 1 row per edge, solved exactly by `scipy.optimize.milp`."""
+    set-packing MILP over `enumerate_cycles_reference`, one binary per cycle
+    and one <= 1 row per edge, solved exactly by `scipy.optimize.milp`."""
     from scipy.optimize import Bounds, LinearConstraint, milp
-    cycles = sorted(enumerate_cycles(h, ell), key=lambda c: c.arrangement)
+    cycles = sorted(enumerate_cycles_reference(h, ell), key=lambda c: c.arrangement)
     if not cycles:
         return 0
     windows = segment_windows(h.n, h.k, ell)
@@ -357,6 +363,35 @@ def parity_hypergraph_reference(n: int, k: int) -> ParityConstruction:
     return ParityConstruction(hypergraph=Hypergraph(n, k, edges), part_a=part_a)
 
 
+def count_matchings_exact_cover(h: Hypergraph) -> int:
+    """Count perfect matchings of a hypergraph by exact-cover backtracking,
+    branching on the lowest uncovered vertex: the oracle for
+    `census.perfect_matchings`."""
+    by_vertex: dict[int, list[frozenset[int]]] = {v: [] for v in range(h.n)}
+    for e in h.edges:
+        fe = frozenset(e)
+        for v in e:
+            by_vertex[v].append(fe)
+
+    count = 0
+    covered: set[int] = set()
+
+    def recurse() -> None:
+        nonlocal count
+        if len(covered) == h.n:
+            count += 1
+            return
+        v = min(x for x in range(h.n) if x not in covered)
+        for fe in by_vertex[v]:
+            if covered.isdisjoint(fe):
+                covered.update(fe)
+                recurse()
+                covered.difference_update(fe)
+
+    recurse()
+    return count
+
+
 def verify_no_odd_factor_reference(construction: ParityConstruction,
                                    r: int) -> ParityCertificate:
     """Certify that the parity construction has no r-factor for odd r, testing
@@ -373,7 +408,7 @@ def verify_no_odd_factor_reference(construction: ParityConstruction,
     size_odd = len(a) % 2 == 1
     pm_count = None
     if r == 1 and h.n <= 12:
-        pm_count = _count_matchings_exact_cover(h)
+        pm_count = count_matchings_exact_cover(h)
     return ParityCertificate(
         r=r,
         part_a_size=len(a),
@@ -536,6 +571,26 @@ def canonicalize_all_candidates(cycle: HamiltonCycle) -> HamiltonCycle:
     best = min(tuple(v for j in range(total) for v in blocks[(start + d * j) % total])
                for start in starts for d in (1, -1))
     return HamiltonCycle(k=k, ell=ell, arrangement=best)
+
+
+def canonical_above(n: int, k: int, ell: int) -> list[int]:
+    """`canonical_rows` as a placement rule: an arrangement is its own
+    representative exactly when each position d with above[d] >= 0 holds a
+    larger vertex than position above[d].  Blocks ascend, later starting blocks
+    start above J_0 (segment 0 for ell = 0), and the walk goes forwards: I_{m-1}
+    starts above I_0 (segment m-1 above segment 1 for ell = 0) if they differ.
+    An independent statement of the canonical form, for its property test."""
+    check_shape(n, k, ell)
+    step = k - ell
+    above = list(range(-1, n - 1))
+    for start in range(0, n, step):
+        above[start] = 0 if start else -1
+        if ell:
+            above[start + ell] = -1
+    first, last = ell or step, n - step + ell
+    if last > first:
+        above[last] = first
+    return above
 
 
 def lift_reference(aux, sigma):

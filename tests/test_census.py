@@ -3,40 +3,38 @@ from itertools import combinations
 
 import pytest
 
-from hampack.census import (count_lower_bound, edge_set_count,
-                            empirical_vs_bound, enumerate_cycles,
-                            expected_count)
-from hampack.constructions import complete_hypergraph, random_hypergraph
+from hampack.census import (count_lower_bound, cycle_counts, empirical_vs_bound,
+                            expected_count, perfect_matchings)
+from hampack.constructions import complete_hypergraph, parity_hypergraph, random_hypergraph
 from hampack.errors import InvalidInputError, SizeLimitError
 from hampack.hypercore import Hypergraph
 from hampack.reduction import build_aux_graph
 
 import helpers
-from helpers import all_schemes, count_perfect_matchings, enumerate_cycles_reference
+from helpers import (all_schemes, count_matchings_exact_cover, count_perfect_matchings,
+                     edge_set_count_reference, enumerate_cycles_reference)
 
 
 class TestEnumerate:
     @pytest.mark.parametrize("n", [4, 6])
     def test_complete_matches_factorial(self, n):
-        cycles = enumerate_cycles(complete_hypergraph(n, 3), 1)
-        assert len(cycles) == math.factorial(n - 1)
+        assert cycle_counts(complete_hypergraph(n, 3), 1)[0] == math.factorial(n - 1)
 
     def test_removing_one_edge_kills_three_cycles(self):
         # each triple of K_4^(3) lies on exactly 3 of the 6 cycles
         edges = [e for e in combinations(range(4), 3) if e != (1, 2, 3)]
-        cycles = enumerate_cycles(Hypergraph(4, 3, edges), 1)
-        assert len(cycles) == 3
+        assert cycle_counts(Hypergraph(4, 3, edges), 1)[0] == 3
 
     def test_empty(self):
-        assert enumerate_cycles(Hypergraph(6, 3, []), 1) == set()
+        assert cycle_counts(Hypergraph(6, 3, []), 1) == (0, 0)
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
-            enumerate_cycles(complete_hypergraph(12, 3), 1)
+            cycle_counts(complete_hypergraph(12, 3), 1)
 
     def test_divisibility(self):
         with pytest.raises(InvalidInputError):
-            enumerate_cycles(complete_hypergraph(7, 3), 1)
+            cycle_counts(complete_hypergraph(7, 3), 1)
 
     def test_chunk_size_does_not_change_the_set(self, monkeypatch):
         h = random_hypergraph(8, 3, 0.8, 1)
@@ -56,26 +54,42 @@ class TestEnumerate:
     ])
     def test_matches_the_all_arrangements_reference(self, n, k, ell, p):
         h = random_hypergraph(n, k, p, 7)
-        assert enumerate_cycles(h, ell) == enumerate_cycles_reference(h, ell)
+        cycles = enumerate_cycles_reference(h, ell)
+        assert cycle_counts(h, ell) == (len(cycles), edge_set_count_reference(cycles))
+
+    @pytest.mark.parametrize("n,k,p,cycles,edge_sets", [
+        # any two 5-subsets of a 6-set share 4 vertices, which split into
+        # {J_0, J_1} in C(4, 2)/2 = 3 ways: 15 pairs, 45 cycles
+        (6, 5, 1.0, 45, 15),
+        (8, 6, 0.7, 354, 118),
+    ])
+    def test_m2_edge_sets_hold_three_cycles_each_at_ell_2(self, n, k, p, cycles, edge_sets):
+        h = random_hypergraph(n, k, p, 3)
+        reference = enumerate_cycles_reference(h, 2)
+        assert (len(reference), edge_set_count_reference(reference)) == (cycles, edge_sets)
+        assert cycle_counts(h, 2) == (cycles, edge_sets)
+        assert empirical_vs_bound(h, 2).edge_set_count == edge_sets
 
     def test_every_cycle_is_canonical_and_valid(self):
         from hampack.reduction import canonicalize, verify_cycle
         h = random_hypergraph(6, 3, 0.8, 4)
-        for c in enumerate_cycles(h, 1):
+        for c in enumerate_cycles_reference(h, 1):
             assert canonicalize(c) == c
             assert verify_cycle(h, c)
 
     def test_ell0_matchings_of_k6(self):
-        cycles = enumerate_cycles(complete_hypergraph(6, 3), 0)
         # C(6,3)/2 = 10 perfect matchings; m = 2, so arrangements == edge sets
-        assert len(cycles) == 10
-        assert edge_set_count(cycles) == 10
+        assert cycle_counts(complete_hypergraph(6, 3), 0) == (10, 10)
 
     def test_ell0_graph_case_m4(self):
         # k = 2: perfect matchings of K_8; 105 edge sets, 3 arrangements each
-        cycles = enumerate_cycles(complete_hypergraph(8, 2), 0)
-        assert len(cycles) == 315
-        assert edge_set_count(cycles) == 105
+        assert cycle_counts(complete_hypergraph(8, 2), 0) == (315, 105)
+
+
+@pytest.mark.parametrize("n,k", [(6, 3), (8, 2), (8, 4), (9, 3), (10, 5), (12, 3), (12, 4)])
+def test_perfect_matchings_equal_the_exact_cover_search(n, k):
+    for h in (random_hypergraph(n, k, 0.7, n + k), parity_hypergraph(n, k).hypergraph):
+        assert perfect_matchings(h) == count_matchings_exact_cover(h)
 
 
 class TestFormulas:
@@ -98,12 +112,12 @@ class TestFormulas:
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_enumeration_equals_formula_on_complete(self, n):
-        exact = len(enumerate_cycles(complete_hypergraph(n, 3), 1))
+        exact = cycle_counts(complete_hypergraph(n, 3), 1)[0]
         assert exact == pytest.approx(math.exp(expected_count(n, 3, 1, 1.0)))
 
     def test_ell0_formula_matches_when_m_at_least_3(self):
         # m = 4 >= 3: the symmetry factor 2m is exact
-        exact = len(enumerate_cycles(complete_hypergraph(8, 2), 0))
+        exact = cycle_counts(complete_hypergraph(8, 2), 0)[0]
         assert exact == pytest.approx(math.exp(expected_count(8, 2, 0, 1.0)))
 
 
@@ -119,7 +133,7 @@ class TestSummationIdentity:
                   random_hypergraph(4, 3, 0.7, 5)]:
             total = sum(count_perfect_matchings(build_aux_graph(h, s).graph)
                         for s in schemes)
-            assert total == 4 * len(enumerate_cycles(h, 1))
+            assert total == 4 * cycle_counts(h, 1)[0]
 
 
 class TestReport:
@@ -149,4 +163,4 @@ def test_monotone_under_edge_addition():
         if not missing:
             continue
         bigger = Hypergraph(6, 3, list(h.edges) + [missing[0]])
-        assert len(enumerate_cycles(bigger, 1)) >= len(enumerate_cycles(h, 1))
+        assert cycle_counts(bigger, 1)[0] >= cycle_counts(h, 1)[0]

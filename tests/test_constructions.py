@@ -194,6 +194,6 @@ def test_parity_clash_arithmetic_all_small_n():
 
 
 def test_exact_cover_search_finds_matchings_when_they_exist():
-    from hampack.constructions import _count_matchings_exact_cover
-    assert _count_matchings_exact_cover(complete_hypergraph(6, 3)) == 10
-    assert _count_matchings_exact_cover(complete_hypergraph(4, 2)) == 3
+    from hampack.census import perfect_matchings
+    assert perfect_matchings(complete_hypergraph(6, 3)) == 10
+    assert perfect_matchings(complete_hypergraph(4, 2)) == 3

@@ -222,6 +222,17 @@ class TestPartitionDegrees:
         assert report.hypothesis_met
         assert report.successes >= 48
 
+    def test_sweep_builds_the_lexicographic_codes_once(self):
+        # the hypothesis's codegree report and 2 parts x 20 trials, all on the
+        # dense branch: 41 calls for one (n, d, count)
+        from hampack.hypercore import _lex_codes
+        _lex_codes.cache_clear()
+        h = random_hypergraph(24, 3, 0.9, 1)
+        partition_degree_sweep(h, (12, 12), 0.4, 0.1, trials=20, master_seed=1)
+        info = _lex_codes.cache_info()
+        assert (info.misses, info.hits) == (1, 40)
+        assert not _lex_codes(24, 2, math.comb(24, 2)).flags.writeable
+
     def test_empty_hypergraph_minima_are_zero(self):
         h = Hypergraph(8, 3, [])
         (trial,) = partition_degree_sweep(h, (4, 4), delta=0.1, epsilon=0.05, trials=1,
