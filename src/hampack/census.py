@@ -110,7 +110,7 @@ def cycle_counts(h: Hypergraph, ell: int) -> tuple[int, int]:
     n, k = h.n, h.k
     if n > ENUMERATION_MAX_N:
         raise SizeLimitError(
-            f"n={n} > {ENUMERATION_MAX_N}: exhaustive enumeration stops at "
+            f"n={n} > {ENUMERATION_MAX_N}: the exact count's subset DP is capped at "
             f"n <= {ENUMERATION_MAX_N}; `hampack bound` evaluates the formulas at any n")
     m = check_shape(n, k, ell)
     if ell == 0:

@@ -1,29 +1,28 @@
 """Randomized edge-disjoint Hamilton cycle packing.
 
-Both pipelines run one loop, `_pack`: sample partition schemes, let every
-hypergraph edge that fits some scheme pick one uniformly at random (making the
-per-scheme sub-hypergraphs edge-disjoint by construction; `assign_edges` makes
-one numpy draw per candidate, seeded by the label "assign"), then extract a
-maximum regular subgraph of each scheme's auxiliary graph restricted to its
-assigned edges, peel it into perfect matchings, and lift each matching to a
-cycle.  The cycles stay one r x n integer table from `lift_canonical` on:
-`PackingResult.arrangements` holds it, and `PackingResult.cycles` builds
-`HamiltonCycle` values from it only when a caller asks.  An edge fits a
-scheme exactly when it is realized by an edge of that scheme's auxiliary
-graph, so the candidates are read off the aux graphs.
+Both pipelines run one loop, `_pack`: sample partition schemes and build
+their aux graphs in one `build_aux_graphs` call; let every hypergraph edge
+that fits some scheme (is realized by an edge of its aux graph) pick one
+uniformly at random, which makes the per-scheme edge sets disjoint
+(`assign_edges`, one numpy draw per candidate, seeded by the label
+"assign"); then extract a maximum regular subgraph of each aux graph
+restricted to its assigned edges, peel it into perfect matchings, and lift
+every partition's matchings in one `lift_partitions` call.  The cycles stay
+one r x n integer table from there on: `PackingResult.arrangements` holds
+it, and `PackingResult.cycles` builds `HamiltonCycle` values from it only
+when a caller asks.
 Both keep their schemes as drawn (the paper's aux-degree conditions hold only
 with high probability) and count the aux graphs with a degree outside a band
-in one warning.  Each pipeline sets only what differs: `pack_min_degree` needs
-only a codegree lower bound, above `ALPHA_PRIME`, and its band is a
-min-degree mark up to m; `pack_near_regular` needs nearly uniform codegrees,
-its band is two-sided, and it reports coverage against an uncovered-edge
-budget.
+in one warning.  `pack_min_degree` needs only a codegree lower bound, above
+`ALPHA_PRIME`, and its band is a min-degree mark up to m; `pack_near_regular`
+needs nearly uniform codegrees, its band is two-sided, and it reports
+coverage against an uncovered-edge budget.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NoReturn, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,9 +30,10 @@ from . import bifactor
 from .bifactor import BipartiteGraph
 from .errors import InvalidInputError, InvariantViolation
 from .hypercore import Hypergraph, degree_report
-from .reduction import (AuxGraph, HamiltonCycle, build_aux_graph, canonicalize, check_shape,
-                        lift_canonical, lift_matching, sample_scheme, segment_windows,
-                        verify_cycle)
+# build_aux_graph stays bound for the benchmark's layer trace, which wraps it here
+from .reduction import (AuxGraph, HamiltonCycle, build_aux_graph, build_aux_graphs,  # noqa: F401
+                        canonicalize, check_shape, lift_matching, lift_partitions,
+                        sample_scheme, segment_windows, verify_cycle)
 from .util import check_nonnegative, check_probability, derive_seed
 
 ALPHA_PRIME = 0.6  # min-degree pipeline: the hypothesis' alpha', between 1/2 and alpha
@@ -92,7 +92,7 @@ class Assignment:
 
     def assigned_counts(self, num_schemes: int) -> list[int]:
         """Number of edges that picked each of the `num_schemes` schemes."""
-        return np.bincount(self.choice[self.choice >= 0], minlength=num_schemes).tolist()
+        return np.bincount(self.choice + 1, minlength=num_schemes + 1)[1:].tolist()
 
 
 def assign_edges(h: Hypergraph, auxes: Sequence[AuxGraph], seed: int) -> Assignment:
@@ -133,66 +133,46 @@ def default_num_partitions(h: Hypergraph, ell: int) -> int:
     return _clamp_partitions(h, ell, num_edges * ((k - ell) * math.log(n) / n) ** 2)
 
 
-def _explain_rejected(h: Hypergraph, aux: AuxGraph, matching: np.ndarray) -> NoReturn:
-    """Name the failure of a rejected row through the per-cycle reference path."""
-    check = verify_cycle(h, canonicalize(lift_matching(aux, dict(enumerate(matching.tolist())))))
-    if check:
-        raise InvariantViolation("reduction.lift_canonical rejected a cycle verify_cycle accepts")
-    raise InvariantViolation(f"lifted cycle failed verification: {check.failure}")
-
-
 def _extract_cycles(h: Hypergraph, auxes: Sequence[AuxGraph], subs: Sequence[BipartiteGraph],
                     windows: np.ndarray) -> tuple[list[int], list[int], np.ndarray, np.ndarray]:
-    """Partition i's cycles are the lifts of the perfect matchings peeled from
-    the maximum factor of `subs[i]`, a subgraph of `auxes[i].graph`.
-
-    Every partition's factor search and peel run together (`max_factors`,
-    then `peel_factors`, which leaves out the host check `max_factors` has
-    already made on each witness); each partition's matchings are lifted
-    and canonicalized in one `lift_canonical` call, and all cycles are
-    verified together: one permutation check and one `locate` of every
-    segment.  A rejected cycle is re-derived through the per-cycle path with
-    its own partition's aux graph.
-    Returns the factor sizes, the cycle counts, the cycle rows and the
-    located segment positions (one row of len(windows) per cycle).
-    """
+    """Partition i's cycles lift the perfect matchings peeled from the maximum
+    factor of `subs[i]` ⊆ `auxes[i].graph`: one `max_factors`, one
+    `peel_factors` (no second host check of the witnesses), one
+    `lift_partitions`, one permutation check and one `locate` of all segments.
+    The first rejected row is re-derived through the per-cycle path with its
+    own partition's aux graph, which names the failure.  Returns the factor
+    sizes, cycle counts, cycle rows and segment positions (m per cycle)."""
     factors = bifactor.max_factors(subs)
     peeled = bifactor.peel_factors(factors)
-    blocks, kept = [np.empty((0, h.n), dtype=np.int64)], []
-    for aux, matchings in zip(auxes, peeled):
-        rows = lift_canonical(aux, matchings)
-        if aux.scheme.m == 2:
-            # reflected matchings lift to one cycle; for m >= 3 distinct
-            # matchings lift to distinct cycles, and the shared-edge check
-            # in `_pack` would still catch a repeated one
-            keep = np.sort(np.unique(rows, axis=0, return_index=True)[1])
-            rows, matchings = rows[keep], matchings[keep]
-        blocks.append(rows)
-        kept.append(matchings)
-    rows = np.concatenate(blocks)
+    part = np.repeat(np.arange(len(peeled)), [len(rows) for rows in peeled])
+    matchings = np.concatenate([np.empty((0, len(windows)), dtype=np.int64), *peeled])
+    rows = lift_partitions(auxes, peeled) if auxes else np.empty((0, h.n), dtype=np.int64)
+    if len(windows) == 2:
+        # a matching and its reflection lift to one cycle; for m >= 3 distinct
+        # matchings lift to distinct cycles (the shared-edge check backs this)
+        keep = np.sort(np.unique(np.column_stack((part, rows)), axis=0, return_index=True)[1])
+        part, matchings, rows = part[keep], matchings[keep], rows[keep]
     pos = h.locate(rows[:, windows]).reshape(len(rows), len(windows))
     bad = (np.sort(rows, axis=1) != np.arange(h.n)).any(axis=1) | (pos < 0).any(axis=1)
-    counts = [len(matchings) for matchings in kept]
     if bad.any():
-        first = np.cumsum([0] + counts)
         j = int(np.argmax(bad))
-        i = int(np.searchsorted(first, j, side="right")) - 1
-        _explain_rejected(h, auxes[i], kept[i][j - first[i]])
-    return [f.r for f in factors], counts, rows, pos
+        check = verify_cycle(h, canonicalize(lift_matching(
+            auxes[part[j]], dict(enumerate(matchings[j].tolist())))))
+        raise InvariantViolation(
+            "reduction.lift_canonical rejected a cycle verify_cycle accepts" if check
+            else f"lifted cycle failed verification: {check.failure}")
+    return [f.r for f in factors], np.bincount(part, minlength=len(auxes)).tolist(), rows, pos
 
 
 def _pack(h: Hypergraph, ell: int, count: int, seed: int, warnings: list[str],
           band: tuple[str, float, float], uncovered_budget: Optional[float] = None
           ) -> PackingResult:
-    """The shared packing loop: draw `count` >= 0 schemes, assign the edges,
-    and extract the cycles of every partition from the aux edges whose
-    hyperedge chose it (`_extract_cycles`).  `band` is (name, lo, hi); one
-    warning counts the aux graphs with a degree outside [lo, hi].
-    Edge-disjointness (over all located segments at once) and edge
-    conservation are re-verified."""
+    """The shared packing loop over `count` >= 0 schemes.  `band` is (name,
+    lo, hi); one warning counts the aux graphs with a degree outside [lo, hi].
+    Edge-disjointness and edge conservation are re-verified."""
     check_nonnegative(count, "number of partitions")
-    auxes = [build_aux_graph(h, sample_scheme(h, ell, derive_seed(seed, f"scheme:{i}:0")))
-             for i in range(count)]
+    auxes = build_aux_graphs(h, [sample_scheme(h, ell, derive_seed(seed, f"scheme:{i}:0"))
+                                 for i in range(count)])
     name, lo, hi = band
     outside = sum(not lo <= aux.graph.min_degree() <= aux.graph.max_degree() <= hi
                   for aux in auxes)
@@ -241,17 +221,12 @@ def _check_packable(h: Hypergraph, ell: int) -> int:
 
 def pack_min_degree(h: Hypergraph, ell: int, *, num_partitions: Optional[int] = None,
                     seed: int = 0) -> PackingResult:
-    """Packing pipeline under a codegree lower-bound hypothesis.
-
-    The hypothesis is alpha > `ALPHA_PRIME` > 1/2 for the measured min
-    codegree density alpha; with eps = max(alpha - ALPHA_PRIME, 0), the
-    paper's auxiliary graphs reach the min degree (ALPHA_PRIME + eps/2)·m
-    only with high probability, so schemes are kept as drawn and one warning
-    counts those below it.  The partition count defaults to
-    `default_num_partitions`.  The factor extracted per partition is the
-    flow-certified maximum.  Invariants (cycle validity, pairwise
-    edge-disjointness, edge conservation) are re-verified on the assembled
-    result.  k must be at least 2.
+    """Packing pipeline under a codegree lower-bound hypothesis: alpha >
+    `ALPHA_PRIME` > 1/2 for the measured min codegree density alpha.  With
+    eps = max(alpha - ALPHA_PRIME, 0) the aux graphs reach the min degree
+    (ALPHA_PRIME + eps/2)·m only with high probability; one warning counts
+    those below it.  The partition count defaults to `default_num_partitions`;
+    each partition takes the flow-certified maximum factor.  k >= 2.
     """
     m = _check_packable(h, ell)
     warnings: list[str] = []
@@ -269,17 +244,14 @@ def pack_min_degree(h: Hypergraph, ell: int, *, num_partitions: Optional[int] = 
 def pack_near_regular(h: Hypergraph, ell: int, *, delta_target: float, epsilon: float,
                       seed: int, num_partitions: Optional[int] = None) -> PackingResult:
     """Packing pipeline under a two-sided codegree hypothesis, aimed at
-    covering all but a delta_target fraction of the possible edges.
-
-    Requires max codegree - min codegree <= 2*epsilon*n, tested as the
-    integer spread / 2n <= epsilon: one correctly rounded division, so
-    epsilon = spread / 2n itself passes.  Schemes are kept as drawn (the
-    paper's auxiliary graphs are near-regular only with high probability);
-    one warning counts those with a degree outside (alpha ± 2*epsilon)·m.
-    The partition count follows |E|·((k-ell)/n)^2 / q with
-    q = (alpha-epsilon)·m^2/|E| (clamped to the desk-scale range,
-    overridable); each partition takes the flow-certified maximum factor.
-    epsilon must be >= 0, delta_target in [0, 1] and k at least 2.
+    covering all but a delta_target fraction of the possible edges.  Requires
+    max - min codegree <= 2*epsilon*n, tested as the integer spread / 2n <=
+    epsilon (one correctly rounded division, so epsilon = spread / 2n
+    passes).  One warning counts the aux graphs with a degree outside
+    (alpha ± 2*epsilon)·m.  The partition count follows |E|·((k-ell)/n)^2 / q
+    with q = (alpha-epsilon)·m^2/|E|, clamped, unless given; each partition
+    takes the flow-certified maximum factor.  epsilon >= 0, delta_target in
+    [0, 1], k >= 2.
     """
     check_nonnegative(epsilon, "epsilon")
     check_probability(delta_target, "delta_target")

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from itertools import chain
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +22,8 @@ from .bifactor import BipartiteGraph
 from .errors import InvalidInputError, ParseError
 from .hypercore import Hypergraph
 from .util import read_json
+
+AUX_BATCH_ROWS = 1 << 13  # junction-pair/block unions per `locate` in `build_aux_graphs`
 
 
 def check_shape(n: int, k: int, ell: int) -> int:
@@ -70,11 +73,9 @@ class PartitionScheme:
 
 @dataclass(frozen=True, eq=False)
 class AuxGraph:
-    """The bipartite reduction graph for one partition scheme.
-
-    `edge_pos[j]` is the position in `h.codes` of the hyperedge that the
-    aux edge `graph.codes[j]` realizes.
-    """
+    """The bipartite reduction graph for one partition scheme; `edge_pos[j]`
+    is the position in `h.codes` of the hyperedge that aux edge
+    `graph.codes[j]` realizes."""
     scheme: PartitionScheme
     graph: BipartiteGraph
     edge_pos: np.ndarray
@@ -116,33 +117,6 @@ class CycleCheck:
         return self.ok
 
 
-def _check_matchings(aux: AuxGraph, matchings: np.ndarray) -> None:
-    """Every row of the r x m array must be a perfect matching of the aux
-    graph: an integer permutation of 0..m-1 whose pairs (s, row[s]) are aux edges."""
-    m = aux.scheme.m
-    if not (matchings.ndim == 2 and matchings.shape[1] == m and matchings.dtype.kind == "i"
-            and (np.sort(matchings, axis=1) == np.arange(m)).all()
-            and np.isin(np.arange(m) * m + matchings, aux.graph.codes).all()):
-        raise InvalidInputError("a row is not a perfect matching of the aux graph")
-
-
-def _lift_rows(aux: AuxGraph, matchings: np.ndarray) -> np.ndarray:
-    """The r x n arrangements that the rows of a checked r x m matching array
-    lift to.  For ell >= 1 row j interleaves the tuple sequence with the
-    matched blocks, sorted F_0, sorted B_{sigma(0)}, F_1, B_{sigma(1)}, ...;
-    every segment is then a hypergraph edge by the aux-graph edge condition.
-    For ell = 0 chunk i is the sorted union of F_i and B_{sigma(i)}."""
-    scheme = aux.scheme
-    m, r = scheme.m, len(matchings)
-    tuples = np.sort(np.array(scheme.tuples_a, dtype=np.int64).reshape(m, -1), axis=1)
-    blocks = np.sort(np.array(scheme.blocks_b, dtype=np.int64).reshape(m, -1), axis=1)
-    chunks = np.concatenate((np.broadcast_to(tuples, (r,) + tuples.shape), blocks[matchings]),
-                            axis=2)
-    if scheme.ell == 0:
-        chunks = np.sort(chunks, axis=2)
-    return chunks.reshape(r, scheme.n)
-
-
 def sample_scheme(h: Hypergraph, ell: int, seed: int) -> PartitionScheme:
     """Uniform random scheme: random A, random enumeration of A cut into
     consecutive ell-tuples, random enumeration of B cut into consecutive
@@ -163,25 +137,77 @@ def sample_scheme(h: Hypergraph, ell: int, seed: int) -> PartitionScheme:
     return PartitionScheme(k=k, ell=ell, tuples_a=tuples_a, blocks_b=tuple(sorted(blocks)))
 
 
-def build_aux_graph(h: Hypergraph, scheme: PartitionScheme) -> AuxGraph:
-    """Exact membership test of every junction-pair/block union against E(H).
+def _scheme_arrays(schemes: Sequence[PartitionScheme]) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """k, ell, and the g x m x |tuple| tuple and g x m x |block| block arrays,
+    each tuple and block sorted, of g >= 1 schemes that share n, k and ell."""
+    if len({(s.n, s.k, s.ell) for s in schemes}) != 1:
+        raise InvalidInputError("the schemes of one batch must share n, k and ell")
+    k, ell, m = schemes[0].k, schemes[0].ell, schemes[0].m
+    parts = ([s.tuples_a for s in schemes], [s.blocks_b for s in schemes])
+    return k, ell, *(np.sort(np.fromiter(chain.from_iterable(chain.from_iterable(part)),
+                                         dtype=np.int64).reshape(len(schemes), m, size), axis=2)
+                     for part, size in zip(parts, _part_sizes(k, ell)))
 
-    The S side stands for F_i ∪ F_{i+1} (ell >= 1) or the tuple F_i (ell = 0);
-    the union of S vertex s and block t is row s·m + t of one m² x k array,
-    so the rows found in E(H) are, in order, the aux graph's edge codes.
-    """
-    if scheme.n != h.n or scheme.k != h.k:
+
+def build_aux_graphs(h: Hypergraph, schemes: Sequence[PartitionScheme]) -> list[AuxGraph]:
+    """Exact membership test of every junction-pair/block union against E(H)
+    for schemes that share ell.  S vertex s stands for F_s ∪ F_{s+1} (ell >=
+    1) or the tuple F_s (ell = 0); its union with block t is row s·m + t of
+    the scheme's m² x k slab, so the rows found in E(H) are, in order, the
+    aux edge codes.  The slabs of up to AUX_BATCH_ROWS // m² schemes go to
+    one `locate`, which bounds the memory a batch holds."""
+    if not schemes:
+        return []
+    k, ell, left, right = _scheme_arrays(schemes)
+    if schemes[0].n != h.n or k != h.k:
         raise InvalidInputError("scheme does not match the hypergraph's n and k")
-    m = scheme.m
-    left = np.array(scheme.tuples_a, dtype=np.int64).reshape(m, -1)
-    if scheme.ell >= 1:
-        left = np.hstack([left, np.roll(left, -1, axis=0)])
-    right = np.array(scheme.blocks_b, dtype=np.int64).reshape(m, -1)
-    pos = h.locate(np.hstack([np.repeat(left, m, axis=0), np.tile(right, (m, 1))]))
-    realized = pos >= 0
-    return AuxGraph(scheme=scheme,
-                    graph=BipartiteGraph._from_codes(m, np.flatnonzero(realized)),
-                    edge_pos=pos[realized])
+    if ell >= 1:
+        left = np.concatenate((left, np.roll(left, -1, axis=1)), axis=2)
+    g, m, auxes = len(schemes), schemes[0].m, []
+    step = max(1, AUX_BATCH_ROWS // (m * m))
+    for lo in range(0, g, step):
+        pos = h.locate(np.concatenate(
+            [np.broadcast_to(part, (min(step, g - lo), m, m, part.shape[-1]))
+             for part in (left[lo:lo + step, :, None], right[lo:lo + step, None])], axis=3))
+        for scheme, row in zip(schemes[lo:lo + step], pos.reshape(-1, m * m)):
+            realized = row >= 0
+            auxes.append(AuxGraph(scheme=scheme,
+                                  graph=BipartiteGraph._from_codes(m, np.flatnonzero(realized)),
+                                  edge_pos=row[realized]))
+    return auxes
+
+
+def build_aux_graph(h: Hypergraph, scheme: PartitionScheme) -> AuxGraph:
+    """The one-scheme case of `build_aux_graphs`."""
+    return build_aux_graphs(h, [scheme])[0]
+
+
+def _lift_rows(auxes: Sequence[AuxGraph], matchings: Sequence[np.ndarray]) -> np.ndarray:
+    """The lifts of the rows of each partition's r_i x m matching array,
+    stacked in partition order (`auxes` not empty).  A row must be a perfect
+    matching of its partition's aux graph: a permutation of 0..m-1 whose pairs
+    (s, row[s]) are aux edges, checked on pair codes j·m² + s·m + row[s] of
+    partition j.  For ell >= 1 it lifts to F_0, B_{sigma(0)}, F_1, ..., each
+    sorted, whose segments are edges by the aux edge condition; for ell = 0
+    chunk i is the sorted union of F_i and B_{sigma(i)}."""
+    n, m = auxes[0].scheme.n, auxes[0].scheme.m
+    if not all(rows.ndim == 2 and rows.shape[1] == m and rows.dtype.kind == "i"
+               for rows in matchings):
+        raise InvalidInputError("a row is not a perfect matching of the aux graph")
+    used = [(aux, rows) for aux, rows in zip(auxes, matchings) if len(rows)]
+    if not used:
+        return np.empty((0, n), dtype=np.int64)
+    part = np.repeat(np.arange(len(used)), [len(rows) for _, rows in used])
+    flat = np.concatenate([rows for _, rows in used])
+    codes = np.concatenate([j * m * m + aux.graph.codes for j, (aux, _) in enumerate(used)])
+    if not ((np.sort(flat, axis=1) == np.arange(m)).all()
+            and np.isin(part[:, None] * m * m + np.arange(m) * m + flat, codes).all()):
+        raise InvalidInputError("a row is not a perfect matching of the aux graph")
+    _, ell, tuples, blocks = _scheme_arrays([aux.scheme for aux, _ in used])
+    chunks = np.concatenate((tuples[part], blocks[part[:, None], flat]), axis=2)
+    if ell == 0:
+        chunks = np.sort(chunks, axis=2)
+    return chunks.reshape(len(flat), n)
 
 
 def lift_matching(aux: AuxGraph, matching: Mapping[int, int]) -> HamiltonCycle:
@@ -190,10 +216,8 @@ def lift_matching(aux: AuxGraph, matching: Mapping[int, int]) -> HamiltonCycle:
     # a missing s reads -1, a wrong size gives a wrong width and a non-integer
     # value a non-integer dtype: each fails the check
     row = np.array([[matching.get(s, -1) for s in range(len(matching))]])
-    _check_matchings(aux, row)
-    scheme = aux.scheme
-    return HamiltonCycle(k=scheme.k, ell=scheme.ell,
-                         arrangement=tuple(_lift_rows(aux, row)[0].tolist()))
+    return HamiltonCycle(k=aux.scheme.k, ell=aux.scheme.ell,
+                         arrangement=tuple(_lift_rows([aux], [row])[0].tolist()))
 
 
 def verify_cycle(h: Hypergraph, cycle: HamiltonCycle) -> CycleCheck:
@@ -272,12 +296,15 @@ def canonicalize(cycle: HamiltonCycle) -> HamiltonCycle:
     return HamiltonCycle(k=k, ell=ell, arrangement=tuple(row.tolist()))
 
 
+def lift_partitions(auxes: Sequence[AuxGraph], matchings: Sequence[np.ndarray]) -> np.ndarray:
+    """Row j of the result is `canonicalize(lift_matching(aux, row))` for the
+    j-th row of the stacked per-partition r_i x m matching arrays."""
+    return canonical_rows(_lift_rows(auxes, matchings), auxes[0].scheme.k, auxes[0].scheme.ell)
+
+
 def lift_canonical(aux: AuxGraph, matchings: np.ndarray) -> np.ndarray:
-    """Row j of the r x n result is the arrangement of
-    `canonicalize(lift_matching(aux, dict(enumerate(matchings[j]))))`, for
-    perfect matchings given as the rows of an r x m array."""
-    _check_matchings(aux, matchings)
-    return canonical_rows(_lift_rows(aux, matchings), aux.scheme.k, aux.scheme.ell)
+    """The one-partition case of `lift_partitions`."""
+    return lift_partitions([aux], [matchings])
 
 
 def cycle_to_json_dict(cycle: HamiltonCycle) -> dict:

@@ -176,6 +176,20 @@ def aux_graphs(h, schemes):
     return [build_aux_graph(h, s) for s in schemes]
 
 
+def aux_codes_reference(h, scheme):
+    """(edge codes, edge positions) of one scheme's aux graph from one
+    `locate` of that scheme's own m² x k rows: the per-scheme build that
+    `build_aux_graphs` batches."""
+    m = scheme.m
+    left = np.array(scheme.tuples_a, dtype=np.int64).reshape(m, -1)
+    if scheme.ell >= 1:
+        left = np.hstack([left, np.roll(left, -1, axis=0)])
+    right = np.array(scheme.blocks_b, dtype=np.int64).reshape(m, -1)
+    pos = h.locate(np.hstack([np.repeat(left, m, axis=0), np.tile(right, (m, 1))]))
+    realized = pos >= 0
+    return np.flatnonzero(realized), pos[realized]
+
+
 def scheme_labels(scheme):
     """S-side labels from the scheme definition: junctions F_i ∪ F_{i+1} for
     ell >= 1, the tuples themselves for ell = 0."""

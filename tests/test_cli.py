@@ -506,7 +506,7 @@ def test_count_size_limit_exit_1(tmp_path, capsys):
     write_json(hypercore.to_json_dict(complete_hypergraph(12, 3)), hpath)
     code, _, err = run(capsys, "count", "--input", hpath, "--ell", "1")
     assert code == 1 and "n=12" in err
-    assert "exhaustive enumeration stops at n <= 10" in err
+    assert "the exact count's subset DP is capped at n <= 10" in err
     assert "`hampack bound` evaluates the formulas at any n" in err
 
 

@@ -13,7 +13,7 @@ from hampack.errors import InvalidInputError, InvariantViolation
 from hampack.hypercore import Hypergraph, degree_report
 from hampack.packer import (assign_edges, default_num_partitions, pack_min_degree,
                             pack_near_regular)
-from hampack.reduction import build_aux_graph, sample_scheme, verify_cycle
+from hampack.reduction import build_aux_graph, build_aux_graphs, sample_scheme, verify_cycle
 from hampack.util import derive_seed
 
 from helpers import (assign_edges_reference, aux_graphs, candidate_partitions,
@@ -438,20 +438,24 @@ class TestMinDegreeBand:
 
 
 class TestBatchChecks:
-    """`_pack` lifts, canonicalizes and verifies each factor's cycles in one
+    """`_pack` builds every partition's aux graph in one `build_aux_graphs`
+    call, lifts, canonicalizes and verifies every partition's cycles in one
     batch; a rejected cycle is re-derived through the per-cycle reference
-    path, which names the failure."""
+    path with its own partition's aux graph, which names the failure."""
 
     def test_lifted_segment_not_an_edge(self, monkeypatch):
-        def padded_aux(h, scheme):
+        def padded_auxes(h, schemes):
             # claim every (s, t) as an aux edge; the unrealized ones stand in
             # for the first realized hyperedge
-            aux = build_aux_graph(h, scheme)
-            edge_pos = np.full(scheme.m ** 2, aux.edge_pos[0])
-            edge_pos[aux.graph.codes] = aux.edge_pos
-            return dataclasses.replace(aux, graph=complete_bipartite(scheme.m),
-                                       edge_pos=edge_pos)
-        monkeypatch.setattr(packer, "build_aux_graph", padded_aux)
+            auxes = []
+            for aux in build_aux_graphs(h, schemes):
+                m = aux.scheme.m
+                edge_pos = np.full(m ** 2, aux.edge_pos[0])
+                edge_pos[aux.graph.codes] = aux.edge_pos
+                auxes.append(dataclasses.replace(aux, graph=complete_bipartite(m),
+                                                 edge_pos=edge_pos))
+            return auxes
+        monkeypatch.setattr(packer, "build_aux_graphs", padded_auxes)
         h = random_hypergraph(12, 3, 0.7, 1)
         with pytest.raises(InvariantViolation,
                            match="^lifted cycle failed verification: segment-not-an-edge$"):
@@ -473,15 +477,60 @@ class TestBatchChecks:
             pack_min_degree(h, 1, num_partitions=2, seed=3)
         assert len(first) == 2 and len(first[0]) > 0
 
-    def test_kernel_named_when_the_reference_path_accepts(self, monkeypatch):
-        lift = packer.lift_canonical
+    @staticmethod
+    def repeat_a_vertex(monkeypatch, start, copied=6):
+        """Patch the batched lift to copy the vertex at `copied` over the one
+        at 1 in every row from the first row of partition `start` on: on
+        K_12^(3) (and K_6^(4) with copied = 4) every segment stays an edge,
+        so only the permutation check sees it.  Returns the list that records
+        each call's (auxes, matchings)."""
+        lift, calls = packer.lift_partitions, []
 
-        def repeat_a_vertex(aux, matchings):
-            # on K_12^(3) every segment stays an edge; only the permutation
-            # check sees that vertex 6's copy replaced vertex 1
-            rows = lift(aux, matchings)
-            rows[:, 1] = rows[:, 6]
+        def lift_and_repeat(auxes, matchings):
+            calls.append((auxes, matchings))
+            rows = lift(auxes, matchings)
+            first = sum(len(rows_i) for rows_i in matchings[:start])
+            rows[first:, 1] = rows[first:, copied]
             return rows
-        monkeypatch.setattr(packer, "lift_canonical", repeat_a_vertex)
+        monkeypatch.setattr(packer, "lift_partitions", lift_and_repeat)
+        return calls
+
+    def test_kernel_named_when_the_reference_path_accepts(self, monkeypatch):
+        self.repeat_a_vertex(monkeypatch, 0)
         with pytest.raises(InvariantViolation, match="reduction.lift_canonical"):
             pack_min_degree(complete_hypergraph(12, 3), 1, num_partitions=1, seed=3)
+
+    @staticmethod
+    def record_reference_lifts(monkeypatch):
+        """Record the (aux graph, matching row) of each per-cycle reference lift."""
+        lift_matching, explained = packer.lift_matching, []
+
+        def record(aux, matching):
+            explained.append((aux, [matching[s] for s in range(len(matching))]))
+            return lift_matching(aux, matching)
+        monkeypatch.setattr(packer, "lift_matching", record)
+        return explained
+
+    def test_rejected_row_of_a_later_partition_is_explained_with_its_own(self, monkeypatch):
+        calls = self.repeat_a_vertex(monkeypatch, 1)
+        explained = self.record_reference_lifts(monkeypatch)
+        with pytest.raises(InvariantViolation, match="reduction.lift_canonical"):
+            pack_min_degree(complete_hypergraph(12, 3), 1, num_partitions=3, seed=3)
+        (auxes, matchings), = calls
+        (aux, matching), = explained
+        # partition 0's rows come first and verify; the first rejected row is
+        # partition 1's first
+        assert len(matchings[0]) > 0 and len(matchings[1]) > 0
+        assert aux is auxes[1] and matching == matchings[1][0].tolist()
+
+    def test_rejected_row_after_an_m_2_dedupe_is_explained_with_its_own(self, monkeypatch):
+        # at m = 2 partition 0's two matchings lift to one cycle, so the
+        # rejected row's index in the batch is one less than its matching's
+        calls = self.repeat_a_vertex(monkeypatch, 1, copied=4)
+        explained = self.record_reference_lifts(monkeypatch)
+        with pytest.raises(InvariantViolation, match="reduction.lift_canonical"):
+            pack_min_degree(complete_hypergraph(6, 4), 1, num_partitions=3, seed=3)
+        (auxes, matchings), = calls
+        (aux, matching), = explained
+        assert auxes[0].scheme.m == 2 and len(matchings[0]) == 2 and len(matchings[1]) > 0
+        assert aux is auxes[1] and matching == matchings[1][0].tolist()

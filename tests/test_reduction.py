@@ -4,17 +4,18 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from hampack.bifactor import max_factor, peel_matchings
+from hampack import reduction
+from hampack.bifactor import max_factor, max_factors, peel_factors, peel_matchings
 from hampack.constructions import complete_hypergraph, random_hypergraph
 from hampack.errors import InvalidInputError
 from hampack.hypercore import Hypergraph
 from hampack.reduction import (HamiltonCycle, PartitionScheme, build_aux_graph,
-                               canonicalize, cycle_from_json_dict,
-                               cycle_to_json_dict, lift_canonical,
-                               lift_matching, sample_scheme, segment_windows,
+                               build_aux_graphs, canonicalize, cycle_from_json_dict,
+                               cycle_to_json_dict, lift_canonical, lift_matching,
+                               lift_partitions, sample_scheme, segment_windows,
                                verify_cycle)
 
-from helpers import canonicalize_all_candidates, lift_reference
+from helpers import aux_codes_reference, canonicalize_all_candidates, lift_reference
 
 
 class TestSampleScheme:
@@ -323,3 +324,109 @@ class TestLiftCanonical:
                    if any((s, t) not in aux.graph.edges for s, t in enumerate(p)))
         with pytest.raises(InvalidInputError, match="not a perfect matching"):
             lift_canonical(aux, np.array([off], dtype=np.int64))
+
+
+# the shapes of the batched builder and lift: ell = 1 and ell = 0 at k = 3,
+# a wider block at k = 4, and m = 2
+BATCH_SHAPES = [(12, 3, 1), (12, 3, 0), (12, 4, 1), (6, 5, 2)]
+
+
+def batch_inputs(n, k, ell, count):
+    """A random k-graph, its edgeless twin, and `count` schemes of each."""
+    graphs = [random_hypergraph(n, k, 0.7, n + k + ell), Hypergraph(n, k, [])]
+    return [(h, [sample_scheme(h, ell, seed) for seed in range(count)]) for h in graphs]
+
+
+class TestBatchedAuxGraphs:
+    """`build_aux_graphs` and `lift_partitions` against one scheme, one
+    partition, at a time."""
+
+    @staticmethod
+    def assert_matches_the_per_scheme_build(h, schemes):
+        auxes = build_aux_graphs(h, schemes)
+        assert len(auxes) == len(schemes)
+        for aux, scheme in zip(auxes, schemes):
+            codes, pos = aux_codes_reference(h, scheme)
+            assert aux.scheme is scheme and aux.graph.m == scheme.m
+            assert np.array_equal(aux.graph.codes, codes)
+            assert np.array_equal(aux.edge_pos, pos)
+        return auxes
+
+    @pytest.mark.parametrize("n, k, ell", BATCH_SHAPES)
+    def test_codes_and_positions_match_the_per_scheme_build(self, n, k, ell):
+        for h, schemes in batch_inputs(n, k, ell, 6):
+            auxes = self.assert_matches_the_per_scheme_build(h, schemes)
+            assert build_aux_graph(h, schemes[0]).graph.codes.tolist() \
+                == auxes[0].graph.codes.tolist()
+            if not h.num_edges():
+                assert all(len(aux.graph.codes) == 0 for aux in auxes)
+
+    @pytest.mark.parametrize("budget, groups", [(1, 7), (36, 7), (37, 7), (72, 4), (100, 4)])
+    def test_groups_that_cross_the_row_budget(self, monkeypatch, budget, groups):
+        # m = 6, so 36 rows per scheme: one scheme per group below 72 rows,
+        # two at 72 and 100; 7 schemes leave a short last group
+        monkeypatch.setattr(reduction, "AUX_BATCH_ROWS", budget)
+        locate, sizes = Hypergraph.locate, []
+
+        def counted(h, rows):
+            sizes.append(np.asarray(rows).size // h.k)
+            return locate(h, rows)
+        monkeypatch.setattr(Hypergraph, "locate", counted)
+        for h, schemes in batch_inputs(12, 3, 1, 7):
+            sizes.clear()
+            build_aux_graphs(h, schemes)
+            assert len(sizes) == groups and max(sizes) <= max(budget, 36)
+            self.assert_matches_the_per_scheme_build(h, schemes)
+
+    def test_more_schemes_than_the_default_budget_holds(self):
+        h = random_hypergraph(12, 3, 0.7, 1)
+        count = reduction.AUX_BATCH_ROWS // 36 + 2
+        self.assert_matches_the_per_scheme_build(
+            h, [sample_scheme(h, 1, seed) for seed in range(count)])
+
+    def test_zero_schemes(self):
+        assert build_aux_graphs(complete_hypergraph(12, 3), []) == []
+
+    def test_a_batch_must_share_its_shape(self):
+        h = complete_hypergraph(12, 3)
+        with pytest.raises(InvalidInputError, match="share n, k and ell"):
+            build_aux_graphs(h, [sample_scheme(h, 1, 0), sample_scheme(h, 0, 0)])
+        with pytest.raises(InvalidInputError, match="does not match"):
+            build_aux_graphs(complete_hypergraph(12, 4), [sample_scheme(h, 1, 0)])
+
+    @pytest.mark.parametrize("n, k, ell", BATCH_SHAPES)
+    def test_lift_matches_each_partition_on_its_own(self, n, k, ell):
+        for h, schemes in batch_inputs(n, k, ell, 6):
+            auxes = build_aux_graphs(h, schemes)
+            peeled = peel_factors(max_factors([aux.graph for aux in auxes]))
+            rows = lift_partitions(auxes, peeled)
+            assert rows.shape == (sum(map(len, peeled)), n) and rows.dtype == np.int64
+            alone = [lift_canonical(aux, matchings) for aux, matchings in zip(auxes, peeled)]
+            assert np.array_equal(rows, np.concatenate(alone))
+            assert [tuple(row) for row in rows.tolist()] \
+                == [arr for aux, matchings in zip(auxes, peeled)
+                    for arr in reference_rows(aux, matchings)]
+            # the edgeless twin has no matchings at all
+            assert len(rows) > 0 or not h.num_edges()
+
+    def test_lift_skips_partitions_without_rows(self):
+        h = complete_hypergraph(12, 3)
+        auxes = build_aux_graphs(h, [sample_scheme(h, 1, seed) for seed in range(3)])
+        full = np.arange(6, dtype=np.int64)[None]
+        none = np.empty((0, 6), dtype=np.int64)
+        rows = lift_partitions(auxes, [none, full, none])
+        assert np.array_equal(rows, lift_canonical(auxes[1], full))
+        assert lift_partitions(auxes, [none] * 3).shape == (0, 12)
+
+    def test_lift_names_a_row_off_its_own_partition(self):
+        # each row is checked against its own partition's aux graph: a
+        # matching of partition 0 need not be one of partition 1
+        h = random_hypergraph(12, 3, 0.5, 2)
+        auxes = build_aux_graphs(h, [sample_scheme(h, 1, seed) for seed in range(2)])
+        edges = [set(aux.graph.edges) for aux in auxes]
+        off = next(np.array([p], dtype=np.int64) for p in permutations(range(6))
+                   if all((s, t) in edges[0] for s, t in enumerate(p))
+                   and not all((s, t) in edges[1] for s, t in enumerate(p)))
+        assert len(lift_partitions(auxes, [off, off[:0]])) == 1
+        with pytest.raises(InvalidInputError, match="not a perfect matching"):
+            lift_partitions(auxes, [off[:0], off])
