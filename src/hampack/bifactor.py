@@ -45,7 +45,8 @@ class BipartiteGraph:
     pairs in one pass, in input order: each must be two integers (bools
     refused, see `util.integer`) in 0..m-1, and none may repeat an earlier
     one.  `_from_codes` takes an already sorted subset of a valid graph's
-    codes.  Both go through `_store`.
+    codes and, when they are known, its (deg_s, deg_t).  Both go through
+    `_store`.
     """
 
     __slots__ = ("m", "codes", "_deg_s", "_deg_t", "_edges")
@@ -66,18 +67,16 @@ class BipartiteGraph:
         self._store(m, np.sort(np.array(list(codes), dtype=np.int64)))
 
     @classmethod
-    def _from_codes(cls, m: int, codes: np.ndarray) -> BipartiteGraph:
+    def _from_codes(cls, m: int, codes: np.ndarray, degrees=None) -> BipartiteGraph:
         g = object.__new__(cls)
-        g._store(m, codes)
+        g._store(m, codes, degrees)
         return g
 
-    def _store(self, m: int, codes: np.ndarray) -> None:
+    def _store(self, m: int, codes: np.ndarray, degrees=None) -> None:
         codes.flags.writeable = False
-        s, t = _split(codes, m)
-        for name, value in (("m", m), ("codes", codes),
-                            ("_deg_s", np.bincount(s, minlength=m)),
-                            ("_deg_t", np.bincount(t, minlength=m)),
-                            ("_edges", None)):
+        deg_s, deg_t = degrees or (np.bincount(v, minlength=m) for v in _split(codes, m))
+        for name, value in (("m", m), ("codes", codes), ("_deg_s", deg_s),
+                            ("_deg_t", deg_t), ("_edges", None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -207,7 +206,9 @@ class _FactorNetwork:
     neighbours in ascending order, then the t -> sink rows.  Solving for
     r_0, r_1, ... only writes the first M and the last M capacities,
     deg(s) - r_i and deg(t) - r_i; a graph at r = 0 gets capacity 0 and
-    carries no flow.  No probe exceeds δ, so no capacity is negative.
+    carries no flow.  No probe exceeds δ, so no capacity is negative.  The
+    union's (s, t) columns and each graph's edge offsets e_off are kept, so
+    that `witnesses` reads every graph's witness as one mask over them.
 
     scipy is imported here and in `peel_factors`, on first use, so that the
     commands that never solve a flow or a matching do not load it.
@@ -216,14 +217,15 @@ class _FactorNetwork:
     def __init__(self, graphs: Sequence[BipartiteGraph]):
         from scipy.sparse import csr_matrix
         self.hosts = graphs
-        self.off, _, t = _disjoint_union(graphs)
+        self.off, self.s, self.t = _disjoint_union(graphs)
         self.ms = np.diff(self.off)
+        self.e_off = np.concatenate(([0], np.cumsum([len(g.codes) for g in graphs])))
         self.deg_s = np.concatenate([g._deg_s for g in graphs])
         self.deg_t = np.concatenate([g._deg_t for g in graphs])
         size = self.size = int(self.off[-1])
         row_len = np.concatenate(([size], self.deg_s, np.ones(size, np.int64), [0]))
         indptr = np.concatenate(([0], np.cumsum(row_len))).astype(np.int32)
-        indices = np.concatenate((np.arange(1, size + 1), 1 + size + t,
+        indices = np.concatenate((np.arange(1, size + 1), 1 + size + self.t,
                                   np.full(size, 2 * size + 1))).astype(np.int32)
         data = np.ones(len(indices), dtype=np.int32)
         self.graph = csr_matrix((data, indices, indptr), shape=(2 * size + 2, 2 * size + 2))
@@ -233,15 +235,17 @@ class _FactorNetwork:
         rs[i] = 0, all from one flow.
 
         Graph i has an rs[i]-factor iff its own source arcs carry
-        |E_i| - rs[i]·m_i, that is, iff none of them has capacity unsent.  Its
-        witness is its host edges whose s -> t arcs carry no flow, read from
-        the flow's CSR (which keeps the network's row and column order, with
-        a non-positive reverse arc added beside each arc, and keeps each
-        s -> t arc explicit even at zero flow), and is checked against graph
-        i before it is returned.
+        |E_i| - rs[i]·m_i, that is, iff none of them has capacity unsent.
+        The flow's CSR keeps the network's rows and columns in order (with a
+        reverse arc beside each arc, and zero-flow arcs explicit), so its
+        s -> t arcs (rows 1..M, columns > M) are the union's edges in code
+        order: one check that their heads are 1 + M + t aligns them, and the
+        arcs without flow are a mask over the host edges.  Two bincounts of
+        it check every feasible graph's degrees at once; graph i's witness
+        is its host codes under its slice of the mask, with those degrees.
         """
         from scipy.sparse.csgraph import maximum_flow
-        size, off, data = self.size, self.off, self.graph.data
+        size, off, e_off, data = self.size, self.off, self.e_off, self.graph.data
         row_r = np.repeat(rs, self.ms)
         data[:size] = np.where(row_r > 0, self.deg_s - row_r, 0)
         data[-size:] = np.where(row_r > 0, self.deg_t - row_r, 0)
@@ -251,16 +255,21 @@ class _FactorNetwork:
         unsent = np.cumsum(unsent)
         feasible = (rs > 0) & (unsent[off[1:]] == unsent[off[:-1]])
         lo, hi = flow.indptr[1], flow.indptr[size + 1]
-        s = np.repeat(np.arange(size), np.diff(flow.indptr[1:size + 2]))
-        left_in = np.flatnonzero((flow.indices[lo:hi] > size) & (flow.data[lo:hi] == 0))
-        s, t = s[left_in], flow.indices[lo:hi][left_in].astype(np.int64) - 1 - size
-        bounds = np.searchsorted(s, off)
+        arcs = flow.indices[lo:hi] > size
+        if not np.array_equal(flow.indices[lo:hi][arcs], 1 + size + self.t):
+            raise InvariantViolation("factor uses edges not present in the host graph")
+        kept = (flow.data[lo:hi][arcs] == 0) & np.repeat(feasible, np.diff(e_off))
+        want = np.repeat(np.where(feasible, rs, 0), self.ms)
+        deg_s, deg_t = (np.bincount(v[kept], minlength=size) for v in (self.s, self.t))
+        wrong = np.flatnonzero((deg_s != want) | (deg_t != want))
+        if len(wrong):
+            raise InvariantViolation(f"not every vertex has degree exactly {want[wrong[0]]}")
         found: list[Optional[Factor]] = [None] * len(rs)
         for i in np.flatnonzero(feasible).tolist():
-            m, a, b = int(self.ms[i]), bounds[i], bounds[i + 1]
-            codes = (s[a:b] - off[i]) * m + (t[a:b] - off[i])
-            found[i] = Factor(int(rs[i]), BipartiteGraph._from_codes(m, codes))
-            found[i].check_against(self.hosts[i])
+            (a, b), (ea, eb) = off[i:i + 2].tolist(), e_off[i:i + 2].tolist()
+            graph = BipartiteGraph._from_codes(b - a, self.hosts[i].codes[kept[ea:eb]],
+                                               (deg_s[a:b], deg_t[a:b]))
+            found[i] = Factor(int(rs[i]), graph)
         return found
 
 
@@ -282,8 +291,8 @@ def find_factor(g: BipartiteGraph, r: int) -> Optional[Factor]:
     source -> each s with capacity deg(s) - r, unit arcs across the edges,
     each t -> sink with capacity deg(t) - r; an r-factor exists iff max flow
     = |E| - r·m, and it is the edges without flow.  One `_FactorNetwork` is
-    built and solved once; its witness is checked there against the host
-    graph.
+    built and solved once; its witness is checked there for host membership
+    and degree r.
     """
     if not (0 <= r <= g.m):
         raise InvalidInputError(f"r must be in 0..m={g.m}, got {r}")
@@ -312,8 +321,9 @@ def max_factors(graphs: Sequence[BipartiteGraph]) -> list[Factor]:
     each vertex leaves out: the first flow probes each graph at its δ, and
     each further flow probes each graph whose search is still open at its
     midpoint, the others at capacity 0.  No probe exceeds δ, so every
-    capacity is >= 0.  Each feasible probe's witness is checked against its
-    graph.
+    capacity is >= 0.  Each flow's witnesses are one mask over the union's
+    host edges, and one alignment check and one degree check cover every
+    graph's feasible probe before any witness is returned.
     """
     delta = np.array([g.min_degree() for g in graphs], dtype=np.int64)
     best: list[Optional[Factor]] = [None] * len(graphs)

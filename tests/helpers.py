@@ -10,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
+from scipy.sparse.csgraph import maximum_bipartite_matching, maximum_flow
 
-from hampack.bifactor import BipartiteGraph, GaleRyserWitness
+from hampack.bifactor import BipartiteGraph, Factor, GaleRyserWitness
 from hampack.errors import (InvalidInputError, InvalidQueryError, InvariantViolation,
                             SizeLimitError)
 from hampack.hypercore import Hypergraph, check_dimensions, row_codes
@@ -169,6 +169,35 @@ def peel_reference(factor, host):
     if len(codes):
         raise InvariantViolation("matchings did not exhaust the factor")
     return matchings
+
+
+def witnesses_reference(network, rs):
+    """The factor network's witness read, one graph at a time: solve the
+    flow at `rs`, decode every s -> t arc without flow into (s, t) with
+    `np.repeat`, split the arcs by graph with `searchsorted`, re-encode each
+    graph's as s·m + t and check each witness with `Factor.check_against`:
+    the oracle for `_FactorNetwork.witnesses`, which reads one mask."""
+    size, off, data = network.size, network.off, network.graph.data
+    row_r = np.repeat(rs, network.ms)
+    data[:size] = np.where(row_r > 0, network.deg_s - row_r, 0)
+    data[-size:] = np.where(row_r > 0, network.deg_t - row_r, 0)
+    flow = maximum_flow(network.graph, 0, 2 * size + 1).flow
+    unsent = np.concatenate(([0], data[:size])).astype(np.int64)
+    unsent[flow.indices[:flow.indptr[1]]] -= flow.data[:flow.indptr[1]]
+    unsent = np.cumsum(unsent)
+    feasible = (rs > 0) & (unsent[off[1:]] == unsent[off[:-1]])
+    lo, hi = flow.indptr[1], flow.indptr[size + 1]
+    s = np.repeat(np.arange(size), np.diff(flow.indptr[1:size + 2]))
+    left_in = np.flatnonzero((flow.indices[lo:hi] > size) & (flow.data[lo:hi] == 0))
+    s, t = s[left_in], flow.indices[lo:hi][left_in].astype(np.int64) - 1 - size
+    bounds = np.searchsorted(s, off)
+    found = [None] * len(rs)
+    for i in np.flatnonzero(feasible).tolist():
+        m, a, b = int(network.ms[i]), bounds[i], bounds[i + 1]
+        codes = (s[a:b] - off[i]) * m + (t[a:b] - off[i])
+        found[i] = Factor(int(rs[i]), BipartiteGraph._from_codes(m, codes))
+        found[i].check_against(network.hosts[i])
+    return found
 
 
 def aux_graphs(h, schemes):

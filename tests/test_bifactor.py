@@ -7,17 +7,17 @@ import pytest
 import scipy.sparse.csgraph as csgraph
 
 from hampack import randomlab
-from hampack.bifactor import (GALE_RYSER_MAX_M, BipartiteGraph, Factor, complete_bipartite,
-                              find_factor, from_json_dict, gale_ryser_check, max_factor,
-                              max_factors, peel_factors, peel_matchings, read_bipartite,
-                              to_json_dict)
+from hampack.bifactor import (GALE_RYSER_MAX_M, BipartiteGraph, Factor, _FactorNetwork,
+                              complete_bipartite, find_factor, from_json_dict,
+                              gale_ryser_check, max_factor, max_factors, peel_factors,
+                              peel_matchings, read_bipartite, to_json_dict)
 from hampack.errors import (InvalidInputError, InvariantViolation, ParseError,
                             SizeLimitError)
 from hampack.util import write_json
 
 from helpers import (brute_force_matching_count, count_perfect_matchings, csaba_rho,
                      gale_ryser_walk, peel_decomposes, peel_reference,
-                     random_bipartite)
+                     random_bipartite, witnesses_reference)
 
 
 def cycle6():
@@ -269,6 +269,29 @@ def _swap_onto_non_edges(monkeypatch, at_r):
     monkeypatch.setattr(csgraph, "maximum_flow", fake)
 
 
+def _move_one_arc_off_the_host(monkeypatch, host, at_r, offset=0):
+    """Make maximum_flow, when the network probes r = at_r at the first s
+    vertex of `host` (offset by `offset` in the network) that has a
+    non-neighbour, move that vertex's first s -> t arc, with the flow it
+    carries, onto its first non-neighbour: the flow value and every source
+    arc stay as they were, but the arc is no longer a host edge."""
+    s = next(v for v in range(host.m) if host._deg_s[v] < host.m)
+    t_to = next(t for t in range(host.m) if (s, t) not in host.edges)
+    node, real = 1 + offset + s, csgraph.maximum_flow
+
+    def fake(graph, source, sink):
+        result = real(graph, source, sink)
+        if _probe_at(graph, node) != at_r:
+            return result
+        size = (graph.shape[0] - 2) // 2
+        flow = result.flow.copy()
+        lo, hi = flow.indptr[node], flow.indptr[node + 1]
+        flow.indices[lo + np.flatnonzero(flow.indices[lo:hi] > size)[0]] = 1 + size + offset + t_to
+        return SimpleNamespace(flow_value=result.flow_value, flow=flow)
+
+    monkeypatch.setattr(csgraph, "maximum_flow", fake)
+
+
 def two_block_graph():
     """Input 42 of the Gale-Ryser threshold test: m = 8, δ = 3, r* = 2."""
     rng = random.Random(3042)
@@ -329,6 +352,50 @@ class TestWitnessCheck:
         with pytest.raises(InvariantViolation, match="degree exactly 4"):
             max_factors(graphs)
         assert max_factors(graphs[::2]) == [max_factor(graphs[0])[1], max_factor(graphs[2])[1]]
+
+    def test_find_factor_and_max_factors_reject_an_arc_moved_off_the_host(self, monkeypatch):
+        # the two-block graph is not regular (δ = 3, r* = 2); in the union it
+        # follows K_{3,3}, at offset 3, and its search probes r = 3, 1, 2
+        two_block = two_block_graph()
+        for search, offset in ((lambda: find_factor(two_block, 2), 0),
+                               (lambda: max_factors([complete_bipartite(3), two_block]), 3)):
+            with monkeypatch.context() as patch:
+                _move_one_arc_off_the_host(patch, two_block, at_r=2, offset=offset)
+                with pytest.raises(InvariantViolation, match="not present in the host graph"):
+                    search()
+
+
+class TestWitnessRead:
+    def test_matches_the_per_graph_decode(self):
+        # every union holds an m = 0 graph and a graph whose last s and t
+        # vertices have no edges, both probed at r = 0, among graphs of other
+        # m probed anywhere in 0..δ, feasible or not (the two-block graph at
+        # δ = 3 is not); the witness's r, codes and degrees must all agree
+        isolated_last = BipartiteGraph(5, [(s, t) for s in range(4) for t in range(4)])
+        fixed = [([BipartiteGraph(0, []), complete_bipartite(3), isolated_last, two_block_graph()],
+                  [0, 3, 0, 3]),
+                 ([isolated_last, two_block_graph(), cycle6(), BipartiteGraph(0, []),
+                   complete_bipartite(4)], [0, 2, 2, 0, 4])]
+        drawn = []
+        for seed in range(40):
+            rng = random.Random(9100 + seed)
+            graphs = [random_bipartite(rng.randint(0, 10), rng.uniform(0.3, 1.0),
+                                       9200 + 8 * seed + j)
+                      for j in range(rng.randint(1, 5))] + [isolated_last, BipartiteGraph(0, [])]
+            rng.shuffle(graphs)
+            drawn.append((graphs, [rng.randint(0, g.min_degree()) for g in graphs]))
+        outcomes = set()
+        for graphs, rs in fixed + drawn:
+            network = _FactorNetwork(graphs)
+            got = network.witnesses(np.array(rs))
+            want = witnesses_reference(network, np.array(rs))
+            assert got == want
+            for r, g, w in zip(rs, got, want):
+                outcomes.add("r = 0" if r == 0 else "infeasible" if g is None else "feasible")
+                if g is not None:
+                    assert np.array_equal(g.graph._deg_s, w.graph._deg_s)
+                    assert np.array_equal(g.graph._deg_t, w.graph._deg_t)
+        assert outcomes == {"r = 0", "infeasible", "feasible"}
 
 
 class TestMaxFactors:
